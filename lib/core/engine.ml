@@ -10,7 +10,7 @@ open Pmtest_trace
 type status = {
   write_epoch : int;
   write_loc : Loc.t;
-  flush : (int * Loc.t) option;  (* first clwb since the last write *)
+  flush_epoch : int;  (* first clwb since the last write; -1 if none yet *)
 }
 
 type range_status = { lo : int; hi : int; persist : Interval.t; flush : Interval.t option }
@@ -27,17 +27,6 @@ let first_dfence_after times epoch =
   in
   search 0 n
 
-let effective_subranges ~excluded ~addr ~size =
-  let lo = addr and hi = addr + size in
-  let holes = Interval_map.overlapping excluded ~lo ~hi in
-  let rec walk cursor = function
-    | [] -> if cursor < hi then [ (cursor, hi) ] else []
-    | (k, h, ()) :: rest ->
-      let gap = if k > cursor then [ (cursor, k) ] else [] in
-      gap @ walk (max cursor h) rest
-  in
-  walk lo holes
-
 (* A diagnostic is recorded as kind/loc plus a rendering thunk; the
    message string is only materialised when the report is built, so the
    hot path never runs Format.  Thunks must capture values eagerly —
@@ -47,17 +36,30 @@ type pending_diag = { kind : Report.kind; loc : Loc.t; render : unit -> string }
 (* One pass over one shadow memory: the page-indexed mutable
    {!Page_map}, whatever form the section arrives in.  Boxed events go
    through [on_entry], packed arenas through the [on_view] cursor; both
-   drive the same transitions below. *)
+   drive the same transitions below.
+
+   The clean path of every entry allocates only the shadow segments and
+   statuses it stores.  The TX log and the checker-scope write set are
+   {!Page_map}s too, reset in place at each transaction or scope start.
+   Exclusion holes stay a persistent {!Interval_map} — they change a few
+   times per section, and a pool's 256 KiB header hole would be 65 page
+   segments — mirrored in the flat array [holes] for allocation-free
+   walks.
+   Callbacks are closed functions handed [st], and a failing check
+   re-walks its range with lists only to render the diagnostic. *)
 type state = {
   model : Model.kind;
   mutable now : int;
   shadow : status Page_map.t;
   mutable excluded : unit Interval_map.t;
+  mutable holes : int array;  (* [excluded] flattened: lo0, hi0, lo1, hi1, ... ascending *)
   dfence_times : int Vec.t;  (* HOPS dfence / CXL gpf drain timestamps *)
-  mutable log_tree : Loc.t Interval_tree.t;
+  logged : unit Page_map.t;  (* TX_ADDed ranges of the open transaction *)
   mutable tx_depth : int;
   mutable scope_active : bool;
-  mutable scope_writes : Loc.t Interval_map.t;
+  scope_writes : Loc.t Page_map.t;
+  mutable unmodified : bool;  (* the clwb in hand met a byte never written *)
+  mutable reflushed : bool;  (* ... or a write already written back *)
   diags : pending_diag Vec.t;
   mutable entries : int;
   mutable ops : int;
@@ -70,11 +72,14 @@ let create_state model =
     now = 0;
     shadow = Page_map.create ();
     excluded = Interval_map.empty;
+    holes = [||];
     dfence_times = Vec.create ();
-    log_tree = Interval_tree.empty;
+    logged = Page_map.create ();
     tx_depth = 0;
     scope_active = false;
-    scope_writes = Interval_map.empty;
+    scope_writes = Page_map.create ();
+    unmodified = false;
+    reflushed = false;
     diags = Vec.create ();
     entries = 0;
     ops = 0;
@@ -83,13 +88,70 @@ let create_state model =
 
 let diag st kind loc render = Vec.push st.diags { kind; loc; render }
 
+let set_excluded st excluded =
+  st.excluded <- excluded;
+  st.holes <-
+    Array.of_list (List.rev (Interval_map.fold (fun lo hi () acc -> hi :: lo :: acc) excluded []))
+
+(* [f st loc lo hi] over the sub-ranges of [addr, addr+size) outside
+   every exclusion hole, ascending, until one returns [true].  A binary
+   search finds the first hole ending after [addr]; when it starts at or
+   past the end — no hole meets the range — [f] sees the range whole. *)
+let exists_effective st loc ~addr ~size f =
+  let hi = addr + size and h = st.holes in
+  let n = Array.length h / 2 in
+  let i = ref 0 and j = ref n in
+  while !i < !j do
+    let mid = (!i + !j) / 2 in
+    if h.((2 * mid) + 1) > addr then j := mid else i := mid + 1
+  done;
+  if !i = n || h.(2 * !i) >= hi then f st loc addr hi
+  else begin
+    let cursor = ref addr and found = ref false in
+    while (not !found) && !cursor < hi do
+      if !i < n && h.(2 * !i) < hi then begin
+        if h.(2 * !i) > !cursor then found := f st loc !cursor h.(2 * !i);
+        cursor := max !cursor h.((2 * !i) + 1);
+        incr i
+      end
+      else begin
+        found := f st loc !cursor hi;
+        cursor := hi
+      end
+    done;
+    !found
+  end
+
+(* The non-excluded sub-ranges of [addr, addr+size), and the shadow
+   pieces in them: lists, for rendering diagnostics only. *)
+let subranges st ~addr ~size =
+  let acc = ref [] in
+  ignore
+    (exists_effective st Loc.none ~addr ~size (fun _ _ lo hi ->
+         acc := (lo, hi) :: !acc;
+         false));
+  List.rev !acc
+
+let pieces st ~lo ~hi =
+  let acc = ref [] in
+  ignore
+    (Page_map.exists st.shadow ~lo ~hi
+       (fun acc lo hi s ->
+         acc := (lo, hi, s) :: !acc;
+         false)
+       acc);
+  List.rev !acc
+
+let statuses_in st ~addr ~size =
+  List.concat_map (fun (lo, hi) -> pieces st ~lo ~hi) (subranges st ~addr ~size)
+
+let x86_flushed st s = s.flush_epoch >= 0 && st.now > s.flush_epoch
+
 let persist_interval st (s : status) =
   match st.model with
-  | Model.X86 -> begin
-    match s.flush with
-    | Some (fe, _) when st.now > fe -> Interval.make ~lo:s.write_epoch ~hi:(fe + 1)
-    | Some _ | None -> Interval.make_open s.write_epoch
-  end
+  | Model.X86 ->
+    if x86_flushed st s then Interval.make ~lo:s.write_epoch ~hi:(s.flush_epoch + 1)
+    else Interval.make_open s.write_epoch
   | Model.Hops | Model.Cxl -> begin
     (* CXL reuses the drain-time machinery: a store is durable once
        the first global persist barrier after its epoch completes. *)
@@ -110,9 +172,7 @@ let persist_interval st (s : status) =
    only the open/closed distinction matters. *)
 let persisted_by_now st (s : status) =
   match st.model with
-  | Model.X86 -> begin
-    match s.flush with Some (fe, _) -> st.now > fe | None -> false
-  end
+  | Model.X86 -> x86_flushed st s
   | Model.Hops | Model.Cxl ->
     (* [dfence_times] is ascending: a drain point after the write
        epoch exists iff the newest one is after it. *)
@@ -121,79 +181,77 @@ let persisted_by_now st (s : status) =
   | Model.Eadr -> true
 
 let flush_interval st (s : status) =
-  match s.flush with
-  | None -> None
-  | Some (fe, _) ->
+  if s.flush_epoch < 0 then None
+  else
+    let fe = s.flush_epoch in
     Some (if st.now > fe then Interval.make ~lo:fe ~hi:(fe + 1) else Interval.make_open fe)
+
+let unpersisted st _ _ s = not (persisted_by_now st s)
+let unpersisted_in st _ lo hi = Page_map.exists st.shadow ~lo ~hi unpersisted st
+
+(* A write inside a checker scope: flag it if a transaction is open and
+   no TX_ADD covers it, and remember it for TX_CHECKER_END. *)
+let scope_write st loc lo hi =
+  if st.tx_depth > 0 && not (Page_map.covers st.logged ~lo ~hi) then
+    diag st Report.Missing_log loc (fun () ->
+        Format.asprintf
+          "persistent object [0x%x,+%d) modified inside a transaction without a backup log \
+           entry"
+          lo (hi - lo));
+  Page_map.set st.scope_writes ~lo ~hi loc;
+  false
 
 let on_write st loc ~addr ~size =
   (* Under eADR each store is its own ordering point. *)
   if st.model = Model.Eadr then st.now <- st.now + 1;
-  let subranges = effective_subranges ~excluded:st.excluded ~addr ~size in
-  List.iter
-    (fun (lo, hi) ->
-      if st.tx_depth > 0 && st.scope_active && not (Interval_tree.covered st.log_tree ~lo ~hi) then
-        diag st Report.Missing_log loc (fun () ->
-            Format.asprintf
-              "persistent object [0x%x,+%d) modified inside a transaction without a backup \
-               log entry"
-              lo (hi - lo));
-      if st.scope_active then st.scope_writes <- Interval_map.set st.scope_writes ~lo ~hi loc)
-    subranges;
+  if st.scope_active then ignore (exists_effective st loc ~addr ~size scope_write);
   (* The store hits memory whether or not checking is excluded, so the
      shadow must cover the whole range: exclusion suppresses diagnostics
-     (checkers and writeback rules filter through [effective_subranges]),
+     (checkers and writeback rules filter through [exists_effective]),
      not history. Refreshing only the effective subranges would let a
      stale pre-exclusion status describe bytes a hole write has since
      overwritten — visible as wrong persist claims once re-included. *)
   Page_map.set st.shadow ~lo:addr ~hi:(addr + size)
-    { write_epoch = st.now; write_loc = loc; flush = None }
+    { write_epoch = st.now; write_loc = loc; flush_epoch = -1 }
+
+let clwb_status st s =
+  if s.flush_epoch < 0 then { s with flush_epoch = st.now }
+  else begin
+    (* A writeback is already pending or complete for this write: the
+       second clwb is redundant. *)
+    st.reflushed <- true;
+    s
+  end
+
+let clwb_range st _ lo hi =
+  (* Writing back a location that was never modified. *)
+  if not (Page_map.covers st.shadow ~lo ~hi) then st.unmodified <- true;
+  Page_map.map_range st.shadow ~lo ~hi clwb_status st;
+  false
 
 let on_clwb st loc ~addr ~size =
-  let unnecessary = ref false and duplicate = ref false in
-  let subranges = effective_subranges ~excluded:st.excluded ~addr ~size in
-  List.iter
-    (fun (lo, hi) ->
-      Page_map.update_range st.shadow ~lo ~hi ~f:(function
-        | None ->
-          (* Writing back a location that was never modified. *)
-          unnecessary := true;
-          None
-        | Some s -> begin
-          match s.flush with
-          | None -> Some { s with flush = Some (st.now, loc) }
-          | Some _ ->
-            (* A writeback is already pending or complete for this
-               write: the second clwb is redundant. *)
-            duplicate := true;
-            Some s
-        end))
-    subranges;
-  if !unnecessary then
+  st.unmodified <- false;
+  st.reflushed <- false;
+  ignore (exists_effective st loc ~addr ~size clwb_range);
+  if st.unmodified then
     diag st Report.Unnecessary_writeback loc (fun () ->
         Format.asprintf "writeback of unmodified data at [0x%x,+%d)" addr size);
-  if !duplicate then
+  if st.reflushed then
     diag st Report.Duplicate_writeback loc (fun () ->
         Format.asprintf "persistent object [0x%x,+%d) written back more than once" addr size)
 
-let statuses_in st ~addr ~size =
-  List.concat_map
-    (fun (lo, hi) -> Page_map.overlapping st.shadow ~lo ~hi)
-    (effective_subranges ~excluded:st.excluded ~addr ~size)
-
 let on_is_persist st loc ~addr ~size =
-  let offending =
-    List.find_opt (fun (_, _, s) -> not (persisted_by_now st s)) (statuses_in st ~addr ~size)
-  in
-  match offending with
-  | None -> ()
-  | Some (lo, hi, s) ->
+  if exists_effective st loc ~addr ~size unpersisted_in then begin
+    let lo, hi, s =
+      List.find (fun (_, _, s) -> not (persisted_by_now st s)) (statuses_in st ~addr ~size)
+    in
     let iv = persist_interval st s and now = st.now and wloc = s.write_loc in
     diag st Report.Not_persisted loc (fun () ->
         Format.asprintf
           "isPersist(0x%x,%d): write at %s to [0x%x,+%d) has persist interval %a at \
            timestamp %d"
           addr size (Loc.to_string wloc) lo (hi - lo) Interval.pp iv now)
+  end
 
 let on_is_ordered_before st loc ~a_addr ~a_size ~b_addr ~b_size =
   let a_statuses = statuses_in st ~addr:a_addr ~size:a_size in
@@ -226,34 +284,37 @@ let on_is_ordered_before st loc ~a_addr ~a_size ~b_addr ~b_size =
 
 let on_tx_add st loc ~addr ~size =
   let lo = addr and hi = addr + size in
-  if (not (Interval_tree.is_empty st.log_tree)) && Interval_tree.covered st.log_tree ~lo ~hi
-  then
+  if Page_map.covers st.logged ~lo ~hi then
     diag st Report.Duplicate_log loc (fun () ->
         Format.asprintf "persistent object [0x%x,+%d) logged more than once" addr size);
-  st.log_tree <- Interval_tree.add st.log_tree ~lo ~hi loc
+  Page_map.set st.logged ~lo ~hi ()
+
+let scope_unpersisted st lo hi _ =
+  exists_effective st Loc.none ~addr:lo ~size:(hi - lo) unpersisted_in
 
 let on_tx_checker_end st loc =
   if st.tx_depth > 0 then
     diag st Report.Incomplete_tx loc (fun () -> "transaction still open at TX_CHECKER_END");
-  Interval_map.iter
-    (fun lo hi wloc ->
-      List.iter
-        (fun (slo, shi) ->
-          List.iter
-            (fun (_, _, s) ->
-              if not (persisted_by_now st s) then begin
-                let iv = persist_interval st s and now = st.now in
-                diag st Report.Incomplete_tx loc (fun () ->
-                    Format.asprintf
-                      "transaction update at %s to [0x%x,+%d) not persisted when the \
-                       transaction checker scope ends (persist interval %a, timestamp %d)"
-                      (Loc.to_string wloc) slo (shi - slo) Interval.pp iv now)
-              end)
-            (Page_map.overlapping st.shadow ~lo:slo ~hi:shi))
-        (effective_subranges ~excluded:st.excluded ~addr:lo ~size:(hi - lo)))
-    st.scope_writes;
+  if Page_map.exists st.scope_writes ~lo:min_int ~hi:max_int scope_unpersisted st then
+    List.iter
+      (fun (lo, hi, wloc) ->
+        List.iter
+          (fun (slo, shi) ->
+            List.iter
+              (fun (_, _, s) ->
+                if not (persisted_by_now st s) then begin
+                  let iv = persist_interval st s and now = st.now in
+                  diag st Report.Incomplete_tx loc (fun () ->
+                      Format.asprintf
+                        "transaction update at %s to [0x%x,+%d) not persisted when the \
+                         transaction checker scope ends (persist interval %a, timestamp %d)"
+                        (Loc.to_string wloc) slo (shi - slo) Interval.pp iv now)
+                end)
+              (pieces st ~lo:slo ~hi:shi))
+          (subranges st ~addr:lo ~size:(hi - lo)))
+      (Page_map.to_list st.scope_writes);
   st.scope_active <- false;
-  st.scope_writes <- Interval_map.empty
+  Page_map.reset st.scope_writes
 
 let invalid_op st loc op =
   diag st Report.Invalid_op loc (fun () ->
@@ -298,23 +359,23 @@ let on_entry st (e : Event.t) =
   | Event.Tx tx -> begin
     match tx with
     | Event.Tx_begin ->
-      if st.tx_depth = 0 then st.log_tree <- Interval_tree.empty;
+      if st.tx_depth = 0 then Page_map.reset st.logged;
       st.tx_depth <- st.tx_depth + 1
     | Event.Tx_add { addr; size } -> on_tx_add st loc ~addr ~size
     | Event.Tx_commit | Event.Tx_abort ->
       st.tx_depth <- max 0 (st.tx_depth - 1);
-      if st.tx_depth = 0 then st.log_tree <- Interval_tree.empty
+      if st.tx_depth = 0 then Page_map.reset st.logged
     | Event.Tx_checker_start ->
       st.scope_active <- true;
-      st.scope_writes <- Interval_map.empty
+      Page_map.reset st.scope_writes
     | Event.Tx_checker_end -> on_tx_checker_end st loc
   end
   | Event.Control c -> begin
     match c with
     | Event.Exclude { addr; size } ->
-      st.excluded <- Interval_map.set st.excluded ~lo:addr ~hi:(addr + size) ()
+      set_excluded st (Interval_map.set st.excluded ~lo:addr ~hi:(addr + size) ())
     | Event.Include { addr; size } ->
-      st.excluded <- Interval_map.clear st.excluded ~lo:addr ~hi:(addr + size)
+      set_excluded st (Interval_map.clear st.excluded ~lo:addr ~hi:(addr + size))
     | Event.Lint_off _ | Event.Lint_on _ ->
       (* Static-lint suppression scopes mean nothing to the dynamic engine. *)
       ()
@@ -367,21 +428,20 @@ let on_view st (v : Packed.view) =
     on_is_ordered_before st loc ~a_addr:v.Packed.a ~a_size:v.Packed.b ~b_addr:v.Packed.c
       ~b_size:v.Packed.d
   | Packed.T_tx_begin ->
-    if st.tx_depth = 0 then st.log_tree <- Interval_tree.empty;
+    if st.tx_depth = 0 then Page_map.reset st.logged;
     st.tx_depth <- st.tx_depth + 1
   | Packed.T_tx_add -> on_tx_add st loc ~addr:v.Packed.a ~size:v.Packed.b
   | Packed.T_tx_commit | Packed.T_tx_abort ->
     st.tx_depth <- max 0 (st.tx_depth - 1);
-    if st.tx_depth = 0 then st.log_tree <- Interval_tree.empty
+    if st.tx_depth = 0 then Page_map.reset st.logged
   | Packed.T_tx_checker_start ->
     st.scope_active <- true;
-    st.scope_writes <- Interval_map.empty
+    Page_map.reset st.scope_writes
   | Packed.T_tx_checker_end -> on_tx_checker_end st loc
   | Packed.T_exclude ->
-    st.excluded <-
-      Interval_map.set st.excluded ~lo:v.Packed.a ~hi:(v.Packed.a + v.Packed.b) ()
+    set_excluded st (Interval_map.set st.excluded ~lo:v.Packed.a ~hi:(v.Packed.a + v.Packed.b) ())
   | Packed.T_include ->
-    st.excluded <- Interval_map.clear st.excluded ~lo:v.Packed.a ~hi:(v.Packed.a + v.Packed.b)
+    set_excluded st (Interval_map.clear st.excluded ~lo:v.Packed.a ~hi:(v.Packed.a + v.Packed.b))
   | Packed.T_lint_off | Packed.T_lint_on -> ()
 
 let report_of st =

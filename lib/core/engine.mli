@@ -24,7 +24,6 @@
     each {!check} call starts from fresh shadow state, which is what lets
     the runtime fan sections out to worker threads. *)
 
-open Pmtest_itree
 open Pmtest_model
 open Pmtest_trace
 
@@ -61,8 +60,3 @@ val check_with_snapshot : ?model:Model.kind -> Event.t array -> Report.t * snaps
     entry — the persist-interval table of the paper's Fig. 7. *)
 
 val shadow_cardinality_of : snapshot -> int
-
-(** {1 Re-exports used by the property tests} *)
-
-val effective_subranges : excluded:unit Interval_map.t -> addr:int -> size:int -> (int * int) list
-(** The sub-ranges of [\[addr, addr+size)] that are not excluded. *)

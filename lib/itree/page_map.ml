@@ -6,17 +6,19 @@
    logical interval that crosses a page boundary is stored as one segment
    per page; every continuation segment carries a [jl] ("joined left")
    flag meaning "I am the same logical interval as the segment ending at
-   my [lo]".  Read operations stitch flagged runs back together, so the
-   observable contents — [to_list], [overlapping], [update_range] piece
+   my [lo]".  Reads follow flagged runs forward, so the observable
+   contents — [to_list], the pieces [exists] visits, [map_range] piece
    boundaries — are exactly what {!Interval_map} would hold after the
    same operation sequence, including its deliberate non-merging of
    adjacent equal values (pinned by the property tests in test_itree,
-   which keep {!Interval_map} as the reference).
+   which keep {!Interval_map} as the reference).  A flagged segment
+   always starts its page, and the segment it joins is always present.
 
    Mutation is in-place: page arrays are spliced with [Array.blit], no
-   balanced-tree rebuilding, no allocation beyond occasional array
-   growth.  Typical engine workloads touch a handful of segments per
-   page, so every operation is a hash lookup plus a short memmove. *)
+   balanced-tree rebuilding.  The per-op paths allocate only the
+   segments they store: walks are loops over mutable locals, callbacks
+   take their environment as an argument instead of a closure, and a
+   missing page is an exception, not an option. *)
 
 let page_bits = 12
 let page_size = 1 lsl page_bits
@@ -26,17 +28,23 @@ let page_lo k = k lsl page_bits
 type 'a seg = { mutable lo : int; mutable hi : int; mutable v : 'a; mutable jl : bool }
 type 'a page = { mutable segs : 'a seg array; mutable n : int }
 
-type 'a t = { pages : (int, 'a page) Hashtbl.t }
+(* [kmin, kmax] spans every page written since creation or the last
+   [reset]; walks are clipped to it, so a whole-map walk is a query over
+   [min_int, max_int). *)
+type 'a t = { pages : (int, 'a page) Hashtbl.t; mutable kmin : int; mutable kmax : int }
 
 (* Sections touch few pages; a small table keeps per-check setup cheap
    (one map is created for every checked section). *)
-let create () = { pages = Hashtbl.create 16 }
+let create () = { pages = Hashtbl.create 16; kmin = max_int; kmax = min_int }
+
+let reset t =
+  Hashtbl.iter (fun _ p -> p.n <- 0) t.pages;
+  t.kmin <- max_int;
+  t.kmax <- min_int
 
 let check_range name lo hi =
   if lo >= hi then invalid_arg ("Page_map." ^ name ^ ": empty range")
 
-(* Exception-based lookups: [Hashtbl.find_opt] would allocate an option
-   on every probe of the engine's per-op hot path. *)
 let ensure_page t k =
   match Hashtbl.find t.pages k with
   | p -> p
@@ -72,65 +80,86 @@ let page_remove p i j =
     p.n <- p.n - (j - i)
   end
 
-(* Clear [plo, phi) inside one page, preserving straddling fragments.  A
-   right fragment starts a fresh logical interval, so its [jl] drops. *)
-let clear_in_page p ~plo ~phi =
-  let i = ref (lower_bound p plo) in
-  if !i < p.n && p.segs.(!i).lo < plo then begin
+(* Visit the populated pages meeting [lo, hi) in ascending order with
+   [visit t p ~lo ~hi x y], stopping at the first [true].  Small spans
+   probe every page; a span much wider than the table (a whole-map walk
+   over scattered pages) sorts the table's keys instead, allocating. *)
+let exists_page t ~lo ~hi visit x y =
+  let k0 = max (page_of_addr lo) t.kmin and k1 = min (page_of_addr (hi - 1)) t.kmax in
+  if k0 > k1 then false
+  else if k1 - k0 <= 2 * Hashtbl.length t.pages then begin
+    let k = ref k0 and found = ref false in
+    while (not !found) && !k <= k1 do
+      (match Hashtbl.find t.pages !k with
+      | p -> if p.n > 0 then found := visit t p ~lo ~hi x y
+      | exception Not_found -> ());
+      incr k
+    done;
+    !found
+  end
+  else
+    let keys =
+      Hashtbl.fold
+        (fun k p acc -> if k >= k0 && k <= k1 && p.n > 0 then k :: acc else acc)
+        t.pages []
+    in
+    List.exists (fun k -> visit t (Hashtbl.find t.pages k) ~lo ~hi x y) (List.sort compare keys)
+
+(* Clear [lo, hi) inside one page, preserving straddling fragments.  A
+   right fragment starts a fresh logical interval, so its [jl] drops.
+   Bounds outside the page behave as the page's own edges. *)
+let clear_page _t p ~lo ~hi () () =
+  let i = ref (lower_bound p lo) in
+  if !i < p.n && p.segs.(!i).lo < lo then begin
     let s = p.segs.(!i) in
-    if s.hi > phi then begin
+    if s.hi > hi then begin
       (* One segment covers the whole cleared span: split it. *)
-      page_insert p (!i + 1) { lo = phi; hi = s.hi; v = s.v; jl = false };
-      s.hi <- plo;
+      page_insert p (!i + 1) { lo = hi; hi = s.hi; v = s.v; jl = false };
+      s.hi <- lo;
       i := p.n (* nothing left to do *)
     end
     else begin
-      s.hi <- plo;
+      s.hi <- lo;
       incr i
     end
   end;
   if !i < p.n then begin
     let j = ref !i in
-    while !j < p.n && p.segs.(!j).hi <= phi && p.segs.(!j).lo < phi do
+    while !j < p.n && p.segs.(!j).hi <= hi && p.segs.(!j).lo < hi do
       incr j
     done;
     page_remove p !i !j;
-    if !i < p.n && p.segs.(!i).lo < phi then begin
+    if !i < p.n && p.segs.(!i).lo < hi then begin
       let s = p.segs.(!i) in
-      s.lo <- phi;
+      s.lo <- hi;
       s.jl <- false
     end
-  end
+  end;
+  false
 
-(* Fold [f] over existing pages whose index lies in [k0, k1], ascending.
-   For queries spanning far more pages than are populated, walk the
-   table's keys instead of the address range. *)
-let iter_pages_in_range t k0 k1 f =
-  let span = k1 - k0 + 1 in
-  if span <= 1 + (2 * Hashtbl.length t.pages) then
-    for k = k0 to k1 do
-      match Hashtbl.find t.pages k with
-      | p -> if p.n > 0 then f k p
-      | exception Not_found -> ()
-    done
-  else begin
-    let keys = Hashtbl.fold (fun k p acc -> if k >= k0 && k <= k1 && p.n > 0 then k :: acc else acc) t.pages [] in
-    List.iter (fun k -> f k (Hashtbl.find t.pages k)) (List.sort compare keys)
-  end
+(* Make [x] a segment boundary that starts a fresh logical interval:
+   split a segment straddling it, or sever the join of one starting
+   there (only page-aligned starts carry [jl]). *)
+let split t x =
+  match Hashtbl.find t.pages (page_of_addr x) with
+  | exception Not_found -> ()
+  | p ->
+    let i = lower_bound p x in
+    if i < p.n then begin
+      let s = p.segs.(i) in
+      if s.lo < x then begin
+        page_insert p (i + 1) { lo = x; hi = s.hi; v = s.v; jl = false };
+        s.hi <- x
+      end
+      else if s.lo = x then s.jl <- false
+    end
 
 let clear_unchecked t ~lo ~hi =
-  iter_pages_in_range t (page_of_addr lo) (page_of_addr (hi - 1)) (fun k p ->
-      let base = page_lo k in
-      clear_in_page p ~plo:(max lo base) ~phi:(min hi (base + page_size)));
+  ignore (exists_page t ~lo ~hi clear_page () ());
   (* The segment starting exactly at [hi] (if any) may have continued a
      logical interval we just truncated or removed; nothing ends at [hi]
-     any more, so sever the join.  Only page-aligned starts carry [jl]. *)
-  if hi land (page_size - 1) = 0 then
-    match Hashtbl.find t.pages (page_of_addr hi) with
-    | p ->
-      let i = lower_bound p hi in
-      if i < p.n && p.segs.(i).lo = hi then p.segs.(i).jl <- false
-    | exception Not_found -> ()
+     any more, so sever the join. *)
+  split t hi
 
 let clear t ~lo ~hi =
   check_range "clear" lo hi;
@@ -140,6 +169,8 @@ let clear t ~lo ~hi =
    clear, one segment per page, continuations flagged. *)
 let insert_logical t ~lo ~hi v =
   let k0 = page_of_addr lo and k1 = page_of_addr (hi - 1) in
+  if k0 < t.kmin then t.kmin <- k0;
+  if k1 > t.kmax then t.kmax <- k1;
   for k = k0 to k1 do
     let base = page_lo k in
     let plo = max lo base and phi = min hi (base + page_size) in
@@ -153,71 +184,72 @@ let set t ~lo ~hi v =
   clear_unchecked t ~lo ~hi;
   insert_logical t ~lo ~hi v
 
-(* Walk logical (merged) pieces intersecting [lo, hi), clipped to the
-   query, ascending.  [f lo hi v]. *)
-let iter_logical t ~lo ~hi f =
-  (* Current un-emitted run, unclipped bounds. *)
-  let cur_lo = ref 0 and cur_hi = ref 0 and cur_v = ref None in
-  let flush () =
-    match !cur_v with
-    | None -> ()
-    | Some v ->
-      f (max !cur_lo lo) (min !cur_hi hi) v;
-      cur_v := None
-  in
-  iter_pages_in_range t (page_of_addr lo) (page_of_addr (hi - 1)) (fun _ p ->
-      let i = ref (lower_bound p lo) in
-      while !i < p.n && p.segs.(!i).lo < hi do
-        let s = p.segs.(!i) in
-        (match !cur_v with
-        | Some _ when s.jl && s.lo = !cur_hi -> cur_hi := s.hi
-        | _ ->
-          flush ();
-          cur_lo := s.lo;
-          cur_hi := s.hi;
-          cur_v := Some s.v);
-        incr i
-      done);
-  flush ()
+let covers t ~lo ~hi =
+  check_range "covers" lo hi;
+  let x = ref lo and ok = ref true in
+  while !ok && !x < hi do
+    match Hashtbl.find t.pages (page_of_addr !x) with
+    | exception Not_found -> ok := false
+    | p ->
+      let i = lower_bound p !x in
+      if i < p.n && p.segs.(i).lo <= !x then x := p.segs.(i).hi else ok := false
+  done;
+  !ok
 
-let overlapping t ~lo ~hi =
-  check_range "overlapping" lo hi;
-  let acc = ref [] in
-  iter_logical t ~lo ~hi (fun l h v -> acc := (l, h, v) :: !acc);
-  List.rev !acc
+(* End of the logical interval through segment [s], followed across
+   page-aligned joins but not past [hi]. *)
+let run_end t s ~hi =
+  let e = ref s.hi and joined = ref true in
+  while !joined && !e < hi && !e land (page_size - 1) = 0 do
+    joined := false;
+    match Hashtbl.find t.pages (page_of_addr !e) with
+    | p ->
+      if p.n > 0 && p.segs.(0).jl && p.segs.(0).lo = !e then begin
+        e := p.segs.(0).hi;
+        joined := true
+      end
+    | exception Not_found -> ()
+  done;
+  !e
 
-let update_range t ~lo ~hi ~f =
-  check_range "update_range" lo hi;
-  let pieces = overlapping t ~lo ~hi in
-  clear_unchecked t ~lo ~hi;
-  (* Mirror Interval_map.update_range: f over pieces and the gaps between
-     them, left to right; each surviving piece is re-stored clipped at
-     the query boundaries (fragmentation is observable and must match). *)
-  let store k h = function
-    | None -> ()
-    | Some v' -> insert_logical t ~lo:k ~hi:h v'
-  in
-  let cursor = ref lo in
-  List.iter
-    (fun (k, h, v) ->
-      if k > !cursor then store !cursor k (f None);
-      store k h (f (Some v));
-      cursor := h)
-    pieces;
-  if !cursor < hi then store !cursor hi (f None)
+(* Each logical interval is reported once, from its first segment inside
+   the query: a joined segment past [lo] was covered by its run. *)
+let exists_in_page t p ~lo ~hi f arg =
+  let i = ref (lower_bound p lo) and found = ref false in
+  while (not !found) && !i < p.n && p.segs.(!i).lo < hi do
+    let s = p.segs.(!i) in
+    if not (s.jl && s.lo > lo) then found := f arg (max s.lo lo) (min (run_end t s ~hi) hi) s.v;
+    incr i
+  done;
+  !found
 
-(* Every stored logical interval: the logical walk over the span of
-   populated pages (segments never leave their page, so nothing clips). *)
-let iter f t =
-  let k0, k1 =
-    Hashtbl.fold (fun k p (a, b) -> if p.n > 0 then (min a k, max b k) else (a, b)) t.pages
-      (max_int, min_int)
-  in
-  if k0 <= k1 then iter_logical t ~lo:(page_lo k0) ~hi:(page_lo (k1 + 1)) f
+let exists t ~lo ~hi f arg =
+  check_range "exists" lo hi;
+  exists_page t ~lo ~hi exists_in_page f arg
+
+let map_page _t p ~lo ~hi f arg =
+  let i = ref (lower_bound p lo) in
+  while !i < p.n && p.segs.(!i).lo < hi do
+    let s = p.segs.(!i) in
+    s.v <- f arg s.v;
+    incr i
+  done;
+  false
+
+let map_range t ~lo ~hi f arg =
+  check_range "map_range" lo hi;
+  split t lo;
+  split t hi;
+  ignore (exists_page t ~lo ~hi map_page f arg)
 
 let fold f t acc =
   let acc = ref acc in
-  iter (fun lo hi v -> acc := f lo hi v !acc) t;
+  ignore
+    (exists t ~lo:min_int ~hi:max_int
+       (fun f lo hi v ->
+         acc := f lo hi v !acc;
+         false)
+       f);
   !acc
 
 let to_list t = List.rev (fold (fun lo hi v acc -> (lo, hi, v) :: acc) t [])

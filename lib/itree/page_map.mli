@@ -3,21 +3,25 @@
 
     Same observable semantics: half-open ranges, stored intervals never
     overlap, [set]/[clear] split straddlers, adjacent equal values are
-    {e not} merged, and [update_range] clips surviving pieces at the
-    query boundaries.  After any operation sequence, {!to_list} here
-    equals [Interval_map.to_list] of the same sequence — pinned by the
-    property tests in test_itree.
+    {e not} merged, and [map_range] splits pieces at the query
+    boundaries.  After any operation sequence, {!to_list} here equals
+    [Interval_map.to_list] of the same sequence — pinned by the property
+    tests in test_itree.
 
     The difference is the cost model: a hash table of per-page sorted
     segment arrays mutated in place with [Array.blit], so a write is a
-    hash probe plus a short memmove instead of a persistent-tree rebuild.
-    Ranges are expected to be small relative to the 4 KiB page (PM ops
-    span bytes to a few cache lines); an interval spanning [p] pages
-    costs O(p). *)
+    hash probe plus a short memmove instead of a persistent-tree rebuild,
+    and a query allocates nothing unless it spans far more pages than the
+    map holds.  Ranges are expected to be small relative to the 4 KiB
+    page (PM ops span bytes to a few cache lines); an interval spanning
+    [p] pages costs O(p). *)
 
 type 'a t
 
 val create : unit -> 'a t
+
+val reset : 'a t -> unit
+(** Remove every binding, keeping the pages' arrays for reuse. *)
 
 val set : 'a t -> lo:int -> hi:int -> 'a -> unit
 (** Make every address in [\[lo, hi)] map to [v], splitting straddlers.
@@ -26,13 +30,22 @@ val set : 'a t -> lo:int -> hi:int -> 'a -> unit
 val clear : 'a t -> lo:int -> hi:int -> unit
 (** Remove all bindings in [\[lo, hi)], keeping straddling fragments. *)
 
-val overlapping : 'a t -> lo:int -> hi:int -> (int * int * 'a) list
-(** Stored intervals intersecting [\[lo, hi)], clipped, ascending. *)
+val covers : 'a t -> lo:int -> hi:int -> bool
+(** Whether every address in [\[lo, hi)] has a binding. *)
 
-val update_range : 'a t -> lo:int -> hi:int -> f:('a option -> 'a option) -> unit
-(** Rewrite the range in place: each covered sub-range with value [v]
-    becomes [f (Some v)] (removed on [None]); each gap becomes [f None].
-    [f] is applied left to right. *)
+val exists : 'a t -> lo:int -> hi:int -> ('b -> int -> int -> 'a -> bool) -> 'b -> bool
+(** [exists t ~lo ~hi f arg] calls [f arg l h v] on the stored intervals
+    intersecting [\[lo, hi)], clipped to [\[l, h)], in ascending order,
+    and stops at the first [true].  [~lo:min_int ~hi:max_int] walks the
+    whole map.  [f] gets its environment as [arg], so a closed [f]
+    allocates nothing. *)
+
+val map_range : 'a t -> lo:int -> hi:int -> ('b -> 'a -> 'a) -> 'b -> unit
+(** [map_range t ~lo ~hi f arg] splits stored intervals at [lo] and [hi]
+    and replaces the value [v] of every piece inside with [f arg v];
+    gaps stay unbound.  As [Interval_map.update_range] with
+    [function None -> None | Some v -> Some (f arg v)].  [f] may run
+    more than once for one piece that spans pages. *)
 
 val fold : (int -> int -> 'a -> 'acc -> 'acc) -> 'a t -> 'acc -> 'acc
 (** Stored intervals as [(lo, hi, v)] in address order. *)

@@ -64,7 +64,7 @@ let finding st rule loc ?fixit fmt =
     fmt
 
 (* Subranges of [addr, addr+size) not currently excluded — the same
-   holes the dynamic engine punches (Engine.effective_subranges). *)
+   holes the dynamic engine skips (Engine.exists_effective). *)
 let effective excluded ~addr ~size =
   let lo = addr and hi = addr + size in
   let holes = Interval_map.overlapping excluded ~lo ~hi in

@@ -369,87 +369,83 @@ exception Bad of decode_error
 
 let bad offset fmt = Printf.ksprintf (fun reason -> raise (Bad { offset; reason })) fmt
 
-(* Bounds-checked varint: unlike [read_u] it never reads past [len] and
-   rejects encodings longer than an OCaml int. *)
-let read_u_checked t pos =
-  let rec go p shift acc =
-    if p >= t.len then bad pos "truncated varint"
-    else if shift > 63 then bad pos "varint too long"
+(* Bounds-checked varint at [p], from a field starting at [pos]: unlike
+   [read_u] it never reads past [len] and rejects encodings longer than
+   an OCaml int.  Leaves [rpos] after the field, as [read_u] does. *)
+let rec read_u_checked t pos p shift acc =
+  if p >= t.len then bad pos "truncated varint"
+  else if shift > 63 then bad pos "varint too long"
+  else begin
+    let b = Char.code (Bytes.get t.buf p) in
+    let acc = acc lor ((b land 0x7f) lsl shift) in
+    if b land 0x80 <> 0 then read_u_checked t pos (p + 1) (shift + 7) acc
     else begin
-      let b = Char.code (Bytes.get t.buf p) in
-      let acc = acc lor ((b land 0x7f) lsl shift) in
-      if b land 0x80 <> 0 then go (p + 1) (shift + 7) acc else (acc, p + 1)
+      t.rpos <- p + 1;
+      acc
     end
-  in
-  go pos 0 0
+  end
 
+let arg_checked t = unzigzag (read_u_checked t t.rpos t.rpos 0 0)
+
+(* Every range needs a positive size: the shadow memory has no meaning
+   for an empty one, and would refuse it inside a worker. *)
+let size_checked t =
+  let p = t.rpos in
+  let n = arg_checked t in
+  if n <= 0 then bad p "non-positive range size %d" n;
+  n
+
+(* The checked twin of [read]: raises [Bad] at the first malformed
+   field.  Fields are stored as they are read, so after a failure the
+   view is unspecified. *)
 let read_checked t ~pos (v : view) =
-  try
-    if pos < 0 || pos >= t.len then bad pos "event offset out of bounds";
-    let code = Char.code (Bytes.get t.buf pos) in
-    if code >= Array.length tag_of_code then bad pos "unknown tag 0x%02x" code;
-    v.tag <- tag_of_code.(code);
-    let arg p =
-      let u, p = read_u_checked t p in
-      (unzigzag u, p)
-    in
-    let thread, p = arg (pos + 1) in
-    v.thread <- thread;
-    let lid, p = arg p in
-    if lid < 0 || lid >= Vec.length t.locs then bad p "location id %d out of range" lid;
-    v.loc <- Vec.get t.locs lid;
-    (* Every range needs a positive size: the shadow memory has no
-       meaning for an empty one, and would refuse it inside a worker. *)
-    let size p =
-      let n, q = arg p in
-      if n <= 0 then bad p "non-positive range size %d" n;
-      (n, q)
-    in
-    let p =
-      match v.tag with
-      | T_write | T_clwb | T_is_persist | T_tx_add | T_exclude | T_include ->
-        let a, p = arg p in
-        let b, p = size p in
-        v.a <- a;
-        v.b <- b;
-        p
-      | T_is_ordered ->
-        let a, p = arg p in
-        let b, p = size p in
-        let c, p = arg p in
-        let d, p = size p in
-        v.a <- a;
-        v.b <- b;
-        v.c <- c;
-        v.d <- d;
-        p
-      | T_lint_off | T_lint_on ->
-        let n, p = arg p in
-        if n < 0 || n > t.len - p then bad p "rule string overruns the arena";
-        v.rule <- Bytes.sub_string t.buf p n;
-        p + n
-      | T_sfence | T_ofence | T_dfence | T_gpf | T_tx_begin | T_tx_commit | T_tx_abort
-      | T_tx_checker_start | T_tx_checker_end ->
-        p
-    in
-    Ok p
-  with Bad e -> Error e
+  if pos < 0 || pos >= t.len then bad pos "event offset out of bounds";
+  let code = Char.code (Bytes.get t.buf pos) in
+  if code >= Array.length tag_of_code then bad pos "unknown tag 0x%02x" code;
+  v.tag <- tag_of_code.(code);
+  t.rpos <- pos + 1;
+  v.thread <- arg_checked t;
+  let lid = arg_checked t in
+  if lid < 0 || lid >= Vec.length t.locs then bad t.rpos "location id %d out of range" lid;
+  v.loc <- Vec.get t.locs lid;
+  (match v.tag with
+  | T_write | T_clwb | T_is_persist | T_tx_add | T_exclude | T_include ->
+    v.a <- arg_checked t;
+    v.b <- size_checked t
+  | T_is_ordered ->
+    v.a <- arg_checked t;
+    v.b <- size_checked t;
+    v.c <- arg_checked t;
+    v.d <- size_checked t
+  | T_lint_off | T_lint_on ->
+    let n = arg_checked t in
+    let p = t.rpos in
+    if n < 0 || n > t.len - p then bad p "rule string overruns the arena";
+    v.rule <- Bytes.sub_string t.buf p n;
+    t.rpos <- p + n
+  | T_sfence | T_ofence | T_dfence | T_gpf | T_tx_begin | T_tx_commit | T_tx_abort
+  | T_tx_checker_start | T_tx_checker_end ->
+    ());
+  t.rpos
 
 let validate t =
   let v = make_view () in
-  let rec go pos n =
-    if pos >= t.len then
-      if n = t.count then Ok ()
-      else
-        Error
-          {
-            offset = t.len;
-            reason = Printf.sprintf "event count mismatch: header says %d, decoded %d" t.count n;
-          }
-    else
-      match read_checked t ~pos v with Error _ as e -> e | Ok next -> go next (n + 1)
-  in
-  go 0 0
+  match
+    let pos = ref 0 and n = ref 0 in
+    while !pos < t.len do
+      pos := read_checked t ~pos:!pos v;
+      incr n
+    done;
+    !n
+  with
+  | n when n = t.count -> Ok ()
+  | n ->
+    Error
+      {
+        offset = t.len;
+        reason = Printf.sprintf "event count mismatch: header says %d, decoded %d" t.count n;
+      }
+  | exception Bad e -> Error e
 
 (* --- Arena freelists ----------------------------------------------------
    Sections retire at a steady rate (builder fills, worker drains), so a

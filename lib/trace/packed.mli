@@ -116,16 +116,13 @@ type decode_error = { offset : int; reason : string }
 
 val decode_error_to_string : decode_error -> string
 
-val read_checked : t -> pos:int -> view -> (int, decode_error) result
-(** Like {!read} but every access is bounds-checked: a truncated or
-    garbage tag, an overlong or unterminated varint, an out-of-range
-    location id, an overrunning rule string or a range whose size is not
-    positive yields [Error] with the byte offset of the malformed field.
-    Does not disturb the internal cursor. *)
-
 val validate : t -> (unit, decode_error) result
-(** Walk the whole arena with {!read_checked}; also verifies the event
-    count matches the encoded header. *)
+(** Walk the whole arena like {!read}, with every access bounds-checked:
+    a truncated or garbage tag, an overlong or unterminated varint, an
+    out-of-range location id, an overrunning rule string or a range
+    whose size is not positive yields [Error] with the byte offset of the
+    malformed field.  Also verifies the event count matches the encoded
+    header. *)
 
 val encode_wire : t -> string
 (** Self-contained byte form: the arena's loc intern table followed by

@@ -44,7 +44,7 @@ let entry_of_line line =
       let loc = if file = "-" && lineno = 0 then Loc.none else Loc.make ~file ~line:lineno in
       let ints () = List.filter_map int_of_string_opt args in
       let mk kind = Ok (Event.make ~thread ~loc kind) in
-      (* Every range needs a positive size, as in [Packed.read_checked]. *)
+      (* Every range needs a positive size, as in [Packed.validate]. *)
       let sized sizes kind =
         if List.for_all (fun n -> n > 0) sizes then mk kind
         else Error (Printf.sprintf "non-positive range size in %S" line)

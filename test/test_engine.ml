@@ -140,6 +140,59 @@ let test_page_straddling_write_golden () =
      persist interval (0,inf) at timestamp 1 @ <unknown>"
     (Format.asprintf "%a" Report.pp r)
 
+(* Report text and shadow table after [trace], identical on the packed
+   path: the splits a partial clwb or an exclusion hole makes are
+   observable as shadow fragmentation. *)
+let check_golden trace ~report ~ranges =
+  let entries = Array.of_list trace in
+  let r, snap = Engine.check_with_snapshot entries in
+  let text r = Format.asprintf "%a" Report.pp r in
+  Alcotest.(check string) "report text" report (text r);
+  Alcotest.(check string) "packed report text" report
+    (text (Engine.check_packed (Packed.of_events entries)));
+  let range (x : Engine.range_status) =
+    Format.asprintf "[0x%x,0x%x) %a %s" x.lo x.hi Interval.pp x.persist
+      (match x.flush with None -> "-" | Some i -> Format.asprintf "%a" Interval.pp i)
+  in
+  Alcotest.(check (list string)) "shadow ranges" ranges (List.map range snap.Engine.ranges)
+
+let test_partial_clwb_of_straddling_write_golden () =
+  (* The first clwb starts on the page edge inside the write: the map
+     splits there and severs the join, so the write's two halves carry
+     different flush epochs from then on. *)
+  check_golden
+    [ w 0xff8 16; clwb 0x1000 8; sfence; clwb 0xff8 16; is_persist 0xff8 16 ]
+    ~report:
+      "2 diagnostic(s) over 5 entries:\n\
+      \  WARN [duplicate-writeback] persistent object [0xff8,+16) written back more than \
+       once @ <unknown>\n\
+      \  FAIL [not-persisted] isPersist(0xff8,16): write at <unknown> to [0xff8,+8) has \
+       persist interval (0,inf) at timestamp 1 @ <unknown>"
+    ~ranges:[ "[0xff8,0x1000) (0,inf) (1,inf)"; "[0x1000,0x1008) (0,1) (0,1)" ]
+
+let test_write_over_exclusion_hole_golden () =
+  (* A transactional write across the hole [0x100,0x110): only its two
+     outer pieces are checked — the logged left one passes, the right one
+     misses its log, its writeback and its persist — while the shadow
+     records the whole store. *)
+  check_golden
+    [
+      e (Event.Control (Event.Exclude { addr = 0x100; size = 0x10 }));
+      tx Event.Tx_checker_start; tx Event.Tx_begin; tx_add 0xf8 8;
+      w 0xf8 0x20; tx Event.Tx_commit; clwb 0xf8 0x10; sfence; is_persist 0xf8 0x20;
+      tx Event.Tx_checker_end;
+    ]
+    ~report:
+      "3 diagnostic(s) over 10 entries:\n\
+      \  FAIL [missing-log] persistent object [0x110,+8) modified inside a transaction \
+       without a backup log entry @ <unknown>\n\
+      \  FAIL [not-persisted] isPersist(0xf8,32): write at <unknown> to [0x110,+8) has \
+       persist interval (0,inf) at timestamp 1 @ <unknown>\n\
+      \  FAIL [incomplete-transaction] transaction update at <unknown> to [0x110,+8) not \
+       persisted when the transaction checker scope ends (persist interval (0,inf), \
+       timestamp 1) @ <unknown>"
+    ~ranges:[ "[0xf8,0x100) (0,1) (0,1)"; "[0x100,0x118) (0,inf) -" ]
+
 let test_unwritten_range_passes () =
   check_kinds [ is_persist 0x500 8 ] [];
   check_kinds [ obefore 0x500 8 0x600 8 ] []
@@ -390,6 +443,34 @@ let test_report_merge () =
   Alcotest.(check int) "entries add" (a.Report.entries + b.Report.entries) m.Report.entries;
   Alcotest.(check int) "one fail" 1 (List.length (Report.fails m))
 
+(* --- Allocation budget ------------------------------------------------------ *)
+
+(* The packed engine's minor-heap words per entry over a seeded Redis+LRU
+   corpus (Fig. 11's op mix, a section every 16 ops).  [Gc.minor_words]
+   counts this domain exactly, so the bound needs no timing slack; the
+   engine measured 110 words/entry before its hot path stopped building
+   lists, options and closures per entry, and about 8 after. *)
+let test_check_packed_allocation_budget () =
+  let module Pmtest = Pmtest_core.Pmtest in
+  let module Redis = Pmtest_workloads.Redis in
+  let s = Pmtest.init ~workers:0 () in
+  let sections = ref [] in
+  Pmtest.on_section s (fun section -> sections := Packed.of_events section :: !sections);
+  let r = Redis.create ~sink:(Pmtest.sink s) () in
+  Array.iteri
+    (fun i op ->
+      Redis.apply r op;
+      if (i + 1) mod 16 = 0 then Pmtest.send_trace s)
+    (Pmtest_workloads.Clients.redis_lru ~ops:2000 ~keys:16384 (Pmtest_util.Rng.create 3));
+  ignore (Pmtest.finish s);
+  let entries = List.fold_left (fun n p -> n + Packed.count p) 0 !sections in
+  let w0 = Gc.minor_words () in
+  List.iter (fun p -> ignore (Engine.check_packed p)) !sections;
+  let per_entry = (Gc.minor_words () -. w0) /. float_of_int entries in
+  if per_entry > 30.0 then
+    Alcotest.failf "check_packed allocated %.1f minor words/entry over %d entries (budget 30)"
+      per_entry entries
+
 let () =
   Alcotest.run "engine"
     [
@@ -408,6 +489,10 @@ let () =
           Alcotest.test_case "partial flush fails isPersist" `Quick test_partial_flush_fails;
           Alcotest.test_case "page-straddling write golden" `Quick
             test_page_straddling_write_golden;
+          Alcotest.test_case "partial clwb of a straddling write golden" `Quick
+            test_partial_clwb_of_straddling_write_golden;
+          Alcotest.test_case "write over an exclusion hole golden" `Quick
+            test_write_over_exclusion_hole_golden;
           Alcotest.test_case "unwritten ranges pass vacuously" `Quick test_unwritten_range_passes;
           Alcotest.test_case "late clwb closes at its own fence" `Quick
             test_later_clwb_closes_at_its_fence;
@@ -461,5 +546,7 @@ let () =
           Alcotest.test_case "report counters" `Quick test_report_counts;
           Alcotest.test_case "report merge" `Quick test_report_merge;
           Alcotest.test_case "report summary groups by site" `Quick test_report_summarize;
+          Alcotest.test_case "check_packed allocation budget" `Quick
+            test_check_packed_allocation_budget;
         ] );
     ]
