@@ -225,8 +225,7 @@ let clwb_status st s =
 
 let clwb_range st _ lo hi =
   (* Writing back a location that was never modified. *)
-  if not (Page_map.covers st.shadow ~lo ~hi) then st.unmodified <- true;
-  Page_map.map_range st.shadow ~lo ~hi clwb_status st;
+  if not (Page_map.map_range st.shadow ~lo ~hi clwb_status st) then st.unmodified <- true;
   false
 
 let on_clwb st loc ~addr ~size =

@@ -1,18 +1,28 @@
 (* Mutable page-indexed disjoint interval map — the engine's shadow
    memory, with the observable semantics of {!Interval_map}.
 
-   Storage is a hash table from page index (address asr [page_bits]) to a
-   small sorted array of segments, each segment confined to its page.  A
-   logical interval that crosses a page boundary is stored as one segment
-   per page; every continuation segment carries a [jl] ("joined left")
-   flag meaning "I am the same logical interval as the segment ending at
-   my [lo]".  Reads follow flagged runs forward, so the observable
-   contents — [to_list], the pieces [exists] visits, [map_range] piece
-   boundaries — are exactly what {!Interval_map} would hold after the
-   same operation sequence, including its deliberate non-merging of
-   adjacent equal values (pinned by the property tests in test_itree,
-   which keep {!Interval_map} as the reference).  A flagged segment
-   always starts its page, and the segment it joins is always present.
+   Storage is an int-keyed hash table from page index (address asr
+   [page_bits]) to a small sorted array of segments, each segment
+   confined to its page.  A logical interval that crosses a page boundary
+   is stored as one segment per page; every continuation segment carries
+   a [jl] ("joined left") flag meaning "I am the same logical interval as
+   the segment ending at my [lo]".  Reads follow flagged runs forward, so
+   the observable contents — [to_list], the pieces [exists] visits,
+   [map_range] piece boundaries — are exactly what {!Interval_map} would
+   hold after the same operation sequence, including its deliberate
+   non-merging of adjacent equal values (pinned by the property tests in
+   test_itree, which keep {!Interval_map} as the reference).  A flagged
+   segment always starts its page, and the segment it joins is always
+   present.
+
+   Lookups: the last page found is remembered, so consecutive operations
+   on one page probe the table once between them; pages are never
+   removed, so the remembered page never goes stale.  An operation on a
+   range inside one page is a single lookup followed by work on that
+   page's array.  A range spanning pages walks [live]: the pages given a
+   segment since the last [reset], kept sorted by key, so a walk is a
+   binary search plus a scan of the pages it meets, and [reset] touches
+   only those pages.
 
    Mutation is in-place: page arrays are spliced with [Array.blit], no
    balanced-tree rebuilding.  The per-op paths allocate only the
@@ -24,34 +34,100 @@ let page_bits = 12
 let page_size = 1 lsl page_bits
 let page_of_addr a = a asr page_bits
 let page_lo k = k lsl page_bits
+let page_aligned a = a land (page_size - 1) = 0
 
 type 'a seg = { mutable lo : int; mutable hi : int; mutable v : 'a; mutable jl : bool }
-type 'a page = { mutable segs : 'a seg array; mutable n : int }
 
-(* [kmin, kmax] spans every page written since creation or the last
-   [reset]; walks are clipped to it, so a whole-map walk is a query over
-   [min_int, max_int). *)
-type 'a t = { pages : (int, 'a page) Hashtbl.t; mutable kmin : int; mutable kmax : int }
+type 'a page = {
+  key : int;
+  mutable segs : 'a seg array;
+  mutable n : int;
+  mutable listed : bool;  (* in [live] *)
+}
 
-(* Sections touch few pages; a small table keeps per-check setup cheap
-   (one map is created for every checked section). *)
-let create () = { pages = Hashtbl.create 16; kmin = max_int; kmax = min_int }
+(* A section's pages are mostly neighbours: identity hashing spreads them
+   over consecutive buckets with no call into the runtime. *)
+module Tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal (a : int) b = a = b
+  let hash (k : int) = k land max_int
+end)
+
+type 'a t = {
+  pages : 'a page Tbl.t;
+  mutable last : 'a page;  (* the page found last *)
+  mutable live : 'a page array;  (* [0, nlive): listed pages, ascending keys *)
+  mutable nlive : int;
+}
+
+(* A section's shadow, its TX log and its scope writes are three maps
+   touching few pages each: a small table keeps per-section setup cheap.
+   [last] starts on a placeholder keyed [min_int], which no lookup asks
+   for: [page_of_addr] shifts it away. *)
+let create () =
+  { pages = Tbl.create 16; last = { key = min_int; segs = [||]; n = 0; listed = false };
+    live = [||]; nlive = 0 }
 
 let reset t =
-  Hashtbl.iter (fun _ p -> p.n <- 0) t.pages;
-  t.kmin <- max_int;
-  t.kmax <- min_int
+  for i = 0 to t.nlive - 1 do
+    let p = t.live.(i) in
+    p.n <- 0;
+    p.listed <- false
+  done;
+  t.nlive <- 0
 
 let check_range name lo hi =
   if lo >= hi then invalid_arg ("Page_map." ^ name ^ ": empty range")
 
+(* Raises [Not_found] when page [k] was never created. *)
+let find_page t k =
+  if k = t.last.key then t.last
+  else begin
+    let p = Tbl.find t.pages k in
+    t.last <- p;
+    p
+  end
+
 let ensure_page t k =
-  match Hashtbl.find t.pages k with
+  match find_page t k with
   | p -> p
   | exception Not_found ->
-    let p = { segs = [||]; n = 0 } in
-    Hashtbl.replace t.pages k p;
+    let p = { key = k; segs = [||]; n = 0; listed = false } in
+    Tbl.add t.pages k p;
+    t.last <- p;
     p
+
+(* [a] with [x] inserted at [i] among its first [n] elements, grown by
+   doubling when full. *)
+let array_insert a n i x =
+  let a =
+    if n < Array.length a then a
+    else begin
+      let b = Array.make (max 4 (2 * n)) x in
+      Array.blit a 0 b 0 n;
+      b
+    end
+  in
+  Array.blit a i a (i + 1) (n - i);
+  a.(i) <- x;
+  a
+
+(* First index of [live] whose page key is at least [k]. *)
+let first_live t k =
+  let lo = ref 0 and hi = ref t.nlive in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if t.live.(mid).key >= k then hi := mid else lo := mid + 1
+  done;
+  !lo
+
+let list_page t p =
+  if not p.listed then begin
+    p.listed <- true;
+    t.live <- array_insert t.live t.nlive (first_live t p.key) p;
+    t.nlive <- t.nlive + 1
+  end
 
 (* First index whose segment ends strictly after [x] — the first segment
    that could intersect anything at or right of [x]. *)
@@ -63,16 +139,10 @@ let lower_bound p x =
   done;
   !lo
 
-let page_insert p i seg =
-  if p.n = Array.length p.segs then begin
-    let cap = max 4 (2 * Array.length p.segs) in
-    let segs = Array.make cap seg in
-    Array.blit p.segs 0 segs 0 p.n;
-    p.segs <- segs
-  end;
-  Array.blit p.segs i p.segs (i + 1) (p.n - i);
-  p.segs.(i) <- seg;
-  p.n <- p.n + 1
+let page_insert t p i seg =
+  p.segs <- array_insert p.segs p.n i seg;
+  p.n <- p.n + 1;
+  list_page t p
 
 let page_remove p i j =
   if j > i then begin
@@ -80,119 +150,122 @@ let page_remove p i j =
     p.n <- p.n - (j - i)
   end
 
-(* Visit the populated pages meeting [lo, hi) in ascending order with
-   [visit t p ~lo ~hi x y], stopping at the first [true].  Small spans
-   probe every page; a span much wider than the table (a whole-map walk
-   over scattered pages) sorts the table's keys instead, allocating. *)
-let exists_page t ~lo ~hi visit x y =
-  let k0 = max (page_of_addr lo) t.kmin and k1 = min (page_of_addr (hi - 1)) t.kmax in
-  if k0 > k1 then false
-  else if k1 - k0 <= 2 * Hashtbl.length t.pages then begin
-    let k = ref k0 and found = ref false in
-    while (not !found) && !k <= k1 do
-      (match Hashtbl.find t.pages !k with
-      | p -> if p.n > 0 then found := visit t p ~lo ~hi x y
-      | exception Not_found -> ());
-      incr k
-    done;
-    !found
-  end
-  else
-    let keys =
-      Hashtbl.fold
-        (fun k p acc -> if k >= k0 && k <= k1 && p.n > 0 then k :: acc else acc)
-        t.pages []
-    in
-    List.exists (fun k -> visit t (Hashtbl.find t.pages k) ~lo ~hi x y) (List.sort compare keys)
-
-(* Clear [lo, hi) inside one page, preserving straddling fragments.  A
-   right fragment starts a fresh logical interval, so its [jl] drops.
-   Bounds outside the page behave as the page's own edges. *)
-let clear_page _t p ~lo ~hi () () =
-  let i = ref (lower_bound p lo) in
+(* Clear [lo, hi) inside one page, preserving straddling fragments, and
+   return the index where a segment starting at [lo] now belongs; [i] is
+   [lower_bound p lo].  A right fragment starts a fresh logical interval,
+   so its [jl] drops.  Bounds outside the page behave as the page's own
+   edges. *)
+let clear_page t p i ~lo ~hi =
+  let i = ref i in
   if !i < p.n && p.segs.(!i).lo < lo then begin
     let s = p.segs.(!i) in
-    if s.hi > hi then begin
+    if s.hi > hi then
       (* One segment covers the whole cleared span: split it. *)
-      page_insert p (!i + 1) { lo = hi; hi = s.hi; v = s.v; jl = false };
-      s.hi <- lo;
-      i := p.n (* nothing left to do *)
-    end
-    else begin
-      s.hi <- lo;
-      incr i
-    end
+      page_insert t p (!i + 1) { lo = hi; hi = s.hi; v = s.v; jl = false };
+    s.hi <- lo;
+    incr i
   end;
-  if !i < p.n then begin
-    let j = ref !i in
-    while !j < p.n && p.segs.(!j).hi <= hi && p.segs.(!j).lo < hi do
-      incr j
-    done;
-    page_remove p !i !j;
-    if !i < p.n && p.segs.(!i).lo < hi then begin
-      let s = p.segs.(!i) in
-      s.lo <- hi;
-      s.jl <- false
-    end
+  let j = ref !i in
+  while !j < p.n && p.segs.(!j).hi <= hi do
+    incr j
+  done;
+  page_remove p !i !j;
+  if !i < p.n && p.segs.(!i).lo < hi then begin
+    let s = p.segs.(!i) in
+    s.lo <- hi;
+    s.jl <- false
   end;
-  false
+  !i
 
-(* Make [x] a segment boundary that starts a fresh logical interval:
-   split a segment straddling it, or sever the join of one starting
-   there (only page-aligned starts carry [jl]). *)
+(* Make [x] a segment boundary inside [p] that starts a fresh logical
+   interval: split a segment straddling it, or sever the join of one
+   starting there (only page-aligned starts carry [jl]). *)
+let split_page t p x =
+  let i = lower_bound p x in
+  if i < p.n then begin
+    let s = p.segs.(i) in
+    if s.lo < x then begin
+      page_insert t p (i + 1) { lo = x; hi = s.hi; v = s.v; jl = false };
+      s.hi <- x
+    end
+    else if s.lo = x then s.jl <- false
+  end
+
 let split t x =
-  match Hashtbl.find t.pages (page_of_addr x) with
-  | exception Not_found -> ()
-  | p ->
-    let i = lower_bound p x in
-    if i < p.n then begin
-      let s = p.segs.(i) in
-      if s.lo < x then begin
-        page_insert p (i + 1) { lo = x; hi = s.hi; v = s.v; jl = false };
-        s.hi <- x
-      end
-      else if s.lo = x then s.jl <- false
-    end
+  match find_page t (page_of_addr x) with p -> split_page t p x | exception Not_found -> ()
 
+(* After clearing up to [hi] nothing ends at [hi] any more, so a segment
+   starting there must not continue a truncated interval.  Inside a page
+   [clear_page] has already made it fresh; only the next page's first
+   segment can still carry a join. *)
 let clear_unchecked t ~lo ~hi =
-  ignore (exists_page t ~lo ~hi clear_page () ());
-  (* The segment starting exactly at [hi] (if any) may have continued a
-     logical interval we just truncated or removed; nothing ends at [hi]
-     any more, so sever the join. *)
-  split t hi
+  let k0 = page_of_addr lo and k1 = page_of_addr (hi - 1) in
+  if k0 = k1 then begin
+    match find_page t k0 with
+    | p -> ignore (clear_page t p (lower_bound p lo) ~lo ~hi)
+    | exception Not_found -> ()
+  end
+  else begin
+    let i = ref (first_live t k0) in
+    while !i < t.nlive && t.live.(!i).key <= k1 do
+      let p = t.live.(!i) in
+      ignore (clear_page t p (lower_bound p lo) ~lo ~hi);
+      incr i
+    done
+  end;
+  if page_aligned hi then split t hi
 
 let clear t ~lo ~hi =
   check_range "clear" lo hi;
   clear_unchecked t ~lo ~hi
 
-(* Insert the logical interval [lo, hi) -> v over a range known to be
-   clear, one segment per page, continuations flagged. *)
-let insert_logical t ~lo ~hi v =
-  let k0 = page_of_addr lo and k1 = page_of_addr (hi - 1) in
-  if k0 < t.kmin then t.kmin <- k0;
-  if k1 > t.kmax then t.kmax <- k1;
-  for k = k0 to k1 do
-    let base = page_lo k in
-    let plo = max lo base and phi = min hi (base + page_size) in
-    let p = ensure_page t k in
-    let i = lower_bound p plo in
-    page_insert p i { lo = plo; hi = phi; v; jl = plo <> lo }
-  done
-
 let set t ~lo ~hi v =
   check_range "set" lo hi;
-  clear_unchecked t ~lo ~hi;
-  insert_logical t ~lo ~hi v
+  let k0 = page_of_addr lo and k1 = page_of_addr (hi - 1) in
+  if k0 = k1 then begin
+    let p = ensure_page t k0 in
+    let i = lower_bound p lo in
+    if i < p.n && p.segs.(i).lo = lo && p.segs.(i).hi = hi then begin
+      (* Rewriting exactly one stored segment: reuse it. *)
+      let s = p.segs.(i) in
+      s.v <- v;
+      s.jl <- false
+    end
+    else page_insert t p (clear_page t p i ~lo ~hi) { lo; hi; v; jl = false };
+    if page_aligned hi then split t hi
+  end
+  else begin
+    clear_unchecked t ~lo ~hi;
+    (* One segment per page, continuations flagged. *)
+    for k = k0 to k1 do
+      let base = page_lo k in
+      let plo = max lo base and phi = min hi (base + page_size) in
+      let p = ensure_page t k in
+      page_insert t p (lower_bound p plo) { lo = plo; hi = phi; v; jl = plo <> lo }
+    done
+  end
+
+(* End of the contiguous segments of [p] from [x], or [x] when no
+   segment holds [x]. *)
+let covered_to p x =
+  let i = ref (lower_bound p x) and x = ref x in
+  while !i < p.n && p.segs.(!i).lo <= !x do
+    x := p.segs.(!i).hi;
+    incr i
+  done;
+  !x
 
 let covers t ~lo ~hi =
   check_range "covers" lo hi;
   let x = ref lo and ok = ref true in
   while !ok && !x < hi do
-    match Hashtbl.find t.pages (page_of_addr !x) with
+    match find_page t (page_of_addr !x) with
     | exception Not_found -> ok := false
     | p ->
-      let i = lower_bound p !x in
-      if i < p.n && p.segs.(i).lo <= !x then x := p.segs.(i).hi else ok := false
+      let e = covered_to p !x in
+      (* Past a gap, or stopped short of the page's end. *)
+      if e = !x || (e < hi && not (page_aligned e)) then ok := false;
+      x := e
   done;
   !ok
 
@@ -200,9 +273,9 @@ let covers t ~lo ~hi =
    page-aligned joins but not past [hi]. *)
 let run_end t s ~hi =
   let e = ref s.hi and joined = ref true in
-  while !joined && !e < hi && !e land (page_size - 1) = 0 do
+  while !joined && !e < hi && page_aligned !e do
     joined := false;
-    match Hashtbl.find t.pages (page_of_addr !e) with
+    match find_page t (page_of_addr !e) with
     | p ->
       if p.n > 0 && p.segs.(0).jl && p.segs.(0).lo = !e then begin
         e := p.segs.(0).hi;
@@ -225,22 +298,53 @@ let exists_in_page t p ~lo ~hi f arg =
 
 let exists t ~lo ~hi f arg =
   check_range "exists" lo hi;
-  exists_page t ~lo ~hi exists_in_page f arg
+  let k0 = page_of_addr lo and k1 = page_of_addr (hi - 1) in
+  if k0 = k1 then
+    match find_page t k0 with p -> exists_in_page t p ~lo ~hi f arg | exception Not_found -> false
+  else begin
+    let i = ref (first_live t k0) and found = ref false in
+    while (not !found) && !i < t.nlive && t.live.(!i).key <= k1 do
+      found := exists_in_page t t.live.(!i) ~lo ~hi f arg;
+      incr i
+    done;
+    !found
+  end
 
-let map_page _t p ~lo ~hi f arg =
-  let i = ref (lower_bound p lo) in
+(* Map the segments of [p] inside [lo, hi), already split there, and
+   return how far the segments run contiguously from [x]: it advances
+   only over a segment starting exactly at it, so it stops at the first
+   gap. *)
+let map_page p ~lo ~hi f arg x =
+  let i = ref (lower_bound p lo) and x = ref x in
   while !i < p.n && p.segs.(!i).lo < hi do
     let s = p.segs.(!i) in
     s.v <- f arg s.v;
+    if s.lo = !x then x := s.hi;
     incr i
   done;
-  false
+  !x
 
 let map_range t ~lo ~hi f arg =
   check_range "map_range" lo hi;
-  split t lo;
-  split t hi;
-  ignore (exists_page t ~lo ~hi map_page f arg)
+  let k0 = page_of_addr lo and k1 = page_of_addr (hi - 1) in
+  if k0 = k1 then begin
+    match find_page t k0 with
+    | exception Not_found -> false
+    | p ->
+      split_page t p lo;
+      if page_aligned hi then split t hi else split_page t p hi;
+      map_page p ~lo ~hi f arg lo = hi
+  end
+  else begin
+    split t lo;
+    split t hi;
+    let i = ref (first_live t k0) and x = ref lo in
+    while !i < t.nlive && t.live.(!i).key <= k1 do
+      x := map_page t.live.(!i) ~lo ~hi f arg !x;
+      incr i
+    done;
+    !x = hi
+  end
 
 let fold f t acc =
   let acc = ref acc in

@@ -127,8 +127,12 @@ let prop_equal_denotational =
 (* Page_map indexes by 4 KiB page, so the interesting cases sit on and
    around page boundaries: ranges that straddle pages, end exactly at a
    boundary, or cover several pages whole. Sample addresses from a window
-   spanning three pages plus small offsets to hit all of those. *)
+   spanning three pages plus small offsets to hit all of those.  The same
+   window shifted to page 1000 scatters the keys, so whole-map walks meet
+   pages far apart and lookups alternate between distant pages; a few
+   ranges span both windows and the ~1000 empty pages between them. *)
 let pm_universe = 3 * 4096 + 96
+let pm_far = 1000 * 4096
 
 type pm_op =
   | Pm_set of int * int * int
@@ -149,7 +153,8 @@ let gen_pm_range =
           (int_range 0 3 >|= fun page -> page * 4096);
         ]
     in
-    pair point point >|= fun (a, b) ->
+    let far = point >|= fun a -> pm_far + a in
+    frequency [ (6, pair point point); (3, pair far far); (1, pair point far) ] >|= fun (a, b) ->
     if a = b then (a, b + 1) else if a < b then (a, b) else (b, a))
 
 let gen_pm_op =
@@ -174,7 +179,7 @@ let apply_pm_imap m = function
 let apply_pm_pmap m = function
   | Pm_set (lo, hi, v) -> Page_map.set m ~lo ~hi v
   | Pm_clear (lo, hi) -> Page_map.clear m ~lo ~hi
-  | Pm_map (lo, hi, v) -> Page_map.map_range m ~lo ~hi (fun v x -> x + v) v
+  | Pm_map (lo, hi, v) -> ignore (Page_map.map_range m ~lo ~hi (fun v x -> x + v) v)
   | Pm_reset -> Page_map.reset m
 
 (* Every piece [exists] visits up to and including the first one [stop]
@@ -195,7 +200,7 @@ let rec upto_first p = function
   | ((_, _, v) as x) :: rest -> if p v then [ x ] else x :: upto_first p rest
 
 let prop_page_map_matches_interval_map =
-  QCheck2.Test.make ~name:"page_map to_list equals interval_map" ~count:500
+  QCheck2.Test.make ~name:"page_map to_list equals interval_map" ~count:500 ~long_factor:100
     QCheck2.Gen.(list_size (int_range 0 40) gen_pm_op)
     (fun ops ->
       let im = List.fold_left apply_pm_imap Interval_map.empty ops in
@@ -203,20 +208,52 @@ let prop_page_map_matches_interval_map =
       List.iter (apply_pm_pmap pm) ops;
       Page_map.to_list pm = Interval_map.to_list im)
 
+(* [covers] and [exists] over [qlo, qhi) answer as [im] does: the pieces
+   visited, in order, and where a search for [target] stops. *)
+let queries_agree pm im (qlo, qhi) target =
+  let pieces = Interval_map.overlapping im ~lo:qlo ~hi:qhi in
+  let is_target v = v = target in
+  Page_map.covers pm ~lo:qlo ~hi:qhi = Interval_map.covered im ~lo:qlo ~hi:qhi
+  && pm_visits pm ~lo:qlo ~hi:qhi (fun _ -> false) = (false, pieces)
+  && pm_visits pm ~lo:qlo ~hi:qhi is_target
+     = (Interval_map.exists_overlap im ~lo:qlo ~hi:qhi ~f:is_target, upto_first is_target pieces)
+
 let prop_page_map_queries_match =
-  QCheck2.Test.make ~name:"page_map queries equal interval_map" ~count:300
+  QCheck2.Test.make ~name:"page_map queries equal interval_map" ~count:300 ~long_factor:100
     QCheck2.Gen.(triple (list_size (int_range 0 25) gen_pm_op) gen_pm_range (int_range 0 9))
-    (fun (ops, (qlo, qhi), target) ->
+    (fun (ops, q, target) ->
       let im = List.fold_left apply_pm_imap Interval_map.empty ops in
       let pm = Page_map.create () in
       List.iter (apply_pm_pmap pm) ops;
-      let pieces = Interval_map.overlapping im ~lo:qlo ~hi:qhi in
-      let is_target v = v = target in
-      Page_map.covers pm ~lo:qlo ~hi:qhi = Interval_map.covered im ~lo:qlo ~hi:qhi
-      && pm_visits pm ~lo:qlo ~hi:qhi (fun _ -> false) = (false, pieces)
-      && pm_visits pm ~lo:qlo ~hi:qhi is_target
-         = ( Interval_map.exists_overlap im ~lo:qlo ~hi:qhi ~f:is_target,
-             upto_first is_target pieces ))
+      queries_agree pm im q target)
+
+(* A stale remembered page or page list shows only mid-sequence: ask
+   after every step, and check [map_range]'s coverage answer against
+   [Interval_map.covered] just before it maps. *)
+type pm_step = Op of pm_op | Query of (int * int) * int
+
+let prop_page_map_interleaved =
+  QCheck2.Test.make ~name:"queries agree mid-sequence" ~count:300 ~long_factor:100
+    QCheck2.Gen.(
+      list_size (int_range 0 40)
+        (frequency
+           [
+             (3, gen_pm_op >|= fun op -> Op op);
+             (2, pair gen_pm_range (int_range 0 9) >|= fun (q, t) -> Query (q, t));
+           ]))
+    (fun steps ->
+      let pm = Page_map.create () in
+      let rec go im = function
+        | [] -> Page_map.to_list pm = Interval_map.to_list im
+        | Query (q, target) :: rest -> queries_agree pm im q target && go im rest
+        | Op (Pm_map (lo, hi, v) as op) :: rest ->
+          Page_map.map_range pm ~lo ~hi (fun v x -> x + v) v = Interval_map.covered im ~lo ~hi
+          && go (apply_pm_imap im op) rest
+        | Op op :: rest ->
+          apply_pm_pmap pm op;
+          go (apply_pm_imap im op) rest
+      in
+      go Interval_map.empty steps)
 
 let test_page_map_empty_range_rejected () =
   let pm = Page_map.create () in
@@ -247,12 +284,12 @@ let test_page_map_boundary_sever () =
 let test_page_map_map_severs () =
   let pm = Page_map.create () in
   Page_map.set pm ~lo:4000 ~hi:8300 "a";
-  Page_map.map_range pm ~lo:4096 ~hi:8192 (fun s v -> v ^ s) "'";
+  ignore (Page_map.map_range pm ~lo:4096 ~hi:8192 (fun s v -> v ^ s) "'");
   Alcotest.(check (list (triple int int string)))
     "page-aligned bounds"
     [ (4000, 4096, "a"); (4096, 8192, "a'"); (8192, 8300, "a") ]
     (Page_map.to_list pm);
-  Page_map.map_range pm ~lo:4050 ~hi:4100 (fun s v -> v ^ s) "*";
+  ignore (Page_map.map_range pm ~lo:4050 ~hi:4100 (fun s v -> v ^ s) "*");
   Alcotest.(check (list (triple int int string)))
     "bounds inside pages"
     [ (4000, 4050, "a"); (4050, 4096, "a*"); (4096, 4100, "a'*"); (4100, 8192, "a'");
@@ -261,6 +298,33 @@ let test_page_map_map_severs () =
   Page_map.reset pm;
   Alcotest.(check (list (triple int int string))) "reset empties" [] (Page_map.to_list pm);
   Alcotest.(check bool) "reset uncovers" false (Page_map.covers pm ~lo:4000 ~hi:4001)
+
+(* map_range answers whether its whole range was bound, wherever the gap
+   sits, and maps the bound pieces either way. *)
+let test_page_map_map_coverage () =
+  let pm = Page_map.create () in
+  Page_map.set pm ~lo:100 ~hi:200 0;
+  Page_map.set pm ~lo:200 ~hi:300 10;
+  Page_map.set pm ~lo:400 ~hi:500 20;
+  Page_map.set pm ~lo:4000 ~hi:4096 30;
+  let covered lo hi = Page_map.map_range pm ~lo ~hi (fun d v -> v + d) 1 in
+  Alcotest.(check bool) "two pieces, no gap" true (covered 150 250);
+  Alcotest.(check bool) "gap at the start" false (covered 50 150);
+  Alcotest.(check bool) "gap in the middle" false (covered 250 450);
+  Alcotest.(check bool) "gap at the end" false (covered 450 550);
+  Alcotest.(check bool) "page never written" false (covered 20000 20010);
+  Alcotest.(check bool) "next page missing" false (covered 4050 4150);
+  Page_map.set pm ~lo:4097 ~hi:4200 40;
+  Alcotest.(check bool) "gap at the page edge" false (covered 4050 4150);
+  Page_map.set pm ~lo:4096 ~hi:4097 50;
+  Alcotest.(check bool) "across the page edge" true (covered 4050 4150);
+  Alcotest.(check bool) "ends on the page edge" true (covered 4090 4096);
+  Alcotest.(check (list (triple int int int)))
+    "bound pieces mapped"
+    [ (100, 150, 1); (150, 200, 1); (200, 250, 11); (250, 300, 11); (400, 450, 21);
+      (450, 500, 21); (4000, 4050, 30); (4050, 4090, 33); (4090, 4096, 34); (4096, 4097, 51);
+      (4097, 4150, 42); (4150, 4200, 40) ]
+    (Page_map.to_list pm)
 
 (* covers and exists see a piece joined across a page edge as one piece,
    clip to the query, and exists stops at the first hit. *)
@@ -309,6 +373,8 @@ let () =
           Alcotest.test_case "empty ranges rejected" `Quick test_page_map_empty_range_rejected;
           Alcotest.test_case "page-boundary clear severs joins" `Quick test_page_map_boundary_sever;
           Alcotest.test_case "map_range severs joins at its bounds" `Quick test_page_map_map_severs;
+          Alcotest.test_case "map_range reports coverage" `Quick test_page_map_map_coverage;
+          QCheck_alcotest.to_alcotest prop_page_map_interleaved;
         ] );
       ( "page_map_walk",
         [ Alcotest.test_case "covers/exists clip and stop early" `Quick test_page_map_walk ] );
