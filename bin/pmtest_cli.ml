@@ -409,20 +409,10 @@ let run_check_trace file model profile =
     2
   | Ok entries ->
     let obs = if profile then Obs.create () else Obs.disabled in
+    (* The whole file is one section through the synchronous path. *)
     let report =
-      if Obs.enabled obs then begin
-        (* The whole file is one section through the synchronous path. *)
-        let n = Array.length entries in
-        Obs.events_traced_add obs n;
-        Obs.section_sent obs ~seq:0 ~entries:n;
-        Obs.queue_depth obs 1;
-        Obs.check_started obs ~seq:0 ~worker:0;
-        let r = Engine.check ~obs ~model entries in
-        Obs.check_finished obs ~seq:0;
-        Obs.section_merged obs ~seq:0;
-        r
-      end
-      else Engine.check ~model entries
+      Obs.sync_section obs ~seq:0 ~entries:(Array.length entries) (fun () ->
+          Engine.check ~obs ~model entries)
     in
     Fmt.pr "%a@." Report.pp_summary report;
     if profile then Fmt.pr "@.%a@." Obs.pp (Obs.snapshot obs);
@@ -604,9 +594,7 @@ let run_repair source model_opt rules_spec ops seed max_rounds diff machine veri
         let problems =
           if not verify then []
           else begin
-            let t0 = Obs.now_ns () in
-            let ps = Repair.verify_static ~model ~rules ~original:entries o in
-            Obs.repair_verify_ns obs (Obs.now_ns () - t0);
+            let ps = Repair.verify_static ~obs ~model ~rules ~original:entries o in
             List.iter (fun p -> Fmt.epr "verify: %s@." p) ps;
             if ps = [] && not machine then
               Fmt.pr

@@ -190,12 +190,8 @@ module Session = struct
     Hashtbl.replace s.builders 0 (Builder.create ~thread:0 ~packed:true ~obs ());
     s
 
-  let with_lock s f =
-    Mutex.lock s.mutex;
-    Fun.protect ~finally:(fun () -> Mutex.unlock s.mutex) f
-
   let builder s thread =
-    with_lock s (fun () ->
+    Mutex.protect s.mutex (fun () ->
         match Hashtbl.find_opt s.builders thread with
         | Some b -> b
         | None ->
@@ -206,25 +202,25 @@ module Session = struct
   let sink ?(thread = 0) s = Sink.observed s.obs (Builder.sink (builder s thread))
 
   let emit ?(thread = 0) ?(loc = Loc.none) s kind =
-    if Obs.enabled s.obs then Obs.event_traced s.obs;
+    if Obs.enabled s.obs then Obs.add s.obs Obs.events_traced 1;
     Builder.emit (builder s thread) kind loc
 
   let note_error s = function
     | Ok () -> ()
-    | Error msg -> with_lock s (fun () -> if s.error = None then s.error <- Some msg)
+    | Error msg -> Mutex.protect s.mutex (fun () -> if s.error = None then s.error <- Some msg)
 
   let send_trace ?(thread = 0) s =
     let b = builder s thread in
     let p = Builder.take_packed b in
     if Packed.count p = 0 then begin
       Packed.free p;
-      if Obs.enabled s.obs then Obs.section_dropped s.obs
+      if Obs.enabled s.obs then Obs.add s.obs Obs.sections_dropped 1
     end
     else begin
       (* Preamble reflects the scope {e before} this section's own
          controls — same order of operations as [Pmtest.send_trace]. *)
       let preamble =
-        with_lock s (fun () ->
+        Mutex.protect s.mutex (fun () ->
             let preamble =
               List.rev
                 (Interval_map.fold
@@ -250,9 +246,11 @@ module Session = struct
     end
 
   let finish s =
-    let threads = with_lock s (fun () -> Hashtbl.fold (fun k _ acc -> k :: acc) s.builders []) in
+    let threads =
+      Mutex.protect s.mutex (fun () -> Hashtbl.fold (fun k _ acc -> k :: acc) s.builders [])
+    in
     List.iter (fun thread -> send_trace ~thread s) threads;
-    match with_lock s (fun () -> s.error) with
+    match Mutex.protect s.mutex (fun () -> s.error) with
     | Some msg -> Error msg
     | None -> get_result s.conn
 end

@@ -454,10 +454,20 @@ let report_of st =
     checkers = st.checkers;
   }
 
+(* Totals across every engine pass. *)
+let entries_checked = Pmtest_obs.Obs.counter "entries_checked"
+let ops_checked = Pmtest_obs.Obs.counter "ops_checked"
+let checkers_run = Pmtest_obs.Obs.counter "checkers_run"
+let diagnostics = Pmtest_obs.Obs.counter "diagnostics"
+
 let note_obs obs st =
-  if Pmtest_obs.Obs.enabled obs then
-    Pmtest_obs.Obs.engine_counts obs ~entries:st.entries ~ops:st.ops ~checkers:st.checkers
-      ~diags:(Vec.length st.diags)
+  let module Obs = Pmtest_obs.Obs in
+  if Obs.enabled obs then begin
+    Obs.add obs entries_checked st.entries;
+    Obs.add obs ops_checked st.ops;
+    Obs.add obs checkers_run st.checkers;
+    Obs.add obs diagnostics (Vec.length st.diags)
+  end
 
 let ranges_of st =
   List.rev

@@ -44,12 +44,8 @@ let worker_count t = Runtime.worker_count t.runtime
 let obs t = t.obs
 let packed t = t.packed
 
-let with_lock t f =
-  Mutex.lock t.mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
-
 let builder t thread =
-  with_lock t (fun () ->
+  Mutex.protect t.mutex (fun () ->
       match Hashtbl.find_opt t.builders thread with
       | Some b -> b
       | None ->
@@ -61,12 +57,12 @@ let builder t thread =
 let thread_init t ~thread = ignore (builder t thread)
 
 let start t =
-  with_lock t (fun () ->
+  Mutex.protect t.mutex (fun () ->
       t.tracking <- true;
       Hashtbl.iter (fun _ b -> Builder.set_enabled b true) t.builders)
 
 let stop t =
-  with_lock t (fun () ->
+  Mutex.protect t.mutex (fun () ->
       t.tracking <- false;
       Hashtbl.iter (fun _ b -> Builder.set_enabled b false) t.builders)
 
@@ -75,7 +71,7 @@ let tracking t = t.tracking
 let sink ?(thread = 0) t = Sink.observed t.obs (Builder.sink (builder t thread))
 
 let emit ?(thread = 0) ?(loc = Loc.none) t kind =
-  if Obs.enabled t.obs then Obs.event_traced t.obs;
+  if Obs.enabled t.obs then Obs.add t.obs Obs.events_traced 1;
   Builder.emit (builder t thread) kind loc
 
 let exclude ?thread ?loc t ~addr ~size =
@@ -90,11 +86,13 @@ let lint_off ?thread ?loc ?(rule = "*") t =
 let lint_on ?thread ?loc ?(rule = "*") t =
   emit ?thread ?loc t (Event.Control (Event.Lint_on { rule }))
 
-let on_section t f = with_lock t (fun () -> t.observers <- t.observers @ [ f ])
+let on_section t f = Mutex.protect t.mutex (fun () -> t.observers <- t.observers @ [ f ])
 
-let reg_var t name ~addr ~size = with_lock t (fun () -> Hashtbl.replace t.vars name (addr, size))
-let unreg_var t name = with_lock t (fun () -> Hashtbl.remove t.vars name)
-let get_var t name = with_lock t (fun () -> Hashtbl.find_opt t.vars name)
+let reg_var t name ~addr ~size =
+  Mutex.protect t.mutex (fun () -> Hashtbl.replace t.vars name (addr, size))
+
+let unreg_var t name = Mutex.protect t.mutex (fun () -> Hashtbl.remove t.vars name)
+let get_var t name = Mutex.protect t.mutex (fun () -> Hashtbl.find_opt t.vars name)
 
 let note_control t = function
   | Event.Exclude { addr; size } ->
@@ -113,7 +111,7 @@ let send_boxed t section ~preamble =
 (* The exclusion preamble plus the live-scope update, shared by both
    representations. Returns (preamble, observers are present). *)
 let section_prologue t ~thread ~note =
-  with_lock t (fun () ->
+  Mutex.protect t.mutex (fun () ->
       let preamble =
         List.rev
           (Interval_map.fold
@@ -164,7 +162,7 @@ let send_trace ?(thread = 0) t =
     end
     else begin
       Packed.free p;
-      if Obs.enabled t.obs then Obs.section_dropped t.obs
+      if Obs.enabled t.obs then Obs.add t.obs Obs.sections_dropped 1
     end
   end
   else begin
@@ -179,7 +177,7 @@ let send_trace ?(thread = 0) t =
       in
       send_boxed t section ~preamble
     end
-    else if Obs.enabled t.obs then Obs.section_dropped t.obs
+    else if Obs.enabled t.obs then Obs.add t.obs Obs.sections_dropped 1
   end
 
 let get_result t = Runtime.get_result t.runtime
@@ -200,6 +198,8 @@ let tx_checker_start ?thread ?loc t = emit ?thread ?loc t (Event.Tx Event.Tx_che
 let tx_checker_end ?thread ?loc t = emit ?thread ?loc t (Event.Tx Event.Tx_checker_end)
 
 let finish t =
-  let threads = with_lock t (fun () -> Hashtbl.fold (fun k _ acc -> k :: acc) t.builders []) in
+  let threads =
+    Mutex.protect t.mutex (fun () -> Hashtbl.fold (fun k _ acc -> k :: acc) t.builders [])
+  in
   List.iter (fun thread -> send_trace ~thread t) threads;
   Runtime.shutdown t.runtime

@@ -121,10 +121,16 @@ let drain_rest w =
    colliding (shard 0 — every in-process runtime — is unchanged). *)
 let okey t seq = (t.shard lsl 48) lor seq
 
+(* Reorder-buffer occupancy (reports parked waiting for an earlier
+   section) and worker queue drains (batch hand-offs), per collector. *)
+let reorder_hwm = Obs.gauge "reorder_hwm"
+let batches = Obs.counter "batches"
+let batch_sections_max = Obs.gauge "batch_sections_max"
+
 let complete t seq report k =
   Mutex.lock t.agg_mutex;
   Hashtbl.replace t.parked seq (report, k);
-  if Obs.enabled t.obs then Obs.reorder_depth t.obs (Hashtbl.length t.parked);
+  if Obs.enabled t.obs then Obs.max t.obs reorder_hwm (Hashtbl.length t.parked);
   let continue = ref true in
   while !continue do
     match Hashtbl.find_opt t.parked t.next_merge with
@@ -178,7 +184,10 @@ let rec worker_loop t idx w =
         incr tasks;
         complete t seq (check_section t ~seq ~worker:idx task) task.k)
     batch;
-  if !tasks > 0 && Obs.enabled t.obs then Obs.batch_drained t.obs ~sections:!tasks;
+  if !tasks > 0 && Obs.enabled t.obs then begin
+    Obs.add t.obs batches 1;
+    Obs.max t.obs batch_sections_max !tasks
+  end;
   if not !stopping then worker_loop t idx w
   else
     List.iter
@@ -240,7 +249,7 @@ let send_section t task =
     if t.shard_tagged then Obs.shard_section t.obs ~shard:t.shard;
     (* [completed] is a racy sample: the queue-depth high-water mark is
        a metric, an occasionally stale value is fine. *)
-    Obs.queue_depth t.obs (seq + 1 - Atomic.get t.completed)
+    Obs.max t.obs Obs.queue_hwm (seq + 1 - Atomic.get t.completed)
   end;
   let n = Array.length t.workers in
   if n = 0 then complete t seq (check_section t ~seq ~worker:0 task) task.k

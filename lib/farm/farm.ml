@@ -388,6 +388,26 @@ end
 (* --- Coordinator ------------------------------------------------------------ *)
 
 module Coordinator = struct
+  (* Campaign job accounting, worker lifecycle, offers (with their
+     retry/steal provenance), reassignment after worker loss, finding
+     dedup, nondeterminism flags, heartbeat frames and on-disk
+     checkpoint writes. *)
+  module Count = struct
+    let workers_joined = Obs.counter "farm_workers"
+    let workers_lost = Obs.counter "farm_workers_lost"
+    let jobs_total = Obs.counter "farm_jobs"
+    let jobs_done = Obs.counter "farm_jobs_done"
+    let offers = Obs.counter "farm_offers"
+    let retries = Obs.counter "farm_retries"
+    let steals = Obs.counter "farm_steals"
+    let reassignments = Obs.counter "farm_reassignments"
+    let findings = Obs.counter "farm_findings"
+    let dup_findings = Obs.counter "farm_dup_findings"
+    let nondet_flags = Obs.counter "farm_nondet"
+    let heartbeats = Obs.counter "farm_heartbeats"
+    let checkpoints = Obs.counter "farm_checkpoints"
+  end
+
   type cfg = {
     socket : string;
     spec : Spec.t;
@@ -499,14 +519,14 @@ module Coordinator = struct
 
   let write_checkpoint st =
     Checkpoint.save ~path:st.cfg.checkpoint (checkpoint_of st);
-    Obs.farm_checkpoint st.cfg.obs
+    Obs.add st.cfg.obs Count.checkpoints 1
 
   let sanitize_name n =
     String.map (fun c -> if c = ' ' || c = '\t' || c = '\n' || c = '/' then '-' else c) n
 
   let store_finding st ~name ~text =
     let dg = Digest.to_hex (Digest.string text) in
-    if Hashtbl.mem st.findings dg then Obs.farm_finding st.cfg.obs ~dup:true
+    if Hashtbl.mem st.findings dg then Obs.add st.cfg.obs Count.dup_findings 1
     else begin
       let name = sanitize_name name in
       (* Seed-derived names are unique in practice; suffix defensively
@@ -517,7 +537,7 @@ module Coordinator = struct
         else name
       in
       Hashtbl.replace st.findings dg name;
-      Obs.farm_finding st.cfg.obs ~dup:false;
+      Obs.add st.cfg.obs Count.findings 1;
       write_atomic (Filename.concat st.cfg.triage_dir (name ^ ".pmt")) text
     end
 
@@ -531,8 +551,12 @@ module Coordinator = struct
     j.offered_at <- now ();
     j.holders <- w.wid :: j.holders;
     w.running <- j.id :: w.running;
-    Obs.farm_offer st.cfg.obs ~retry:(j.attempt > 1 && not steal) ~steal;
-    if steal then st.steals <- st.steals + 1;
+    Obs.add st.cfg.obs Count.offers 1;
+    if j.attempt > 1 && not steal then Obs.add st.cfg.obs Count.retries 1;
+    if steal then begin
+      Obs.add st.cfg.obs Count.steals 1;
+      st.steals <- st.steals + 1
+    end;
     let payload =
       Wire.encode_job_offer ~job:j.id ~attempt:j.attempt ~lo:j.lo ~hi:j.hi ~spec:st.spec_s
     in
@@ -543,7 +567,7 @@ module Coordinator = struct
   and mark_lost st w =
     if not w.lost then begin
       w.lost <- true;
-      Obs.farm_worker_lost st.cfg.obs;
+      Obs.add st.cfg.obs Count.workers_lost 1;
       (try Unix.shutdown w.wfd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
       let held = w.running in
       w.running <- [];
@@ -564,7 +588,7 @@ module Coordinator = struct
       in
       if requeued <> [] && not st.stopping then begin
         st.reassigned <- st.reassigned + List.length requeued;
-        Obs.farm_reassigned st.cfg.obs ~jobs:(List.length requeued);
+        Obs.add st.cfg.obs Count.reassignments (List.length requeued);
         st.pending <- requeued @ st.pending;
         try_assign st
       end
@@ -611,13 +635,13 @@ module Coordinator = struct
         (* A second attempt of a finished job: replay verification. *)
         if d.digest <> digest then begin
           if not (List.mem job st.nondet) then st.nondet <- job :: st.nondet;
-          Obs.farm_nondet st.cfg.obs;
+          Obs.add st.cfg.obs Count.nondet_flags 1;
           write_checkpoint st
         end
       | Pending | Offered ->
         j.state <- Jdone { digest; units; attempt };
         st.done_count <- st.done_count + 1;
-        Obs.farm_job_done st.cfg.obs;
+        Obs.add st.cfg.obs Count.jobs_done 1;
         List.iter (fun (name, text) -> store_finding st ~name ~text) findings;
         write_checkpoint st);
       (match st.cfg.stop_after_results with
@@ -729,7 +753,7 @@ module Coordinator = struct
         match kind with
         | Wire.Job_claim -> true  (* informational; liveness already stamped *)
         | Wire.Checkpoint ->
-          Obs.farm_heartbeat st.cfg.obs;
+          Obs.add st.cfg.obs Count.heartbeats 1;
           true
         | Wire.Job_result -> (
           match Wire.decode_job_result payload with
@@ -799,7 +823,7 @@ module Coordinator = struct
           w.last_seen <- now ();
           Hashtbl.replace st.workers wid w;
           st.workers_seen <- st.workers_seen + 1;
-          Obs.farm_worker_joined st.cfg.obs;
+          Obs.add st.cfg.obs Count.workers_joined 1;
           try_assign st;
           Mutex.unlock st.m;
           conn_loop st w reader;
@@ -900,7 +924,7 @@ module Coordinator = struct
             failed = None;
           }
         in
-        Obs.farm_campaign cfg.obs ~jobs:(Array.length jobs);
+        Obs.add cfg.obs Count.jobs_total (Array.length jobs);
         mkdir_p cfg.triage_dir;
         if Sys.file_exists cfg.socket then (try Unix.unlink cfg.socket with Unix.Unix_error _ -> ());
         let listen_fd = Unix.socket ~cloexec:true PF_UNIX SOCK_STREAM 0 in

@@ -54,27 +54,24 @@ let run ?(obs = Pmtest_obs.Obs.disabled) ?(on_program = fun _ -> ()) cfg =
   let findings = ref [] in
   let events = ref 0 in
   let gen_seconds = ref 0.0 in
+  (* Wall time on the monotonic clock, in seconds. *)
+  let seconds_since t0 = float_of_int (Obs.now_ns () - t0) *. 1e-9 in
   for i = 0 to cfg.count - 1 do
     on_program i;
     let s = cfg.seed + i in
-    let t0 = Sys.time () in
+    let t0 = Obs.now_ns () in
     let program = program_for_seed cfg s in
-    gen_seconds := !gen_seconds +. (Sys.time () -. t0);
-    events := !events + Array.length program.Gen.events;
+    gen_seconds := !gen_seconds +. seconds_since t0;
+    let entries = Array.length program.Gen.events in
+    events := !events + entries;
     (* Each program plays the role of one section: generation is the
        trace, the cross-check pass is the engine check. *)
-    if Obs.enabled obs then begin
-      let entries = Array.length program.Gen.events in
-      Obs.events_traced_add obs entries;
-      Obs.section_sent obs ~seq:i ~entries;
-      Obs.queue_depth obs 1;
-      Obs.check_started obs ~seq:i ~worker:0
-    end;
+    Obs.sync_section obs ~seq:i ~entries @@ fun () ->
     List.iteri
       (fun pi pair ->
-        let t0 = Sys.time () in
+        let t0 = Obs.now_ns () in
         let outcome = Cross.compare_pair pair program in
-        pair_time.(pi) <- pair_time.(pi) +. (Sys.time () -. t0);
+        pair_time.(pi) <- pair_time.(pi) +. seconds_since t0;
         match outcome with
         | Cross.Agree -> applied.(pi) <- applied.(pi) + 1
         | Cross.Skip _ -> skipped.(pi) <- skipped.(pi) + 1
@@ -88,11 +85,7 @@ let run ?(obs = Pmtest_obs.Obs.disabled) ?(on_program = fun _ -> ()) cfg =
                 program.Gen.events
           in
           findings := { found_seed = s; pair; detail; program; shrunk } :: !findings)
-      Cross.all_pairs;
-    if Obs.enabled obs then begin
-      Obs.check_finished obs ~seq:i;
-      Obs.section_merged obs ~seq:i
-    end
+      Cross.all_pairs
   done;
   let assoc arr = List.mapi (fun pi pair -> (pair, arr.(pi))) Cross.all_pairs in
   {

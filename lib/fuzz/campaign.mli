@@ -37,8 +37,8 @@ type stats = {
   applied : (Cross.pair * int) list;
   skipped : (Cross.pair * int) list;
   findings : finding list;
-  gen_seconds : float;
-  pair_seconds : (Cross.pair * float) list;
+  gen_seconds : float;  (** Monotonic wall time spent generating programs. *)
+  pair_seconds : (Cross.pair * float) list;  (** ... and in each checker pair. *)
 }
 
 val program_for_seed : cfg -> int -> Gen.program

@@ -1,8 +1,8 @@
-(* Collector internals: one Atomic for the per-event hot counter, one
-   mutex for everything section-grained. Section hooks fire a handful of
-   times per section (hundreds of entries), so a mutex there costs
-   nothing next to the engine pass itself; the per-event counter is the
-   only hook on the tracing fast path and stays lock-free. *)
+(* Collector internals: one Atomic per declared counter, one mutex for
+   everything section-grained. Section hooks fire a handful of times per
+   section (hundreds of entries), so a mutex there costs nothing next to
+   the engine pass itself; counters (the per-event one included) stay
+   lock-free. *)
 
 let now_ns () = Int64.to_int (Monotonic_clock.now ())
 
@@ -27,66 +27,39 @@ type span = {
   merged_ns : int;
 }
 
-type serve_stat = {
-  sessions_opened : int;
-  sessions_closed : int;
-  sessions_hwm : int;
-  frames_in : int;
-  frames_out : int;
-  frame_bytes_in : int;
-  frame_bytes_out : int;
-  frames_corrupt : int;
-  sections_shed : int;
-  inflight_hwm : int;
-}
-
-type farm_stat = {
-  farm_workers : int;
-  farm_workers_lost : int;
-  farm_jobs : int;
-  farm_jobs_done : int;
-  farm_offers : int;
-  farm_retries : int;
-  farm_steals : int;
-  farm_reassignments : int;
-  farm_findings : int;
-  farm_dup_findings : int;
-  farm_nondet : int;
-  farm_heartbeats : int;
-  farm_checkpoints : int;
-}
-
 type snapshot = {
   elapsed_ns : int;
-  events_traced : int;
-  sections_sent : int;
-  sections_checked : int;
-  sections_merged : int;
-  sections_dropped : int;
-  queue_hwm : int;
-  reorder_hwm : int;
-  entries_checked : int;
-  ops_checked : int;
-  checkers_run : int;
-  diagnostics : int;
-  batches : int;
-  batch_sections_max : int;
-  arenas_allocated : int;
-  arenas_reused : int;
-  repair_traces : int;
-  repair_edits : int;
-  repair_rounds : int;
-  repair_ns : int;
-  repair_verify_ns : int;
-  serve : serve_stat;
-  farm : farm_stat;
+  counters : (string * int) list;
+  hists : (string * hist) list;
   workers : worker_stat list;
   shards : shard_stat list;
-  check_hist : hist;
-  e2e_hist : hist;
-  serve_hist : hist;
   spans : span list;
 }
+
+(* --- Registry ---------------------------------------------------------------- *)
+
+(* A handle is its slot in every collector's arrays; names are kept
+   newest-first. Collectors size their arrays at creation, hence the
+   freeze. *)
+type counter = int
+type gauge = int
+type histogram = int
+
+let counter_names = ref []
+let hist_names = ref []
+let frozen = ref false
+
+let declare names kind name =
+  if !frozen then
+    invalid_arg (Printf.sprintf "Obs.%s %S: declared after a collector was created" kind name);
+  if name = "elapsed_ns" || List.mem name !names then
+    invalid_arg (Printf.sprintf "Obs.%s %S: name already declared" kind name);
+  names := name :: !names;
+  List.length !names - 1
+
+let counter name = declare counter_names "counter" name
+let gauge name = declare counter_names "gauge" name
+let histogram name = declare hist_names "histogram" name
 
 (* Durations live in log2 buckets: bucket [i] holds [2^i, 2^(i+1)) ns,
    with 0 and 1 ns both in bucket 0. 63 buckets cover any OCaml int. *)
@@ -100,7 +73,7 @@ let bucket_of ns =
       v := !v lsr 1;
       incr i
     done;
-    min !i (n_buckets - 1)
+    Stdlib.min !i (n_buckets - 1)
   end
 
 type hist_acc = {
@@ -114,7 +87,7 @@ type hist_acc = {
 let hist_acc () = { h_total = 0; h_sum = 0; h_min = 0; h_max = 0; h_buckets = Array.make n_buckets 0 }
 
 let hist_add h ns =
-  let ns = max 0 ns in
+  let ns = Stdlib.max 0 ns in
   if h.h_total = 0 || ns < h.h_min then h.h_min <- ns;
   if ns > h.h_max then h.h_max <- ns;
   h.h_total <- h.h_total + 1;
@@ -129,6 +102,8 @@ let hist_of_acc h =
   done;
   { total = h.h_total; sum_ns = h.h_sum; min_ns = h.h_min; max_ns = h.h_max; buckets = !buckets }
 
+(* --- Collector ---------------------------------------------------------------- *)
+
 type pending = {
   p_entries : int;
   p_sent : int;
@@ -141,60 +116,13 @@ type t = {
   on : bool;
   max_spans : int;
   created : int;
-  events : int Atomic.t;
+  counts : int Atomic.t array;
   m : Mutex.t;
-  mutable sent : int;
-  mutable checked : int;
-  mutable merged : int;
-  mutable dropped : int;
-  mutable queue_hwm : int;
-  mutable reorder_hwm : int;
-  mutable n_entries : int;
-  mutable n_ops : int;
-  mutable n_checkers : int;
-  mutable n_diags : int;
-  mutable n_batches : int;
-  mutable batch_max : int;
-  arena_allocs : int Atomic.t;
-  arena_reuses : int Atomic.t;
-  (* Auto-repair counters; all under [m]. *)
-  mutable r_traces : int;
-  mutable r_edits : int;
-  mutable r_rounds : int;
-  mutable r_ns : int;
-  mutable r_verify_ns : int;
-  (* Service-side (pmtestd) counters; all under [m]. *)
-  mutable s_opened : int;
-  mutable s_closed : int;
-  mutable s_active : int;
-  mutable s_hwm : int;
-  mutable f_in : int;
-  mutable f_out : int;
-  mutable fb_in : int;
-  mutable fb_out : int;
-  mutable f_corrupt : int;
-  mutable s_shed : int;
-  mutable inflight_hwm : int;
-  (* Farm (pmfarm coordinator) counters; all under [m]. *)
-  mutable fm_workers : int;
-  mutable fm_workers_lost : int;
-  mutable fm_jobs : int;
-  mutable fm_jobs_done : int;
-  mutable fm_offers : int;
-  mutable fm_retries : int;
-  mutable fm_steals : int;
-  mutable fm_reassignments : int;
-  mutable fm_findings : int;
-  mutable fm_dup_findings : int;
-  mutable fm_nondet : int;
-  mutable fm_heartbeats : int;
-  mutable fm_checkpoints : int;
+  (* Everything below is guarded by [m]. *)
+  hists : hist_acc array;
   pending : (int, pending) Hashtbl.t;
   wstats : (int, int ref * int ref) Hashtbl.t;  (* id -> (sections, busy_ns) *)
   shstats : (int, int ref * int ref) Hashtbl.t;  (* shard -> (sessions, sections) *)
-  check_h : hist_acc;
-  e2e_h : hist_acc;
-  serve_h : hist_acc;
   spans : span Queue.t;
 }
 
@@ -203,126 +131,97 @@ let make ~on ~max_spans =
     on;
     max_spans;
     created = now_ns ();
-    events = Atomic.make 0;
+    counts = Array.init (List.length !counter_names) (fun _ -> Atomic.make 0);
     m = Mutex.create ();
-    sent = 0;
-    checked = 0;
-    merged = 0;
-    dropped = 0;
-    queue_hwm = 0;
-    reorder_hwm = 0;
-    n_entries = 0;
-    n_ops = 0;
-    n_checkers = 0;
-    n_diags = 0;
-    n_batches = 0;
-    batch_max = 0;
-    arena_allocs = Atomic.make 0;
-    arena_reuses = Atomic.make 0;
-    r_traces = 0;
-    r_edits = 0;
-    r_rounds = 0;
-    r_ns = 0;
-    r_verify_ns = 0;
-    s_opened = 0;
-    s_closed = 0;
-    s_active = 0;
-    s_hwm = 0;
-    f_in = 0;
-    f_out = 0;
-    fb_in = 0;
-    fb_out = 0;
-    f_corrupt = 0;
-    s_shed = 0;
-    inflight_hwm = 0;
-    fm_workers = 0;
-    fm_workers_lost = 0;
-    fm_jobs = 0;
-    fm_jobs_done = 0;
-    fm_offers = 0;
-    fm_retries = 0;
-    fm_steals = 0;
-    fm_reassignments = 0;
-    fm_findings = 0;
-    fm_dup_findings = 0;
-    fm_nondet = 0;
-    fm_heartbeats = 0;
-    fm_checkpoints = 0;
+    hists = Array.init (List.length !hist_names) (fun _ -> hist_acc ());
     pending = Hashtbl.create 32;
     wstats = Hashtbl.create 8;
     shstats = Hashtbl.create 8;
-    check_h = hist_acc ();
-    e2e_h = hist_acc ();
-    serve_h = hist_acc ();
     spans = Queue.create ();
   }
 
 let disabled = make ~on:false ~max_spans:0
-let create ?(max_spans = 1024) () = make ~on:true ~max_spans
+
+let create ?(max_spans = 1024) () =
+  frozen := true;
+  make ~on:true ~max_spans
+
 let enabled t = t.on
+let add t c n = if t.on then ignore (Atomic.fetch_and_add t.counts.(c) n)
 
-let locked t f =
-  Mutex.lock t.m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.m) f
+let max t g v =
+  if t.on then begin
+    let a = t.counts.(g) in
+    let rec raise_to () =
+      let cur = Atomic.get a in
+      if v > cur && not (Atomic.compare_and_set a cur v) then raise_to ()
+    in
+    raise_to ()
+  end
 
+let record t h ns = if t.on then Mutex.protect t.m (fun () -> hist_add t.hists.(h) ns)
+
+(* --- Section spans ------------------------------------------------------------ *)
+
+let events_traced = counter "events_traced"
+let sections_sent = counter "sections_sent"
+let sections_checked = counter "sections_checked"
+let sections_merged = counter "sections_merged"
+let sections_dropped = counter "sections_dropped"
+let queue_hwm = gauge "queue_hwm"
+let check_h = histogram "check"
+let e2e_h = histogram "e2e"
 let since t = now_ns () - t.created
 
-let event_traced t = if t.on then Atomic.incr t.events
-let events_traced_add t n = if t.on then ignore (Atomic.fetch_and_add t.events n)
-let section_dropped t = if t.on then locked t (fun () -> t.dropped <- t.dropped + 1)
-
 let section_sent t ~seq ~entries =
-  if t.on then
-    locked t (fun () ->
-        t.sent <- t.sent + 1;
+  if t.on then begin
+    add t sections_sent 1;
+    Mutex.protect t.m (fun () ->
         Hashtbl.replace t.pending seq
           { p_entries = entries; p_sent = since t; p_worker = 0; p_start = 0; p_done = 0 })
-
-let queue_depth t d = if t.on then locked t (fun () -> if d > t.queue_hwm then t.queue_hwm <- d)
-
-let reorder_depth t d =
-  if t.on then locked t (fun () -> if d > t.reorder_hwm then t.reorder_hwm <- d)
+  end
 
 let check_started t ~seq ~worker =
   if t.on then
-    locked t (fun () ->
+    Mutex.protect t.m (fun () ->
         match Hashtbl.find_opt t.pending seq with
         | None -> ()
         | Some p ->
           p.p_worker <- worker;
           p.p_start <- since t)
 
-let worker_stat t id =
-  match Hashtbl.find_opt t.wstats id with
+(* A (sections, sessions-or-busy) pair per worker id or shard index. *)
+let stat_refs tbl key =
+  match Hashtbl.find_opt tbl key with
   | Some s -> s
   | None ->
     let s = (ref 0, ref 0) in
-    Hashtbl.replace t.wstats id s;
+    Hashtbl.replace tbl key s;
     s
 
 let check_finished t ~seq =
   if t.on then
-    locked t (fun () ->
+    Mutex.protect t.m (fun () ->
         match Hashtbl.find_opt t.pending seq with
         | None -> ()
         | Some p ->
           p.p_done <- since t;
-          t.checked <- t.checked + 1;
-          let sections, busy = worker_stat t p.p_worker in
+          add t sections_checked 1;
+          let sections, busy = stat_refs t.wstats p.p_worker in
           incr sections;
           busy := !busy + (p.p_done - p.p_start);
-          hist_add t.check_h (p.p_done - p.p_start))
+          hist_add t.hists.(check_h) (p.p_done - p.p_start))
 
 let section_merged t ~seq =
   if t.on then
-    locked t (fun () ->
+    Mutex.protect t.m (fun () ->
         match Hashtbl.find_opt t.pending seq with
         | None -> ()
         | Some p ->
           Hashtbl.remove t.pending seq;
           let merged_ns = since t in
-          t.merged <- t.merged + 1;
-          hist_add t.e2e_h (merged_ns - p.p_sent);
+          add t sections_merged 1;
+          hist_add t.hists.(e2e_h) (merged_ns - p.p_sent);
           Queue.push
             {
               seq;
@@ -336,271 +235,59 @@ let section_merged t ~seq =
             t.spans;
           if Queue.length t.spans > t.max_spans then ignore (Queue.pop t.spans))
 
-let batch_drained t ~sections =
-  if t.on then
-    locked t (fun () ->
-        t.n_batches <- t.n_batches + 1;
-        if sections > t.batch_max then t.batch_max <- sections)
-
-let arena_alloc t ~reused =
-  if t.on then begin
-    Atomic.incr t.arena_allocs;
-    if reused then Atomic.incr t.arena_reuses
+let sync_section t ~seq ~entries f =
+  if not t.on then f ()
+  else begin
+    add t events_traced entries;
+    section_sent t ~seq ~entries;
+    max t queue_hwm 1;
+    check_started t ~seq ~worker:0;
+    let r = f () in
+    check_finished t ~seq;
+    section_merged t ~seq;
+    r
   end
-
-(* --- Auto-repair hooks ---------------------------------------------------- *)
-
-let repair_trace t ~edits ~rounds ~ns =
-  if t.on then
-    locked t (fun () ->
-        t.r_traces <- t.r_traces + 1;
-        t.r_edits <- t.r_edits + edits;
-        t.r_rounds <- t.r_rounds + rounds;
-        t.r_ns <- t.r_ns + ns)
-
-let repair_verify_ns t ns = if t.on then locked t (fun () -> t.r_verify_ns <- t.r_verify_ns + ns)
-
-(* --- Service (pmtestd) hooks -------------------------------------------- *)
-
-let session_opened t =
-  if t.on then
-    locked t (fun () ->
-        t.s_opened <- t.s_opened + 1;
-        t.s_active <- t.s_active + 1;
-        if t.s_active > t.s_hwm then t.s_hwm <- t.s_active)
-
-let session_closed t =
-  if t.on then
-    locked t (fun () ->
-        t.s_closed <- t.s_closed + 1;
-        t.s_active <- t.s_active - 1)
-
-let frame_received t ~bytes =
-  if t.on then
-    locked t (fun () ->
-        t.f_in <- t.f_in + 1;
-        t.fb_in <- t.fb_in + bytes)
-
-let frame_sent t ~bytes =
-  if t.on then
-    locked t (fun () ->
-        t.f_out <- t.f_out + 1;
-        t.fb_out <- t.fb_out + bytes)
-
-let frame_corrupt t = if t.on then locked t (fun () -> t.f_corrupt <- t.f_corrupt + 1)
-let section_shed t = if t.on then locked t (fun () -> t.s_shed <- t.s_shed + 1)
-
-let inflight_depth t d =
-  if t.on then locked t (fun () -> if d > t.inflight_hwm then t.inflight_hwm <- d)
-
-let serve_section_ns t ns = if t.on then locked t (fun () -> hist_add t.serve_h ns)
-
-(* --- Farm (pmfarm coordinator) hooks ------------------------------------- *)
-
-let farm_campaign t ~jobs = if t.on then locked t (fun () -> t.fm_jobs <- t.fm_jobs + jobs)
-let farm_worker_joined t = if t.on then locked t (fun () -> t.fm_workers <- t.fm_workers + 1)
-
-let farm_worker_lost t =
-  if t.on then locked t (fun () -> t.fm_workers_lost <- t.fm_workers_lost + 1)
-
-let farm_offer t ~retry ~steal =
-  if t.on then
-    locked t (fun () ->
-        t.fm_offers <- t.fm_offers + 1;
-        if retry then t.fm_retries <- t.fm_retries + 1;
-        if steal then t.fm_steals <- t.fm_steals + 1)
-
-let farm_job_done t = if t.on then locked t (fun () -> t.fm_jobs_done <- t.fm_jobs_done + 1)
-
-let farm_reassigned t ~jobs =
-  if t.on then locked t (fun () -> t.fm_reassignments <- t.fm_reassignments + jobs)
-
-let farm_finding t ~dup =
-  if t.on then
-    locked t (fun () ->
-        if dup then t.fm_dup_findings <- t.fm_dup_findings + 1
-        else t.fm_findings <- t.fm_findings + 1)
-
-let farm_nondet t = if t.on then locked t (fun () -> t.fm_nondet <- t.fm_nondet + 1)
-let farm_heartbeat t = if t.on then locked t (fun () -> t.fm_heartbeats <- t.fm_heartbeats + 1)
-
-let farm_checkpoint t =
-  if t.on then locked t (fun () -> t.fm_checkpoints <- t.fm_checkpoints + 1)
 
 (* Per-shard admission/dispatch counters (the daemon's shards share one
    collector, so the scaling story — are sessions and sections actually
    spreading? — is visible in one snapshot). *)
 
-let shard_refs t shard =
-  match Hashtbl.find_opt t.shstats shard with
-  | Some s -> s
-  | None ->
-    let s = (ref 0, ref 0) in
-    Hashtbl.replace t.shstats shard s;
-    s
-
 let shard_session t ~shard =
-  if t.on then
-    locked t (fun () ->
-        let sessions, _ = shard_refs t shard in
-        incr sessions)
+  if t.on then Mutex.protect t.m (fun () -> incr (fst (stat_refs t.shstats shard)))
 
 let shard_section t ~shard =
-  if t.on then
-    locked t (fun () ->
-        let _, sections = shard_refs t shard in
-        incr sections)
+  if t.on then Mutex.protect t.m (fun () -> incr (snd (stat_refs t.shstats shard)))
 
-let engine_counts t ~entries ~ops ~checkers ~diags =
-  if t.on then
-    locked t (fun () ->
-        t.n_entries <- t.n_entries + entries;
-        t.n_ops <- t.n_ops + ops;
-        t.n_checkers <- t.n_checkers + checkers;
-        t.n_diags <- t.n_diags + diags)
-
-let empty_hist = { total = 0; sum_ns = 0; min_ns = 0; max_ns = 0; buckets = [] }
-
-let empty_serve =
-  {
-    sessions_opened = 0;
-    sessions_closed = 0;
-    sessions_hwm = 0;
-    frames_in = 0;
-    frames_out = 0;
-    frame_bytes_in = 0;
-    frame_bytes_out = 0;
-    frames_corrupt = 0;
-    sections_shed = 0;
-    inflight_hwm = 0;
-  }
-
-let empty_farm =
-  {
-    farm_workers = 0;
-    farm_workers_lost = 0;
-    farm_jobs = 0;
-    farm_jobs_done = 0;
-    farm_offers = 0;
-    farm_retries = 0;
-    farm_steals = 0;
-    farm_reassignments = 0;
-    farm_findings = 0;
-    farm_dup_findings = 0;
-    farm_nondet = 0;
-    farm_heartbeats = 0;
-    farm_checkpoints = 0;
-  }
-
-let empty_snapshot =
-  {
-    elapsed_ns = 0;
-    events_traced = 0;
-    sections_sent = 0;
-    sections_checked = 0;
-    sections_merged = 0;
-    sections_dropped = 0;
-    queue_hwm = 0;
-    reorder_hwm = 0;
-    entries_checked = 0;
-    ops_checked = 0;
-    checkers_run = 0;
-    diagnostics = 0;
-    batches = 0;
-    batch_sections_max = 0;
-    arenas_allocated = 0;
-    arenas_reused = 0;
-    repair_traces = 0;
-    repair_edits = 0;
-    repair_rounds = 0;
-    repair_ns = 0;
-    repair_verify_ns = 0;
-    serve = empty_serve;
-    farm = empty_farm;
-    workers = [];
-    shards = [];
-    check_hist = empty_hist;
-    e2e_hist = empty_hist;
-    serve_hist = empty_hist;
-    spans = [];
-  }
+(* --- Snapshots ----------------------------------------------------------------- *)
 
 let snapshot t =
-  if not t.on then empty_snapshot
+  let counter_names = List.rev !counter_names and hist_names = List.rev !hist_names in
+  if not t.on then
+    {
+      elapsed_ns = 0;
+      counters = List.map (fun n -> (n, 0)) counter_names;
+      hists = List.map (fun n -> (n, hist_of_acc (hist_acc ()))) hist_names;
+      workers = [];
+      shards = [];
+      spans = [];
+    }
   else
-    locked t (fun () ->
-        let workers =
-          List.sort compare
-            (Hashtbl.fold
-               (fun id (sections, busy) acc ->
-                 { id; sections = !sections; busy_ns = !busy } :: acc)
-               t.wstats [])
-        in
-        let shards =
-          List.sort compare
-            (Hashtbl.fold
-               (fun shard (sessions, sections) acc ->
-                 { shard; shard_sessions = !sessions; shard_sections = !sections } :: acc)
-               t.shstats [])
+    Mutex.protect t.m (fun () ->
+        let table tbl f =
+          List.sort compare (Hashtbl.fold (fun k (a, b) acc -> f k !a !b :: acc) tbl [])
         in
         {
           elapsed_ns = since t;
-          events_traced = Atomic.get t.events;
-          sections_sent = t.sent;
-          sections_checked = t.checked;
-          sections_merged = t.merged;
-          sections_dropped = t.dropped;
-          queue_hwm = t.queue_hwm;
-          reorder_hwm = t.reorder_hwm;
-          entries_checked = t.n_entries;
-          ops_checked = t.n_ops;
-          checkers_run = t.n_checkers;
-          diagnostics = t.n_diags;
-          batches = t.n_batches;
-          batch_sections_max = t.batch_max;
-          arenas_allocated = Atomic.get t.arena_allocs;
-          arenas_reused = Atomic.get t.arena_reuses;
-          repair_traces = t.r_traces;
-          repair_edits = t.r_edits;
-          repair_rounds = t.r_rounds;
-          repair_ns = t.r_ns;
-          repair_verify_ns = t.r_verify_ns;
-          serve =
-            {
-              sessions_opened = t.s_opened;
-              sessions_closed = t.s_closed;
-              sessions_hwm = t.s_hwm;
-              frames_in = t.f_in;
-              frames_out = t.f_out;
-              frame_bytes_in = t.fb_in;
-              frame_bytes_out = t.fb_out;
-              frames_corrupt = t.f_corrupt;
-              sections_shed = t.s_shed;
-              inflight_hwm = t.inflight_hwm;
-            };
-          farm =
-            {
-              farm_workers = t.fm_workers;
-              farm_workers_lost = t.fm_workers_lost;
-              farm_jobs = t.fm_jobs;
-              farm_jobs_done = t.fm_jobs_done;
-              farm_offers = t.fm_offers;
-              farm_retries = t.fm_retries;
-              farm_steals = t.fm_steals;
-              farm_reassignments = t.fm_reassignments;
-              farm_findings = t.fm_findings;
-              farm_dup_findings = t.fm_dup_findings;
-              farm_nondet = t.fm_nondet;
-              farm_heartbeats = t.fm_heartbeats;
-              farm_checkpoints = t.fm_checkpoints;
-            };
-          workers;
-          shards;
-          check_hist = hist_of_acc t.check_h;
-          e2e_hist = hist_of_acc t.e2e_h;
-          serve_hist = hist_of_acc t.serve_h;
+          counters = List.mapi (fun i n -> (n, Atomic.get t.counts.(i))) counter_names;
+          hists = List.mapi (fun i n -> (n, hist_of_acc t.hists.(i))) hist_names;
+          workers = table t.wstats (fun id sections busy_ns -> { id; sections; busy_ns });
+          shards =
+            table t.shstats (fun shard shard_sessions shard_sections ->
+                { shard; shard_sessions; shard_sections });
           spans = List.of_seq (Queue.to_seq t.spans);
         })
+
+let find s name = List.assoc_opt name s.counters
 
 (* --- Pretty console sink ---------------------------------------------------- *)
 
@@ -613,62 +300,31 @@ let pp_dur ppf ns =
 let dur_to_string ns = Format.asprintf "%a" pp_dur ns
 
 let pp_hist ppf (name, h) =
-  if h.total = 0 then Format.fprintf ppf "@,%s: no samples" name
-  else begin
-    Format.fprintf ppf "@,%s: %d sample(s), min %s, mean %s, max %s" name h.total
-      (dur_to_string h.min_ns)
-      (dur_to_string (h.sum_ns / h.total))
-      (dur_to_string h.max_ns);
-    let widest = List.fold_left (fun m (_, c) -> max m c) 1 h.buckets in
-    List.iter
-      (fun (i, count) ->
-        let lo = if i = 0 then 0 else 1 lsl i in
-        let hi = 1 lsl (i + 1) in
-        let bar = String.make (max 1 (count * 24 / widest)) '#' in
-        Format.fprintf ppf "@,  [%7s, %7s)  %-24s %d" (dur_to_string lo) (dur_to_string hi) bar
-          count)
-      h.buckets
-  end
+  Format.fprintf ppf "@,%s latency: %d sample(s), min %s, mean %s, max %s" name h.total
+    (dur_to_string h.min_ns)
+    (dur_to_string (h.sum_ns / h.total))
+    (dur_to_string h.max_ns);
+  let widest = List.fold_left (fun m (_, c) -> Stdlib.max m c) 1 h.buckets in
+  List.iter
+    (fun (i, count) ->
+      let lo = if i = 0 then 0 else 1 lsl i in
+      let hi = 1 lsl (i + 1) in
+      let bar = String.make (Stdlib.max 1 (count * 24 / widest)) '#' in
+      Format.fprintf ppf "@,  [%7s, %7s)  %-24s %d" (dur_to_string lo) (dur_to_string hi) bar
+        count)
+    h.buckets
 
+(* Counters named [*_ns] are durations and print as such. *)
 let pp ppf s =
   Format.fprintf ppf "@[<v>pipeline profile — %s elapsed" (dur_to_string s.elapsed_ns);
-  Format.fprintf ppf "@,events traced    %d" s.events_traced;
-  Format.fprintf ppf "@,sections         sent %d  checked %d  merged %d  dropped %d"
-    s.sections_sent s.sections_checked s.sections_merged s.sections_dropped;
-  Format.fprintf ppf "@,queue high-water %d   reorder-buffer high-water %d" s.queue_hwm
-    s.reorder_hwm;
-  Format.fprintf ppf "@,engine           entries %d  ops %d  checkers %d  diagnostics %d"
-    s.entries_checked s.ops_checked s.checkers_run s.diagnostics;
-  if s.batches > 0 || s.arenas_allocated > 0 then
-    Format.fprintf ppf "@,flat path        batches %d (max %d section(s))  arenas %d (%d reused)"
-      s.batches s.batch_sections_max s.arenas_allocated s.arenas_reused;
-  if s.repair_traces > 0 then
-    Format.fprintf ppf
-      "@,repair           traces %d  edits %d  rounds %d  analyse %s  verify %s" s.repair_traces
-      s.repair_edits s.repair_rounds (dur_to_string s.repair_ns)
-      (dur_to_string s.repair_verify_ns);
-  if s.serve.sessions_opened > 0 || s.serve.frames_in > 0 then begin
-    Format.fprintf ppf
-      "@,service          sessions %d opened, %d closed (peak %d concurrent)"
-      s.serve.sessions_opened s.serve.sessions_closed s.serve.sessions_hwm;
-    Format.fprintf ppf "@,                 frames in %d (%d B)  out %d (%d B)  corrupt %d"
-      s.serve.frames_in s.serve.frame_bytes_in s.serve.frames_out s.serve.frame_bytes_out
-      s.serve.frames_corrupt;
-    Format.fprintf ppf "@,                 sections shed %d   inflight high-water %d"
-      s.serve.sections_shed s.serve.inflight_hwm
-  end;
-  if s.farm.farm_jobs > 0 || s.farm.farm_workers > 0 then begin
-    Format.fprintf ppf "@,farm             jobs %d/%d done  offers %d (retries %d, steals %d)"
-      s.farm.farm_jobs_done s.farm.farm_jobs s.farm.farm_offers s.farm.farm_retries
-      s.farm.farm_steals;
-    Format.fprintf ppf "@,                 workers %d joined, %d lost  reassigned %d job(s)"
-      s.farm.farm_workers s.farm.farm_workers_lost s.farm.farm_reassignments;
-    Format.fprintf ppf
-      "@,                 findings %d (+%d duplicate)  nondeterminism flags %d"
-      s.farm.farm_findings s.farm.farm_dup_findings s.farm.farm_nondet;
-    Format.fprintf ppf "@,                 heartbeats %d  checkpoints %d" s.farm.farm_heartbeats
-      s.farm.farm_checkpoints
-  end;
+  let nonzero = List.filter (fun (_, v) -> v <> 0) s.counters in
+  List.iter
+    (fun (k, v) ->
+      if String.ends_with ~suffix:"_ns" k then Format.fprintf ppf "@,%-24s %s" k (dur_to_string v)
+      else Format.fprintf ppf "@,%-24s %d" k v)
+    nonzero;
+  let zeros = List.length s.counters - List.length nonzero in
+  if zeros > 0 then Format.fprintf ppf "@,(%d other counter(s) at zero)" zeros;
   if s.shards <> [] then begin
     Format.fprintf ppf "@,shards (admission + dispatch spread):";
     List.iter
@@ -689,9 +345,7 @@ let pp ppf s =
           w.sections (dur_to_string w.busy_ns) util)
       s.workers
   end;
-  pp_hist ppf ("check latency", s.check_hist);
-  pp_hist ppf ("end-to-end section latency", s.e2e_hist);
-  if s.serve_hist.total > 0 then pp_hist ppf ("per-session section latency", s.serve_hist);
+  List.iter (fun (_, h as nh) -> if h.total > 0 then pp_hist ppf nh) s.hists;
   if s.spans <> [] then
     Format.fprintf ppf "@,%d span(s) retained (full records in the TSV/JSON output)"
       (List.length s.spans);
@@ -699,53 +353,7 @@ let pp ppf s =
 
 (* --- TSV sink (round-trippable) --------------------------------------------- *)
 
-let counter_fields s =
-  [
-    ("elapsed_ns", s.elapsed_ns);
-    ("events_traced", s.events_traced);
-    ("sections_sent", s.sections_sent);
-    ("sections_checked", s.sections_checked);
-    ("sections_merged", s.sections_merged);
-    ("sections_dropped", s.sections_dropped);
-    ("queue_hwm", s.queue_hwm);
-    ("reorder_hwm", s.reorder_hwm);
-    ("entries_checked", s.entries_checked);
-    ("ops_checked", s.ops_checked);
-    ("checkers_run", s.checkers_run);
-    ("diagnostics", s.diagnostics);
-    ("batches", s.batches);
-    ("batch_sections_max", s.batch_sections_max);
-    ("arenas_allocated", s.arenas_allocated);
-    ("arenas_reused", s.arenas_reused);
-    ("repair_traces", s.repair_traces);
-    ("repair_edits", s.repair_edits);
-    ("repair_rounds", s.repair_rounds);
-    ("repair_ns", s.repair_ns);
-    ("repair_verify_ns", s.repair_verify_ns);
-    ("serve_sessions_opened", s.serve.sessions_opened);
-    ("serve_sessions_closed", s.serve.sessions_closed);
-    ("serve_sessions_hwm", s.serve.sessions_hwm);
-    ("serve_frames_in", s.serve.frames_in);
-    ("serve_frames_out", s.serve.frames_out);
-    ("serve_frame_bytes_in", s.serve.frame_bytes_in);
-    ("serve_frame_bytes_out", s.serve.frame_bytes_out);
-    ("serve_frames_corrupt", s.serve.frames_corrupt);
-    ("serve_sections_shed", s.serve.sections_shed);
-    ("serve_inflight_hwm", s.serve.inflight_hwm);
-    ("farm_workers", s.farm.farm_workers);
-    ("farm_workers_lost", s.farm.farm_workers_lost);
-    ("farm_jobs", s.farm.farm_jobs);
-    ("farm_jobs_done", s.farm.farm_jobs_done);
-    ("farm_offers", s.farm.farm_offers);
-    ("farm_retries", s.farm.farm_retries);
-    ("farm_steals", s.farm.farm_steals);
-    ("farm_reassignments", s.farm.farm_reassignments);
-    ("farm_findings", s.farm.farm_findings);
-    ("farm_dup_findings", s.farm.farm_dup_findings);
-    ("farm_nondet", s.farm.farm_nondet);
-    ("farm_heartbeats", s.farm.farm_heartbeats);
-    ("farm_checkpoints", s.farm.farm_checkpoints);
-  ]
+let counter_fields s = ("elapsed_ns", s.elapsed_ns) :: s.counters
 
 let to_tsv s =
   let b = Buffer.create 1024 in
@@ -759,7 +367,7 @@ let to_tsv s =
     (fun (name, h) ->
       line "hist\t%s\t%d\t%d\t%d\t%d" name h.total h.sum_ns h.min_ns h.max_ns;
       List.iter (fun (i, c) -> line "histbucket\t%s\t%d\t%d" name i c) h.buckets)
-    [ ("check", s.check_hist); ("e2e", s.e2e_hist); ("serve", s.serve_hist) ];
+    s.hists;
   List.iter
     (fun sp ->
       line "span\t%d\t%d\t%d\t%d\t%d\t%d\t%d" sp.seq sp.worker sp.entries sp.sent_ns sp.start_ns
@@ -767,67 +375,12 @@ let to_tsv s =
     s.spans;
   Buffer.contents b
 
+(* Lines accumulate newest-first and are reversed once at the end. *)
 let of_tsv text =
-  let snap = ref empty_snapshot in
+  let elapsed = ref None and counters = ref [] and hists = ref [] in
+  let workers = ref [] and shards = ref [] and spans = ref [] in
   let err = ref None in
   let fail fmt = Printf.ksprintf (fun m -> if !err = None then err := Some m) fmt in
-  let set_counter k v =
-    let s = !snap in
-    match k with
-    | "elapsed_ns" -> snap := { s with elapsed_ns = v }
-    | "events_traced" -> snap := { s with events_traced = v }
-    | "sections_sent" -> snap := { s with sections_sent = v }
-    | "sections_checked" -> snap := { s with sections_checked = v }
-    | "sections_merged" -> snap := { s with sections_merged = v }
-    | "sections_dropped" -> snap := { s with sections_dropped = v }
-    | "queue_hwm" -> snap := { s with queue_hwm = v }
-    | "reorder_hwm" -> snap := { s with reorder_hwm = v }
-    | "entries_checked" -> snap := { s with entries_checked = v }
-    | "ops_checked" -> snap := { s with ops_checked = v }
-    | "checkers_run" -> snap := { s with checkers_run = v }
-    | "diagnostics" -> snap := { s with diagnostics = v }
-    | "batches" -> snap := { s with batches = v }
-    | "batch_sections_max" -> snap := { s with batch_sections_max = v }
-    | "arenas_allocated" -> snap := { s with arenas_allocated = v }
-    | "arenas_reused" -> snap := { s with arenas_reused = v }
-    | "repair_traces" -> snap := { s with repair_traces = v }
-    | "repair_edits" -> snap := { s with repair_edits = v }
-    | "repair_rounds" -> snap := { s with repair_rounds = v }
-    | "repair_ns" -> snap := { s with repair_ns = v }
-    | "repair_verify_ns" -> snap := { s with repair_verify_ns = v }
-    | "serve_sessions_opened" -> snap := { s with serve = { s.serve with sessions_opened = v } }
-    | "serve_sessions_closed" -> snap := { s with serve = { s.serve with sessions_closed = v } }
-    | "serve_sessions_hwm" -> snap := { s with serve = { s.serve with sessions_hwm = v } }
-    | "serve_frames_in" -> snap := { s with serve = { s.serve with frames_in = v } }
-    | "serve_frames_out" -> snap := { s with serve = { s.serve with frames_out = v } }
-    | "serve_frame_bytes_in" -> snap := { s with serve = { s.serve with frame_bytes_in = v } }
-    | "serve_frame_bytes_out" -> snap := { s with serve = { s.serve with frame_bytes_out = v } }
-    | "serve_frames_corrupt" -> snap := { s with serve = { s.serve with frames_corrupt = v } }
-    | "serve_sections_shed" -> snap := { s with serve = { s.serve with sections_shed = v } }
-    | "serve_inflight_hwm" -> snap := { s with serve = { s.serve with inflight_hwm = v } }
-    | "farm_workers" -> snap := { s with farm = { s.farm with farm_workers = v } }
-    | "farm_workers_lost" -> snap := { s with farm = { s.farm with farm_workers_lost = v } }
-    | "farm_jobs" -> snap := { s with farm = { s.farm with farm_jobs = v } }
-    | "farm_jobs_done" -> snap := { s with farm = { s.farm with farm_jobs_done = v } }
-    | "farm_offers" -> snap := { s with farm = { s.farm with farm_offers = v } }
-    | "farm_retries" -> snap := { s with farm = { s.farm with farm_retries = v } }
-    | "farm_steals" -> snap := { s with farm = { s.farm with farm_steals = v } }
-    | "farm_reassignments" -> snap := { s with farm = { s.farm with farm_reassignments = v } }
-    | "farm_findings" -> snap := { s with farm = { s.farm with farm_findings = v } }
-    | "farm_dup_findings" -> snap := { s with farm = { s.farm with farm_dup_findings = v } }
-    | "farm_nondet" -> snap := { s with farm = { s.farm with farm_nondet = v } }
-    | "farm_heartbeats" -> snap := { s with farm = { s.farm with farm_heartbeats = v } }
-    | "farm_checkpoints" -> snap := { s with farm = { s.farm with farm_checkpoints = v } }
-    | other -> fail "unknown counter %S" other
-  in
-  let set_hist name f =
-    let s = !snap in
-    match name with
-    | "check" -> snap := { s with check_hist = f s.check_hist }
-    | "e2e" -> snap := { s with e2e_hist = f s.e2e_hist }
-    | "serve" -> snap := { s with serve_hist = f s.serve_hist }
-    | other -> fail "unknown histogram %S" other
-  in
   let ints l = List.map int_of_string l in
   List.iter
     (fun l ->
@@ -835,44 +388,50 @@ let of_tsv text =
         match String.split_on_char '\t' l with
         | [ "counter"; k; v ] -> (
           match int_of_string_opt v with
-          | Some v -> set_counter k v
-          | None -> fail "bad counter value in %S" l)
+          | None -> fail "bad counter value in %S" l
+          | Some _ when List.mem_assoc k !counters || (k = "elapsed_ns" && !elapsed <> None) ->
+            fail "repeated counter %S" k
+          | Some v when k = "elapsed_ns" -> elapsed := Some v
+          | Some v -> counters := (k, v) :: !counters)
         | "worker" :: rest -> (
           match ints rest with
-          | [ id; sections; busy_ns ] ->
-            let s = !snap in
-            snap := { s with workers = s.workers @ [ { id; sections; busy_ns } ] }
+          | [ id; sections; busy_ns ] -> workers := { id; sections; busy_ns } :: !workers
           | _ | (exception Failure _) -> fail "malformed worker line %S" l)
         | "shard" :: rest -> (
           match ints rest with
           | [ shard; shard_sessions; shard_sections ] ->
-            let s = !snap in
-            snap :=
-              { s with shards = s.shards @ [ { shard; shard_sessions; shard_sections } ] }
+            shards := { shard; shard_sessions; shard_sections } :: !shards
           | _ | (exception Failure _) -> fail "malformed shard line %S" l)
         | "hist" :: name :: rest -> (
           match ints rest with
+          | _ when List.mem_assoc name !hists -> fail "repeated histogram %S" name
           | [ total; sum_ns; min_ns; max_ns ] ->
-            set_hist name (fun _ -> { total; sum_ns; min_ns; max_ns; buckets = [] })
+            hists := (name, ref { total; sum_ns; min_ns; max_ns; buckets = [] }) :: !hists
           | _ | (exception Failure _) -> fail "malformed hist line %S" l)
         | "histbucket" :: name :: rest -> (
-          match ints rest with
-          | [ i; c ] -> set_hist name (fun h -> { h with buckets = h.buckets @ [ (i, c) ] })
+          match (ints rest, List.assoc_opt name !hists) with
+          | [ i; c ], Some h -> h := { !h with buckets = !h.buckets @ [ (i, c) ] }
+          | _, None -> fail "histbucket before its hist line: %S" l
           | _ | (exception Failure _) -> fail "malformed histbucket line %S" l)
         | "span" :: rest -> (
           match ints rest with
           | [ seq; worker; entries; sent_ns; start_ns; done_ns; merged_ns ] ->
-            let s = !snap in
-            snap :=
-              {
-                s with
-                spans =
-                  s.spans @ [ { seq; worker; entries; sent_ns; start_ns; done_ns; merged_ns } ];
-              }
+            spans := { seq; worker; entries; sent_ns; start_ns; done_ns; merged_ns } :: !spans
           | _ | (exception Failure _) -> fail "malformed span line %S" l)
         | _ -> fail "unrecognized line %S" l)
     (String.split_on_char '\n' text);
-  match !err with Some m -> Error m | None -> Ok !snap
+  match !err with
+  | Some m -> Error m
+  | None ->
+    Ok
+      {
+        elapsed_ns = Option.value !elapsed ~default:0;
+        counters = List.rev !counters;
+        hists = List.rev_map (fun (name, h) -> (name, !h)) !hists;
+        workers = List.rev !workers;
+        shards = List.rev !shards;
+        spans = List.rev !spans;
+      }
 
 (* --- JSON-lines sink --------------------------------------------------------- *)
 
@@ -922,7 +481,7 @@ let to_jsonl s =
                 (List.map (fun (bi, c) -> Printf.sprintf "[%d,%d]" bi c) h.buckets)
             ^ "]" );
         ])
-    [ ("check", s.check_hist); ("e2e", s.e2e_hist); ("serve", s.serve_hist) ];
+    s.hists;
   List.iter
     (fun sp ->
       obj

@@ -220,8 +220,17 @@ let count_edits edits =
 
 let default_max_rounds = 16
 
-let fixpoint ?obs ?(model = Model.X86) ?(rules = Rule.default) ?(max_rounds = default_max_rounds)
-    events =
+(* Traces run to a fixed point, the edits applied and analysis passes
+   run across them, the time spent analysing and applying, and the time
+   spent verifying plans. *)
+let traces_repaired = Obs.counter "repair_traces"
+let edits_total = Obs.counter "repair_edits"
+let rounds_total = Obs.counter "repair_rounds"
+let repair_ns = Obs.counter "repair_ns"
+let verify_ns = Obs.counter "repair_verify_ns"
+
+let fixpoint ?(obs = Obs.disabled) ?(model = Model.X86) ?(rules = Rule.default)
+    ?(max_rounds = default_max_rounds) events =
   let rec go round events edits =
     let r = Lint.run ~model ~rules events in
     let p = plan ~model events r in
@@ -251,10 +260,12 @@ let fixpoint ?obs ?(model = Model.X86) ?(rules = Rule.default) ?(max_rounds = de
       inserted_logs;
     }
   in
-  (match obs with
-  | Some obs ->
-    Obs.repair_trace obs ~edits:(edits_applied o) ~rounds:o.iterations ~ns:(Obs.now_ns () - t0)
-  | None -> ());
+  if Obs.enabled obs then begin
+    Obs.add obs traces_repaired 1;
+    Obs.add obs edits_total (edits_applied o);
+    Obs.add obs rounds_total o.iterations;
+    Obs.add obs repair_ns (Obs.now_ns () - t0)
+  end;
   o
 
 (* --- Static verification ------------------------------------------------------ *)
@@ -287,7 +298,9 @@ let report_key (r : Report.t) =
     r.Report.ops,
     r.Report.checkers )
 
-let verify_static ?(model = Model.X86) ?(rules = Rule.default) ~original (o : outcome) =
+let verify_static ?(obs = Obs.disabled) ?(model = Model.X86) ?(rules = Rule.default) ~original
+    (o : outcome) =
+  let t0 = Obs.now_ns () in
   let problems = ref [] in
   let fail fmt = Format.kasprintf (fun m -> problems := m :: !problems) fmt in
   if not o.converged then fail "repair did not converge within %d rounds" o.iterations;
@@ -332,6 +345,7 @@ let verify_static ?(model = Model.X86) ?(rules = Rule.default) ~original (o : ou
      disagreements. *)
   if report_key (Engine.check_packed ~model (Packed.of_events o.repaired)) <> report_key er then
     fail "packed and boxed engine reports differ on the repaired trace";
+  if Obs.enabled obs then Obs.add obs verify_ns (Obs.now_ns () - t0);
   List.rev !problems
 
 (* --- Diff rendering ----------------------------------------------------------- *)

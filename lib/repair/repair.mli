@@ -86,9 +86,16 @@ val fixpoint :
     default {!default_max_rounds}, is hit). With an enabled [obs] the
     repair counters are updated. *)
 
-val verify_static : ?model:Model.kind -> ?rules:Rule.set -> original:Event.t array -> outcome -> string list
+val verify_static :
+  ?obs:Obs.t ->
+  ?model:Model.kind ->
+  ?rules:Rule.set ->
+  original:Event.t array ->
+  outcome ->
+  string list
 (** The engine-side differential proof described above. Returns the
-    list of violated obligations — empty means the repair is proven. *)
+    list of violated obligations — empty means the repair is proven.
+    With an enabled [obs] the time spent is counted. *)
 
 val machine_lines : outcome -> string list
 (** One tab-separated line per applied edit:

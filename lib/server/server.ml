@@ -100,13 +100,37 @@ let sessions_per_shard t =
   Mutex.unlock t.m;
   a
 
+(* --- Daemon counters ------------------------------------------------------ *)
+
+let sessions_opened = Obs.counter "serve_sessions_opened"
+let sessions_closed = Obs.counter "serve_sessions_closed"
+let sessions_hwm = Obs.gauge "serve_sessions_hwm"
+let frames_in = Obs.counter "serve_frames_in"
+let frames_out = Obs.counter "serve_frames_out"
+let frame_bytes_in = Obs.counter "serve_frame_bytes_in"
+let frame_bytes_out = Obs.counter "serve_frame_bytes_out"
+
+(* Rejected frames (CRC / version / decode) and sections dropped by the
+   [Shed] policy. *)
+let frames_corrupt = Obs.counter "serve_frames_corrupt"
+let sections_shed = Obs.counter "serve_sections_shed"
+
+(* Accepted-but-unchecked sections, and their receipt-to-checked time. *)
+let inflight_hwm = Obs.gauge "serve_inflight_hwm"
+let section_latency = Obs.histogram "serve"
+
+let count_frame obs frames bytes payload =
+  if Obs.enabled obs then begin
+    Obs.add obs frames 1;
+    Obs.add obs bytes (Wire.header_len + String.length payload)
+  end
+
 (* --- Per-session protocol ------------------------------------------------ *)
 
 let send t fd kind payload =
   match Wire.write_frame fd kind payload with
   | Ok () ->
-    if Obs.enabled t.obs then
-      Obs.frame_sent t.obs ~bytes:(Wire.header_len + String.length payload);
+    count_frame t.obs frames_out frame_bytes_out payload;
     true
   | Error _ -> false
 
@@ -121,7 +145,7 @@ let dispatch t sess p =
   if t.cfg.policy = Wire.Shed && sess.inflight >= t.cfg.max_inflight then begin
     Mutex.unlock sess.sm;
     Packed.free ~pool:sess.shard.arena_pool p;
-    if Obs.enabled t.obs then Obs.section_shed t.obs
+    if Obs.enabled t.obs then Obs.add t.obs sections_shed 1
   end
   else begin
     while sess.inflight >= t.cfg.max_inflight do
@@ -131,7 +155,7 @@ let dispatch t sess p =
     let depth = sess.inflight in
     let prelude = sess.prelude in
     Mutex.unlock sess.sm;
-    if Obs.enabled t.obs then Obs.inflight_depth t.obs depth;
+    if Obs.enabled t.obs then Obs.max t.obs inflight_hwm depth;
     let t0 = Obs.now_ns () in
     Runtime.send_packed_cb ~model:sess.model ~prelude sess.shard.rt p (fun r ->
         (* Fires in dispatch order under the shard runtime's merge lock:
@@ -144,7 +168,7 @@ let dispatch t sess p =
         sess.inflight <- sess.inflight - 1;
         Condition.broadcast sess.sc;
         Mutex.unlock sess.sm;
-        if Obs.enabled t.obs then Obs.serve_section_ns t.obs (Obs.now_ns () - t0))
+        if Obs.enabled t.obs then Obs.record t.obs section_latency (Obs.now_ns () - t0))
   end
 
 (* Returns [false] to end the session. *)
@@ -153,7 +177,7 @@ let handle_frame t sess kind payload =
   | Wire.Prelude -> (
     match Packed.decode_wire ~obs:t.obs ~pool:sess.shard.arena_pool payload with
     | Error e ->
-      if Obs.enabled t.obs then Obs.frame_corrupt t.obs;
+      if Obs.enabled t.obs then Obs.add t.obs frames_corrupt 1;
       send_err t sess.fd ("bad prelude: " ^ Packed.decode_error_to_string e);
       false
     | Ok arena ->
@@ -169,7 +193,7 @@ let handle_frame t sess kind payload =
        error instead of an exception inside a checking worker. *)
     match Packed.decode_wire ~obs:t.obs ~pool:sess.shard.arena_pool payload with
     | Error e ->
-      if Obs.enabled t.obs then Obs.frame_corrupt t.obs;
+      if Obs.enabled t.obs then Obs.add t.obs frames_corrupt 1;
       send_err t sess.fd ("bad section: " ^ Packed.decode_error_to_string e);
       false
     | Ok p ->
@@ -203,8 +227,7 @@ let rec session_loop t sess =
         (fun cont (kind, payload) ->
           cont
           && begin
-               if Obs.enabled t.obs then
-                 Obs.frame_received t.obs ~bytes:(Wire.header_len + String.length payload);
+               count_frame t.obs frames_in frame_bytes_in payload;
                handle_frame t sess kind payload
              end)
         true frames
@@ -216,10 +239,10 @@ let rec session_loop t sess =
        keeps flowing through the pool and is simply never reported. *)
     ()
   | Error (Wire.Corrupt m) ->
-    if Obs.enabled t.obs then Obs.frame_corrupt t.obs;
+    if Obs.enabled t.obs then Obs.add t.obs frames_corrupt 1;
     send_err t sess.fd ("corrupt frame: " ^ m)
   | Error (Wire.Version_mismatch v) ->
-    if Obs.enabled t.obs then Obs.frame_corrupt t.obs;
+    if Obs.enabled t.obs then Obs.add t.obs frames_corrupt 1;
     send_err t sess.fd (Printf.sprintf "unsupported protocol version %d" v)
 
 (* Handshake, admission, the frame loop, then teardown.  Runs as a
@@ -242,7 +265,7 @@ let serve_conn t sh cid fd =
       if !admitted then t.nlive <- t.nlive - 1;
       Condition.broadcast t.drained;
       Mutex.unlock t.m;
-      if !admitted && Obs.enabled t.obs then Obs.session_closed t.obs
+      if !admitted && Obs.enabled t.obs then Obs.add t.obs sessions_closed 1
     end
   in
   match
@@ -251,8 +274,7 @@ let serve_conn t sh cid fd =
     let reader = Wire.reader fd in
     match Wire.read_one reader with
     | Ok (Wire.Hello, payload) -> (
-      if Obs.enabled t.obs then
-        Obs.frame_received t.obs ~bytes:(Wire.header_len + String.length payload);
+      count_frame t.obs frames_in frame_bytes_in payload;
       match Wire.decode_hello payload with
       | Error e ->
         send_err t fd (Wire.error_to_string e);
@@ -265,6 +287,7 @@ let serve_conn t sh cid fd =
             Error (Printf.sprintf "session limit reached (%d active)" t.nlive)
           else begin
             t.nlive <- t.nlive + 1;
+            if Obs.enabled t.obs then Obs.max t.obs sessions_hwm t.nlive;
             admitted := true;
             Ok cid
           end
@@ -276,7 +299,7 @@ let serve_conn t sh cid fd =
           cleanup ()
         | Ok sid ->
           if Obs.enabled t.obs then begin
-            Obs.session_opened t.obs;
+            Obs.add t.obs sessions_opened 1;
             Obs.shard_session t.obs ~shard:sh.idx
           end;
           let sess =
@@ -303,7 +326,7 @@ let serve_conn t sh cid fd =
       send_err t fd (Printf.sprintf "expected hello, got %s" (Wire.kind_name kind));
       cleanup ()
     | Error (Wire.Version_mismatch v) ->
-      if Obs.enabled t.obs then Obs.frame_corrupt t.obs;
+      if Obs.enabled t.obs then Obs.add t.obs frames_corrupt 1;
       send_err t fd (Printf.sprintf "unsupported protocol version %d" v);
       cleanup ()
     | Error _ -> cleanup ()

@@ -461,6 +461,10 @@ type pool = { mutable items : t list; mutable plen : int; pcap : int; pm : Mutex
 let create_pool ?(cap = 64) () = { items = []; plen = 0; pcap = max 0 cap; pm = Mutex.create () }
 let default_pool = create_pool ()
 
+(* Arenas handed out, and how many of them came off a freelist. *)
+let arenas_allocated = Obs.counter "arenas_allocated"
+let arenas_reused = Obs.counter "arenas_reused"
+
 let alloc ?(obs = Obs.disabled) ?(pool = default_pool) () =
   Mutex.lock pool.pm;
   let a =
@@ -474,10 +478,13 @@ let alloc ?(obs = Obs.disabled) ?(pool = default_pool) () =
   Mutex.unlock pool.pm;
   match a with
   | Some p ->
-    if Obs.enabled obs then Obs.arena_alloc obs ~reused:true;
+    if Obs.enabled obs then begin
+      Obs.add obs arenas_allocated 1;
+      Obs.add obs arenas_reused 1
+    end;
     p
   | None ->
-    if Obs.enabled obs then Obs.arena_alloc obs ~reused:false;
+    if Obs.enabled obs then Obs.add obs arenas_allocated 1;
     create ()
 
 let free ?(pool = default_pool) t =

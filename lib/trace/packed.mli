@@ -146,7 +146,8 @@ val decode_wire : ?obs:Pmtest_obs.Obs.t -> ?pool:pool -> string -> (t, decode_er
     allocating.  [alloc]/[free] default to a process-wide shared pool;
     the daemon gives each shard its own so arenas cycle decode → check →
     free entirely within one shard, with no cross-shard mutex.  [obs]
-    (default disabled) records pool hit/miss via [Obs.arena_alloc]. *)
+    (default disabled) counts arenas handed out ([arenas_allocated]) and
+    freelist hits ([arenas_reused]). *)
 
 val create_pool : ?cap:int -> unit -> pool
 (** A fresh freelist holding at most [cap] (default 64) retired arenas. *)

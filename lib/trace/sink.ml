@@ -11,7 +11,7 @@ let observed obs t =
   (* Disabled observability must not cost an extra closure on the
      per-event hot path: hand the caller back the unwrapped sink. *)
   if not (Pmtest_obs.Obs.enabled obs) then t
-  else { emit = (fun k loc -> Pmtest_obs.Obs.event_traced obs; t.emit k loc) }
+  else { emit = (fun k loc -> Pmtest_obs.Obs.(add obs events_traced 1); t.emit k loc) }
 
 let counting () =
   let n = ref 0 in

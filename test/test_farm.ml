@@ -8,6 +8,7 @@ module Farm = Pmtest_farm.Farm
 module Wire = Pmtest_wire.Wire
 module Model = Pmtest_model.Model
 module Crashfs = Pmtest_crashfs.Crashfs
+module Obs = Pmtest_obs.Obs
 
 let next_id =
   let n = ref 0 in
@@ -183,7 +184,8 @@ let test_checkpoint_round_trip () =
 let test_two_worker_campaign_matches_direct () =
   with_dir (fun dir ->
       let socket = next_socket () in
-      let cfg = Farm.Coordinator.default_cfg ~spec:crash_spec ~socket ~dir in
+      let obs = Obs.create () in
+      let cfg = { (Farm.Coordinator.default_cfg ~spec:crash_spec ~socket ~dir) with obs } in
       let coord = start_coordinator cfg in
       let w1 = start_worker ~socket "w-a" in
       let w2 = start_worker ~socket "w-b" in
@@ -192,6 +194,14 @@ let test_two_worker_campaign_matches_direct () =
       Thread.join w2;
       Alcotest.(check int) "all jobs done" s.Farm.Coordinator.jobs
         s.Farm.Coordinator.jobs_done;
+      let count name = Option.get (Obs.find (Obs.snapshot obs) name) in
+      Alcotest.(check int) "farm_jobs counts the campaign" s.Farm.Coordinator.jobs
+        (count "farm_jobs");
+      Alcotest.(check int) "farm_jobs_done = farm_jobs" (count "farm_jobs")
+        (count "farm_jobs_done");
+      Alcotest.(check bool) "farm_offers >= farm_jobs" true
+        (count "farm_offers" >= count "farm_jobs");
+      Alcotest.(check bool) "farm_workers >= 1" true (count "farm_workers" >= 1);
       Alcotest.(check int) "both workers served" 2 s.Farm.Coordinator.workers_seen;
       Alcotest.(check (list (pair int string)))
         "distributed digests equal a direct run" (direct_digests crash_spec)

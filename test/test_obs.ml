@@ -70,24 +70,10 @@ let check_hist_invariants name (h : Obs.hist) ~expected_total =
       (h.Obs.sum_ns >= h.Obs.total * h.Obs.min_ns && h.Obs.sum_ns <= h.Obs.total * h.Obs.max_ns)
   end
 
-let counters (s : Obs.snapshot) =
-  [
-    s.Obs.events_traced;
-    s.Obs.sections_sent;
-    s.Obs.sections_checked;
-    s.Obs.sections_merged;
-    s.Obs.sections_dropped;
-    s.Obs.queue_hwm;
-    s.Obs.reorder_hwm;
-    s.Obs.entries_checked;
-    s.Obs.ops_checked;
-    s.Obs.checkers_run;
-    s.Obs.diagnostics;
-    s.Obs.batches;
-    s.Obs.batch_sections_max;
-    s.Obs.arenas_allocated;
-    s.Obs.arenas_reused;
-  ]
+let counters (s : Obs.snapshot) = List.map snd s.Obs.counters
+
+let count s name =
+  match Obs.find s name with Some v -> v | None -> Alcotest.failf "no counter %S" name
 
 let test_snapshot_invariants () =
   let obs = Obs.create () in
@@ -109,15 +95,17 @@ let test_snapshot_invariants () =
   ignore (Runtime.shutdown rt);
   let s = Obs.snapshot obs in
   let n = List.length sections in
-  Alcotest.(check int) "all sections sent" n s.Obs.sections_sent;
-  Alcotest.(check int) "all sections checked" n s.Obs.sections_checked;
-  Alcotest.(check int) "all sections merged" n s.Obs.sections_merged;
+  Alcotest.(check int) "all sections sent" n (count s "sections_sent");
+  Alcotest.(check int) "all sections checked" n (count s "sections_checked");
+  Alcotest.(check int) "all sections merged" n (count s "sections_merged");
   Alcotest.(check int)
     "per-worker sections sum to sections_checked"
-    s.Obs.sections_checked
+    (count s "sections_checked")
     (List.fold_left (fun acc (w : Obs.worker_stat) -> acc + w.Obs.sections) 0 s.Obs.workers);
-  check_hist_invariants "check_hist" s.Obs.check_hist ~expected_total:s.Obs.sections_checked;
-  check_hist_invariants "e2e_hist" s.Obs.e2e_hist ~expected_total:s.Obs.sections_merged;
+  check_hist_invariants "check_hist" (List.assoc "check" s.Obs.hists)
+    ~expected_total:(count s "sections_checked");
+  check_hist_invariants "e2e_hist" (List.assoc "e2e" s.Obs.hists)
+    ~expected_total:(count s "sections_merged");
   Alcotest.(check bool) "spans bounded" true (List.length s.Obs.spans <= 1024);
   List.iter
     (fun (sp : Obs.span) ->
@@ -140,57 +128,61 @@ let test_disabled_snapshot_is_empty () =
 (* --- Golden sink output ------------------------------------------------------- *)
 
 let synthetic : Obs.snapshot =
+  let hist total sum_ns min_ns max_ns buckets = { Obs.total; sum_ns; min_ns; max_ns; buckets } in
   {
     Obs.elapsed_ns = 5000;
-    events_traced = 42;
-    sections_sent = 3;
-    sections_checked = 3;
-    sections_merged = 3;
-    sections_dropped = 1;
-    queue_hwm = 2;
-    reorder_hwm = 1;
-    entries_checked = 40;
-    ops_checked = 30;
-    checkers_run = 5;
-    diagnostics = 2;
-    batches = 4;
-    batch_sections_max = 2;
-    arenas_allocated = 3;
-    arenas_reused = 1;
-    repair_traces = 2;
-    repair_edits = 5;
-    repair_rounds = 4;
-    repair_ns = 800;
-    repair_verify_ns = 650;
-    serve =
-      {
-        Obs.sessions_opened = 2;
-        sessions_closed = 2;
-        sessions_hwm = 2;
-        frames_in = 6;
-        frames_out = 4;
-        frame_bytes_in = 900;
-        frame_bytes_out = 120;
-        frames_corrupt = 1;
-        sections_shed = 0;
-        inflight_hwm = 3;
-      };
-    farm =
-      {
-        Obs.farm_workers = 2;
-        farm_workers_lost = 1;
-        farm_jobs = 8;
-        farm_jobs_done = 8;
-        farm_offers = 9;
-        farm_retries = 1;
-        farm_steals = 1;
-        farm_reassignments = 1;
-        farm_findings = 3;
-        farm_dup_findings = 1;
-        farm_nondet = 0;
-        farm_heartbeats = 12;
-        farm_checkpoints = 8;
-      };
+    counters =
+      [
+        ("events_traced", 42);
+        ("sections_sent", 3);
+        ("sections_checked", 3);
+        ("sections_merged", 3);
+        ("sections_dropped", 1);
+        ("queue_hwm", 2);
+        ("reorder_hwm", 1);
+        ("entries_checked", 40);
+        ("ops_checked", 30);
+        ("checkers_run", 5);
+        ("diagnostics", 2);
+        ("batches", 4);
+        ("batch_sections_max", 2);
+        ("arenas_allocated", 3);
+        ("arenas_reused", 1);
+        ("repair_traces", 2);
+        ("repair_edits", 5);
+        ("repair_rounds", 4);
+        ("repair_ns", 800);
+        ("repair_verify_ns", 650);
+        ("serve_sessions_opened", 2);
+        ("serve_sessions_closed", 2);
+        ("serve_sessions_hwm", 2);
+        ("serve_frames_in", 6);
+        ("serve_frames_out", 4);
+        ("serve_frame_bytes_in", 900);
+        ("serve_frame_bytes_out", 120);
+        ("serve_frames_corrupt", 1);
+        ("serve_sections_shed", 0);
+        ("serve_inflight_hwm", 3);
+        ("farm_workers", 2);
+        ("farm_workers_lost", 1);
+        ("farm_jobs", 8);
+        ("farm_jobs_done", 8);
+        ("farm_offers", 9);
+        ("farm_retries", 1);
+        ("farm_steals", 1);
+        ("farm_reassignments", 1);
+        ("farm_findings", 3);
+        ("farm_dup_findings", 1);
+        ("farm_nondet", 0);
+        ("farm_heartbeats", 12);
+        ("farm_checkpoints", 8);
+      ];
+    hists =
+      [
+        ("check", hist 3 1000 100 600 [ (6, 1); (8, 2) ]);
+        ("e2e", hist 3 2100 400 1000 [ (8, 1); (9, 2) ]);
+        ("serve", hist 2 900 300 600 [ (8, 1); (9, 1) ]);
+      ];
     workers =
       [
         { Obs.id = 0; sections = 2; busy_ns = 700 }; { Obs.id = 1; sections = 1; busy_ns = 300 };
@@ -200,12 +192,6 @@ let synthetic : Obs.snapshot =
         { Obs.shard = 0; shard_sessions = 1; shard_sections = 2 };
         { Obs.shard = 1; shard_sessions = 1; shard_sections = 1 };
       ];
-    check_hist =
-      { Obs.total = 3; sum_ns = 1000; min_ns = 100; max_ns = 600; buckets = [ (6, 1); (8, 2) ] };
-    e2e_hist =
-      { Obs.total = 3; sum_ns = 2100; min_ns = 400; max_ns = 1000; buckets = [ (8, 1); (9, 2) ] };
-    serve_hist =
-      { Obs.total = 2; sum_ns = 900; min_ns = 300; max_ns = 600; buckets = [ (8, 1); (9, 1) ] };
     spans =
       [
         {
@@ -327,6 +313,49 @@ let test_tsv_round_trip_real () =
   | Error e -> Alcotest.failf "of_tsv: %s" e
   | Ok s -> Alcotest.(check bool) "equal" true (s = snap)
 
+let test_of_tsv_rejects_malformed () =
+  List.iter
+    (fun (what, text) ->
+      match Obs.of_tsv text with
+      | Ok _ -> Alcotest.failf "of_tsv accepted %s" what
+      | Error _ -> ())
+    [
+      ("a line with a missing field", "counter\tevents_traced\n");
+      ("a non-integer value", "counter\tevents_traced\tmany\n");
+      ("a repeated counter name", "counter\tevents_traced\t1\ncounter\tevents_traced\t2\n");
+    ]
+
+(* --- Registry ------------------------------------------------------------------ *)
+
+(* The registry, read back through a fresh collector, is exactly the
+   counter set the golden TSV spells out. Referencing the daemon, farm
+   and repair modules links their declarations into this test. *)
+let test_fresh_collector_lists_declared () =
+  ignore
+    ( Pmtest_server.Server.default_config,
+      Pmtest_farm.Farm.Coordinator.default_cfg,
+      Pmtest_repair.Repair.default_max_rounds );
+  let s = Obs.snapshot (Obs.create ()) in
+  let golden_names =
+    List.filter_map
+      (fun l ->
+        match String.split_on_char '\t' l with
+        | [ "counter"; k; _ ] when k <> "elapsed_ns" -> Some k
+        | _ -> None)
+      (String.split_on_char '\n' golden_tsv)
+  in
+  Alcotest.(check (list string))
+    "declared counters"
+    (List.sort compare golden_names)
+    (List.sort compare (List.map fst s.Obs.counters));
+  List.iter (fun (k, v) -> Alcotest.(check int) (k ^ " starts at 0") 0 v) s.Obs.counters;
+  Alcotest.(check (list string))
+    "declared histograms" [ "check"; "e2e"; "serve" ]
+    (List.sort compare (List.map fst s.Obs.hists));
+  match Obs.of_tsv (Obs.to_tsv s) with
+  | Error e -> Alcotest.failf "of_tsv: %s" e
+  | Ok s' -> Alcotest.(check bool) "round-trips" true (s' = s)
+
 (* --- `stat --machine` output parses back -------------------------------------- *)
 
 let test_stat_machine_parses () =
@@ -357,9 +386,9 @@ let test_stat_machine_parses () =
         match Obs.of_tsv text with
         | Error e -> Alcotest.failf "stat --machine output does not parse: %s" e
         | Ok s ->
-          Alcotest.(check int) "one section" 1 s.Obs.sections_sent;
-          Alcotest.(check int) "five events traced" 5 s.Obs.events_traced;
-          Alcotest.(check int) "five entries checked" 5 s.Obs.entries_checked)
+          Alcotest.(check int) "one section" 1 (count s "sections_sent");
+          Alcotest.(check int) "five events traced" 5 (count s "events_traced");
+          Alcotest.(check int) "five entries checked" 5 (count s "entries_checked"))
 
 let () =
   Alcotest.run "obs"
@@ -377,5 +406,11 @@ let () =
           Alcotest.test_case "TSV round-trips (synthetic)" `Quick test_tsv_round_trip_synthetic;
           Alcotest.test_case "TSV round-trips (real run)" `Quick test_tsv_round_trip_real;
           Alcotest.test_case "stat --machine parses back" `Quick test_stat_machine_parses;
+          Alcotest.test_case "of_tsv rejects malformed input" `Quick test_of_tsv_rejects_malformed;
+        ] );
+      ( "registry",
+        [
+          Alcotest.test_case "fresh collector lists every declared counter" `Quick
+            test_fresh_collector_lists_declared;
         ] );
     ]

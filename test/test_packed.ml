@@ -194,8 +194,9 @@ let test_freelist_recycles () =
   Alcotest.(check bool) "recycled arena is empty" true (Packed.is_empty b);
   Packed.free b;
   let snap = Obs.snapshot obs in
-  Alcotest.(check int) "two allocs accounted" 2 snap.Obs.arenas_allocated;
-  Alcotest.(check bool) "at least one reuse" true (snap.Obs.arenas_reused >= 1)
+  Alcotest.(check (option int)) "two allocs accounted" (Some 2)
+    (Obs.find snap "arenas_allocated");
+  Alcotest.(check bool) "at least one reuse" true (Obs.find snap "arenas_reused" >= Some 1)
 
 (* --- Wire codec and typed decode errors ------------------------------------ *)
 
