@@ -1539,7 +1539,9 @@ let farm_serve_term ~resume =
       value
         (opt float 5.0
            (info [ "heartbeat-timeout" ] ~docv:"SECONDS"
-              ~doc:"Reassign a worker's jobs after this long without a frame from it.")))
+              ~doc:
+                "Reassign a worker's jobs after this long without a frame from it. Also the \
+                 deadline for a new connection's hello and for each write to a worker.")))
   in
   let steal_after =
     Arg.(

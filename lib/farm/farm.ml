@@ -13,165 +13,7 @@ module Suite = Pmtest_litmus.Suite
    not fire because the wall clock stepped. *)
 let now () = Int64.to_float (Monotonic_clock.now ()) /. 1e9
 
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    let parent = Filename.dirname dir in
-    if parent <> dir then mkdir_p parent;
-    Sys.mkdir dir 0o755
-  end
-
-(* Same discipline as [Serial.save_file]: a SIGKILL mid-write leaves a
-   stray [.tmp], never a torn file a resume would trip over. *)
-let write_atomic path text =
-  mkdir_p (Filename.dirname path);
-  let tmp =
-    Filename.temp_file ~temp_dir:(Filename.dirname path) (Filename.basename path ^ ".") ".tmp"
-  in
-  match
-    let oc = open_out tmp in
-    Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc text)
-  with
-  | () -> Sys.rename tmp path
-  | exception e ->
-    (try Sys.remove tmp with Sys_error _ -> ());
-    raise e
-
-(* --- Campaign specs --------------------------------------------------------- *)
-
-module Spec = struct
-  type kind = Fuzz | Crashfs | Litmus
-
-  type t = {
-    kind : kind;
-    model : Model.kind;
-    fs : Crashfs.fs_kind;
-    fault : string option;
-    seed : int;
-    count : int;
-    chunk : int;
-    max_ops : int option;
-  }
-
-  let kind_name = function Fuzz -> "fuzz" | Crashfs -> "crashfs" | Litmus -> "litmus"
-
-  let kind_of_name = function
-    | "fuzz" -> Some Fuzz
-    | "crashfs" -> Some Crashfs
-    | "litmus" -> Some Litmus
-    | _ -> None
-
-  let fuzz ?max_ops ~model ~seed ~count ~chunk () =
-    { kind = Fuzz; model; fs = Crashfs.Pmfs; fault = None; seed; count; chunk; max_ops }
-
-  let crashfs ?max_ops ?fault ~fs ~model ~seed ~count ~chunk () =
-    { kind = Crashfs; model; fs; fault; seed; count; chunk; max_ops }
-
-  let litmus ~chunk () =
-    {
-      kind = Litmus;
-      model = Model.X86;
-      fs = Crashfs.Pmfs;
-      fault = None;
-      seed = 0;
-      count = List.length Suite.all;
-      chunk;
-      max_ops = None;
-    }
-
-  let to_string t =
-    let b = Buffer.create 64 in
-    Buffer.add_string b (kind_name t.kind);
-    Printf.bprintf b " model=%s fs=%s seed=%d count=%d chunk=%d" (Model.kind_name t.model)
-      (Crashfs.fs_kind_name t.fs) t.seed t.count t.chunk;
-    Option.iter (fun f -> Printf.bprintf b " fault=%s" f) t.fault;
-    Option.iter (fun m -> Printf.bprintf b " max_ops=%d" m) t.max_ops;
-    Buffer.contents b
-
-  (* Everything [run_units] would choke on, caught before any job is
-     offered: seeds travel as unsigned varints (a negative one would
-     blow up mid-[encode_job_offer], under the coordinator lock), and an
-     unknown fault name would make every attempt of every job fail
-     worker-side. *)
-  let validate t =
-    if t.seed < 0 then Error "negative seed (job ranges travel as unsigned varints)"
-    else if t.count < 0 then Error "negative count"
-    else if t.chunk < 1 then Error "chunk < 1"
-    else
-      match (t.kind, t.fault) with
-      | _, None -> Ok ()
-      | Crashfs, Some f ->
-        Result.map (fun _ -> ()) (Crashfs.with_fault (Crashfs.default_config t.fs) f)
-      | (Fuzz | Litmus), Some _ ->
-        Error (Printf.sprintf "fault only applies to crashfs campaigns, not %s" (kind_name t.kind))
-
-  let of_string s =
-    match String.split_on_char ' ' (String.trim s) with
-    | [] | [ "" ] -> Error "empty campaign spec"
-    | kind_s :: rest -> (
-      match kind_of_name kind_s with
-      | None -> Error (Printf.sprintf "unknown campaign kind %S" kind_s)
-      | Some kind ->
-        let spec =
-          ref
-            {
-              kind;
-              model = Model.X86;
-              fs = Crashfs.Pmfs;
-              fault = None;
-              seed = 0;
-              count = -1;
-              chunk = -1;
-              max_ops = None;
-            }
-        in
-        let err = ref None in
-        let fail fmt = Printf.ksprintf (fun m -> if !err = None then err := Some m) fmt in
-        List.iter
-          (fun tok ->
-            if tok <> "" && !err = None then
-              match String.index_opt tok '=' with
-              | None -> fail "malformed spec token %S" tok
-              | Some i -> (
-                let key = String.sub tok 0 i in
-                let value = String.sub tok (i + 1) (String.length tok - i - 1) in
-                let int_val f =
-                  match int_of_string_opt value with
-                  | Some n -> f n
-                  | None -> fail "bad integer %S for %s" value key
-                in
-                match key with
-                | "model" -> (
-                  match Model.kind_of_string value with
-                  | Some m -> spec := { !spec with model = m }
-                  | None -> fail "unknown model %S" value)
-                | "fs" -> (
-                  match Crashfs.fs_kind_of_string value with
-                  | Some f -> spec := { !spec with fs = f }
-                  | None -> fail "unknown fs %S" value)
-                | "fault" -> spec := { !spec with fault = Some value }
-                | "seed" -> int_val (fun n -> spec := { !spec with seed = n })
-                | "count" -> int_val (fun n -> spec := { !spec with count = n })
-                | "chunk" -> int_val (fun n -> spec := { !spec with chunk = n })
-                | "max_ops" -> int_val (fun n -> spec := { !spec with max_ops = Some n })
-                | _ -> fail "unknown spec key %S" key))
-          rest;
-        (match !err with
-        | Some e -> Error e
-        | None ->
-          if !spec.count < 0 then Error "spec is missing count"
-          else if !spec.chunk < 1 then Error "spec is missing chunk (or chunk < 1)"
-          else Result.map (fun () -> !spec) (validate !spec)))
-
-  let jobs t =
-    let stop = t.seed + t.count in
-    let rec go id lo acc =
-      if lo >= stop then List.rev acc
-      else
-        let hi = min stop (lo + t.chunk) in
-        go (id + 1) hi ((id, lo, hi) :: acc)
-    in
-    go 0 t.seed []
-end
+module Spec = Spec
 
 (* --- Job execution ---------------------------------------------------------- *)
 
@@ -271,143 +113,12 @@ let run_units (spec : Spec.t) ~lo ~hi =
         in
         Ok { digest = Litmus.outcomes_digest outcomes; units = hi - lo; findings }
 
-(* --- Checkpoints ------------------------------------------------------------ *)
 
-module Checkpoint = struct
-  type done_job = { job : int; attempt : int; units : int; digest : string }
-
-  type t = {
-    spec : Spec.t;
-    jobs : int;
-    done_jobs : done_job list;
-    findings : (string * string) list;
-    nondet : int list;
-  }
-
-  let magic = "pmfarm-checkpoint v1"
-
-  let to_text t =
-    let b = Buffer.create 256 in
-    Printf.bprintf b "%s\n" magic;
-    Printf.bprintf b "spec %s\n" (Spec.to_string t.spec);
-    Printf.bprintf b "jobs %d\n" t.jobs;
-    List.iter
-      (fun d -> Printf.bprintf b "done %d %d %d %s\n" d.job d.attempt d.units d.digest)
-      t.done_jobs;
-    List.iter (fun (dg, name) -> Printf.bprintf b "finding %s %s\n" dg name) t.findings;
-    List.iter (fun j -> Printf.bprintf b "nondet %d\n" j) t.nondet;
-    Buffer.contents b
-
-  let save ~path t = write_atomic path (to_text t)
-
-  let load path =
-    match
-      let ic = open_in path in
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () ->
-          let lines = ref [] in
-          (try
-             while true do
-               lines := input_line ic :: !lines
-             done
-           with End_of_file -> ());
-          List.rev !lines)
-    with
-    | exception Sys_error e -> Error e
-    | [] -> Error (path ^ ": empty checkpoint")
-    | first :: rest when String.trim first = magic ->
-      let spec = ref None in
-      let jobs = ref (-1) in
-      let done_jobs = ref [] in
-      let findings = ref [] in
-      let nondet = ref [] in
-      let err = ref None in
-      let fail fmt = Printf.ksprintf (fun m -> if !err = None then err := Some m) fmt in
-      List.iter
-        (fun line ->
-          if String.trim line <> "" && !err = None then
-            match String.index_opt line ' ' with
-            | None -> fail "malformed checkpoint line %S" line
-            | Some i -> (
-              let key = String.sub line 0 i in
-              let rest = String.sub line (i + 1) (String.length line - i - 1) in
-              match key with
-              | "spec" -> (
-                match Spec.of_string rest with
-                | Ok s -> spec := Some s
-                | Error e -> fail "bad spec: %s" e)
-              | "jobs" -> (
-                match int_of_string_opt rest with
-                | Some n when n >= 0 -> jobs := n
-                | _ -> fail "bad jobs count %S" rest)
-              | "done" -> (
-                match String.split_on_char ' ' rest with
-                | [ j; a; u; d ] -> (
-                  match (int_of_string_opt j, int_of_string_opt a, int_of_string_opt u) with
-                  | Some job, Some attempt, Some units ->
-                    done_jobs := { job; attempt; units; digest = d } :: !done_jobs
-                  | _ -> fail "bad done line %S" rest)
-                | _ -> fail "bad done line %S" rest)
-              | "finding" -> (
-                match String.index_opt rest ' ' with
-                | Some i ->
-                  findings :=
-                    (String.sub rest 0 i, String.sub rest (i + 1) (String.length rest - i - 1))
-                    :: !findings
-                | None -> fail "bad finding line %S" rest)
-              | "nondet" -> (
-                match int_of_string_opt rest with
-                | Some j -> nondet := j :: !nondet
-                | None -> fail "bad nondet line %S" rest)
-              | _ -> fail "unknown checkpoint key %S" key))
-        rest;
-      (match (!err, !spec) with
-      | Some e, _ -> Error (path ^ ": " ^ e)
-      | None, None -> Error (path ^ ": missing spec line")
-      | None, Some spec ->
-        if !jobs < 0 then Error (path ^ ": missing jobs line")
-        else
-          Ok
-            {
-              spec;
-              jobs = !jobs;
-              done_jobs = List.rev !done_jobs;
-              findings = List.sort compare !findings;
-              nondet = List.sort compare !nondet;
-            })
-    | first :: _ -> Error (Printf.sprintf "%s: not a pmfarm checkpoint (%S)" path first)
-
-  let pp ppf t =
-    Format.fprintf ppf "@[<v>campaign: %s@,jobs: %d/%d done@,findings: %d@,nondet: %s@]"
-      (Spec.to_string t.spec) (List.length t.done_jobs) t.jobs (List.length t.findings)
-      (if t.nondet = [] then "none"
-       else String.concat "," (List.map string_of_int t.nondet))
-end
+module Checkpoint = Checkpoint
 
 (* --- Coordinator ------------------------------------------------------------ *)
 
 module Coordinator = struct
-  (* Campaign job accounting, worker lifecycle, offers (with their
-     retry/steal provenance), reassignment after worker loss, finding
-     dedup, nondeterminism flags, heartbeat frames and on-disk
-     checkpoint writes. *)
-  module Count = struct
-    let workers_joined = Obs.counter "farm_workers"
-    let workers_lost = Obs.counter "farm_workers_lost"
-    let jobs_total = Obs.counter "farm_jobs"
-    let jobs_done = Obs.counter "farm_jobs_done"
-    let offers = Obs.counter "farm_offers"
-    let retries = Obs.counter "farm_retries"
-    let steals = Obs.counter "farm_steals"
-    let reassignments = Obs.counter "farm_reassignments"
-    let findings = Obs.counter "farm_findings"
-    let dup_findings = Obs.counter "farm_dup_findings"
-    let nondet_flags = Obs.counter "farm_nondet"
-    let heartbeats = Obs.counter "farm_heartbeats"
-    let checkpoints = Obs.counter "farm_checkpoints"
-  end
-
   type cfg = {
     socket : string;
     spec : Spec.t;
@@ -435,7 +146,7 @@ module Coordinator = struct
       obs = Obs.disabled;
     }
 
-  type summary = {
+  type summary = Sched.summary = {
     jobs : int;
     jobs_done : int;
     digests : (int * string) list;
@@ -446,594 +157,201 @@ module Coordinator = struct
     workers_seen : int;
   }
 
-  type jstate = Pending | Offered | Jdone of { digest : string; units : int; attempt : int }
-
-  type jrec = {
-    id : int;
-    lo : int;
-    hi : int;
-    mutable attempt : int;  (* highest attempt offered so far *)
-    mutable state : jstate;
-    mutable offered_at : float;
-    mutable holders : int list;  (* wids holding a live attempt *)
-    mutable refusals : int;  (* Job_refused frames seen for this job *)
+  (* One accepted connection; [wid] is [None] until its [Worker_hello]. *)
+  type conn = {
+    fd : Unix.file_descr;
+    reader : Wire.reader;
+    opened : float;
+    mutable wid : int option;
+    mutable closed : bool;
   }
-
-  (* A job refused this many times (across workers and attempts) is
-     treated as deterministically broken: the campaign aborts with the
-     worker's reason instead of bouncing the job forever. *)
-  let max_refusals = 3
-
-  type wrec = {
-    wid : int;
-    mutable wname : string;
-    wfd : Unix.file_descr;
-    mutable last_seen : float;
-    mutable running : int list;
-    mutable lost : bool;
-  }
-
-  type st = {
-    cfg : cfg;
-    spec_s : string;
-    m : Mutex.t;
-    cv : Condition.t;
-    jobs : jrec array;
-    mutable pending : int list;
-    workers : (int, wrec) Hashtbl.t;
-    mutable next_wid : int;
-    mutable done_count : int;
-    mutable results_seen : int;
-    mutable reassigned : int;
-    mutable steals : int;
-    mutable workers_seen : int;
-    mutable nondet : int list;
-    findings : (string, string) Hashtbl.t;  (* content digest -> name *)
-    mutable stopping : bool;
-    mutable failed : string option;  (* a job exhausted [max_refusals] *)
-  }
-
-  let finished st = st.done_count = Array.length st.jobs
-
-  let checkpoint_of st =
-    let done_jobs =
-      Array.fold_right
-        (fun j acc ->
-          match j.state with
-          | Jdone d ->
-            { Checkpoint.job = j.id; attempt = d.attempt; units = d.units; digest = d.digest }
-            :: acc
-          | Pending | Offered -> acc)
-        st.jobs []
-    in
-    let findings =
-      Hashtbl.fold (fun dg name acc -> (dg, name) :: acc) st.findings [] |> List.sort compare
-    in
-    {
-      Checkpoint.spec = st.cfg.spec;
-      jobs = Array.length st.jobs;
-      done_jobs;
-      findings;
-      nondet = List.sort compare st.nondet;
-    }
-
-  let write_checkpoint st =
-    Checkpoint.save ~path:st.cfg.checkpoint (checkpoint_of st);
-    Obs.add st.cfg.obs Count.checkpoints 1
-
-  let sanitize_name n =
-    String.map (fun c -> if c = ' ' || c = '\t' || c = '\n' || c = '/' then '-' else c) n
-
-  let store_finding st ~name ~text =
-    let dg = Digest.to_hex (Digest.string text) in
-    if Hashtbl.mem st.findings dg then Obs.add st.cfg.obs Count.dup_findings 1
-    else begin
-      let name = sanitize_name name in
-      (* Seed-derived names are unique in practice; suffix defensively
-         if two distinct reproducers ever share one. *)
-      let name =
-        if Hashtbl.fold (fun _ n acc -> acc || n = name) st.findings false then
-          name ^ "-" ^ String.sub dg 0 8
-        else name
-      in
-      Hashtbl.replace st.findings dg name;
-      Obs.add st.cfg.obs Count.findings 1;
-      write_atomic (Filename.concat st.cfg.triage_dir (name ^ ".pmt")) text
-    end
-
-  (* [offer]/[mark_lost]/[try_assign] are called with [st.m] held. A
-     frame is one write(2), and capacity gates mean offers only ever go
-     to workers parked in their read loop, so writing under the lock
-     cannot wedge the coordinator on a busy peer. *)
-  let rec offer st w j ~steal =
-    j.attempt <- j.attempt + 1;
-    j.state <- Offered;
-    j.offered_at <- now ();
-    j.holders <- w.wid :: j.holders;
-    w.running <- j.id :: w.running;
-    Obs.add st.cfg.obs Count.offers 1;
-    if j.attempt > 1 && not steal then Obs.add st.cfg.obs Count.retries 1;
-    if steal then begin
-      Obs.add st.cfg.obs Count.steals 1;
-      st.steals <- st.steals + 1
-    end;
-    let payload =
-      Wire.encode_job_offer ~job:j.id ~attempt:j.attempt ~lo:j.lo ~hi:j.hi ~spec:st.spec_s
-    in
-    match Wire.write_frame w.wfd Wire.Job_offer payload with
-    | Ok () -> ()
-    | Error _ -> mark_lost st w
-
-  and mark_lost st w =
-    if not w.lost then begin
-      w.lost <- true;
-      Obs.add st.cfg.obs Count.workers_lost 1;
-      (try Unix.shutdown w.wfd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
-      let held = w.running in
-      w.running <- [];
-      let requeued =
-        List.filter
-          (fun jid ->
-            let j = st.jobs.(jid) in
-            j.holders <- List.filter (fun h -> h <> w.wid) j.holders;
-            match j.state with
-            | Jdone _ -> false
-            | Pending | Offered ->
-              if j.holders = [] then begin
-                j.state <- Pending;
-                true
-              end
-              else false)
-          held
-      in
-      if requeued <> [] && not st.stopping then begin
-        st.reassigned <- st.reassigned + List.length requeued;
-        Obs.add st.cfg.obs Count.reassignments (List.length requeued);
-        st.pending <- requeued @ st.pending;
-        try_assign st
-      end
-    end
-
-  and try_assign st =
-    if not st.stopping then begin
-      let by_load =
-        Hashtbl.fold
-          (fun _ w acc ->
-            if (not w.lost) && List.length w.running < st.cfg.capacity then w :: acc else acc)
-          st.workers []
-        |> List.sort (fun a b ->
-               compare
-                 (List.length a.running, a.wid)
-                 (List.length b.running, b.wid))
-      in
-      let rec go ws =
-        match (ws, st.pending) with
-        | [], _ | _, [] -> ()
-        | w :: rest, jid :: pend ->
-          if w.lost || List.length w.running >= st.cfg.capacity then go rest
-          else begin
-            st.pending <- pend;
-            let j = st.jobs.(jid) in
-            (match j.state with
-            | Jdone _ -> ()  (* stale pending entry *)
-            | Pending | Offered -> offer st w j ~steal:false);
-            go ws
-          end
-      in
-      go by_load
-    end
-
-  let handle_result st w ~job ~attempt ~digest ~units ~findings =
-    Mutex.lock st.m;
-    if not st.stopping then begin
-      st.results_seen <- st.results_seen + 1;
-      w.running <- List.filter (fun jid -> jid <> job) w.running;
-      let j = st.jobs.(job) in
-      j.holders <- List.filter (fun h -> h <> w.wid) j.holders;
-      (match j.state with
-      | Jdone d ->
-        (* A second attempt of a finished job: replay verification. *)
-        if d.digest <> digest then begin
-          if not (List.mem job st.nondet) then st.nondet <- job :: st.nondet;
-          Obs.add st.cfg.obs Count.nondet_flags 1;
-          write_checkpoint st
-        end
-      | Pending | Offered ->
-        j.state <- Jdone { digest; units; attempt };
-        st.done_count <- st.done_count + 1;
-        Obs.add st.cfg.obs Count.jobs_done 1;
-        List.iter (fun (name, text) -> store_finding st ~name ~text) findings;
-        write_checkpoint st);
-      (match st.cfg.stop_after_results with
-      | Some n when st.results_seen >= n ->
-        st.stopping <- true;
-        Condition.broadcast st.cv
-      | _ -> ());
-      if finished st then Condition.broadcast st.cv else try_assign st
-    end;
-    Mutex.unlock st.m
-
-  (* The worker could not run the job at all (unknown fault, mangled
-     spec...).  Unlike a lost link this leaves the worker alive and
-     heartbeating, so nothing times out: the job must be explicitly
-     unassigned here or it stays held forever. *)
-  let handle_refusal st w ~job ~reason =
-    Mutex.lock st.m;
-    if not st.stopping then begin
-      w.running <- List.filter (fun jid -> jid <> job) w.running;
-      let j = st.jobs.(job) in
-      j.holders <- List.filter (fun h -> h <> w.wid) j.holders;
-      match j.state with
-      | Jdone _ -> ()  (* another attempt already finished it *)
-      | Pending | Offered ->
-        j.refusals <- j.refusals + 1;
-        if j.refusals >= max_refusals then begin
-          st.failed <-
-            Some
-              (Printf.sprintf "job %d refused %d time(s) by workers; last reason: %s" job
-                 j.refusals reason);
-          st.stopping <- true;
-          Condition.broadcast st.cv
-        end
-        else if j.holders = [] then begin
-          j.state <- Pending;
-          st.pending <- st.pending @ [ job ];
-          try_assign st
-        end
-    end;
-    Mutex.unlock st.m
-
-  let reaper st =
-    let tick = Float.max 0.02 (Float.min (st.cfg.heartbeat_timeout /. 4.) 0.25) in
-    let rec loop () =
-      Thread.delay tick;
-      Mutex.lock st.m;
-      let stop = st.stopping in
-      if not stop then begin
-        let t = now () in
-        Hashtbl.iter
-          (fun _ w ->
-            if (not w.lost) && t -. w.last_seen > st.cfg.heartbeat_timeout then mark_lost st w)
-          st.workers;
-        if st.pending = [] && not (finished st) then begin
-          let idle =
-            Hashtbl.fold
-              (fun _ w acc ->
-                if (not w.lost) && List.length w.running < st.cfg.capacity then w :: acc
-                else acc)
-              st.workers []
-          in
-          List.iter
-            (fun w ->
-              let candidate =
-                Array.fold_left
-                  (fun acc j ->
-                    match j.state with
-                    | Offered
-                      when t -. j.offered_at > st.cfg.steal_after
-                           && not (List.mem w.wid j.holders) -> (
-                      match acc with
-                      | Some best when best.offered_at <= j.offered_at -> acc
-                      | _ -> Some j)
-                    | _ -> acc)
-                  None st.jobs
-              in
-              match candidate with
-              | Some j when (not w.lost) && List.length w.running < st.cfg.capacity ->
-                offer st w j ~steal:true
-              | _ -> ())
-            idle
-        end
-      end;
-      Mutex.unlock st.m;
-      if not stop then loop ()
-    in
-    loop ()
 
   let send_err fd msg = ignore (Wire.write_frame fd Wire.Err (Wire.encode_err msg))
 
-  (* For a fd that is already published in [st.workers]: [offer] writes
-     to it under [st.m] from other threads, and a multi-write(2) frame
-     torn by an interleaved one corrupts the stream — so every write to
-     a registered worker takes the same lock. *)
-  let send_err_locked st w msg =
-    Mutex.lock st.m;
-    send_err w.wfd msg;
-    Mutex.unlock st.m
-
-  let rec conn_loop st w reader =
-    match Wire.read_one reader with
-    | Error Wire.Timeout -> conn_loop st w reader
-    | Error _ -> ()
-    | Ok (kind, payload) ->
-      Mutex.lock st.m;
-      w.last_seen <- now ();
-      Mutex.unlock st.m;
-      let continue =
-        match kind with
-        | Wire.Job_claim -> true  (* informational; liveness already stamped *)
-        | Wire.Checkpoint ->
-          Obs.add st.cfg.obs Count.heartbeats 1;
-          true
-        | Wire.Job_result -> (
-          match Wire.decode_job_result payload with
-          | Ok (job, attempt, digest, units, _elapsed_ms, findings)
-            when job >= 0 && job < Array.length st.jobs ->
-            handle_result st w ~job ~attempt ~digest ~units ~findings;
-            true
-          | Ok (job, _, _, _, _, _) ->
-            send_err_locked st w (Printf.sprintf "unknown job %d" job);
-            true
-          | Error e ->
-            send_err_locked st w ("bad job result: " ^ Wire.error_to_string e);
-            true)
-        | Wire.Job_refused -> (
-          match Wire.decode_job_refused payload with
-          | Ok (job, _attempt, reason) when job >= 0 && job < Array.length st.jobs ->
-            handle_refusal st w ~job ~reason;
-            true
-          | Ok (job, _, _) ->
-            send_err_locked st w (Printf.sprintf "unknown job %d" job);
-            true
-          | Error e ->
-            send_err_locked st w ("bad job refusal: " ^ Wire.error_to_string e);
-            true)
-        | Wire.Err -> true  (* informational; job failures come as Job_refused *)
-        | Wire.Bye -> false
-        | _ ->
-          send_err_locked st w (Printf.sprintf "unexpected %s frame" (Wire.kind_name kind));
-          true
-      in
-      if continue then conn_loop st w reader
-
-  let serve_conn st fd =
-    let reader = Wire.reader fd in
-    let close () = try Unix.close fd with Unix.Unix_error _ -> () in
-    match Wire.read_one reader with
-    | Error _ -> close ()
-    | Ok (Wire.Worker_hello, payload) -> (
+  (* The campaign itself: one thread, one [select] over the listening
+     fd and every connection.  Reads take what one read(2) delivered;
+     writes are bounded by [SO_SNDTIMEO]; the timeout is the
+     scheduler's next heartbeat expiry or steal time, or the oldest
+     handshake's deadline. *)
+  let serve cfg sched listen_fd =
+    let spec_s = Spec.to_string cfg.spec in
+    let conns = Hashtbl.create 16 (* fd -> conn *) in
+    let links = Hashtbl.create 16 (* wid -> conn, once it said hello *) in
+    let close c =
+      if not c.closed then begin
+        c.closed <- true;
+        Hashtbl.remove conns c.fd;
+        Option.iter (Hashtbl.remove links) c.wid;
+        try Unix.close c.fd with Unix.Unix_error _ -> ()
+      end
+    in
+    let rec apply acts = List.iter act acts
+    and act = function
+      | Sched.Offer { wid; job; attempt; lo; hi } -> (
+        match Hashtbl.find_opt links wid with
+        | None -> ()  (* its link failed earlier in this batch *)
+        | Some c -> (
+          let payload = Wire.encode_job_offer ~job ~attempt ~lo ~hi ~spec:spec_s in
+          match Wire.write_frame c.fd Wire.Job_offer payload with
+          | Ok () -> ()
+          | Error _ -> drop c))
+      | Sched.Drop wid -> Option.iter close (Hashtbl.find_opt links wid)
+      | Sched.Store { name; text } ->
+        Checkpoint.write_atomic (Filename.concat cfg.triage_dir (name ^ ".pmt")) text
+      | Sched.Save -> Checkpoint.save ~path:cfg.checkpoint (Sched.checkpoint_of sched)
+    (* The link failed under us: the scheduler requeues what it held. *)
+    and drop c =
+      close c;
+      Option.iter (fun wid -> apply (Sched.lost sched wid ~now:(now ()))) c.wid
+    in
+    let hello c payload =
       match Wire.decode_worker_hello payload with
       | Error e ->
-        send_err fd (Wire.error_to_string e);
-        close ()
-      | Ok name ->
-        Mutex.lock st.m;
-        let wid = st.next_wid in
-        st.next_wid <- wid + 1;
-        Mutex.unlock st.m;
-        let w =
-          {
-            wid;
-            wname = (if name = "" then Printf.sprintf "w%d" wid else name);
-            wfd = fd;
-            last_seen = now ();
-            running = [];
-            lost = false;
-          }
-        in
+        send_err c.fd (Wire.error_to_string e);
+        close c
+      | Ok _name ->
+        let wid, acts = Sched.join sched ~now:(now ()) in
+        c.wid <- Some wid;
+        Hashtbl.replace links wid c;
+        (* The ack goes out before any offer: an offer arriving first
+           fails the worker's handshake. *)
         let ack = Wire.encode_worker_hello ~name:(Printf.sprintf "w%d" wid) in
-        (* The ack must be on the wire before the worker is published:
-           once it is in [st.workers], try_assign/reaper on another
-           thread may write a [Job_offer] to this fd, and an offer
-           arriving ahead of the ack fails the worker's handshake. *)
-        match Wire.write_frame fd Wire.Worker_hello ack with
-        | Error _ -> close ()
-        | Ok () ->
-          Mutex.lock st.m;
-          w.last_seen <- now ();
-          Hashtbl.replace st.workers wid w;
-          st.workers_seen <- st.workers_seen + 1;
-          Obs.add st.cfg.obs Count.workers_joined 1;
-          try_assign st;
-          Mutex.unlock st.m;
-          conn_loop st w reader;
-          Mutex.lock st.m;
-          if st.stopping then w.lost <- true else mark_lost st w;
-          Mutex.unlock st.m;
-          close ())
-    | Ok (kind, _) ->
-      send_err fd (Printf.sprintf "expected worker-hello, got %s" (Wire.kind_name kind));
-      close ()
+        (match Wire.write_frame c.fd Wire.Worker_hello ack with Ok () -> () | Error _ -> drop c);
+        apply acts
+    in
+    let frame c (kind, payload) =
+      match (c.wid, kind) with
+      | None, Wire.Worker_hello -> hello c payload
+      | None, kind ->
+        send_err c.fd (Printf.sprintf "expected worker-hello, got %s" (Wire.kind_name kind));
+        close c
+      | Some wid, kind -> (
+        let now = now () in
+        Sched.seen sched wid ~now ~heartbeat:(kind = Wire.Checkpoint);
+        let known job = job >= 0 && job < Sched.jobs sched in
+        match kind with
+        (* Informational: liveness is already stamped, and job failures
+           come as [Job_refused]. *)
+        | Wire.Job_claim | Wire.Checkpoint | Wire.Err -> ()
+        | Wire.Job_result -> (
+          match Wire.decode_job_result payload with
+          | Ok (job, attempt, digest, units, _elapsed_ms, findings) when known job ->
+            apply (Sched.result sched wid ~now ~job ~attempt ~digest ~units ~findings)
+          | Ok (job, _, _, _, _, _) -> send_err c.fd (Printf.sprintf "unknown job %d" job)
+          | Error e -> send_err c.fd ("bad job result: " ^ Wire.error_to_string e))
+        | Wire.Job_refused -> (
+          match Wire.decode_job_refused payload with
+          | Ok (job, _attempt, reason) when known job ->
+            apply (Sched.refusal sched wid ~now ~job ~reason)
+          | Ok (job, _, _) -> send_err c.fd (Printf.sprintf "unknown job %d" job)
+          | Error e -> send_err c.fd ("bad job refusal: " ^ Wire.error_to_string e))
+        | Wire.Bye -> drop c
+        | kind -> send_err c.fd (Printf.sprintf "unexpected %s frame" (Wire.kind_name kind)))
+    in
+    let service c =
+      match Wire.read_some c.reader with
+      | Error Wire.Timeout -> ()
+      | Error _ -> drop c
+      | Ok frames ->
+        List.iter (fun f -> if not (c.closed || Sched.over sched) then frame c f) frames
+    in
+    let accept () =
+      match Unix.accept ~cloexec:true listen_fd with
+      | exception Unix.Unix_error _ -> ()  (* the peer gave up, or out of fds *)
+      | fd, _ ->
+        (* Blocking, whatever it inherited from the listening fd: a full
+           socket buffer must wait out [SO_SNDTIMEO], not fail at once. *)
+        (try
+           Unix.clear_nonblock fd;
+           Unix.setsockopt_float fd Unix.SO_SNDTIMEO cfg.heartbeat_timeout
+         with Unix.Unix_error _ -> ());
+        Hashtbl.replace conns fd
+          { fd; reader = Wire.reader fd; opened = now (); wid = None; closed = false }
+    in
+    let handshake_expiry c = c.opened +. cfg.heartbeat_timeout in
+    let rec loop () =
+      if not (Sched.over sched) then begin
+        let deadline =
+          Hashtbl.fold
+            (fun _ c d -> if c.wid = None then Float.min d (handshake_expiry c) else d)
+            conns
+            (Option.value (Sched.next_deadline sched) ~default:infinity)
+        in
+        let timeout = if deadline = infinity then -1.0 else Float.max 0. (deadline -. now ()) in
+        let fds = Hashtbl.fold (fun fd _ acc -> fd :: acc) conns [ listen_fd ] in
+        let ready =
+          match Unix.select fds [] [] timeout with
+          | r, _, _ -> r
+          | exception Unix.Unix_error (EINTR, _, _) -> []
+        in
+        (* Accept last, so no fd closed while serving this batch is
+           reused by a new connection before the batch is done. *)
+        List.iter (fun fd -> Option.iter service (Hashtbl.find_opt conns fd)) ready;
+        if List.mem listen_fd ready then accept ();
+        let now = now () in
+        Hashtbl.fold
+          (fun _ c acc -> if c.wid = None && now > handshake_expiry c then c :: acc else acc)
+          conns []
+        |> List.iter close;
+        apply (Sched.tick sched ~now);
+        loop ()
+      end
+    in
+    Fun.protect
+      ~finally:(fun () ->
+        (* A simulated crash ([stop_after_results]) says no goodbye:
+           workers must survive it through their reconnect loop. *)
+        let bye = not (Sched.crashed sched) in
+        Hashtbl.iter
+          (fun _ c ->
+            if bye && c.wid <> None then ignore (Wire.write_frame c.fd Wire.Bye "");
+            try Unix.close c.fd with Unix.Unix_error _ -> ())
+          conns)
+      (fun () ->
+        apply (Sched.start sched);
+        loop ())
+
+  let load_resume cfg =
+    if cfg.resume && Sys.file_exists cfg.checkpoint then
+      match Checkpoint.load cfg.checkpoint with
+      | Ok ck when Spec.to_string ck.Checkpoint.spec <> Spec.to_string cfg.spec ->
+        Error
+          (Printf.sprintf "checkpoint is for another campaign (%s)"
+             (Spec.to_string ck.Checkpoint.spec))
+      | Ok ck -> Ok (Some ck)
+      | Error e -> Error e
+    else Ok None
 
   let run ?(ready = fun () -> ()) cfg =
+    let ( let* ) = Result.bind in
     (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-    if cfg.capacity < 1 then Error "Coordinator.run: capacity < 1"
-    else begin
-      match Spec.validate cfg.spec with
-      | Error e -> Error (Printf.sprintf "invalid campaign spec: %s" e)
-      | Ok () ->
-      let resume_ck =
-        if cfg.resume && Sys.file_exists cfg.checkpoint then
-          match Checkpoint.load cfg.checkpoint with
-          | Ok ck ->
-            if Spec.to_string ck.Checkpoint.spec <> Spec.to_string cfg.spec then
-              Error
-                (Printf.sprintf "checkpoint is for another campaign (%s)"
-                   (Spec.to_string ck.Checkpoint.spec))
-            else Ok (Some ck)
-          | Error e -> Error e
-        else Ok None
-      in
-      match resume_ck with
-      | Error e -> Error e
-      | Ok resume_ck -> (
-        let jobs =
-          Spec.jobs cfg.spec
-          |> List.map (fun (id, lo, hi) ->
-                 {
-                   id;
-                   lo;
-                   hi;
-                   attempt = 0;
-                   state = Pending;
-                   offered_at = 0.;
-                   holders = [];
-                   refusals = 0;
-                 })
-          |> Array.of_list
-        in
-        let findings = Hashtbl.create 16 in
-        let nondet = ref [] in
-        (match resume_ck with
-        | None -> ()
-        | Some ck ->
-          List.iter
-            (fun (d : Checkpoint.done_job) ->
-              if d.Checkpoint.job >= 0 && d.Checkpoint.job < Array.length jobs then begin
-                let j = jobs.(d.Checkpoint.job) in
-                j.state <-
-                  Jdone
-                    {
-                      digest = d.Checkpoint.digest;
-                      units = d.Checkpoint.units;
-                      attempt = d.Checkpoint.attempt;
-                    };
-                j.attempt <- d.Checkpoint.attempt
-              end)
-            ck.Checkpoint.done_jobs;
-          List.iter (fun (dg, name) -> Hashtbl.replace findings dg name) ck.Checkpoint.findings;
-          nondet := ck.Checkpoint.nondet);
-        let pending =
-          Array.fold_right
-            (fun j acc -> match j.state with Pending -> j.id :: acc | _ -> acc)
-            jobs []
-        in
-        let done_count =
-          Array.fold_left
-            (fun acc j -> match j.state with Jdone _ -> acc + 1 | _ -> acc)
-            0 jobs
-        in
-        let st =
-          {
-            cfg;
-            spec_s = Spec.to_string cfg.spec;
-            m = Mutex.create ();
-            cv = Condition.create ();
-            jobs;
-            pending;
-            workers = Hashtbl.create 8;
-            next_wid = 0;
-            done_count;
-            results_seen = 0;
-            reassigned = 0;
-            steals = 0;
-            workers_seen = 0;
-            nondet = !nondet;
-            findings;
-            stopping = false;
-            failed = None;
-          }
-        in
-        Obs.add cfg.obs Count.jobs_total (Array.length jobs);
-        mkdir_p cfg.triage_dir;
-        if Sys.file_exists cfg.socket then (try Unix.unlink cfg.socket with Unix.Unix_error _ -> ());
-        let listen_fd = Unix.socket ~cloexec:true PF_UNIX SOCK_STREAM 0 in
-        match
-          Unix.bind listen_fd (ADDR_UNIX cfg.socket);
-          Unix.listen listen_fd 64
-        with
-        | exception Unix.Unix_error (e, _, _) ->
+    let* () = if cfg.capacity < 1 then Error "Coordinator.run: capacity < 1" else Ok () in
+    let* () = Result.map_error (( ^ ) "invalid campaign spec: ") (Spec.validate cfg.spec) in
+    let* resume = load_resume cfg in
+    let sched =
+      Sched.create ?stop_after_results:cfg.stop_after_results ~capacity:cfg.capacity
+        ~heartbeat_timeout:cfg.heartbeat_timeout ~steal_after:cfg.steal_after ~obs:cfg.obs
+        cfg.spec resume
+    in
+    Checkpoint.mkdir_p cfg.triage_dir;
+    if Sys.file_exists cfg.socket then (try Unix.unlink cfg.socket with Unix.Unix_error _ -> ());
+    let listen_fd = Unix.socket ~cloexec:true PF_UNIX SOCK_STREAM 0 in
+    match
+      Unix.bind listen_fd (ADDR_UNIX cfg.socket);
+      Unix.listen listen_fd 64;
+      Unix.set_nonblock listen_fd
+    with
+    | exception Unix.Unix_error (e, _, _) ->
+      (try Unix.close listen_fd with Unix.Unix_error _ -> ());
+      Error (Printf.sprintf "cannot listen on %s: %s" cfg.socket (Unix.error_message e))
+    | () ->
+      ready ();
+      Fun.protect
+        ~finally:(fun () ->
           (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-          Error (Printf.sprintf "cannot listen on %s: %s" cfg.socket (Unix.error_message e))
-        | () ->
-          let conn_threads = ref [] in
-          let threads_m = Mutex.create () in
-          let acceptor =
-            Thread.create
-              (fun () ->
-                let rec go () =
-                  match Unix.accept ~cloexec:true listen_fd with
-                  | fd, _ ->
-                    (* The teardown path wakes this loop with a
-                       throwaway connection; [stopping] says it's over. *)
-                    let stop =
-                      Mutex.lock st.m;
-                      let s = st.stopping in
-                      Mutex.unlock st.m;
-                      s
-                    in
-                    if stop then (try Unix.close fd with Unix.Unix_error _ -> ())
-                    else begin
-                      let t = Thread.create (fun () -> serve_conn st fd) () in
-                      Mutex.lock threads_m;
-                      conn_threads := t :: !conn_threads;
-                      Mutex.unlock threads_m;
-                      go ()
-                    end
-                  | exception Unix.Unix_error (EINTR, _, _) -> go ()
-                  | exception Unix.Unix_error _ -> ()
-                in
-                go ())
-              ()
-          in
-          let reaper_t = Thread.create (fun () -> reaper st) () in
-          ready ();
-          (* Write an initial checkpoint so even a campaign killed
-             before its first result resumes cleanly. *)
-          Mutex.lock st.m;
-          write_checkpoint st;
-          while not (finished st || st.stopping) do
-            Condition.wait st.cv st.m
-          done;
-          (* [crashed] = the stop_after_results testing hook fired: tear
-             the sockets down with no goodbye, as SIGKILL would.  An
-             aborted campaign ([failed]) still says Bye so its workers
-             exit instead of burning their reconnect budgets. *)
-          let crashed = st.stopping && not (finished st) && st.failed = None in
-          st.stopping <- true;
-          let live =
-            Hashtbl.fold (fun _ w acc -> if not w.lost then w :: acc else acc) st.workers []
-          in
-          let summary =
-            {
-              jobs = Array.length st.jobs;
-              jobs_done = st.done_count;
-              digests =
-                Array.fold_right
-                  (fun j acc ->
-                    match j.state with Jdone d -> (j.id, d.digest) :: acc | _ -> acc)
-                  st.jobs [];
-              findings =
-                Hashtbl.fold (fun dg name acc -> (dg, name) :: acc) st.findings []
-                |> List.sort compare;
-              nondet = List.sort compare st.nondet;
-              reassigned = st.reassigned;
-              steals = st.steals;
-              workers_seen = st.workers_seen;
-            }
-          in
-          Mutex.unlock st.m;
-          (* A simulated crash tears the sockets down with no goodbye —
-             workers must survive it via their reconnect loop.  The Bye
-             writes take [st.m] like every other write to a registered
-             worker: conn threads are still draining and may write an
-             [Err] on the same fd. *)
-          List.iter
-            (fun w ->
-              if not crashed then begin
-                Mutex.lock st.m;
-                ignore (Wire.write_frame w.wfd Wire.Bye "");
-                Mutex.unlock st.m
-              end;
-              try Unix.shutdown w.wfd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
-            live;
-          (* Closing a listening fd does not wake accept(2); one
-             throwaway connection does. *)
-          (match Unix.socket ~cloexec:true PF_UNIX SOCK_STREAM 0 with
-          | exception Unix.Unix_error _ -> ()
-          | fd ->
-            (try Unix.connect fd (ADDR_UNIX cfg.socket) with Unix.Unix_error _ -> ());
-            (try Unix.close fd with Unix.Unix_error _ -> ()));
-          (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-          (try Unix.unlink cfg.socket with Unix.Unix_error _ | Sys_error _ -> ());
-          Thread.join acceptor;
-          Thread.join reaper_t;
-          Mutex.lock threads_m;
-          let ts = !conn_threads in
-          Mutex.unlock threads_m;
-          List.iter Thread.join ts;
-          match st.failed with Some e -> Error e | None -> Ok summary)
-    end
+          try Unix.unlink cfg.socket with Unix.Unix_error _ -> ())
+        (fun () -> serve cfg sched listen_fd);
+      Option.fold ~none:(Ok (Sched.summary sched)) ~some:Result.error (Sched.failed sched)
 end
 
 (* --- Workers ---------------------------------------------------------------- *)
@@ -1060,16 +378,6 @@ module Worker = struct
       log = ignore;
     }
 
-  let dial cfg =
-    match Unix.socket ~cloexec:true PF_UNIX SOCK_STREAM 0 with
-    | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
-    | fd -> (
-      match Unix.connect fd (ADDR_UNIX cfg.socket) with
-      | exception Unix.Unix_error (e, _, _) ->
-        (try Unix.close fd with Unix.Unix_error _ -> ());
-        Error (Printf.sprintf "cannot connect to %s: %s" cfg.socket (Unix.error_message e))
-      | () -> Ok fd)
-
   let handshake cfg fd reader =
     match
       Wire.write_frame fd Wire.Worker_hello (Wire.encode_worker_hello ~name:cfg.name)
@@ -1087,39 +395,54 @@ module Worker = struct
           | Error e -> Wire.error_to_string e)
       | Ok (kind, _) -> Error (Printf.sprintf "unexpected %s frame" (Wire.kind_name kind)))
 
+  (* Dial and handshake; the fd is closed on any failure. *)
+  let connect cfg =
+    match Unix.socket ~cloexec:true PF_UNIX SOCK_STREAM 0 with
+    | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
+    | fd -> (
+      let fail msg =
+        (try Unix.close fd with Unix.Unix_error _ -> ());
+        Error msg
+      in
+      match Unix.connect fd (ADDR_UNIX cfg.socket) with
+      | exception Unix.Unix_error (e, _, _) ->
+        fail (Printf.sprintf "cannot connect to %s: %s" cfg.socket (Unix.error_message e))
+      | () -> (
+        let reader = Wire.reader fd in
+        match handshake cfg fd reader with
+        | Ok assigned -> Ok (fd, reader, assigned)
+        | Error e -> fail ("handshake failed: " ^ e)))
+
   (* One connection's lifetime. Returns [`Bye] on an orderly campaign
      end, [`Lost] when the link died and a reconnect should be tried. *)
   let session cfg fd reader ~jobs_done =
     let m = Mutex.create () in
     let current = ref None in
-    let hb_stop = ref false in
     (* Every write to [fd] goes through [send] under [m]: the heartbeat
        thread and this session thread share the fd, and [write_exactly]
        can split a large [Job_result] across several write(2) calls — a
        [Checkpoint] landing between two of them would corrupt the
        stream and force a reconnect plus a full job re-run. *)
-    let send kind payload =
-      Mutex.lock m;
-      let r = Wire.write_frame fd kind payload in
-      Mutex.unlock m;
-      r
-    in
+    let send kind payload = Mutex.protect m (fun () -> Wire.write_frame fd kind payload) in
     let send_err msg = ignore (send Wire.Err (Wire.encode_err msg)) in
     let refuse ~job ~attempt reason =
       ignore (send Wire.Job_refused (Wire.encode_job_refused ~job ~attempt ~reason))
     in
+    (* The heartbeat sleeps in select(2) on [wake_r], so the byte the
+       session writes to [wake_w] when it ends stops it at once. *)
+    let wake_r, wake_w = Unix.pipe ~cloexec:true () in
     let hb =
       Thread.create
         (fun () ->
           let rec loop () =
-            Thread.delay cfg.hb_interval;
-            Mutex.lock m;
-            let stop = !hb_stop and running = !current and done_n = !jobs_done in
-            Mutex.unlock m;
-            if not stop then
+            match Unix.select [ wake_r ] [] [] cfg.hb_interval with
+            | exception Unix.Unix_error (EINTR, _, _) -> loop ()
+            | _ :: _, _, _ -> ()
+            | [], _, _ -> (
+              let running, done_n = Mutex.protect m (fun () -> (!current, !jobs_done)) in
               match send Wire.Checkpoint (Wire.encode_checkpoint ~running ~jobs_done:done_n) with
               | Ok () -> loop ()
-              | Error _ -> ()  (* link died; the read loop notices too *)
+              | Error _ -> ()  (* link died; the read loop notices too *))
           in
           loop ())
         ()
@@ -1151,16 +474,13 @@ module Worker = struct
             loop ()
           | Ok spec -> (
             ignore (send Wire.Job_claim (Wire.encode_job_claim ~job ~attempt));
-            Mutex.lock m;
-            current := Some job;
-            Mutex.unlock m;
+            Mutex.protect m (fun () -> current := Some job);
             let t0 = now () in
             let result = run_units spec ~lo ~hi in
             let elapsed_ms = max 0 (int_of_float ((now () -. t0) *. 1000.)) in
-            Mutex.lock m;
-            current := None;
-            (match result with Ok _ -> incr jobs_done | Error _ -> ());
-            Mutex.unlock m;
+            Mutex.protect m (fun () ->
+                current := None;
+                match result with Ok _ -> incr jobs_done | Error _ -> ());
             match result with
             | Error e ->
               cfg.log (Printf.sprintf "job %d attempt %d refused: %s" job attempt e);
@@ -1182,12 +502,11 @@ module Worker = struct
         loop ()
     in
     let outcome = loop () in
-    Mutex.lock m;
-    hb_stop := true;
-    Mutex.unlock m;
+    ignore (Unix.write_substring wake_w "x" 0 1);
     (try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
+    (* Joined before [fd] closes, so no heartbeat lands on a reused fd. *)
     Thread.join hb;
-    (try Unix.close fd with Unix.Unix_error _ -> ());
+    List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) [ fd; wake_r; wake_w ];
     outcome
 
   let run cfg =
@@ -1197,36 +516,21 @@ module Worker = struct
       let rng = Random.State.make_self_init () in
       let jobs_done = ref 0 in
       let rec connect_loop fails delay =
-        match dial cfg with
+        match connect cfg with
+        | Error e when fails + 1 >= cfg.attempts ->
+          Error (Printf.sprintf "%s (after %d attempt(s))" e cfg.attempts)
         | Error e ->
-          if fails + 1 >= cfg.attempts then
-            Error (Printf.sprintf "%s (after %d attempt(s))" e cfg.attempts)
-          else begin
-            let jittered = delay *. (0.5 +. Random.State.float rng 1.0) in
-            cfg.log (Printf.sprintf "%s; retrying in %.0f ms" e (jittered *. 1000.));
-            (try Unix.sleepf jittered with Unix.Unix_error _ -> ());
-            connect_loop (fails + 1) (Float.min cfg.max_delay (delay *. 2.0))
-          end
-        | Ok fd -> (
-          let reader = Wire.reader fd in
-          match handshake cfg fd reader with
-          | Error e ->
-            (try Unix.close fd with Unix.Unix_error _ -> ());
-            if fails + 1 >= cfg.attempts then
-              Error (Printf.sprintf "%s (after %d attempt(s))" e cfg.attempts)
-            else begin
-              let jittered = delay *. (0.5 +. Random.State.float rng 1.0) in
-              cfg.log (Printf.sprintf "handshake failed (%s); retrying" e);
-              (try Unix.sleepf jittered with Unix.Unix_error _ -> ());
-              connect_loop (fails + 1) (Float.min cfg.max_delay (delay *. 2.0))
-            end
-          | Ok assigned -> (
-            cfg.log (Printf.sprintf "connected as %s" assigned);
-            match session cfg fd reader ~jobs_done with
-            | `Bye -> Ok !jobs_done
-            | `Lost ->
-              cfg.log "link lost; reconnecting";
-              connect_loop 0 cfg.base_delay))
+          let jittered = delay *. (0.5 +. Random.State.float rng 1.0) in
+          cfg.log (Printf.sprintf "%s; retrying in %.0f ms" e (jittered *. 1000.));
+          (try Unix.sleepf jittered with Unix.Unix_error _ -> ());
+          connect_loop (fails + 1) (Float.min cfg.max_delay (delay *. 2.0))
+        | Ok (fd, reader, assigned) -> (
+          cfg.log (Printf.sprintf "connected as %s" assigned);
+          match session cfg fd reader ~jobs_done with
+          | `Bye -> Ok !jobs_done
+          | `Lost ->
+            cfg.log "link lost; reconnecting";
+            connect_loop 0 cfg.base_delay)
       in
       connect_loop 0 cfg.base_delay
     end

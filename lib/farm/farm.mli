@@ -34,9 +34,9 @@ module Crashfs = Pmtest_crashfs.Crashfs
 (** {1 Campaign specs} *)
 
 module Spec : sig
-  type kind = Fuzz | Crashfs | Litmus
+  type kind = Spec.kind = Fuzz | Crashfs | Litmus
 
-  type t = {
+  type t = Spec.t = {
     kind : kind;
     model : Model.kind;
     fs : Crashfs.fs_kind;  (** Crashfs campaigns only. *)
@@ -103,9 +103,14 @@ val run_units : Spec.t -> lo:int -> hi:int -> (unit_result, string) result
 (** {1 Checkpoints} *)
 
 module Checkpoint : sig
-  type done_job = { job : int; attempt : int; units : int; digest : string }
+  type done_job = Checkpoint.done_job = {
+    job : int;
+    attempt : int;
+    units : int;
+    digest : string;
+  }
 
-  type t = {
+  type t = Checkpoint.t = {
     spec : Spec.t;
     jobs : int;
     done_jobs : done_job list;  (** Ascending job id. *)
@@ -133,7 +138,8 @@ module Coordinator : sig
     capacity : int;  (** Jobs in flight per worker. *)
     heartbeat_timeout : float;
         (** Seconds without any frame from a worker before its jobs are
-            reassigned. *)
+            reassigned. Also the deadline for a new connection's
+            [Worker_hello] and the send timeout of every write. *)
     steal_after : float;
         (** Seconds in flight before an idle worker may be offered a
             duplicate attempt of a slow job. *)
@@ -163,7 +169,9 @@ module Coordinator : sig
   (** Serve the campaign until every job is done (or the
       [stop_after_results] hook fires), then send [Bye] to every
       worker and tear down. [ready] fires once the socket is
-      listening.
+      listening. One thread runs the whole campaign: a [select] loop
+      driving {!Sched}, with no lock and no wait without a deadline
+      while a heartbeat, steal or handshake is pending.
 
       [Error] on an invalid spec ({!Spec.validate}, checked before the
       socket opens), or when some job is refused ([Job_refused]) by

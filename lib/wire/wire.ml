@@ -125,6 +125,8 @@ let rec write_exactly fd buf pos len =
     | n -> write_exactly fd buf (pos + n) (len - n)
     | exception Unix.Unix_error (EINTR, _, _) -> write_exactly fd buf pos len
     | exception Unix.Unix_error ((ECONNRESET | EPIPE | EBADF), _, _) -> Error Closed
+    (* SO_SNDTIMEO expired: the peer stopped reading. *)
+    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> Error Timeout
 
 (* version + kind + len + crc. *)
 let header_len = 10
@@ -256,26 +258,31 @@ let rec read_one r =
     | `Need need -> (
       match refill r ~need with Ok () -> read_one r | Error e -> set_err r e))
 
-let rec read_batch r =
+let rec drain r acc =
+  match parse_one r with
+  | `Frame f -> drain r (f :: acc)
+  | `Need need -> `Need (need, List.rev acc)
+  | `Fail e -> `Fail (e, List.rev acc)
+
+let read_some r =
   match r.rerr with
   | Some e -> Error e
   | None -> (
-    let rec drain acc =
-      match parse_one r with
-      | `Frame f -> drain (f :: acc)
-      | `Need need -> `Need (need, acc)
-      | `Fail e -> `Fail (e, acc)
+    let deliver = function
+      | `Fail (e, []) -> set_err r e
+      | `Fail (e, frames) ->
+        (* Deliver what parsed cleanly; the sticky error resurfaces on the
+           next call, so nothing ahead of the corruption is lost. *)
+        r.rerr <- Some e;
+        Ok frames
+      | `Need (_, frames) -> Ok frames
     in
-    match drain [] with
-    | `Fail (e, []) -> set_err r e
-    | `Fail (e, acc) ->
-      (* Deliver what parsed cleanly; the sticky error resurfaces on the
-         next call, so nothing ahead of the corruption is lost. *)
-      (match e with Timeout -> () | _ -> r.rerr <- Some e);
-      Ok (List.rev acc)
-    | `Need (_, (_ :: _ as acc)) -> Ok (List.rev acc)
+    match drain r [] with
     | `Need (need, []) -> (
-      match refill r ~need with Ok () -> read_batch r | Error e -> set_err r e))
+      match refill r ~need with Ok () -> deliver (drain r []) | Error e -> set_err r e)
+    | d -> deliver d)
+
+let rec read_batch r = match read_some r with Ok [] -> read_batch r | res -> res
 
 (* --- Payload codecs ------------------------------------------------------ *)
 

@@ -84,7 +84,9 @@ val kind_name : kind -> string
 
 type error =
   | Closed  (** Peer hung up (or fd shut down during drain). *)
-  | Timeout  (** [SO_RCVTIMEO] expired — the session idle limit. *)
+  | Timeout
+      (** [SO_RCVTIMEO] expired — the session idle limit — or
+          [SO_SNDTIMEO] did: the peer stopped reading. *)
   | Corrupt of string  (** Bad CRC / kind / length / payload encoding. *)
   | Version_mismatch of int  (** Peer speaks another protocol version. *)
 
@@ -102,7 +104,9 @@ val header_len : int
     from a single buffer — usually one [write(2)] — but a frame larger
     than the socket buffer is completed by looping on partial writes, so
     concurrent writers on one fd {e can} tear it: serialise shared-fd
-    writes with a lock. *)
+    writes with a lock.  On a socket with [SO_SNDTIMEO] set, a peer that
+    stops reading yields [Error Timeout]; part of the frame may have
+    gone out, so the link is then unusable. *)
 
 val write_frame : Unix.file_descr -> kind -> string -> (unit, error) result
 
@@ -126,6 +130,12 @@ val read_one : reader -> (kind * string, error) result
 (** Block until one full frame (or an error) is available.  EOF between
     frames is [Closed]; EOF inside a frame, a CRC mismatch, an unknown
     kind or an oversized length is [Corrupt _]. *)
+
+val read_some : reader -> ((kind * string) list, error) result
+(** At most one [read(2)], then {e every} complete frame in the buffer,
+    possibly none: the call for an event loop whose [select] just
+    reported the fd readable.  A [read(2)] ending mid-frame returns
+    [Ok []] and keeps the partial frame for the next call. *)
 
 val read_batch : reader -> ((kind * string) list, error) result
 (** Block until at least one full frame is available, then return

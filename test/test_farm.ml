@@ -1,8 +1,10 @@
 (* pmfarm end to end: spec and checkpoint round trips, deterministic
    job digests, a real coordinator/worker campaign over a Unix socket,
    crash-resume equality (the checkpoint is the campaign), zero lost
-   jobs when a worker dies mid-claim, nondeterminism flagging, and a
-   worker link that survives corrupt job offers. *)
+   jobs when a worker dies mid-claim, nondeterminism flagging, a worker
+   link that survives corrupt job offers, a silent peer that cannot
+   hang the coordinator, and the scheduler against a reference model
+   in logical time. *)
 
 module Farm = Pmtest_farm.Farm
 module Wire = Pmtest_wire.Wire
@@ -80,6 +82,15 @@ let finish_coordinator (t, result) =
   | Some (Ok s) -> s
   | Some (Error e) -> Alcotest.failf "coordinator: %s" e
   | None -> Alcotest.fail "coordinator thread died without a result"
+
+(* Poll [ready] for up to [secs] seconds: a test of something that used
+   to hang fails on its own clock instead of hanging the suite. *)
+let within secs ready =
+  let deadline = Unix.gettimeofday () +. secs in
+  let rec go () =
+    ready () || (Unix.gettimeofday () < deadline && (Thread.delay 0.005; go ()))
+  in
+  go ()
 
 let start_worker ?(attempts = 8) ~socket name =
   Thread.create
@@ -319,6 +330,60 @@ let test_worker_death_loses_no_jobs () =
         "digests unaffected by the death" (direct_digests fuzz_spec)
         s.Farm.Coordinator.digests)
 
+let test_silent_peer_does_not_hang () =
+  (* A peer that connects and never says hello is closed once its
+     handshake deadline passes, even with no worker connected; another
+     one, still silent when a real worker finishes the campaign, does
+     not keep [Coordinator.run] from returning. *)
+  with_dir (fun dir ->
+      let socket = next_socket () in
+      let cfg =
+        {
+          (Farm.Coordinator.default_cfg ~spec:fuzz_spec ~socket ~dir) with
+          Farm.Coordinator.heartbeat_timeout = 1.0;
+        }
+      in
+      let ((_, result) as coord) = start_coordinator cfg in
+      let silent () =
+        let fd = Unix.socket ~cloexec:true PF_UNIX SOCK_STREAM 0 in
+        Unix.connect fd (ADDR_UNIX socket);
+        Unix.setsockopt_float fd SO_RCVTIMEO 5.0;
+        fd
+      in
+      let closed_by_peer fd =
+        match Unix.read fd (Bytes.create 1) 0 1 with
+        | 0 -> true
+        | _ -> false
+        | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> false
+        | exception Unix.Unix_error (ECONNRESET, _, _) -> true
+      in
+      let early = silent () and late = ref None in
+      Fun.protect
+        ~finally:(fun () ->
+          List.iter
+            (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+            (early :: Option.to_list !late))
+        (fun () ->
+          Alcotest.(check bool) "a silent peer is closed at its handshake deadline" true
+            (closed_by_peer early);
+          late := Some (silent ());
+          let w =
+            Thread.create
+              (fun () ->
+                ignore
+                  (Farm.Worker.run
+                     { (Farm.Worker.default_cfg ~socket ~name:"real") with hb_interval = 0.2 }))
+              ()
+          in
+          if not (within 10.0 (fun () -> !result <> None)) then
+            Alcotest.fail "Coordinator.run still running 10 s after the campaign started";
+          let s = finish_coordinator coord in
+          Thread.join w;
+          Alcotest.(check int) "all jobs done" s.Farm.Coordinator.jobs
+            s.Farm.Coordinator.jobs_done;
+          Alcotest.(check bool) "teardown closes the late silent peer" true
+            (closed_by_peer (Option.get !late))))
+
 let test_duplicate_result_mismatch_flags_nondet () =
   (* Replay verification: a second result for an already-done job whose
      digest disagrees is flagged as nondeterminism, never silently
@@ -438,6 +503,10 @@ let test_corrupt_offer_does_not_kill_worker () =
       | Ok direct -> Alcotest.(check string) "honest digest" direct.Farm.digest digest
       | Error e -> Alcotest.failf "direct run: %s" e);
       must_write fd Wire.Bye "";
+      (* The worker's heartbeat sleeps 60 s at a time: its teardown must
+         not wait one out. *)
+      if not (within 5.0 (fun () -> !jobs_done <> None)) then
+        Alcotest.fail "Worker.run still running 5 s after Bye";
       Unix.close fd;
       Thread.join worker;
       match !jobs_done with
@@ -538,8 +607,8 @@ let test_repeated_refusals_abort_campaign () =
       | None -> Alcotest.fail "coordinator thread died without a result")
 
 let test_invalid_specs_rejected_before_serving () =
-  (* Negative seeds would blow up mid-[encode_job_offer] under the
-     coordinator lock; an unknown fault would make every attempt of
+  (* Negative seeds would blow up mid-[encode_job_offer] inside the
+     coordinator loop; an unknown fault would make every attempt of
      every job fail worker-side.  Both are rejected before the socket
      even opens. *)
   (match Farm.Spec.validate (Farm.Spec.fuzz ~model:Model.X86 ~seed:(-1) ~count:5 ~chunk:5 ()) with
@@ -557,6 +626,286 @@ let test_invalid_specs_rejected_before_serving () =
           Farm.Spec.crashfs ~fault:"no-such-fault" ~fs:Crashfs.Pmfs ~model:Model.X86 ~seed:0
             ~count:5 ~chunk:5 ();
         ])
+
+(* --- Scheduler model ----------------------------------------------------------
+
+   [Sched] driven in logical time by random joins, heartbeats, honest
+   and forged results, refusals, losses and clock advances, against a
+   reference model of what each worker holds and when it was last
+   heard from.  Every action the scheduler returns is checked against
+   the model as it happens. *)
+
+module Sched = Pmtest_farm.Sched
+
+(* Four one-run jobs under a seeded crashfs fault: real digests, each
+   with a reproducer.  Few jobs empty the queue early, so steals and
+   duplicate results are common. *)
+let model_spec =
+  Farm.Spec.crashfs ~fault:"skip-journal-flush" ~fs:Crashfs.Pmfs ~model:Model.X86 ~seed:0
+    ~count:4 ~chunk:1 ()
+
+let model_direct = lazy (Array.of_list (List.map snd (direct_results model_spec)))
+let model_heartbeat = 1.0
+let model_steal = 0.4
+
+type cmd =
+  | Join
+  | Advance of int  (* tenths of a second, then a tick *)
+  | Beat of int  (* a heartbeat from the [i]th live worker *)
+  | Answer of int * int * bool  (* worker, which held job, honest? *)
+  | Refuse of int * int
+  | Lose of int
+
+let cmd_to_string = function
+  | Join -> "join"
+  | Advance t -> Printf.sprintf "advance %d" t
+  | Beat i -> Printf.sprintf "beat %d" i
+  | Answer (i, k, h) -> Printf.sprintf "answer %d %d %s" i k (if h then "honest" else "forged")
+  | Refuse (i, k) -> Printf.sprintf "refuse %d %d" i k
+  | Lose i -> Printf.sprintf "lose %d" i
+
+type mworker = {
+  mwid : int;
+  mutable alive : bool;
+  mutable last : float;
+  mutable held : (int * int) list;  (* (job, attempt), oldest first *)
+}
+
+type mjob = {
+  mutable first : string option;  (* the digest that won *)
+  mutable top : int;  (* highest attempt offered *)
+  mutable holders : int list;
+  mutable since : float;  (* time of the latest offer *)
+  mutable refused : int;
+  mutable flagged : bool;  (* a later digest disagreed *)
+}
+
+type model = {
+  s : Sched.t;
+  cap : int;
+  mutable now : float;
+  mutable ws : mworker list;  (* join order *)
+  js : mjob array;
+  stored : (string, unit) Hashtbl.t;  (* finding texts sent to the triage store *)
+  mutable requeued : int;
+}
+
+let fail fmt = QCheck2.Test.fail_reportf fmt
+
+let new_model ~cap (resume : Farm.Checkpoint.t option) =
+  let js =
+    Array.init (List.length (Farm.Spec.jobs model_spec)) (fun _ ->
+        { first = None; top = 0; holders = []; since = 0.; refused = 0; flagged = false })
+  in
+  Option.iter
+    (fun (ck : Farm.Checkpoint.t) ->
+      List.iter
+        (fun (d : Farm.Checkpoint.done_job) ->
+          js.(d.job).first <- Some d.digest;
+          js.(d.job).top <- d.attempt)
+        ck.done_jobs)
+    resume;
+  let s =
+    Sched.create ~capacity:cap ~heartbeat_timeout:model_heartbeat ~steal_after:model_steal
+      ~obs:Obs.disabled model_spec resume
+  in
+  { s; cap; now = 0.; ws = []; js; stored = Hashtbl.create 8; requeued = 0 }
+
+let pending m =
+  Array.exists (fun j -> j.first = None && j.holders = []) m.js
+
+let release m w job =
+  w.held <- List.remove_assoc job w.held;
+  m.js.(job).holders <- List.filter (fun h -> h <> w.mwid) m.js.(job).holders
+
+let lose m w =
+  w.alive <- false;
+  List.iter
+    (fun (job, _) ->
+      release m w job;
+      let j = m.js.(job) in
+      if j.first = None && j.holders = [] then m.requeued <- m.requeued + 1)
+    w.held
+
+let apply m acts =
+  List.iter
+    (function
+      | Sched.Offer { wid; job; attempt; _ } ->
+        let w = List.find (fun w -> w.mwid = wid) m.ws and j = m.js.(job) in
+        if not w.alive then fail "job %d offered to lost worker %d" job wid;
+        if List.length w.held >= m.cap then fail "worker %d offered past capacity" wid;
+        if List.mem_assoc job w.held then fail "worker %d offered job %d it holds" wid job;
+        if j.first <> None then fail "finished job %d offered" job;
+        if attempt <= j.top then fail "job %d attempt %d after attempt %d" job attempt j.top;
+        if j.holders <> [] then begin
+          if m.now -. j.since <= model_steal then
+            fail "job %d stolen %.1f s after its offer" job (m.now -. j.since);
+          if pending m then fail "job %d stolen while jobs are pending" job
+        end;
+        j.top <- attempt;
+        j.since <- m.now;
+        j.holders <- wid :: j.holders;
+        w.held <- w.held @ [ (job, attempt) ]
+      | Sched.Drop wid ->
+        let w = List.find (fun w -> w.mwid = wid) m.ws in
+        if not w.alive then fail "lost worker %d dropped again" wid;
+        if m.now -. w.last <= model_heartbeat then
+          fail "worker %d dropped after %.1f s of silence" wid (m.now -. w.last);
+        lose m w
+      | Sched.Store { text; _ } ->
+        if Hashtbl.mem m.stored text then fail "one finding stored twice";
+        Hashtbl.replace m.stored text ()
+      | Sched.Save -> ())
+    acts;
+  if
+    (not (Sched.over m.s))
+    && pending m
+    && List.exists (fun w -> w.alive && List.length w.held < m.cap) m.ws
+  then fail "a job is pending while a worker has room"
+
+(* Any frame from [w] proves it alive; only a [Checkpoint] frame is a
+   heartbeat. *)
+let hear ?(heartbeat = false) m w =
+  Sched.seen m.s w.mwid ~now:m.now ~heartbeat;
+  w.last <- m.now
+
+let answer m w (job, attempt) ~honest =
+  hear m w;
+  let direct = (Lazy.force model_direct).(job) in
+  let digest = if honest then direct.Farm.digest else "forged" in
+  let findings = if honest then direct.Farm.findings else [] in
+  release m w job;
+  let j = m.js.(job) in
+  (match j.first with
+  | None -> j.first <- Some digest
+  | Some d -> if d <> digest then j.flagged <- true);
+  apply m (Sched.result m.s w.mwid ~now:m.now ~job ~attempt ~digest ~units:1 ~findings)
+
+(* The [i]th (mod their number) element of [l] satisfying [p]. *)
+let nth_of p l i =
+  match List.filter p l with [] -> None | l -> Some (List.nth l (i mod List.length l))
+
+let step m ~honest_only = function
+  | Join ->
+    let wid, acts = Sched.join m.s ~now:m.now in
+    if List.exists (fun w -> w.mwid = wid) m.ws then fail "worker id %d reused" wid;
+    m.ws <- m.ws @ [ { mwid = wid; alive = true; last = m.now; held = [] } ];
+    apply m acts
+  | Advance tenths ->
+    m.now <- m.now +. (float_of_int tenths /. 10.);
+    apply m (Sched.tick m.s ~now:m.now);
+    List.iter
+      (fun w ->
+        if w.alive && m.now -. w.last > model_heartbeat then
+          fail "worker %d silent for %.1f s survived a tick" w.mwid (m.now -. w.last))
+      m.ws
+  | Beat i -> Option.iter (hear ~heartbeat:true m) (nth_of (fun w -> w.alive) m.ws i)
+  | Answer (i, k, honest) ->
+    Option.iter
+      (fun w ->
+        answer m w (List.nth w.held (k mod List.length w.held)) ~honest:(honest || honest_only))
+      (nth_of (fun w -> w.alive && w.held <> []) m.ws i)
+  | Refuse (i, k) ->
+    Option.iter
+      (fun w ->
+        let job, _ = List.nth w.held (k mod List.length w.held) in
+        hear m w;
+        release m w job;
+        let j = m.js.(job) in
+        if j.first = None then j.refused <- j.refused + 1;
+        apply m (Sched.refusal m.s w.mwid ~now:m.now ~job ~reason:"model"))
+      (nth_of (fun w -> w.alive && w.held <> []) m.ws i)
+  | Lose i ->
+    Option.iter
+      (fun w ->
+        lose m w;
+        apply m (Sched.lost m.s w.mwid ~now:m.now))
+      (nth_of (fun w -> w.alive) m.ws i)
+
+let aborted m = Array.exists (fun j -> j.refused >= 3) m.js
+
+(* Honest answers, and a fresh worker whenever none is left, until the
+   campaign is over; the clock stands still, so nobody times out. *)
+let complete m =
+  let rec go fuel =
+    if not (Sched.over m.s) then begin
+      if fuel = 0 then fail "the campaign never finished";
+      (match List.find_opt (fun w -> w.alive && w.held <> []) m.ws with
+      | Some w -> answer m w (List.hd w.held) ~honest:true
+      | None ->
+        if List.exists (fun w -> w.alive) m.ws then fail "live workers hold nothing, jobs remain";
+        step m ~honest_only:true Join);
+      go (fuel - 1)
+    end
+  in
+  go 1000
+
+let finding_digests m =
+  Hashtbl.fold (fun text () acc -> Digest.to_hex (Digest.string text) :: acc) m.stored []
+  |> List.sort compare
+
+let prop_sched_matches_model =
+  QCheck2.Test.make ~name:"scheduler agrees with its model" ~count:1000 ~long_factor:100
+    ~print:(fun (cap, liars, cmds, split) ->
+      Printf.sprintf "capacity %d, %s, checkpoint after %d: %s" cap
+        (if liars then "forged results" else "honest")
+        split
+        (String.concat "; " (List.map cmd_to_string cmds)))
+    QCheck2.Gen.(
+      let cmd =
+        frequency
+          [
+            (2, pure Join);
+            (4, map (fun t -> Advance t) (int_range 1 6));
+            (3, map (fun i -> Beat i) small_nat);
+            (6, map3 (fun i k h -> Answer (i, k, h)) small_nat small_nat bool);
+            (2, map2 (fun i k -> Refuse (i, k)) small_nat small_nat);
+            (1, map (fun i -> Lose i) small_nat);
+          ]
+      in
+      triple (int_range 1 3) bool (list_size (int_range 0 60) cmd) >>= fun (cap, liars, cmds) ->
+      map (fun split -> (cap, liars, cmds, split)) (int_range 0 (List.length cmds)))
+    (fun (cap, liars, cmds, split) ->
+      let m = new_model ~cap None in
+      apply m (Sched.start m.s);
+      let ck = ref None in
+      List.iteri
+        (fun i c ->
+          if i = split && not (Sched.over m.s) then ck := Some (Sched.checkpoint_of m.s);
+          if not (Sched.over m.s) then step m ~honest_only:((not liars) || i >= split) c;
+          if aborted m <> (Sched.failed m.s <> None) then
+            fail "abort on the third refusal expected: %b" (aborted m))
+        cmds;
+      if split = List.length cmds && not (Sched.over m.s) then
+        ck := Some (Sched.checkpoint_of m.s);
+      if not (aborted m) then begin
+        complete m;
+        let sum = Sched.summary m.s in
+        let firsts = Array.to_list (Array.mapi (fun id j -> (id, Option.get j.first)) m.js) in
+        if sum.Sched.digests <> firsts then fail "digests are not the first results";
+        if (not liars)
+           && firsts
+              <> List.mapi (fun id r -> (id, r.Farm.digest))
+                   (Array.to_list (Lazy.force model_direct))
+        then fail "honest digests differ from a direct run";
+        let flagged =
+          List.filter (fun id -> m.js.(id).flagged) (List.init (Array.length m.js) Fun.id)
+        in
+        if sum.Sched.nondet <> flagged then fail "nondeterminism flags differ";
+        if List.map fst sum.Sched.findings <> finding_digests m then fail "finding set differs";
+        if sum.Sched.reassigned <> m.requeued then
+          fail "%d jobs reassigned, the model requeued %d" sum.Sched.reassigned m.requeued;
+        Option.iter
+          (fun ck ->
+            let m2 = new_model ~cap (Some ck) in
+            apply m2 (Sched.start m2.s);
+            complete m2;
+            let sum2 = Sched.summary m2.s in
+            if sum2.Sched.digests <> sum.Sched.digests then fail "resumed digests differ";
+            if sum2.Sched.findings <> sum.Sched.findings then fail "resumed findings differ")
+          !ck
+      end;
+      true)
 
 let () =
   Alcotest.run "farm"
@@ -590,5 +939,8 @@ let () =
             test_repeated_refusals_abort_campaign;
           Alcotest.test_case "invalid specs rejected before serving" `Quick
             test_invalid_specs_rejected_before_serving;
+          Alcotest.test_case "silent peers cannot hang the run" `Quick
+            test_silent_peer_does_not_hang;
         ] );
+      ("sched", [ QCheck_alcotest.to_alcotest prop_sched_matches_model ]);
     ]

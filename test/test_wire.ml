@@ -74,6 +74,16 @@ let feed raw f =
       (* a closed: a truncated stream ends in EOF, not a hang *)
       f (Wire.read_one (Wire.reader b)))
 
+let test_frame_send_timeout () =
+  (* A peer that never reads: once the socket buffers fill, SO_SNDTIMEO
+     expires and the write reports [Timeout] instead of raising. *)
+  with_socketpair (fun a _b ->
+      Unix.setsockopt_float a SO_SNDTIMEO 0.05;
+      match Wire.write_frame a Wire.Section (String.make (8 * 1024 * 1024) 'x') with
+      | Error Wire.Timeout -> ()
+      | Ok () -> Alcotest.fail "8 MiB fit in an unread socket"
+      | Error e -> Alcotest.failf "wrong error: %s" (Wire.error_to_string e))
+
 let test_frame_bad_crc () =
   let raw = raw_frame Wire.Section "hello, pmtestd" in
   let b = Bytes.of_string raw in
@@ -179,6 +189,29 @@ let test_batch_stops_at_partial_frame () =
       | Error e -> Alcotest.fail (Wire.error_to_string e)
       | Ok [ (kind, "") ] -> Alcotest.(check bool) "get_result" true (kind = Wire.Get_result)
       | Ok _ -> Alcotest.fail "wrong tail batch")
+
+let test_read_some_half_frame () =
+  (* One read(2) that ends mid-frame yields no frame and does not block
+     for the rest (the receive timeout turns a blocking implementation
+     into a failure, not a hang); the frame comes whole on the read
+     after its tail arrives. *)
+  let raw = raw_frame Wire.Job_claim (Wire.encode_job_claim ~job:3 ~attempt:2) in
+  let cut = String.length raw / 2 in
+  with_socketpair (fun a b ->
+      Unix.setsockopt_float b SO_RCVTIMEO 1.0;
+      let r = Wire.reader b in
+      ignore (Unix.write_substring a raw 0 cut);
+      (match Wire.read_some r with
+      | Ok [] -> ()
+      | Ok _ -> Alcotest.fail "half a frame came back as a frame"
+      | Error e -> Alcotest.fail (Wire.error_to_string e));
+      ignore (Unix.write_substring a raw cut (String.length raw - cut));
+      match Wire.read_some r with
+      | Ok [ (Wire.Job_claim, payload) ] ->
+        Alcotest.(check (result (pair int int) reject))
+          "the claim" (Ok (3, 2)) (Wire.decode_job_claim payload)
+      | Ok _ -> Alcotest.fail "wrong frames once whole"
+      | Error e -> Alcotest.fail (Wire.error_to_string e))
 
 let test_batch_error_is_sticky () =
   (* A good frame followed by a corrupt one in the same read: the good
@@ -480,6 +513,7 @@ let () =
           Alcotest.test_case "alien protocol version" `Quick test_frame_alien_version;
           Alcotest.test_case "unknown frame kind" `Quick test_frame_unknown_kind;
           Alcotest.test_case "corrupt cxl hello frame" `Quick test_corrupt_cxl_hello_frame;
+          Alcotest.test_case "send timeout is Timeout" `Quick test_frame_send_timeout;
         ] );
       ( "reader",
         [
@@ -491,6 +525,7 @@ let () =
             test_read_one_interleaves_with_batch;
           Alcotest.test_case "EOF mid-payload is Corrupt" `Quick
             test_batch_eof_mid_payload_is_corrupt;
+          Alcotest.test_case "read_some waits out half a frame" `Quick test_read_some_half_frame;
         ] );
       ( "codecs",
         [
