@@ -79,45 +79,25 @@ type tool =
   | Tool_remote of { socket : string; model : Model.kind }
       (** Trace into a session on a running [pmtestd] ([attach]). *)
 
-(* The slice of a tracing session the workload drivers need — one
-   implementation wraps an in-process [Pmtest] session, the other a
-   remote daemon session, so every workload can run under either
-   without knowing which. *)
-type session_like = {
-  s_sink : int -> Sink.t;  (* per program thread *)
-  s_send : int -> unit;  (* PMTest_SEND_TRACE for that thread *)
-  s_finish : unit -> (Report.t, string) result;
-}
+(* A tracing session for [tool] — in process or on a running daemon, one
+   [Pmtest] session either way — and the daemon connection to close
+   once it is finished. *)
+let open_session ?(model = Model.X86) ~obs ~workers tool =
+  match tool with
+  | Tool_pmtest -> Ok (Some (Pmtest.init ~model ~workers ~obs (), None))
+  | Tool_remote { socket; model } -> (
+    let on_retry ~attempt ~delay err =
+      Fmt.epr "attach: %s; retry %d in %.0f ms@.%!" err attempt (delay *. 1000.)
+    in
+    match Client.connect_retry ~model ~attempts:5 ~on_retry ~socket () with
+    | Error m -> Error ("cannot attach: " ^ m)
+    | Ok conn -> Ok (Some (Client.Session.make ~obs conn, Some conn)))
+  | Tool_none | Tool_pmemcheck -> Ok None
 
-let pmtest_session ?(model = Model.X86) ~obs ~workers () =
-  let s = Pmtest.init ~model ~workers ~obs () in
-  {
-    s_sink =
-      (fun thread ->
-        Pmtest.thread_init s ~thread;
-        Pmtest.sink ~thread s);
-    s_send = (fun thread -> Pmtest.send_trace ~thread s);
-    s_finish = (fun () -> Ok (Pmtest.finish s));
-  }
-
-let remote_session ~obs ~socket ~model () =
-  let on_retry ~attempt ~delay err =
-    Fmt.epr "attach: %s; retry %d in %.0f ms@.%!" err attempt (delay *. 1000.)
-  in
-  match Client.connect_retry ~model ~attempts:5 ~on_retry ~socket () with
-  | Error m -> Error m
-  | Ok conn ->
-    let s = Client.Session.make ~obs conn in
-    Ok
-      {
-        s_sink = (fun thread -> Client.Session.sink ~thread s);
-        s_send = (fun thread -> Client.Session.send_trace ~thread s);
-        s_finish =
-          (fun () ->
-            let r = Client.Session.finish s in
-            Client.close conn;
-            r);
-      }
+let finish_session (s, conn) =
+  let r = Pmtest.finish_result s in
+  Option.iter Client.close conn;
+  r
 
 (* Tee: record every event a session sink sees, so [attach --record]
    can save the trace it just streamed. *)
@@ -152,53 +132,43 @@ let tee_sink thread (sink : Sink.t) =
    [attach --verify] comparison is over identical section streams. *)
 let replay_session ~section s entries =
   let sinks = Hashtbl.create 8 in
-  let sink th =
-    match Hashtbl.find_opt sinks th with
+  let sink thread =
+    match Hashtbl.find_opt sinks thread with
     | Some k -> k
     | None ->
-      let k = tee_sink th (s.s_sink th) in
-      Hashtbl.replace sinks th k;
+      let k = tee_sink thread (Pmtest.sink ~thread s) in
+      Hashtbl.replace sinks thread k;
       k
   in
   Array.iteri
     (fun i (e : Event.t) ->
       (sink e.Event.thread).Sink.emit e.Event.kind e.Event.loc;
-      if (i + 1) mod section = 0 then s.s_send e.Event.thread)
-    entries;
-  s.s_finish ()
+      if (i + 1) mod section = 0 then Pmtest.send_trace ~thread:e.Event.thread s)
+    entries
 
 (* Shared by [workload], [stat WORKLOAD] and [attach WORKLOAD]: run the
    named workload and return the tool's report, with [obs] threaded
    into every session. *)
 let exec_workload ?(local_model = Model.X86) ~obs name tool ops threads workers seed =
   let finish_report = ref Report.empty in
-  let mk_session () =
-    match tool with
-    | Tool_pmtest -> Ok (Some (pmtest_session ~model:local_model ~obs ~workers ()))
-    | Tool_remote { socket; model } -> (
-      match remote_session ~obs ~socket ~model () with
-      | Ok s -> Ok (Some s)
-      | Error m -> Error ("cannot attach: " ^ m))
-    | Tool_none | Tool_pmemcheck -> Ok None
-  in
   let with_session k =
-    match mk_session () with
+    match open_session ~model:local_model ~obs ~workers tool with
     | Error _ as e -> e
-    | Ok session -> (
-      match k session with
+    | Ok opened -> (
+      match k (Option.map fst opened) with
       | Error _ as e -> e
       | Ok () -> (
-        match session with
+        match Option.map finish_session opened with
         | None -> Ok ()
-        | Some s -> (
-          match s.s_finish () with
-          | Ok r ->
-            finish_report := r;
-            Ok ()
-          | Error m -> Error ("session failed: " ^ m))))
+        | Some (Ok r) ->
+          finish_report := r;
+          Ok ()
+        | Some (Error m) -> Error ("session failed: " ^ m)))
   in
+  let send session thread = Option.iter (Pmtest.send_trace ~thread) session in
   let sink_for session thread =
-    tee_sink thread (match session with Some s -> s.s_sink thread | None -> Sink.null)
+    tee_sink thread
+      (match session with Some s -> Pmtest.sink ~thread s | None -> Sink.null)
   in
   let run_kv_memcached client =
     with_session (fun session ->
@@ -206,10 +176,7 @@ let exec_workload ?(local_model = Model.X86) ~obs name tool ops threads workers 
         let streams =
           Memcached.generate_streams ~client ~ops_per_client:(ops / threads) ~keys:4096 ~seed mc
         in
-        let on_section shard =
-          match session with Some s -> s.s_send shard | None -> ()
-        in
-        Memcached.run mc ~on_section ~streams;
+        Memcached.run mc ~on_section:(send session) ~streams;
         Memcached.check_consistent mc)
   in
   let run_redis () =
@@ -224,13 +191,12 @@ let exec_workload ?(local_model = Model.X86) ~obs name tool ops threads workers 
       with_session (fun session ->
           let r = Redis.create ~sink:(sink_for session 0) () in
           let ops_arr = Clients.redis_lru ~ops ~keys:16384 (Rng.create seed) in
-          let send () = match session with Some s -> s.s_send 0 | None -> () in
           Array.iteri
             (fun i op ->
               Redis.apply r op;
-              if i mod 16 = 0 then send ())
+              if i mod 16 = 0 then send session 0)
             ops_arr;
-          send ();
+          send session 0;
           Redis.check_consistent r)
     | Tool_none ->
       let r = Redis.create ~annotate:false ~sink:Sink.null () in
@@ -240,8 +206,7 @@ let exec_workload ?(local_model = Model.X86) ~obs name tool ops threads workers 
   let run_pmfs client =
     with_session (fun session ->
         let fs = Pmtest_pmfs.Fs.mkfs ~inodes:128 ~blocks:1024 ~sink:(sink_for session 0) () in
-        let on_section () = match session with Some s -> s.s_send 0 | None -> () in
-        Pmfs_app.run ~on_section fs (client (Rng.create seed));
+        Pmfs_app.run ~on_section:(fun () -> send session 0) fs (client (Rng.create seed));
         Pmtest_pmfs.Fs.check_consistent fs)
   in
   let result =
@@ -254,8 +219,7 @@ let exec_workload ?(local_model = Model.X86) ~obs name tool ops threads workers 
     | "vacation" ->
       with_session (fun session ->
           let v = Vacation.create ~resources:64 ~sink:(sink_for session 0) () in
-          let on_section () = match session with Some s -> s.s_send 0 | None -> () in
-          Vacation.run v ~on_section
+          Vacation.run v ~on_section:(fun () -> send session 0)
             (Vacation.client ~ops ~customers:256 ~resources:64 (Rng.create seed));
           Vacation.check_consistent v)
     | other -> Error (Printf.sprintf "unknown workload %S" other)
@@ -1284,17 +1248,12 @@ let run_attach source socket model_opt section ops threads seed record verify pr
       match entries with
       | Error _ as e -> e
       | Ok entries -> (
-        let session =
-          match tool with
-          | Tool_remote { socket; model } -> (
-            match remote_session ~obs ~socket ~model () with
-            | Ok s -> Ok s
-            | Error m -> Error ("cannot attach: " ^ m))
-          | _ -> Ok (pmtest_session ~model ~obs ~workers:1 ())
-        in
-        match session with
+        match open_session ~model ~obs ~workers:1 tool with
         | Error _ as e -> e
-        | Ok s -> replay_session ~section s entries)
+        | Ok None -> Error "no tracing session"
+        | Ok (Some ((s, _) as opened)) ->
+          replay_session ~section s entries;
+          finish_session opened)
   in
   match run_under (Tool_remote { socket; model }) with
   | Error e ->

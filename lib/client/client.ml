@@ -1,9 +1,7 @@
-open Pmtest_util
 open Pmtest_trace
-open Pmtest_itree
 module Model = Pmtest_model.Model
 module Report = Pmtest_core.Report
-module Obs = Pmtest_obs.Obs
+module Pmtest = Pmtest_core.Pmtest
 module Wire = Pmtest_wire.Wire
 
 type t = {
@@ -12,9 +10,7 @@ type t = {
      the buffer also means a report arriving back-to-back with an [Err]
      is never half-lost to a short read. *)
   reader : Wire.reader;
-  session : int;
   model : Model.kind;
-  max_inflight : int;
   policy : Wire.policy;
   (* Last Prelude payload on the wire; re-sent only on change, so a
      section stream with a stable exclusion scope costs one extra frame
@@ -61,18 +57,8 @@ let connect ?(model = Model.X86) ~socket () =
         | Ok (Wire.Hello_ack, payload) -> (
           match Wire.decode_hello_ack payload with
           | Error e -> fail (err_of e)
-          | Ok (session, max_inflight, policy) ->
-            Ok
-              {
-                fd;
-                reader;
-                session;
-                model;
-                max_inflight;
-                policy;
-                sent_prelude = Lazy.force empty_prelude;
-                closed = false;
-              })
+          | Ok (_session, _max_inflight, policy) ->
+            Ok { fd; reader; model; policy; sent_prelude = Lazy.force empty_prelude; closed = false })
         | Ok (kind, _) -> fail (Printf.sprintf "unexpected %s frame" (Wire.kind_name kind)))))
 
 (* Exponential backoff with full-range jitter (0.5x..1.5x of the
@@ -97,9 +83,6 @@ let connect_retry ?model ?(attempts = 8) ?(base_delay = 0.05) ?(max_delay = 2.0)
   in
   go 0 base_delay
 
-let session_id t = t.session
-let model t = t.model
-let max_inflight t = t.max_inflight
 let policy t = t.policy
 
 let check_open t = if t.closed then Error "client already closed" else Ok ()
@@ -122,10 +105,13 @@ let sync_prelude t prelude =
     Ok ()
 
 let send_packed ?(prelude = [||]) t p =
-  let* () = check_open t in
-  let* () = sync_prelude t prelude in
-  let payload = Packed.encode_wire p in
+  let payload =
+    let* () = check_open t in
+    let* () = sync_prelude t prelude in
+    Ok (Packed.encode_wire p)
+  in
   Packed.free p;
+  let* payload = payload in
   write t Wire.Section payload
 
 let send_events ?prelude t events =
@@ -158,99 +144,26 @@ let close t =
 
 (* --- Remote tracing session ---------------------------------------------- *)
 
-(* Mirrors [Pmtest]'s session logic — per-thread packed builders, a live
-   exclusion scope whose preamble is announced ahead of each section —
-   so a workload attached to a daemon earns byte-for-byte the report an
-   in-process [Pmtest] session over the same events would.  The one
-   difference is where the preamble travels: as a [Prelude] frame
-   (deduplicated by {!sync_prelude}) instead of a boxed prefix. *)
+(* A [Pmtest] session over the daemon: the exclusion preamble travels as
+   a [Prelude] frame (deduplicated by {!sync_prelude}) instead of a boxed
+   prefix, so an attached workload earns byte-for-byte the report an
+   in-process session over the same events would. *)
 module Session = struct
-  type nonrec conn = t
+  type conn = t
+  type t = Pmtest.t
 
-  type t = {
-    conn : conn;
-    obs : Obs.t;
-    builders : (int, Builder.t) Hashtbl.t;
-    mutex : Mutex.t;
-    mutable excluded : unit Interval_map.t;
-    mutable error : string option;
-  }
+  let target conn =
+    {
+      Pmtest.model = conn.model;
+      send = (fun ~prelude p -> send_packed ~prelude conn p);
+      send_boxed = (fun section -> send_events conn section);
+      get_result = (fun () -> get_result conn);
+      shutdown = (fun () -> get_result conn);
+    }
 
-  let make ?(obs = Obs.disabled) conn =
-    let s =
-      {
-        conn;
-        obs;
-        builders = Hashtbl.create 8;
-        mutex = Mutex.create ();
-        excluded = Interval_map.empty;
-        error = None;
-      }
-    in
-    Hashtbl.replace s.builders 0 (Builder.create ~thread:0 ~packed:true ~obs ());
-    s
-
-  let builder s thread =
-    Mutex.protect s.mutex (fun () ->
-        match Hashtbl.find_opt s.builders thread with
-        | Some b -> b
-        | None ->
-          let b = Builder.create ~thread ~packed:true ~obs:s.obs () in
-          Hashtbl.replace s.builders thread b;
-          b)
-
-  let sink ?(thread = 0) s = Sink.observed s.obs (Builder.sink (builder s thread))
-
-  let emit ?(thread = 0) ?(loc = Loc.none) s kind =
-    if Obs.enabled s.obs then Obs.add s.obs Obs.events_traced 1;
-    Builder.emit (builder s thread) kind loc
-
-  let note_error s = function
-    | Ok () -> ()
-    | Error msg -> Mutex.protect s.mutex (fun () -> if s.error = None then s.error <- Some msg)
-
-  let send_trace ?(thread = 0) s =
-    let b = builder s thread in
-    let p = Builder.take_packed b in
-    if Packed.count p = 0 then begin
-      Packed.free p;
-      if Obs.enabled s.obs then Obs.add s.obs Obs.sections_dropped 1
-    end
-    else begin
-      (* Preamble reflects the scope {e before} this section's own
-         controls — same order of operations as [Pmtest.send_trace]. *)
-      let preamble =
-        Mutex.protect s.mutex (fun () ->
-            let preamble =
-              List.rev
-                (Interval_map.fold
-                   (fun lo hi () acc ->
-                     Event.make ~thread
-                       (Event.Control (Event.Exclude { addr = lo; size = hi - lo }))
-                     :: acc)
-                   s.excluded [])
-            in
-            if Packed.has_scope_controls p then
-              Packed.iter p (fun (v : Packed.view) ->
-                  match v.Packed.tag with
-                  | Packed.T_exclude ->
-                    s.excluded <-
-                      Interval_map.set s.excluded ~lo:v.Packed.a ~hi:(v.Packed.a + v.Packed.b) ()
-                  | Packed.T_include ->
-                    s.excluded <-
-                      Interval_map.clear s.excluded ~lo:v.Packed.a ~hi:(v.Packed.a + v.Packed.b)
-                  | _ -> ());
-            preamble)
-      in
-      note_error s (send_packed ~prelude:(Array.of_list preamble) s.conn p)
-    end
-
-  let finish s =
-    let threads =
-      Mutex.protect s.mutex (fun () -> Hashtbl.fold (fun k _ acc -> k :: acc) s.builders [])
-    in
-    List.iter (fun thread -> send_trace ~thread s) threads;
-    match Mutex.protect s.mutex (fun () -> s.error) with
-    | Some msg -> Error msg
-    | None -> get_result s.conn
+  let make ?obs conn = Pmtest.over ?obs ~packed:true (target conn)
+  let sink = Pmtest.sink
+  let emit = Pmtest.emit
+  let send_trace = Pmtest.send_trace
+  let finish = Pmtest.finish_result
 end

@@ -34,10 +34,6 @@ val connect_retry :
     before each sleep with the upcoming delay and the error just
     seen. *)
 
-val session_id : t -> int
-val model : t -> Model.kind
-
-val max_inflight : t -> int
 val policy : t -> Wire.policy
 (** The backpressure contract the server announced in its ack. *)
 
@@ -45,7 +41,7 @@ val send_packed : ?prelude:Event.t array -> t -> Packed.t -> (unit, string) resu
 (** Ship one section.  Consumes the arena (freed after encoding).
     [prelude] is the session's current exclusion preamble; it travels
     as a separate [Prelude] frame and only when it differs from the
-    last one sent. *)
+    last one sent. The arena is freed on every path, errors included. *)
 
 val send_events : ?prelude:Event.t array -> t -> Event.t array -> (unit, string) result
 (** Boxed convenience over {!send_packed}; empty sections are skipped. *)
@@ -58,13 +54,14 @@ val get_result : t -> (Report.t, string) result
 val close : t -> unit
 (** Send [Bye] (best effort) and close the socket. *)
 
-(** A full tracing session against a remote daemon — the [attach]-side
-    mirror of {!Pmtest_core.Pmtest}: per-thread packed builders, live
-    exclusion scope, preamble announced before each section.  Transport
-    errors are latched and reported by [finish]. *)
+(** A {!Pmtest_core.Pmtest} session whose target is a remote daemon:
+    per-thread packed builders, exclusion scope, [on_section] observers
+    and [start]/[stop] are [Pmtest]'s own. The exclusion preamble
+    travels as a deduplicated [Prelude] frame. Transport errors are
+    latched and returned by [finish], never raised. *)
 module Session : sig
   type conn = t
-  type t
+  type t = Pmtest_core.Pmtest.t
 
   val make : ?obs:Pmtest_obs.Obs.t -> conn -> t
   val sink : ?thread:int -> t -> Sink.t
@@ -75,5 +72,6 @@ module Session : sig
       ([PMTest_SEND_TRACE]). *)
 
   val finish : t -> (Report.t, string) result
-  (** Flush every thread's pending section and fetch the aggregate. *)
+  (** Flush every thread's pending section and fetch the aggregate. The
+      connection stays open: {!close} it afterwards. *)
 end

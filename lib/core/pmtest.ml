@@ -5,8 +5,31 @@ open Pmtest_itree
 
 module Obs = Pmtest_obs.Obs
 
+type target = {
+  model : Model.kind;
+  send : prelude:Event.t array -> Packed.t -> (unit, string) result;
+  send_boxed : Event.t array -> (unit, string) result;
+  get_result : unit -> (Report.t, string) result;
+  shutdown : unit -> (Report.t, string) result;
+}
+
+let local runtime =
+  {
+    model = Runtime.model runtime;
+    send =
+      (fun ~prelude p ->
+        Runtime.send_packed ~prelude runtime p;
+        Ok ());
+    send_boxed =
+      (fun section ->
+        Runtime.send_trace runtime section;
+        Ok ());
+    get_result = (fun () -> Ok (Runtime.get_result runtime));
+    shutdown = (fun () -> Ok (Runtime.shutdown runtime));
+  }
+
 type t = {
-  runtime : Runtime.t;
+  target : target;
   obs : Obs.t;
   packed : bool;
   builders : (int, Builder.t) Hashtbl.t;
@@ -15,17 +38,20 @@ type t = {
   mutable tracking : bool;
   (* Exclusions outlive trace sections: the engine checks each section
      independently, so the active exclusion set is re-announced at the
-     head of every section sent to the workers. *)
+     head of every section sent to the target. *)
   mutable excluded : unit Interval_map.t;
-  (* Called with every section handed to the runtime — how offline tools
+  (* Called with every section handed to the target — how offline tools
      (the static lint, trace recorders) observe a live session. *)
   mutable observers : (Event.t array -> unit) list;
+  (* The target's first error (a remote transport can fail); later
+     sections are still taken, so builders never grow unbounded. *)
+  mutable error : string option;
 }
 
-let init ?(model = Model.X86) ?(workers = 1) ?(obs = Obs.disabled) ?(packed = false) () =
+let over ?(obs = Obs.disabled) ?(packed = false) target =
   let t =
     {
-      runtime = Runtime.create ~workers ~model ~obs ();
+      target;
       obs;
       packed;
       builders = Hashtbl.create 8;
@@ -34,15 +60,17 @@ let init ?(model = Model.X86) ?(workers = 1) ?(obs = Obs.disabled) ?(packed = fa
       tracking = true;
       excluded = Interval_map.empty;
       observers = [];
+      error = None;
     }
   in
   Hashtbl.replace t.builders 0 (Builder.create ~thread:0 ~packed ~obs ());
   t
 
-let model t = Runtime.model t.runtime
-let worker_count t = Runtime.worker_count t.runtime
+let init ?(model = Model.X86) ?(workers = 1) ?(obs = Obs.disabled) ?packed () =
+  over ~obs ?packed (local (Runtime.create ~workers ~model ~obs ()))
+
+let model t = t.target.model
 let obs t = t.obs
-let packed t = t.packed
 
 let builder t thread =
   Mutex.protect t.mutex (fun () ->
@@ -56,17 +84,13 @@ let builder t thread =
 
 let thread_init t ~thread = ignore (builder t thread)
 
-let start t =
+let set_tracking t on =
   Mutex.protect t.mutex (fun () ->
-      t.tracking <- true;
-      Hashtbl.iter (fun _ b -> Builder.set_enabled b true) t.builders)
+      t.tracking <- on;
+      Hashtbl.iter (fun _ b -> Builder.set_enabled b on) t.builders)
 
-let stop t =
-  Mutex.protect t.mutex (fun () ->
-      t.tracking <- false;
-      Hashtbl.iter (fun _ b -> Builder.set_enabled b false) t.builders)
-
-let tracking t = t.tracking
+let start t = set_tracking t true
+let stop t = set_tracking t false
 
 let sink ?(thread = 0) t = Sink.observed t.obs (Builder.sink (builder t thread))
 
@@ -94,93 +118,87 @@ let reg_var t name ~addr ~size =
 let unreg_var t name = Mutex.protect t.mutex (fun () -> Hashtbl.remove t.vars name)
 let get_var t name = Mutex.protect t.mutex (fun () -> Hashtbl.find_opt t.vars name)
 
-let note_control t = function
-  | Event.Exclude { addr; size } ->
-    t.excluded <- Interval_map.set t.excluded ~lo:addr ~hi:(addr + size) ()
-  | Event.Include { addr; size } ->
-    t.excluded <- Interval_map.clear t.excluded ~lo:addr ~hi:(addr + size)
-  | Event.Lint_off _ | Event.Lint_on _ -> ()
+type section = Arena of Packed.t | Events of Event.t array
 
-let send_boxed t section ~preamble =
-  let section =
-    if preamble = [] then section else Array.append (Array.of_list preamble) section
-  in
-  List.iter (fun f -> f section) t.observers;
-  Runtime.send_trace t.runtime section
+(* The live exclusion scope as [Exclude] controls, in address order.
+   Caller holds [t.mutex]. *)
+let preamble t ~thread =
+  Array.of_list
+    (List.rev
+       (Interval_map.fold
+          (fun lo hi () acc ->
+            Event.make ~thread (Event.Control (Event.Exclude { addr = lo; size = hi - lo })) :: acc)
+          t.excluded []))
 
-(* The exclusion preamble plus the live-scope update, shared by both
-   representations. Returns (preamble, observers are present). *)
-let section_prologue t ~thread ~note =
-  Mutex.protect t.mutex (fun () ->
-      let preamble =
-        List.rev
-          (Interval_map.fold
-             (fun lo hi () acc ->
-               Event.make ~thread (Event.Control (Event.Exclude { addr = lo; size = hi - lo }))
-               :: acc)
-             t.excluded [])
-      in
-      (* Update the live exclusion set from this section's controls so
-         the next section starts from the right scope. *)
-      note ();
-      (preamble, t.observers <> []))
+let rescope t ~exclude addr size =
+  let hi = addr + size in
+  t.excluded <-
+    (if exclude then Interval_map.set t.excluded ~lo:addr ~hi ()
+     else Interval_map.clear t.excluded ~lo:addr ~hi)
+
+(* Apply a section's scope controls to the live exclusion set, so the
+   next section starts from the right scope.  Caller holds [t.mutex]. *)
+let note_scope t = function
+  | Arena p ->
+    (* Only decode the arena when the builder actually recorded a scope
+       control — the common fast path skips the scan entirely. *)
+    if Packed.has_scope_controls p then
+      Packed.iter p (fun (v : Packed.view) ->
+          match v.Packed.tag with
+          | Packed.T_exclude -> rescope t ~exclude:true v.Packed.a v.Packed.b
+          | Packed.T_include -> rescope t ~exclude:false v.Packed.a v.Packed.b
+          | _ -> ())
+  | Events a ->
+    Array.iter
+      (fun (e : Event.t) ->
+        match e.Event.kind with
+        | Event.Control (Event.Exclude { addr; size }) -> rescope t ~exclude:true addr size
+        | Event.Control (Event.Include { addr; size }) -> rescope t ~exclude:false addr size
+        | _ -> ())
+      a
+
+let latch t = function
+  | Ok () -> ()
+  | Error msg -> Mutex.protect t.mutex (fun () -> if t.error = None then t.error <- Some msg)
 
 let send_trace ?(thread = 0) t =
   let b = builder t thread in
-  if Builder.is_packed b then begin
-    let p = Builder.take_packed b in
-    if Packed.count p > 0 then begin
-      let note () =
-        (* Only decode the section looking for scope controls when the
-           builder actually recorded one — the common fast path skips
-           the scan entirely. *)
-        if Packed.has_scope_controls p then
-          Packed.iter p (fun (v : Packed.view) ->
-              match v.Packed.tag with
-              | Packed.T_exclude ->
-                t.excluded <-
-                  Interval_map.set t.excluded ~lo:v.Packed.a ~hi:(v.Packed.a + v.Packed.b) ()
-              | Packed.T_include ->
-                t.excluded <-
-                  Interval_map.clear t.excluded ~lo:v.Packed.a ~hi:(v.Packed.a + v.Packed.b)
-              | _ -> ())
-      in
-      let preamble, have_observers = section_prologue t ~thread ~note in
-      if not have_observers then
-        (* An active exclusion scope rides along as a boxed prelude —
-           the arena itself is never decoded. *)
-        Runtime.send_packed t.runtime
-          ~prelude:(if preamble = [] then [||] else Array.of_list preamble)
-          p
-      else begin
+  match if Builder.is_packed b then Arena (Builder.take_packed b) else Events (Builder.take b) with
+  | Arena p when Packed.count p = 0 ->
+    Packed.free p;
+    if Obs.enabled t.obs then Obs.add t.obs Obs.sections_dropped 1
+  | Events [||] -> if Obs.enabled t.obs then Obs.add t.obs Obs.sections_dropped 1
+  | section ->
+    (* The preamble is the scope {e before} this section's own controls. *)
+    let prelude, observers =
+      Mutex.protect t.mutex (fun () ->
+          let prelude = preamble t ~thread in
+          note_scope t section;
+          (prelude, t.observers))
+    in
+    latch t
+      (match (section, observers) with
+      | Arena p, [] ->
+        (* An active exclusion scope rides along as a prelude — the arena
+           itself is never decoded. *)
+        t.target.send ~prelude p
+      | _ ->
         (* Observers want the boxed shape; decode once and recycle the
            arena. *)
-        let section = Packed.to_events p in
-        Packed.free p;
-        send_boxed t section ~preamble
-      end
-    end
-    else begin
-      Packed.free p;
-      if Obs.enabled t.obs then Obs.add t.obs Obs.sections_dropped 1
-    end
-  end
-  else begin
-    let section = Builder.take b in
-    if Array.length section > 0 then begin
-      let preamble, _ =
-        section_prologue t ~thread ~note:(fun () ->
-            Array.iter
-              (fun (e : Event.t) ->
-                match e.Event.kind with Event.Control c -> note_control t c | _ -> ())
-              section)
-      in
-      send_boxed t section ~preamble
-    end
-    else if Obs.enabled t.obs then Obs.add t.obs Obs.sections_dropped 1
-  end
+        let events =
+          match section with
+          | Events a -> a
+          | Arena p ->
+            let a = Packed.to_events p in
+            Packed.free p;
+            a
+        in
+        let events = if Array.length prelude = 0 then events else Array.append prelude events in
+        List.iter (fun f -> f events) observers;
+        t.target.send_boxed events)
 
-let get_result t = Runtime.get_result t.runtime
+let ok_or_fail = function Ok r -> r | Error msg -> failwith msg
+let get_result t = ok_or_fail (t.target.get_result ())
 let section_length ?(thread = 0) t = Builder.length (builder t thread)
 
 let is_persist ?thread ?loc t ~addr ~size =
@@ -197,9 +215,13 @@ let is_ordered_before ?thread ?loc t ~a_addr ~a_size ~b_addr ~b_size =
 let tx_checker_start ?thread ?loc t = emit ?thread ?loc t (Event.Tx Event.Tx_checker_start)
 let tx_checker_end ?thread ?loc t = emit ?thread ?loc t (Event.Tx Event.Tx_checker_end)
 
-let finish t =
+let finish_result t =
   let threads =
     Mutex.protect t.mutex (fun () -> Hashtbl.fold (fun k _ acc -> k :: acc) t.builders [])
   in
   List.iter (fun thread -> send_trace ~thread t) threads;
-  Runtime.shutdown t.runtime
+  match Mutex.protect t.mutex (fun () -> t.error) with
+  | Some msg -> Error msg
+  | None -> t.target.shutdown ()
+
+let finish t = ok_or_fail (finish_result t)

@@ -1,7 +1,9 @@
 (** The PMTest programmer interface (paper Table 2).
 
-    A {e session} owns per-thread trace builders, the variable registry and
-    the worker runtime. The function names map onto the paper's C API:
+    A {e session} owns per-thread trace builders and the variable registry,
+    and hands finished sections to a {!target}: the in-process worker
+    runtime or a [pmtestd] daemon. The function names map onto the paper's
+    C API:
 
     {v
     PMTest_INIT          init          PMTest_EXCLUDE       exclude
@@ -27,30 +29,54 @@ open Pmtest_trace
 type t
 
 val init : ?model:Model.kind -> ?workers:int -> ?obs:Pmtest_obs.Obs.t -> ?packed:bool -> unit -> t
-(** Create a session. [workers] is the size of the checking pool
-    (default 1; [0] checks synchronously inside [send_trace]). [obs]
-    (default {!Pmtest_obs.Obs.disabled}) observes the whole pipeline:
-    entries traced, sections sent/dropped, and — through the runtime —
-    dispatch/check/merge spans and worker utilization.
+(** Create a session checked in process by a {!Runtime}. [workers] is
+    the size of the checking pool (default 1; [0] checks synchronously
+    inside [send_trace]). [obs] (default {!Pmtest_obs.Obs.disabled})
+    observes the whole pipeline: entries traced, sections sent/dropped,
+    and — through the runtime — dispatch/check/merge spans and worker
+    utilization.
 
     [packed] (default false) selects the flat-trace fast path: builders
     encode into reusable {!Pmtest_trace.Packed} arenas and sections are
-    handed to the runtime without materialising an [Event.t array]. The
-    verdict is identical either way; sections that carry an exclusion
-    preamble or feed {!on_section} observers fall back to the boxed
-    shape transparently. *)
+    handed to the runtime without materialising an [Event.t array]; an
+    active exclusion scope travels beside the arena as a prelude. The
+    verdict is identical either way. Only {!on_section} observers force
+    the boxed shape: with one registered, each section is decoded once
+    for them. *)
+
+(** Where finished sections go. A session is the same whichever target
+    it delivers to — in process ({!init}) or a [pmtestd] daemon
+    ([Pmtest_client.Client.Session]); only where the preamble travels
+    differs. Every operation reports failure as [Error msg]. *)
+type target = {
+  model : Model.kind;
+  send : prelude:Event.t array -> Packed.t -> (unit, string) result;
+      (** Check a packed section after replaying [prelude] (the session's
+          exclusion preamble). Consumes the arena on every path. *)
+  send_boxed : Event.t array -> (unit, string) result;
+      (** Check a boxed section whose preamble is already its head. *)
+  get_result : unit -> (Report.t, string) result;
+  shutdown : unit -> (Report.t, string) result;
+      (** Drain, release the target and return the final aggregate. *)
+}
+
+val over : ?obs:Pmtest_obs.Obs.t -> ?packed:bool -> target -> t
+(** A session delivering to [target]; [obs] and [packed] as for
+    {!init}. The first error a target returns is latched: later
+    sections are still taken from their builders, and {!finish_result}
+    returns the error. *)
 
 val obs : t -> Pmtest_obs.Obs.t
 
-val packed : t -> bool
-(** Whether this session uses the packed fast path. *)
-
 val finish : t -> Report.t
-(** Send any unfinished sections, drain the workers, shut the runtime
-    down and return the final report. *)
+(** Send any unfinished sections, drain the target, shut it down and
+    return the final report. Raises [Failure] with the target's first
+    error; only a remote target can fail. *)
+
+val finish_result : t -> (Report.t, string) result
+(** {!finish}, returning the target's first error instead of raising. *)
 
 val model : t -> Model.kind
-val worker_count : t -> int
 
 (** {1 Threads and tracking scope} *)
 
@@ -64,8 +90,6 @@ val start : t -> unit
 val stop : t -> unit
 (** Disable tracking ([PMTest_END]); entries emitted while disabled are
     dropped. *)
-
-val tracking : t -> bool
 
 val sink : ?thread:int -> t -> Sink.t
 (** The session viewed as an instrumentation sink for the given thread.
@@ -97,16 +121,17 @@ val get_var : t -> string -> (int * int) option
 (** {1 Communication} *)
 
 val send_trace : ?thread:int -> t -> unit
-(** Hand the thread's current section to the checking pool and start a
-    fresh one. *)
+(** Hand the thread's current section to the target and start a fresh
+    one. *)
 
 val get_result : t -> Report.t
 (** Block until everything sent so far has been checked. Does {e not}
-    send the current sections — call {!send_trace} or {!finish} first. *)
+    send the current sections — call {!send_trace} or {!finish} first.
+    Raises [Failure] if the target fails. *)
 
 val on_section : t -> (Event.t array -> unit) -> unit
 (** Register an observer called (synchronously, on the sending thread)
-    with every section handed to the runtime, including the exclusion
+    with every section handed to the target, including the exclusion
     preamble. Used by trace recorders and the static lint. *)
 
 val section_length : ?thread:int -> t -> int

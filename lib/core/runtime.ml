@@ -74,9 +74,7 @@ let post w msg =
        Taking [park] here orders this signal against the worker's final
        inbox re-check under the same mutex, so the wakeup is never
        lost. *)
-    Mutex.lock w.park;
-    Condition.signal w.nonempty;
-    Mutex.unlock w.park
+    Mutex.protect w.park (fun () -> Condition.signal w.nonempty)
   end
 
 (* Steal the whole stack in one exchange — the batch hand-off: a worker
@@ -87,7 +85,6 @@ let drain_batch w =
     match Atomic.exchange w.inbox [] with
     | _ :: _ as batch -> batch
     | [] ->
-      Mutex.lock w.park;
       let rec wait () =
         match Atomic.exchange w.inbox [] with
         | [] ->
@@ -95,9 +92,7 @@ let drain_batch w =
           wait ()
         | batch -> batch
       in
-      let batch = wait () in
-      Mutex.unlock w.park;
-      batch
+      Mutex.protect w.park wait
   in
   let ntasks =
     List.fold_left (fun n m -> match m with Task _ -> n + 1 | Stop -> n) 0 stolen
@@ -128,27 +123,26 @@ let batches = Obs.counter "batches"
 let batch_sections_max = Obs.gauge "batch_sections_max"
 
 let complete t seq report k =
-  Mutex.lock t.agg_mutex;
-  Hashtbl.replace t.parked seq (report, k);
-  if Obs.enabled t.obs then Obs.max t.obs reorder_hwm (Hashtbl.length t.parked);
-  let continue = ref true in
-  while !continue do
-    match Hashtbl.find_opt t.parked t.next_merge with
-    | None -> continue := false
-    | Some (r, k) ->
-      Hashtbl.remove t.parked t.next_merge;
-      (* A callback section's report belongs to its own consumer (one
-         daemon session), not the global aggregate; callbacks still fire
-         here, in dispatch order, so per-consumer aggregation is as
-         deterministic as the global one.  They run under [agg_mutex] and
-         must be brief and must not re-enter the runtime. *)
-      (match k with None -> t.aggregate <- Report.merge t.aggregate r | Some k -> k r);
-      if Obs.enabled t.obs then Obs.section_merged t.obs ~seq:(okey t t.next_merge);
-      t.next_merge <- t.next_merge + 1;
-      Atomic.incr t.completed
-  done;
-  Condition.broadcast t.drained;
-  Mutex.unlock t.agg_mutex
+  Mutex.protect t.agg_mutex (fun () ->
+      Hashtbl.replace t.parked seq (report, k);
+      if Obs.enabled t.obs then Obs.max t.obs reorder_hwm (Hashtbl.length t.parked);
+      let continue = ref true in
+      while !continue do
+        match Hashtbl.find_opt t.parked t.next_merge with
+        | None -> continue := false
+        | Some (r, k) ->
+          Hashtbl.remove t.parked t.next_merge;
+          (* A callback section's report belongs to its own consumer (one
+             daemon session), not the global aggregate; callbacks still fire
+             here, in dispatch order, so per-consumer aggregation is as
+             deterministic as the global one.  They run under [agg_mutex] and
+             must be brief and must not re-enter the runtime. *)
+          (match k with None -> t.aggregate <- Report.merge t.aggregate r | Some k -> k r);
+          if Obs.enabled t.obs then Obs.section_merged t.obs ~seq:(okey t t.next_merge);
+          t.next_merge <- t.next_merge + 1;
+          Atomic.incr t.completed
+      done;
+      Condition.broadcast t.drained)
 
 let check_payload t (task : task) =
   match task.payload with
@@ -281,13 +275,11 @@ let send_packed_cb ?model ?(prelude = [||]) t p k =
   send_section t { payload = Packed { p; prelude }; model; k = Some k }
 
 let get_result t =
-  Mutex.lock t.agg_mutex;
-  while Atomic.get t.completed < Atomic.get t.dispatched do
-    Condition.wait t.drained t.agg_mutex
-  done;
-  let r = t.aggregate in
-  Mutex.unlock t.agg_mutex;
-  r
+  Mutex.protect t.agg_mutex (fun () ->
+      while Atomic.get t.completed < Atomic.get t.dispatched do
+        Condition.wait t.drained t.agg_mutex
+      done;
+      t.aggregate)
 
 (* Lock-free: both counters are atomics, so a monitoring thread can poll
    without contending the merge loop.  [completed] is read first so the

@@ -86,19 +86,11 @@ type t = {
   mutable stopped : bool;
 }
 
-let active_sessions t =
-  Mutex.lock t.m;
-  let n = t.nlive in
-  Mutex.unlock t.m;
-  n
+let active_sessions t = Mutex.protect t.m (fun () -> t.nlive)
 
 let shard_count t = Array.length t.shards
 
-let sessions_per_shard t =
-  Mutex.lock t.m;
-  let a = Array.copy t.assigned in
-  Mutex.unlock t.m;
-  a
+let sessions_per_shard t = Mutex.protect t.m (fun () -> Array.copy t.assigned)
 
 (* --- Daemon counters ------------------------------------------------------ *)
 
@@ -163,11 +155,10 @@ let dispatch t sess p =
            stream is totally ordered there and the per-session aggregate
            stays byte-identical to a dedicated synchronous run over the
            same section stream — sharding never reorders one session. *)
-        Mutex.lock sess.sm;
-        sess.aggregate <- Report.merge sess.aggregate r;
-        sess.inflight <- sess.inflight - 1;
-        Condition.broadcast sess.sc;
-        Mutex.unlock sess.sm;
+        Mutex.protect sess.sm (fun () ->
+            sess.aggregate <- Report.merge sess.aggregate r;
+            sess.inflight <- sess.inflight - 1;
+            Condition.broadcast sess.sc);
         if Obs.enabled t.obs then Obs.record t.obs section_latency (Obs.now_ns () - t0))
   end
 
@@ -183,9 +174,7 @@ let handle_frame t sess kind payload =
     | Ok arena ->
       let events = Packed.to_events arena in
       Packed.free ~pool:sess.shard.arena_pool arena;
-      Mutex.lock sess.sm;
-      sess.prelude <- events;
-      Mutex.unlock sess.sm;
+      Mutex.protect sess.sm (fun () -> sess.prelude <- events);
       true)
   | Wire.Section -> (
     (* A frame with a valid CRC can still carry garbage (hostile or
@@ -200,12 +189,13 @@ let handle_frame t sess kind payload =
       dispatch t sess p;
       true)
   | Wire.Get_result ->
-    Mutex.lock sess.sm;
-    while sess.inflight > 0 do
-      Condition.wait sess.sc sess.sm
-    done;
-    let r = sess.aggregate in
-    Mutex.unlock sess.sm;
+    let r =
+      Mutex.protect sess.sm (fun () ->
+          while sess.inflight > 0 do
+            Condition.wait sess.sc sess.sm
+          done;
+          sess.aggregate)
+    in
     send t sess.fd Wire.Report_frame (Wire.encode_report r)
   | Wire.Bye -> false
   | Wire.Hello | Wire.Hello_ack | Wire.Report_frame | Wire.Err
@@ -259,12 +249,11 @@ let serve_conn t sh cid fd =
     if not !cleaned then begin
       cleaned := true;
       (try Unix.close fd with Unix.Unix_error _ -> ());
-      Mutex.lock t.m;
-      Hashtbl.remove t.conns cid;
-      t.assigned.(sh.idx) <- t.assigned.(sh.idx) - 1;
-      if !admitted then t.nlive <- t.nlive - 1;
-      Condition.broadcast t.drained;
-      Mutex.unlock t.m;
+      Mutex.protect t.m (fun () ->
+          Hashtbl.remove t.conns cid;
+          t.assigned.(sh.idx) <- t.assigned.(sh.idx) - 1;
+          if !admitted then t.nlive <- t.nlive - 1;
+          Condition.broadcast t.drained);
       if !admitted && Obs.enabled t.obs then Obs.add t.obs sessions_closed 1
     end
   in
@@ -280,19 +269,18 @@ let serve_conn t sh cid fd =
         send_err t fd (Wire.error_to_string e);
         cleanup ()
       | Ok model -> (
-        Mutex.lock t.m;
         let verdict =
-          if t.stopping then Error "daemon is shutting down"
-          else if t.nlive >= t.cfg.max_sessions then
-            Error (Printf.sprintf "session limit reached (%d active)" t.nlive)
-          else begin
-            t.nlive <- t.nlive + 1;
-            if Obs.enabled t.obs then Obs.max t.obs sessions_hwm t.nlive;
-            admitted := true;
-            Ok cid
-          end
+          Mutex.protect t.m (fun () ->
+              if t.stopping then Error "daemon is shutting down"
+              else if t.nlive >= t.cfg.max_sessions then
+                Error (Printf.sprintf "session limit reached (%d active)" t.nlive)
+              else begin
+                t.nlive <- t.nlive + 1;
+                if Obs.enabled t.obs then Obs.max t.obs sessions_hwm t.nlive;
+                admitted := true;
+                Ok cid
+              end)
         in
-        Mutex.unlock t.m;
         match verdict with
         | Error msg ->
           send_err t fd msg;
@@ -352,10 +340,9 @@ let pin_conn t fd =
     t.assigned.(s) <- t.assigned.(s) + 1;
     Mutex.unlock t.m;
     let sh = t.shards.(s) in
-    Mutex.lock sh.iq_m;
-    sh.iq <- (cid, fd) :: sh.iq;
-    Condition.signal sh.iq_c;
-    Mutex.unlock sh.iq_m
+    Mutex.protect sh.iq_m (fun () ->
+        sh.iq <- (cid, fd) :: sh.iq;
+        Condition.signal sh.iq_c)
   end
 
 (* Multi-accept fan-in: every shard runs its own acceptor on the one
@@ -377,14 +364,15 @@ let shard_main t sh =
   let acceptor = Thread.create (fun () -> accept_loop t) () in
   let threads = ref [] in
   let rec loop () =
-    Mutex.lock sh.iq_m;
-    while sh.iq = [] && not sh.iq_quit do
-      Condition.wait sh.iq_c sh.iq_m
-    done;
-    let batch = List.rev sh.iq in
-    sh.iq <- [];
-    let quit = sh.iq_quit in
-    Mutex.unlock sh.iq_m;
+    let batch, quit =
+      Mutex.protect sh.iq_m (fun () ->
+          while sh.iq = [] && not sh.iq_quit do
+            Condition.wait sh.iq_c sh.iq_m
+          done;
+          let batch = List.rev sh.iq in
+          sh.iq <- [];
+          (batch, sh.iq_quit))
+    in
     List.iter
       (fun (cid, fd) ->
         threads := Thread.create (fun () -> serve_conn t sh cid fd) () :: !threads)
@@ -453,11 +441,13 @@ let start ?(obs = Obs.disabled) cfg =
 let config t = t.cfg
 
 let stop t =
-  Mutex.lock t.m;
-  let first = not t.stopped in
-  t.stopped <- true;
-  t.stopping <- true;
-  Mutex.unlock t.m;
+  let first =
+    Mutex.protect t.m (fun () ->
+        let first = not t.stopped in
+        t.stopped <- true;
+        t.stopping <- true;
+        first)
+  in
   if first then begin
     (* Closing a listening fd does not wake threads parked in accept(2);
        throwaway connections do — one per acceptor.  Each acceptor
@@ -473,23 +463,21 @@ let stop t =
        admitted): each reader finishes the frame in hand, drains what it
        dispatched and unregisters.  The write side stays open so a
        pending report still goes out. *)
-    Mutex.lock t.m;
-    Hashtbl.iter
-      (fun _ fd -> try Unix.shutdown fd SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ())
-      t.conns;
-    while Hashtbl.length t.conns > 0 do
-      Condition.wait t.drained t.m
-    done;
-    Mutex.unlock t.m;
+    Mutex.protect t.m (fun () ->
+        Hashtbl.iter
+          (fun _ fd -> try Unix.shutdown fd SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ())
+          t.conns;
+        while Hashtbl.length t.conns > 0 do
+          Condition.wait t.drained t.m
+        done);
     (* All sessions are gone; release the shard dispatchers, join the
        shard domains (which join their acceptor and session threads),
        then drain each shard's pool. *)
     Array.iter
       (fun sh ->
-        Mutex.lock sh.iq_m;
-        sh.iq_quit <- true;
-        Condition.signal sh.iq_c;
-        Mutex.unlock sh.iq_m)
+        Mutex.protect sh.iq_m (fun () ->
+            sh.iq_quit <- true;
+            Condition.signal sh.iq_c))
       t.shards;
     Array.iter Domain.join t.domains;
     Array.iter (fun sh -> ignore (Runtime.shutdown sh.rt)) t.shards;

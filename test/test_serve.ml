@@ -29,42 +29,34 @@ let with_server ?obs ?(cfg = Server.default_config) f =
 
 let render r = Format.asprintf "%a" Report.pp r
 
-(* Drive one event stream through [emit]/[flush] with fixed chunking, so
-   the remote and the in-process side see identical section streams. *)
-let drive ~emit ~flush entries =
+(* Drive one event stream through a session with fixed chunking, so the
+   remote and the in-process side see identical section streams.
+   [before i] runs ahead of entry [i]. *)
+let drive ?(every = 32) ?(before = ignore) s entries =
   Array.iteri
     (fun i (e : Event.t) ->
-      emit e;
-      if (i + 1) mod 32 = 0 then flush e.Event.thread)
+      before i;
+      Pmtest.emit ~thread:e.Event.thread ~loc:e.Event.loc s e.Event.kind;
+      if (i + 1) mod every = 0 then Pmtest.send_trace ~thread:e.Event.thread s)
     entries
 
-let local_report ~model entries =
-  let t = Pmtest.init ~model ~workers:0 ~packed:true () in
-  let seen = Hashtbl.create 4 in
-  drive
-    ~emit:(fun (e : Event.t) ->
-      if not (Hashtbl.mem seen e.Event.thread) then begin
-        Hashtbl.replace seen e.Event.thread ();
-        if e.Event.thread <> 0 then Pmtest.thread_init t ~thread:e.Event.thread
-      end;
-      Pmtest.emit ~thread:e.Event.thread ~loc:e.Event.loc t e.Event.kind)
-    ~flush:(fun th -> Pmtest.send_trace ~thread:th t)
-    entries;
+let local_report ?(packed = true) ~model entries =
+  let t = Pmtest.init ~model ~workers:0 ~packed () in
+  drive t entries;
   Pmtest.finish t
 
-let remote_report ~socket ~model entries =
+(* Run [f] on a session attached to the daemon; returns its report. *)
+let remote ~socket ~model f =
   match Client.connect ~model ~socket () with
   | Error m -> Alcotest.failf "connect: %s" m
   | Ok conn ->
     let s = Client.Session.make conn in
-    drive
-      ~emit:(fun (e : Event.t) ->
-        Client.Session.emit ~thread:e.Event.thread ~loc:e.Event.loc s e.Event.kind)
-      ~flush:(fun th -> Client.Session.send_trace ~thread:th s)
-      entries;
+    f s;
     let r = Client.Session.finish s in
     Client.close conn;
     (match r with Ok r -> r | Error m -> Alcotest.failf "finish: %s" m)
+
+let remote_report ~socket ~model entries = remote ~socket ~model (fun s -> drive s entries)
 
 let test_serve_equals_in_process_bugdb () =
   with_server (fun socket _t ->
@@ -72,11 +64,69 @@ let test_serve_equals_in_process_bugdb () =
         (fun (case : Case.t) ->
           List.iter
             (fun (name, entries) ->
-              Alcotest.(check string)
-                (Printf.sprintf "%s (%s) identical over the wire" case.Case.id name)
-                (render (local_report ~model:Model.X86 entries))
-                (render (remote_report ~socket ~model:Model.X86 entries)))
+              let remote = render (remote_report ~socket ~model:Model.X86 entries) in
+              List.iter
+                (fun packed ->
+                  Alcotest.(check string)
+                    (Printf.sprintf "%s (%s, %s) identical over the wire" case.Case.id name
+                       (if packed then "packed" else "boxed"))
+                    (render (local_report ~packed ~model:Model.X86 entries))
+                    remote)
+                [ true; false ])
             [ ("buggy", Case.trace case); ("clean", Case.trace_clean case) ])
+        Catalog.all)
+
+(* Tracking toggled mid-stream, an exclusion scope spanning sections,
+   and an [on_section] observer: an attached session is a [Pmtest]
+   session, so it must report and observe exactly what an in-process
+   one fed identically does. *)
+let test_attached_scope_and_observers () =
+  let observe seen entries s =
+    Pmtest.on_section s (fun section ->
+        seen := String.concat "\n" (Array.to_list (Array.map Serial.entry_to_line section)) :: !seen);
+    let n = Array.length entries in
+    drive ~every:8
+      ~before:(fun i ->
+        if i = n / 3 then Pmtest.stop s;
+        if i = n / 2 then Pmtest.start s)
+      s entries
+  in
+  (* Exclude the first checked range from the start and include it again
+     two thirds of the way in, so the preamble crosses section
+     boundaries and can change the verdict. *)
+  let scoped entries =
+    let addr, size =
+      Array.fold_left
+        (fun acc (e : Event.t) ->
+          match (acc, e.Event.kind) with
+          | None, Event.Checker (Event.Is_persist { addr; size }) -> Some (addr, size)
+          | _ -> acc)
+        None entries
+      |> Option.value ~default:(0, 64)
+    in
+    let ctl c = [| Event.make (Event.Control c) |] in
+    let cut = 2 * Array.length entries / 3 in
+    Array.concat
+      [
+        ctl (Event.Exclude { addr; size });
+        Array.sub entries 0 cut;
+        ctl (Event.Include { addr; size });
+        Array.sub entries cut (Array.length entries - cut);
+      ]
+  in
+  with_server (fun socket _t ->
+      List.iter
+        (fun (case : Case.t) ->
+          let entries = scoped (Case.trace case) in
+          let local_seen = ref [] and remote_seen = ref [] in
+          let local = Pmtest.init ~model:Model.X86 ~workers:0 ~packed:true () in
+          observe local_seen entries local;
+          Alcotest.(check string)
+            (case.Case.id ^ " report")
+            (render (Pmtest.finish local))
+            (render (remote ~socket ~model:Model.X86 (observe remote_seen entries)));
+          Alcotest.(check (list string))
+            (case.Case.id ^ " observed sections") !local_seen !remote_seen)
         Catalog.all)
 
 let test_concurrent_sessions_isolated () =
@@ -353,11 +403,7 @@ let test_mid_frame_kill_on_nonzero_shard () =
         wait_for (fun () -> (Server.sessions_per_shard t).(1) = 0);
         (* Shard 0's session is unharmed and still deterministic. *)
         let s = Client.Session.make conn in
-        drive
-          ~emit:(fun (e : Event.t) ->
-            Client.Session.emit ~thread:e.Event.thread ~loc:e.Event.loc s e.Event.kind)
-          ~flush:(fun th -> Client.Session.send_trace ~thread:th s)
-          (Case.trace case);
+        drive s (Case.trace case);
         (match Client.Session.finish s with
         | Error m -> Alcotest.failf "finish: %s" m
         | Ok r ->
@@ -470,6 +516,8 @@ let () =
             test_serve_equals_in_process_bugdb;
           Alcotest.test_case "concurrent sessions are isolated" `Quick
             test_concurrent_sessions_isolated;
+          Alcotest.test_case "attached tracking scope and observers" `Quick
+            test_attached_scope_and_observers;
         ] );
       ( "robustness",
         [
