@@ -9,11 +9,12 @@
    Options: --insertions N   microbenchmark insertions per cell (default 600)
             --ops N          real-workload operations (default 4000)
             --runs N         timing repetitions, best-of (default 3)
-            --tsv FILE       also write machine-readable rows to FILE
-            --json FILE      repair/litmus only: write the summary as JSON to FILE
-            --gate           perf only: exit 1 if the packed representation
-                             (geomean of codec emit and engine dispatch
-                             speedup) is slower than boxed
+            --json FILE      write every selected target's result rows to FILE
+                             (fuzz crashfs litmus perf repair serve farm emit rows)
+            --gate           perf and serve: exit 1 (after writing --json) if
+                             the packed representation is slower than boxed,
+                             or shard scaling misses this machine's bar
+            --shards N       serve: shard count (default: sized to the cores)
             --full           paper-scale parameters (slow)
 
    Absolute times depend on the simulator; the paper's *shapes* are what
@@ -41,7 +42,6 @@ open Pmtest_bugdb
 let insertions = ref 600
 let kv_ops = ref 4000
 let runs = ref 3
-let tsv_path = ref None
 let json_path = ref None
 let gate = ref false
 
@@ -51,20 +51,6 @@ let gate = ref false
    for nothing.  [--shards] overrides. *)
 let bench_shards = ref 0
 
-let tsv_rows : string list ref = ref []
-
-let tsv fmt = Printf.ksprintf (fun row -> tsv_rows := row :: !tsv_rows) fmt
-
-let write_tsv () =
-  match !tsv_path with
-  | None -> ()
-  | Some path ->
-    let oc = open_out path in
-    output_string oc "bench\tstructure\tparam\tmetric\tvalue\n";
-    List.iter (fun row -> output_string oc (row ^ "\n")) (List.rev !tsv_rows);
-    close_out oc;
-    Fmt.pr "@.TSV written to %s@." path
-
 (* Pool sized to the cell's needs: nodes + payload blocks + undo-log area,
    with generous slack — allocating a fixed huge pool would otherwise
    dominate the timings. *)
@@ -72,26 +58,165 @@ let pool_size_for ~size ~n =
   let per_insert = ((size + 63) / 64 * 64) + 1024 in
   max (8 * 1024 * 1024) ((n * per_insert * 2) + (2 * 1024 * 1024))
 
+(* --- Result rows ---------------------------------------------------------------- *)
+
+(* Every number a target reports is one row, in one schema:
+   [{target, layer, metric, unit, value, better}].  [layer] names the
+   measured part (a model, a file system, a worker count, "config",
+   "summary", ...); [better] says which direction is an improvement.
+   Booleans are 0/1 with unit "bool".  The few strings a result carries
+   are notes.  [--json FILE] writes every selected target's rows and
+   notes as [{"rows": [...], "notes": [...]}]. *)
+type row = {
+  target : string;
+  layer : string;
+  metric : string;
+  unit : string;
+  value : float;
+  better : [ `Higher | `Lower | `None ];
+}
+
+let rows : row list ref = ref []
+let notes : (string * string * string) list ref = ref []
+
+let row ~target ~layer ~metric ~unit ~better value =
+  rows := { target; layer; metric; unit; value; better } :: !rows
+
+(* A count row: by default a plain fact of the run, with no better direction. *)
+let count ~target ~layer ?(better = `None) metric n =
+  row ~target ~layer ~metric ~unit:"count" ~better (float_of_int n)
+
+let note ~target ~name text = notes := (target, name, text) :: !notes
+let flag b = if b then 1.0 else 0.0
+
+let json_string s =
+  let b = Buffer.create (String.length s + 2) in
+  Buffer.add_char b '"';
+  String.iter
+    (function
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | c when Char.code c < 0x20 -> Printf.bprintf b "\\u%04x" (Char.code c)
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.add_char b '"';
+  Buffer.contents b
+
+(* Six significant digits, no exponent above 1e6; a non-finite value is
+   [null], which the CI schema check rejects. *)
+let json_number v =
+  if not (Float.is_finite v) then "null"
+  else if Float.is_integer v || Float.abs v >= 1e6 then Printf.sprintf "%.0f" v
+  else Printf.sprintf "%.6g" v
+
+let write_json () =
+  match !json_path with
+  | None -> ()
+  | Some path ->
+    let better = function `Higher -> "higher" | `Lower -> "lower" | `None -> "none" in
+    let row r =
+      Printf.sprintf
+        "    {\"target\": %s, \"layer\": %s, \"metric\": %s, \"unit\": %s, \"value\": %s, \
+         \"better\": \"%s\"}"
+        (json_string r.target) (json_string r.layer) (json_string r.metric) (json_string r.unit)
+        (json_number r.value) (better r.better)
+    in
+    let note (target, name, text) =
+      Printf.sprintf "    {\"target\": %s, \"name\": %s, \"text\": %s}" (json_string target)
+        (json_string name) (json_string text)
+    in
+    let list f = function
+      | [] -> "[]"
+      | l -> "[\n" ^ String.concat ",\n" (List.rev_map f l) ^ "\n  ]"
+    in
+    Files.write_atomic path (fun oc ->
+        Printf.fprintf oc "{\n  \"rows\": %s,\n  \"notes\": %s\n}\n" (list row !rows)
+          (list note !notes));
+    Fmt.pr "@.JSON written to %s@." path
+
+(* A failed gate still leaves its numbers behind. *)
+let fail_gate fmt =
+  Fmt.kstr
+    (fun msg ->
+      Fmt.epr "GATE FAILED: %s@." msg;
+      write_json ();
+      exit 1)
+    fmt
+
 (* --- Timing -------------------------------------------------------------------- *)
 
 let now_ns () = Monotonic_clock.now ()
+let seconds_since t0 = Int64.to_float (Int64.sub (now_ns ()) t0) /. 1e9
 
-let time_once f =
-  let t0 = now_ns () in
-  f ();
-  Int64.to_float (Int64.sub (now_ns ()) t0) /. 1e9
+(* Wall time of [f (setup ())], once per run ([runs], default [--runs]).
+   [setup] and [teardown] (given [f]'s result) run outside the timed
+   region.  Returns every sample. *)
+let samples ?(runs = !runs) ~setup ~teardown f =
+  List.init runs (fun _ ->
+      let x = setup () in
+      let t0 = now_ns () in
+      let y = f x in
+      let t = seconds_since t0 in
+      teardown y;
+      t)
 
-(* Best-of-N wall time: robust against scheduler noise without needing
-   long runs. *)
-let time f =
-  let best = ref infinity in
-  for _ = 1 to !runs do
-    let t = time_once f in
-    if t < !best then best := t
-  done;
-  !best
-
+(* Best-of-N: robust against scheduler noise without needing long runs. *)
+let best = List.fold_left Float.min infinity
+let time ?runs f = best (samples ?runs ~setup:ignore ~teardown:ignore f)
 let ratio a b = if b <= 0.0 then nan else a /. b
+
+(* --- Tools under test ------------------------------------------------------------ *)
+
+type tool =
+  | Base  (* uninstrumented *)
+  | Track_only  (* tracing without checking: every section is dropped *)
+  | Pmemcheck
+  | Pmtest of { workers : int; packed : bool; obs : bool }
+      (* [workers = 0] checks synchronously inside [send_trace] *)
+
+let pmtest ?(packed = false) ?(obs = false) workers = Pmtest { workers; packed; obs }
+
+(* An open tool, as a traced program sees it. *)
+type harness = {
+  sink : int -> Sink.t;  (* thread [i]'s instrumentation sink *)
+  section : int -> unit;  (* thread [i] ends a trace section *)
+  drain : unit -> unit;  (* block until every section sent so far is checked *)
+  close : unit -> unit;  (* send, drain and tear down; warns on an unexpected FAIL *)
+}
+
+let untraced = { sink = (fun _ -> Sink.null); section = ignore; drain = ignore; close = ignore }
+
+let open_tool ?(pm_size = 32 * 1024 * 1024) ~label = function
+  | Base -> untraced
+  | Track_only ->
+    (* Single-threaded, like Pmemcheck: only the micro cells run it. *)
+    let b = Builder.create () in
+    { untraced with sink = (fun _ -> Builder.sink b); section = (fun _ -> ignore (Builder.take b)) }
+  | Pmemcheck ->
+    let pc = Pmemcheck.create ~size:pm_size in
+    let result = lazy (ignore (Pmemcheck.result pc)) in
+    {
+      untraced with
+      sink = (fun _ -> Pmemcheck.sink pc);
+      drain = (fun () -> Lazy.force result);
+      close = (fun () -> Lazy.force result);
+    }
+  | Pmtest { workers; packed; obs } ->
+    let obs = if obs then Pmtest_obs.Obs.create () else Pmtest_obs.Obs.disabled in
+    let s = Pmtest.init ~workers ~packed ~obs () in
+    {
+      sink =
+        (fun i ->
+          Pmtest.thread_init s ~thread:i;
+          Pmtest.sink ~thread:i s);
+      section = (fun i -> Pmtest.send_trace ~thread:i s);
+      drain = (fun () -> ignore (Pmtest.get_result s));
+      close =
+        (fun () ->
+          let report = Pmtest.finish s in
+          if Report.has_fail report then
+            Fmt.epr "WARNING: unexpected FAIL in %s: %a@." label Report.pp report);
+    }
 
 (* --- Microbenchmark structures (Fig. 10) --------------------------------------- *)
 
@@ -104,49 +229,35 @@ type micro = {
   m_tx : bool;
 }
 
+let micro ?(tx = true) m_name m_build = { m_name; m_build; m_tx = tx }
+
 let micros =
   [
-    {
-      m_name = "C-Tree";
-      m_build =
-        (fun pool ->
-          let m = Ctree_map.create pool in
-          fun ~key ~value -> Ctree_map.insert m ~key ~value);
-      m_tx = true;
-    };
-    {
-      m_name = "B-Tree";
-      m_build =
-        (fun pool ->
-          let m = Btree_map.create pool in
-          fun ~key ~value -> Btree_map.insert m ~key ~value);
-      m_tx = true;
-    };
-    {
-      m_name = "RB-Tree";
-      m_build =
-        (fun pool ->
-          let m = Rbtree_map.create pool in
-          fun ~key ~value -> Rbtree_map.insert m ~key ~value);
-      m_tx = true;
-    };
-    {
-      m_name = "HashMap(w/ TX)";
-      m_build =
-        (fun pool ->
-          let m = Hashmap_tx.create ~buckets:4096 pool in
-          fun ~key ~value -> Hashmap_tx.insert m ~key ~value);
-      m_tx = true;
-    };
-    {
-      m_name = "HashMap(w/o TX)";
-      m_build =
-        (fun pool ->
-          let m = Hashmap_atomic.create ~buckets:4096 pool in
-          fun ~key ~value -> ignore (Hashmap_atomic.insert m ~key ~value));
-      m_tx = false;
-    };
+    micro "C-Tree" (fun pool -> Ctree_map.insert (Ctree_map.create pool));
+    micro "B-Tree" (fun pool -> Btree_map.insert (Btree_map.create pool));
+    micro "RB-Tree" (fun pool -> Rbtree_map.insert (Rbtree_map.create pool));
+    micro "HashMap(w/ TX)" (fun pool -> Hashmap_tx.insert (Hashmap_tx.create ~buckets:4096 pool));
+    micro ~tx:false "HashMap(w/o TX)" (fun pool ->
+        let m = Hashmap_atomic.create ~buckets:4096 pool in
+        fun ~key ~value -> ignore (Hashmap_atomic.insert m ~key ~value));
   ]
+
+(* The fig10a subset [obs] and [perf] time end to end. *)
+let micro_subset = List.filter (fun m -> List.mem m.m_name [ "C-Tree"; "HashMap(w/ TX)" ]) micros
+
+(* A recorded trace section of [n] TX-checked 64 B C-Tree inserts. *)
+let ctree_section n =
+  let b = Builder.create () in
+  let pool = Pool.create ~size:(1 lsl 22) ~sink:(Builder.sink b) () in
+  let m = Ctree_map.create pool in
+  for i = 0 to n - 1 do
+    Pool.tx_checker_start pool;
+    Ctree_map.insert m ~key:(Int64.of_int i) ~value:(Bytes.make 64 'x');
+    Pool.tx_checker_end pool
+  done;
+  Builder.take b
+
+let cells micros sizes f = List.iter (fun micro -> List.iter (f micro) sizes) micros
 
 let tx_sizes = [ 64; 128; 256; 512; 1024; 2048; 4096 ]
 
@@ -170,75 +281,17 @@ let micro_loop micro pool ~size ~n ~per_insert =
   done
 
 let micro_time tool micro ~size ~n =
-  let psize = pool_size_for ~size ~n in
-  let best = ref infinity in
-  for _ = 1 to !runs do
-    let t =
-      match tool with
-      | `Base ->
-        let pool = Pool.create ~size:psize ~sink:Sink.null () in
-        time_once (fun () -> micro_loop micro pool ~size ~n ~per_insert:ignore)
-      | `Pmtest workers ->
-        let session = Pmtest.init ~workers () in
-        let pool = Pool.create ~size:psize ~sink:(Pmtest.sink session) () in
-        let t =
-          time_once (fun () ->
-              micro_loop micro pool ~size ~n ~per_insert:(fun _ -> Pmtest.send_trace session);
-              ignore (Pmtest.get_result session))
-        in
-        let report = Pmtest.finish session in
-        if Report.has_fail report then
-          Fmt.epr "WARNING: unexpected FAIL in %s: %a@." micro.m_name Report.pp report;
-        t
-      | `Pmtest_packed workers ->
-        (* The flat fast path: packed builders, cursor engine. *)
-        let session = Pmtest.init ~workers ~packed:true () in
-        let pool = Pool.create ~size:psize ~sink:(Pmtest.sink session) () in
-        let t =
-          time_once (fun () ->
-              micro_loop micro pool ~size ~n ~per_insert:(fun _ -> Pmtest.send_trace session);
-              ignore (Pmtest.get_result session))
-        in
-        let report = Pmtest.finish session in
-        if Report.has_fail report then
-          Fmt.epr "WARNING: unexpected FAIL in %s: %a@." micro.m_name Report.pp report;
-        t
-      | `Pmtest_profiled workers ->
-        (* As [`Pmtest] but with a live observability collector attached. *)
-        let session = Pmtest.init ~workers ~obs:(Pmtest_obs.Obs.create ()) () in
-        let pool = Pool.create ~size:psize ~sink:(Pmtest.sink session) () in
-        let t =
-          time_once (fun () ->
-              micro_loop micro pool ~size ~n ~per_insert:(fun _ -> Pmtest.send_trace session);
-              ignore (Pmtest.get_result session))
-        in
-        ignore (Pmtest.finish session);
-        t
-      | `Track_only ->
-        (* Tracking cost without any checking: sections are dropped. *)
-        let builder = Builder.create () in
-        let pool = Pool.create ~size:psize ~sink:(Builder.sink builder) () in
-        time_once (fun () ->
-            micro_loop micro pool ~size ~n ~per_insert:(fun _ -> ignore (Builder.take builder)))
-      | `Pmtest_sync ->
-        let session = Pmtest.init ~workers:0 () in
-        let pool = Pool.create ~size:psize ~sink:(Pmtest.sink session) () in
-        let t =
-          time_once (fun () ->
-              micro_loop micro pool ~size ~n ~per_insert:(fun _ -> Pmtest.send_trace session))
-        in
-        ignore (Pmtest.finish session);
-        t
-      | `Pmemcheck ->
-        let pc = Pmemcheck.create ~size:psize in
-        let pool = Pool.create ~size:psize ~sink:(Pmemcheck.sink pc) () in
-        time_once (fun () ->
-            micro_loop micro pool ~size ~n ~per_insert:ignore;
-            ignore (Pmemcheck.result pc))
-    in
-    if t < !best then best := t
-  done;
-  !best
+  let pm_size = pool_size_for ~size ~n in
+  best
+    (samples
+       ~setup:(fun () ->
+         let h = open_tool ~pm_size ~label:micro.m_name tool in
+         (h, Pool.create ~size:pm_size ~sink:(h.sink 0) ()))
+       ~teardown:(fun h -> h.close ())
+       (fun (h, pool) ->
+         micro_loop micro pool ~size ~n ~per_insert:(fun _ -> h.section 0);
+         h.drain ();
+         h))
 
 (* --- Figure 10a ----------------------------------------------------------------- *)
 
@@ -247,19 +300,14 @@ let fig10a () =
   Fmt.pr "@.### Figure 10a — microbenchmark slowdown vs. Pmemcheck (%d insertions/cell)@.@." n;
   Fmt.pr "%-16s %8s %12s %10s %12s@." "structure" "tx(B)" "base(ms)" "PMTest(x)" "Pmemcheck(x)";
   let pmtest_ratios = ref [] and pmemcheck_ratios = ref [] in
-  List.iter
-    (fun micro ->
-      List.iter
-        (fun size ->
-          let t_base = micro_time `Base micro ~size ~n in
-          let t_pmtest = micro_time (`Pmtest 1) micro ~size ~n in
-          let t_pc = micro_time `Pmemcheck micro ~size ~n in
-          let r_pm = ratio t_pmtest t_base and r_pc = ratio t_pc t_base in
-          pmtest_ratios := r_pm :: !pmtest_ratios;
-          pmemcheck_ratios := r_pc :: !pmemcheck_ratios;
-          Fmt.pr "%-16s %8d %12.2f %10.2f %12.2f@." micro.m_name size (t_base *. 1e3) r_pm r_pc)
-        tx_sizes)
-    micros;
+  cells micros tx_sizes (fun micro size ->
+      let t_base = micro_time Base micro ~size ~n in
+      let t_pmtest = micro_time (pmtest 1) micro ~size ~n in
+      let t_pc = micro_time Pmemcheck micro ~size ~n in
+      let r_pm = ratio t_pmtest t_base and r_pc = ratio t_pc t_base in
+      pmtest_ratios := r_pm :: !pmtest_ratios;
+      pmemcheck_ratios := r_pc :: !pmemcheck_ratios;
+      Fmt.pr "%-16s %8d %12.2f %10.2f %12.2f@." micro.m_name size (t_base *. 1e3) r_pm r_pc);
   let geo l = Stats.geomean (Array.of_list l) in
   let avg_pm = geo !pmtest_ratios and avg_pc = geo !pmemcheck_ratios in
   Fmt.pr "@.geomean slowdown: PMTest %.2fx, Pmemcheck %.2fx — Pmemcheck/PMTest = %.1fx@." avg_pm
@@ -277,23 +325,18 @@ let fig10b () =
      a worker thread, as in the paper); framework = trace production only;
      checker = the residual the decoupled checking still adds. *)
   let checker_shares = ref [] in
-  List.iter
-    (fun micro ->
-      List.iter
-        (fun size ->
-          let t_base = micro_time `Base micro ~size ~n in
-          let t_track = micro_time `Track_only micro ~size ~n in
-          let t_full = micro_time (`Pmtest 1) micro ~size ~n in
-          let overhead = max 1e-9 (t_full -. t_base) in
-          let framework = min overhead (max 0.0 (t_track -. t_base)) in
-          let checker = max 0.0 (overhead -. framework) in
-          let fr_pct = 100.0 *. framework /. overhead in
-          let ch_pct = 100.0 *. checker /. overhead in
-          checker_shares := ch_pct :: !checker_shares;
-          Fmt.pr "%-16s %8d %12.2f %11.1f%% %11.1f%%@." micro.m_name size (ratio t_full t_base)
-            fr_pct ch_pct)
-        [ 64; 512; 4096 ])
-    micros;
+  cells micros [ 64; 512; 4096 ] (fun micro size ->
+      let t_base = micro_time Base micro ~size ~n in
+      let t_track = micro_time Track_only micro ~size ~n in
+      let t_full = micro_time (pmtest 1) micro ~size ~n in
+      let overhead = max 1e-9 (t_full -. t_base) in
+      let framework = min overhead (max 0.0 (t_track -. t_base)) in
+      let checker = max 0.0 (overhead -. framework) in
+      let fr_pct = 100.0 *. framework /. overhead in
+      let ch_pct = 100.0 *. checker /. overhead in
+      checker_shares := ch_pct :: !checker_shares;
+      Fmt.pr "%-16s %8d %12.2f %11.1f%% %11.1f%%@." micro.m_name size (ratio t_full t_base) fr_pct
+        ch_pct);
   Fmt.pr "@.mean checker share of total overhead: %.1f%%@."
     (Stats.mean (Array.of_list !checker_shares));
   Fmt.pr
@@ -303,6 +346,9 @@ let fig10b () =
 
 (* --- Figure 11 ------------------------------------------------------------------ *)
 
+let memslap ~ops ~keys rng = Clients.memslap ~ops ~keys rng
+let ycsb ~ops ~keys rng = Clients.ycsb ~ops ~keys rng
+
 (* One client per server thread, each issuing a fixed op count — as the
    paper's Table 4 clients do — so total work (and trace volume) grows
    with the thread count. *)
@@ -310,55 +356,29 @@ let memcached_workload ?(threads = 2) ?ops_per_client ~client ~tool () =
   let ops_per_client =
     match ops_per_client with Some n -> n | None -> !kv_ops / threads
   in
-  let session =
-    match tool with `Pmtest workers -> Some (Pmtest.init ~workers ()) | _ -> None
-  in
-  let sink_of i =
-    match session with
-    | Some s ->
-      Pmtest.thread_init s ~thread:i;
-      Pmtest.sink ~thread:i s
-    | None -> Sink.null
-  in
-  let mc = Memcached.create ~shards:threads ~sink_of () in
+  let h = open_tool ~label:"Memcached" tool in
+  let mc = Memcached.create ~shards:threads ~sink_of:h.sink () in
   let streams = Memcached.generate_streams ~client ~ops_per_client ~keys:4096 ~seed:11 mc in
-  let on_section shard =
-    match session with Some s -> Pmtest.send_trace ~thread:shard s | None -> ()
-  in
-  Memcached.run mc ~on_section ~streams;
-  match session with Some s -> ignore (Pmtest.finish s) | None -> ()
+  Memcached.run mc ~on_section:h.section ~streams;
+  h.close ()
 
 let redis_workload ~tool () =
   let ops = Clients.redis_lru ~ops:!kv_ops ~keys:16384 (Rng.create 12) in
-  match tool with
-  | `None ->
-    let r = Redis.create ~annotate:false ~sink:Sink.null () in
-    Redis.run r ops
-  | `Pmtest workers ->
-    let session = Pmtest.init ~workers () in
-    let r = Redis.create ~sink:(Pmtest.sink session) () in
-    Array.iteri
-      (fun i op ->
-        Redis.apply r op;
-        if i mod 16 = 0 then Pmtest.send_trace session)
-      ops;
-    Pmtest.send_trace session;
-    ignore (Pmtest.finish session)
-  | `Pmemcheck ->
-    let pc = Pmemcheck.create ~size:(32 * 1024 * 1024) in
-    let r = Redis.create ~sink:(Pmemcheck.sink pc) () in
-    Redis.run r ops;
-    ignore (Pmemcheck.result pc)
+  let h = open_tool ~label:"Redis" tool in
+  let r = Redis.create ~annotate:(tool <> Base) ~sink:(h.sink 0) () in
+  Array.iteri
+    (fun i op ->
+      Redis.apply r op;
+      if i mod 16 = 0 then h.section 0)
+    ops;
+  h.section 0;
+  h.close ()
 
 let pmfs_workload ~client ~tool () =
-  let session =
-    match tool with `Pmtest workers -> Some (Pmtest.init ~workers ()) | _ -> None
-  in
-  let sink = match session with Some s -> Pmtest.sink s | None -> Sink.null in
-  let fs = Fs.mkfs ~inodes:256 ~blocks:4096 ~sink () in
-  let on_section () = match session with Some s -> Pmtest.send_trace s | None -> () in
-  Pmfs_app.run ~on_section fs (client (Rng.create 13));
-  match session with Some s -> ignore (Pmtest.finish s) | None -> ()
+  let h = open_tool ~label:"PMFS" tool in
+  let fs = Fs.mkfs ~inodes:256 ~blocks:4096 ~sink:(h.sink 0) () in
+  Pmfs_app.run ~on_section:(fun () -> h.section 0) fs (client (Rng.create 13));
+  h.close ()
 
 let fig11 () =
   Fmt.pr "@.### Figure 11 — real-workload slowdown under PMTest (%d ops)@.@." !kv_ops;
@@ -366,15 +386,8 @@ let fig11 () =
   let fs_ops = max 200 (!kv_ops / 4) in
   let rows =
     [
-      ( "Memcached+Memslap",
-        fun tool ->
-          memcached_workload
-            ~client:(fun ~ops ~keys rng -> Clients.memslap ~ops ~keys rng)
-            ~tool () );
-      ( "Memcached+YCSB",
-        fun tool ->
-          memcached_workload ~client:(fun ~ops ~keys rng -> Clients.ycsb ~ops ~keys rng) ~tool ()
-      );
+      ("Memcached+Memslap", fun tool -> memcached_workload ~client:memslap ~tool ());
+      ("Memcached+YCSB", fun tool -> memcached_workload ~client:ycsb ~tool ());
       ("Redis+LRU", fun tool -> redis_workload ~tool ());
       ( "PMFS+OLTP",
         fun tool ->
@@ -389,24 +402,18 @@ let fig11 () =
         fun tool ->
           (* Beyond the paper's Table 4: WHISPER's vacation, multi-table
              transactions on PMDK. *)
-          let session =
-            match tool with `Pmtest workers -> Some (Pmtest.init ~workers ()) | _ -> None
-          in
-          let sink = match session with Some s -> Pmtest.sink s | None -> Sink.null in
-          let v = Vacation.create ~resources:64 ~sink () in
-          let on_section () =
-            match session with Some s -> Pmtest.send_trace s | None -> ()
-          in
-          Vacation.run v ~on_section
+          let h = open_tool ~label:"Vacation" tool in
+          let v = Vacation.create ~resources:64 ~sink:(h.sink 0) () in
+          Vacation.run v ~on_section:(fun () -> h.section 0)
             (Vacation.client ~ops:(!kv_ops / 4) ~customers:256 ~resources:64 (Rng.create 14));
-          match session with Some s -> ignore (Pmtest.finish s) | None -> () );
+          h.close () );
     ]
   in
   let ratios =
     List.map
       (fun (name, run) ->
-        let t_base = time (fun () -> run `None) in
-        let t_pm = time (fun () -> run (`Pmtest 1)) in
+        let t_base = time (fun () -> run Base) in
+        let t_pm = time (fun () -> run (pmtest 1)) in
         let r = ratio t_pm t_base in
         Fmt.pr "%-24s %12.2f %12.2f@." name (t_base *. 1e3) r;
         r)
@@ -414,9 +421,9 @@ let fig11 () =
   in
   Fmt.pr "%-24s %12s %12.2f@." "Average" "" (Stats.geomean (Array.of_list ratios));
   (* Redis is PMDK-based, so the paper also tests it under Pmemcheck. *)
-  let t_base = time (fun () -> redis_workload ~tool:`None ()) in
-  let t_pc = time (fun () -> redis_workload ~tool:`Pmemcheck ()) in
-  let t_pm = time (fun () -> redis_workload ~tool:(`Pmtest 1) ()) in
+  let t_base = time (fun () -> redis_workload ~tool:Base ()) in
+  let t_pc = time (fun () -> redis_workload ~tool:Pmemcheck ()) in
+  let t_pm = time (fun () -> redis_workload ~tool:(pmtest 1) ()) in
   Fmt.pr "@.Redis under Pmemcheck: %.2fx (vs %.2fx under PMTest; Pmemcheck/PMTest = %.1fx)@."
     (ratio t_pc t_base) (ratio t_pm t_base) (ratio t_pc t_pm);
   Fmt.pr "(paper: PMTest 1.33-1.98x, avg 1.69x; Redis+Pmemcheck 22.3x, 13.6x slower than PMTest)@."
@@ -424,19 +431,10 @@ let fig11 () =
 (* --- Figure 12 ------------------------------------------------------------------ *)
 
 let fig12_cell ~threads ~workers ~client =
-  let ops_per_client = !kv_ops in
-  let base =
-    time (fun () -> memcached_workload ~threads ~ops_per_client ~client ~tool:`None ())
-  in
-  let pm =
-    time (fun () ->
-        memcached_workload ~threads ~ops_per_client ~client ~tool:(`Pmtest workers) ())
-  in
-  ratio pm base
+  let run tool = memcached_workload ~threads ~ops_per_client:!kv_ops ~client ~tool () in
+  ratio (time (fun () -> run (pmtest workers))) (time (fun () -> run Base))
 
 let fig12 variant () =
-  let memslap ~ops ~keys rng = Clients.memslap ~ops ~keys rng in
-  let ycsb ~ops ~keys rng = Clients.ycsb ~ops ~keys rng in
   let cells =
     match variant with
     | `A -> List.map (fun t -> (t, 1)) [ 1; 2; 4 ]
@@ -469,16 +467,13 @@ let fig12 variant () =
     (* The paper's underlying claim, isolated from the GC effect: more
        workers drain a fixed backlog of recorded trace sections faster. *)
     let sections = ref [] in
-    let collect = { Sink.emit = (fun _ _ -> ()) } in
-    ignore collect;
     let builders = Array.init 4 (fun i -> Builder.create ~thread:i ()) in
     let mc =
       Memcached.create ~shards:4 ~sink_of:(fun i -> Builder.sink builders.(i)) ()
     in
     let streams =
-      Memcached.generate_streams
-        ~client:(fun ~ops ~keys rng -> Clients.ycsb ~ops ~keys rng)
-        ~ops_per_client:!kv_ops ~keys:4096 ~seed:17 mc
+      Memcached.generate_streams ~client:ycsb ~ops_per_client:!kv_ops ~keys:4096
+        ~seed:17 mc
     in
     Memcached.run mc ~section_every:256
       ~on_section:(fun shard ->
@@ -541,7 +536,7 @@ let table5 () =
         cases;
       Fmt.pr "%-28s %2d/%2d detected@." (Case.category_name cat) !det (List.length cases))
     (Catalog.by_category Catalog.synthetic);
-  let dt = Int64.to_float (Int64.sub (now_ns ()) t0) /. 1e9 in
+  let dt = seconds_since t0 in
   Fmt.pr "@.total: %d/%d detected, %d false positives (%.2fs for the whole suite)@." !detected
     !total !false_pos dt;
   Fmt.pr "(paper: all synthetic bugs reported; checkers: 2 TX pairs for transactional code,@.";
@@ -585,11 +580,11 @@ let yat_bench () =
       let trace = Array.of_list ops in
       let states = Yat.estimated_states ~size:(n * 64) trace in
       let t_yat =
-        time_once (fun () ->
+        time ~runs:1 (fun () ->
             ignore
               (Yat.run ~limit_per_point:2_000_000 ~size:(n * 64) ~check:(fun _ -> true) trace))
       in
-      let t_pmtest = time_once (fun () -> ignore (Engine.check trace)) in
+      let t_pmtest = time ~runs:1 (fun () -> ignore (Engine.check trace)) in
       Fmt.pr "%-12d %16.0f %14.4f %14.6f@." n states t_yat t_pmtest)
     [ 2; 4; 6; 8; 10; 12; 14; 16 ];
   Fmt.pr "@.(Yat's crash-state space doubles per unordered write — the paper quotes >5 years@.";
@@ -666,7 +661,6 @@ let fuzz_bench () =
   Fmt.pr " pair — the rate bounds how many programs a nightly campaign can afford)@.@.";
   Fmt.pr "%-8s %10s %10s %10s %12s %12s@." "model" "programs" "entries" "total(s)" "prog/s"
     "entries/s";
-  let model_rows = ref [] in
   List.iter
     (fun model ->
       let cfg =
@@ -678,44 +672,28 @@ let fuzz_bench () =
       | None -> ()
       | Some s ->
         let name = Model.kind_name model in
+        let progs_per_s = float_of_int s.Campaign.programs /. t in
+        let entries_per_s = float_of_int s.Campaign.events /. t in
         Fmt.pr "%-8s %10d %10d %10.3f %12.0f %12.0f@." name s.Campaign.programs
-          s.Campaign.events t
-          (float_of_int s.Campaign.programs /. t)
-          (float_of_int s.Campaign.events /. t);
-        tsv "fuzz\t%s\t%d\tprogs_per_s\t%.0f" name s.Campaign.programs
-          (float_of_int s.Campaign.programs /. t);
-        let pairs =
-          List.map
-            (fun (pair, secs) ->
-              let applied = List.assoc pair s.Campaign.applied in
-              Fmt.pr "    %-18s applied %6d  %8.3fs@." (Cross.pair_name pair) applied secs;
-              Printf.sprintf "      {\"pair\": %S, \"applied\": %d, \"seconds\": %.3f}"
-                (Cross.pair_name pair) applied secs)
-            s.Campaign.pair_seconds
-        in
-        model_rows :=
-          Printf.sprintf
-            "    {\"model\": %S, \"programs\": %d, \"entries\": %d, \"progs_per_s\": %.0f, \
-             \"entries_per_s\": %.0f, \"findings\": %d, \"pairs\": [\n\
-             %s\n\
-            \    ]}"
-            name s.Campaign.programs s.Campaign.events
-            (float_of_int s.Campaign.programs /. t)
-            (float_of_int s.Campaign.events /. t)
-            (List.length s.Campaign.findings)
-            (String.concat ",\n" pairs)
-          :: !model_rows)
+          s.Campaign.events t progs_per_s entries_per_s;
+        let row = row ~target:"fuzz" in
+        count ~target:"fuzz" ~layer:name "programs" s.Campaign.programs;
+        count ~target:"fuzz" ~layer:name "entries" s.Campaign.events;
+        row ~layer:name ~metric:"progs_per_s" ~unit:"progs/s" ~better:`Higher progs_per_s;
+        row ~layer:name ~metric:"entries_per_s" ~unit:"entries/s" ~better:`Higher entries_per_s;
+        count ~target:"fuzz" ~layer:name ~better:`Lower "findings"
+          (List.length s.Campaign.findings);
+        List.iter
+          (fun (pair, secs) ->
+            let applied = List.assoc pair s.Campaign.applied in
+            let layer = name ^ "/" ^ Cross.pair_name pair in
+            Fmt.pr "    %-18s applied %6d  %8.3fs@." (Cross.pair_name pair) applied secs;
+            count ~target:"fuzz" ~layer "applied" applied;
+            row ~layer ~metric:"seconds" ~unit:"s" ~better:`Lower secs)
+          s.Campaign.pair_seconds)
     Model.all_kinds;
   Fmt.pr "@.(differential checking dominates generation; the crashtest pair enumerates@.";
-  Fmt.pr " versioned crash images and is the budget to watch on long campaigns)@.";
-  match !json_path with
-  | None -> ()
-  | Some path ->
-    let oc = open_out path in
-    Printf.fprintf oc "{\n  \"bench\": \"fuzz\",\n  \"models\": [\n%s\n  ]\n}\n"
-      (String.concat ",\n" (List.rev !model_rows));
-    close_out oc;
-    Fmt.pr "@.JSON written to %s@." path
+  Fmt.pr " versioned crash images and is the budget to watch on long campaigns)@."
 
 (* --- Observability overhead ------------------------------------------------------------ *)
 
@@ -764,18 +742,12 @@ let obs_bench () =
   Fmt.pr "@.%-16s %8s %12s %12s %10s@." "structure" "tx(B)" "obs off(ms)" "obs on(ms)"
     "overhead";
   let ratios = ref [] in
-  List.iter
-    (fun micro ->
-      List.iter
-        (fun size ->
-          let t_off = micro_time (`Pmtest 1) micro ~size ~n in
-          let t_on = micro_time (`Pmtest_profiled 1) micro ~size ~n in
-          ratios := ratio t_on t_off :: !ratios;
-          Fmt.pr "%-16s %8d %12.2f %12.2f %9.1f%%@." micro.m_name size (t_off *. 1e3)
-            (t_on *. 1e3)
-            (100.0 *. (t_on -. t_off) /. t_off))
-        [ 64; 512; 4096 ])
-    (List.filter (fun m -> List.mem m.m_name [ "C-Tree"; "HashMap(w/ TX)" ]) micros);
+  cells micro_subset [ 64; 512; 4096 ] (fun micro size ->
+      let t_off = micro_time (pmtest 1) micro ~size ~n in
+      let t_on = micro_time (pmtest ~obs:true 1) micro ~size ~n in
+      ratios := ratio t_on t_off :: !ratios;
+      Fmt.pr "%-16s %8d %12.2f %12.2f %9.1f%%@." micro.m_name size (t_off *. 1e3) (t_on *. 1e3)
+        (100.0 *. (t_on -. t_off) /. t_off));
   Fmt.pr "@.geomean pipeline overhead with observability on: %+.1f%%@."
     (100.0 *. (Stats.geomean (Array.of_list !ratios) -. 1.0));
   Fmt.pr "(target: <= 5%% enabled; disabled is the identical code path, so 0%% by@.";
@@ -786,6 +758,7 @@ let obs_bench () =
 module Packed = Pmtest_trace.Packed
 
 let perf () =
+  let row = row ~target:"perf" in
   Fmt.pr "@.### perf — flat-trace fast path: packed vs boxed (%d insertions/cell)@.@." !insertions;
   (* 1. Codec: the per-event tracing cost of each representation. *)
   let n_events = 400_000 in
@@ -808,34 +781,24 @@ let perf () =
           flush builder)
     in
     let ns = t *. 1e9 /. float_of_int n_events in
-    Fmt.pr "  %-24s %8.1f ns/event  %10.1f Mev/s@." name ns (1e3 /. ns);
-    tsv "codec\t%s\temit\tns_per_event\t%.2f" name ns;
+    Fmt.pr "  %-24s %8.1f ns/event  %10.1f Mev/s@." (name ^ " builder") ns (1e3 /. ns);
+    row ~layer:("codec/" ^ name) ~metric:"ns_per_event" ~unit:"ns" ~better:`Lower ns;
     ns
   in
   Fmt.pr "codec emit path (%d events):@." n_events;
-  let ns_boxed = bench_emit "boxed builder" (Builder.create ()) (fun b -> ignore (Builder.take b)) in
+  let ns_boxed = bench_emit "boxed" (Builder.create ()) (fun b -> ignore (Builder.take b)) in
   let ns_packed =
-    bench_emit "packed builder" (Builder.create ~packed:true ()) (fun b ->
+    bench_emit "packed" (Builder.create ~packed:true ()) (fun b ->
         Packed.free (Builder.take_packed b))
   in
   let codec_speedup = ns_boxed /. ns_packed in
   Fmt.pr "  emit speedup: %.2fx@." codec_speedup;
-  tsv "codec\tgeomean\t-\temit_speedup\t%.3f" codec_speedup;
+  row ~layer:"codec" ~metric:"emit_speedup" ~unit:"x" ~better:`Higher codec_speedup;
   (* 2. Engine dispatch: one pre-recorded section checked from a boxed
      array ([check], [on_entry]) and from a packed arena ([check_packed],
      the [on_view] cursor).  Both run over the same shadow memory, so
      this isolates dispatch and may read below 1x. *)
-  let section =
-    let b = Builder.create () in
-    let pool = Pool.create ~size:(1 lsl 22) ~sink:(Builder.sink b) () in
-    let m = Ctree_map.create pool in
-    for i = 0 to 255 do
-      Pool.tx_checker_start pool;
-      Ctree_map.insert m ~key:(Int64.of_int i) ~value:(Bytes.make 64 'x');
-      Pool.tx_checker_end pool
-    done;
-    Builder.take b
-  in
+  let section = ctree_section 256 in
   let packed_section = Packed.of_events section in
   let reps = 200 in
   let t_box =
@@ -851,52 +814,46 @@ let perf () =
   Fmt.pr "  %-24s %10.0f ev/s@." "cursor (check_packed)" (ev /. t_pak);
   let engine_speedup = t_box /. t_pak in
   Fmt.pr "  cursor-over-array dispatch speedup: %.2fx@." engine_speedup;
-  tsv "engine\tctree-section\tcursor_dispatch\tspeedup\t%.3f" engine_speedup;
+  row ~layer:"engine/ctree-section" ~metric:"cursor_dispatch_speedup" ~unit:"x" ~better:`Higher
+    engine_speedup;
   (* 3. Fig. 10a subset end to end at workers=0: the whole pipeline with
      checking on the critical path, where representation matters most. *)
   Fmt.pr "@.fig10a subset, workers=0 (trace + check on the critical path):@.@.";
   Fmt.pr "%-16s %8s %12s %12s %12s %10s %12s@." "structure" "tx(B)" "base(ms)" "boxed(ms)"
     "packed(ms)" "run(x)" "overhead(x)";
   let run_speedups = ref [] and overhead_speedups = ref [] in
-  let subset = List.filter (fun m -> List.mem m.m_name [ "C-Tree"; "HashMap(w/ TX)" ]) micros in
-  List.iter
-    (fun micro ->
-      List.iter
-        (fun size ->
-          let t_base = micro_time `Base micro ~size ~n:!insertions in
-          let t_boxed = micro_time `Pmtest_sync micro ~size ~n:!insertions in
-          let t_packed = micro_time (`Pmtest_packed 0) micro ~size ~n:!insertions in
-          let run_x = ratio t_boxed t_packed in
-          let overhead_x =
-            ratio (max 1e-9 (t_boxed -. t_base)) (max 1e-9 (t_packed -. t_base))
-          in
-          run_speedups := run_x :: !run_speedups;
-          overhead_speedups := overhead_x :: !overhead_speedups;
-          Fmt.pr "%-16s %8d %12.2f %12.2f %12.2f %10.2f %12.2f@." micro.m_name size
-            (t_base *. 1e3) (t_boxed *. 1e3) (t_packed *. 1e3) run_x overhead_x;
-          tsv "fig10a\t%s\t%d\trun_speedup\t%.3f" micro.m_name size run_x;
-          tsv "fig10a\t%s\t%d\toverhead_speedup\t%.3f" micro.m_name size overhead_x)
-        [ 64; 512; 4096 ])
-    subset;
+  cells micro_subset [ 64; 512; 4096 ] (fun micro size ->
+      let n = !insertions in
+      let t_base = micro_time Base micro ~size ~n in
+      let t_boxed = micro_time (pmtest 0) micro ~size ~n in
+      let t_packed = micro_time (pmtest ~packed:true 0) micro ~size ~n in
+      let run_x = ratio t_boxed t_packed in
+      let overhead_x = ratio (max 1e-9 (t_boxed -. t_base)) (max 1e-9 (t_packed -. t_base)) in
+      run_speedups := run_x :: !run_speedups;
+      overhead_speedups := overhead_x :: !overhead_speedups;
+      Fmt.pr "%-16s %8d %12.2f %12.2f %12.2f %10.2f %12.2f@." micro.m_name size (t_base *. 1e3)
+        (t_boxed *. 1e3) (t_packed *. 1e3) run_x overhead_x;
+      let layer = Printf.sprintf "fig10a/%s/%d" micro.m_name size in
+      row ~layer ~metric:"run_speedup" ~unit:"x" ~better:`Higher run_x;
+      row ~layer ~metric:"overhead_speedup" ~unit:"x" ~better:`Higher overhead_x);
   let geo l = Stats.geomean (Array.of_list l) in
   let run_geo = geo !run_speedups and overhead_geo = geo !overhead_speedups in
   Fmt.pr "@.geomean: whole-run %.2fx, checking-overhead %.2fx (packed over boxed)@." run_geo
     overhead_geo;
-  tsv "fig10a\tgeomean\t-\trun_speedup\t%.3f" run_geo;
-  tsv "fig10a\tgeomean\t-\toverhead_speedup\t%.3f" overhead_geo;
+  row ~layer:"fig10a" ~metric:"run_speedup" ~unit:"x" ~better:`Higher run_geo;
+  row ~layer:"fig10a" ~metric:"overhead_speedup" ~unit:"x" ~better:`Higher overhead_geo;
   (* 4. Worker scaling: does the packed advantage survive hand-off? *)
   Fmt.pr "@.worker scaling (C-Tree, 512 B values):@.@.";
   Fmt.pr "%-10s %12s %12s %10s@." "workers" "boxed(ms)" "packed(ms)" "speedup";
   let ctree = List.find (fun m -> m.m_name = "C-Tree") micros in
   List.iter
     (fun w ->
-      let t_boxed =
-        micro_time (if w = 0 then `Pmtest_sync else `Pmtest w) ctree ~size:512 ~n:!insertions
-      in
-      let t_packed = micro_time (`Pmtest_packed w) ctree ~size:512 ~n:!insertions in
+      let t_boxed = micro_time (pmtest w) ctree ~size:512 ~n:!insertions in
+      let t_packed = micro_time (pmtest ~packed:true w) ctree ~size:512 ~n:!insertions in
       Fmt.pr "%-10d %12.2f %12.2f %9.2fx@." w (t_boxed *. 1e3) (t_packed *. 1e3)
         (ratio t_boxed t_packed);
-      tsv "scaling\tC-Tree\t%d\trun_speedup\t%.3f" w (ratio t_boxed t_packed))
+      row ~layer:(Printf.sprintf "scaling/C-Tree/w%d" w) ~metric:"run_speedup" ~unit:"x"
+        ~better:`Higher (ratio t_boxed t_packed))
     [ 0; 2; 4 ];
   Fmt.pr
     "@.(the packed path removes one heap block per traced event; both paths check@.";
@@ -908,14 +865,11 @@ let perf () =
      engine cost and swing +-10% with machine noise on small sections, so
      they are reported but not gated. *)
   let rep_geo = sqrt (codec_speedup *. engine_speedup) in
-  tsv "gate\trepresentation\t-\tgeomean_speedup\t%.3f" rep_geo;
-  if !gate && rep_geo < 1.0 then begin
-    Fmt.epr
-      "GATE FAILED: packed representation slower than boxed (codec %.2fx x dispatch %.2fx, geomean %.3fx < 1.0)@."
-      codec_speedup engine_speedup rep_geo;
-    write_tsv ();
-    exit 1
-  end
+  row ~layer:"gate/representation" ~metric:"geomean_speedup" ~unit:"x" ~better:`Higher rep_geo;
+  if !gate && rep_geo < 1.0 then
+    fail_gate
+      "packed representation slower than boxed (codec %.2fx x dispatch %.2fx, geomean %.3fx < 1.0)"
+      codec_speedup engine_speedup rep_geo
 
 (* --- pmtestd service overhead ----------------------------------------------------------- *)
 
@@ -943,6 +897,20 @@ let serve_bench () =
       (fun i -> Array.sub entries (i * section_len) (min section_len (n - (i * section_len))))
   in
   let nsec = List.length sections in
+  let cores = Domain.recommended_domain_count () in
+  let parallel_capacity = max 1 ((cores - 1) / 2) in
+  let shards = if !bench_shards > 0 then !bench_shards else min 4 parallel_capacity in
+  let row = row ~target:"serve" in
+  List.iter
+    (fun (metric, v) -> count ~target:"serve" ~layer:"config" metric v)
+    [
+      ("shards", shards);
+      ("workers_per_shard", 1);
+      ("cores", cores);
+      ("seed", seed);
+      ("section_entries", section_len);
+      ("sections_per_client", nsec);
+    ];
   let workers = 2 in
   let socket =
     Filename.concat (Filename.get_temp_dir_name ())
@@ -998,18 +966,16 @@ let serve_bench () =
   Fmt.pr "  %-24s %10.2f ms@." "in-process" (t_local *. 1e3);
   Fmt.pr "  %-24s %10.2f ms  (%.2fx, %+.1f us/section)@." "over the socket"
     (t_remote *. 1e3) (ratio t_remote t_local) per_sec_us;
-  tsv "serve\tsingle\t%d\tlocal_ms\t%.3f" nsec (t_local *. 1e3);
-  tsv "serve\tsingle\t%d\tremote_ms\t%.3f" nsec (t_remote *. 1e3);
-  tsv "serve\tsingle\t%d\toverhead_ratio\t%.3f" nsec (ratio t_remote t_local);
-  tsv "serve\tsingle\t%d\tper_section_us\t%.2f" nsec per_sec_us;
+  let single metric ~unit v = row ~layer:"single_client" ~metric ~unit ~better:`Lower v in
+  single "local_ms" ~unit:"ms" (t_local *. 1e3);
+  single "remote_ms" ~unit:"ms" (t_remote *. 1e3);
+  single "overhead_ratio" ~unit:"x" (ratio t_remote t_local);
+  single "per_section_us" ~unit:"us" per_sec_us;
   (* 2. Shard scaling: a fresh daemon with [--shards] shards (one worker
      domain each), N concurrent sessions each streaming the same
      pre-encoded section frames.  Frames are encoded once, outside the
      timed region, so the measurement is daemon capacity — accept,
      batch decode, dispatch, check, merge — not client-side encoding. *)
-  let cores = Domain.recommended_domain_count () in
-  let parallel_capacity = max 1 ((cores - 1) / 2) in
-  let shards = if !bench_shards > 0 then !bench_shards else min 4 parallel_capacity in
   let payloads = List.map (fun sec -> Packed.encode_wire (Packed.of_events sec)) sections in
   let scaling_socket =
     Filename.concat (Filename.get_temp_dir_name ())
@@ -1071,7 +1037,8 @@ let serve_bench () =
             let rate = float_of_int (clients * nsec) /. t in
             if clients = 1 then r1 := rate;
             Fmt.pr "%-10d %12.3f %14.0f %9.2fx@." clients t rate (rate /. !r1);
-            tsv "serve\tscaling\t%d\tsections_per_s\t%.0f" clients rate;
+            row ~layer:(Printf.sprintf "scaling/%d" clients) ~metric:"sections_per_s"
+              ~unit:"sections/s" ~better:`Higher rate;
             (clients, rate))
           [ 1; 4; 8 ])
   in
@@ -1096,52 +1063,25 @@ let serve_bench () =
       " (too few cores for %d shards to run in parallel — the near-linear bar needs >= %d cores;@.\
       \ this machine's bar only checks that sharding does not regress throughput)@."
       shards ((2 * 4) + 1);
-  tsv "serve\tscaling\t8v1\tratio\t%.3f" scaling_8v1;
-  tsv "serve\tgate\t%s\trequired\t%.3f" mode required;
-  (match !json_path with
-  | None -> ()
-  | Some path ->
-    (* The caveat travels with the numbers: a reader of the JSON must be
-       able to tell a waived near-linear bar from a met one without
-       knowing what machine produced the file. *)
-    let caveat =
-      if mode = "full" then ""
-      else
-        Printf.sprintf
-          "only %d shard(s) can run in parallel on %d core(s); the near-linear 8v1 bar needs \
-           >= 9 cores, so this gate only checks that sharding does not regress throughput"
-          parallel_shards cores
-    in
-    let oc = open_out path in
-    Printf.fprintf oc
-      "{\n\
-      \  \"bench\": \"serve\",\n\
-      \  \"shards\": %d,\n\
-      \  \"workers_per_shard\": 1,\n\
-      \  \"cores\": %d,\n\
-      \  \"seed\": %d,\n\
-      \  \"section_entries\": %d,\n\
-      \  \"sections_per_client\": %d,\n\
-      \  \"single_client\": {\"local_ms\": %.3f, \"remote_ms\": %.3f, \"per_section_us\": %.2f},\n\
-      \  \"scaling\": [%s],\n\
-      \  \"scaling_8v1\": %.3f,\n\
-      \  \"gate\": {\"required\": %.3f, \"mode\": \"%s\", \"passed\": %b,\n\
-      \           \"multi_core_pending\": %b, \"caveat\": \"%s\"}\n\
-       }\n"
-      shards cores seed section_len nsec (t_local *. 1e3) (t_remote *. 1e3) per_sec_us
-      (String.concat ", "
-         (List.map
-            (fun (c, r) -> Printf.sprintf "{\"clients\": %d, \"sections_per_s\": %.0f}" c r)
-            rates))
-      scaling_8v1 required mode passed (mode <> "full") caveat;
-    close_out oc;
-    Fmt.pr "@.JSON written to %s@." path);
-  if !gate && not passed then begin
-    Fmt.epr "GATE FAILED: 8-client scaling %.2fx < required %.2fx (%s mode, %d core(s))@."
-      scaling_8v1 required mode cores;
-    write_tsv ();
-    exit 1
-  end
+  row ~layer:"summary" ~metric:"scaling_8v1" ~unit:"x" ~better:`Higher scaling_8v1;
+  row ~layer:"gate" ~metric:"required" ~unit:"x" ~better:`None required;
+  row ~layer:"gate" ~metric:"passed" ~unit:"bool" ~better:`Higher (flag passed);
+  row ~layer:"gate" ~metric:"multi_core_pending" ~unit:"bool" ~better:`Lower
+    (flag (mode <> "full"));
+  note ~target:"serve" ~name:"gate.mode" mode;
+  (* The caveat travels with the numbers: a reader of the JSON must be
+     able to tell a waived near-linear bar from a met one without knowing
+     what machine produced the file. *)
+  note ~target:"serve" ~name:"gate.caveat"
+    (if mode = "full" then ""
+     else
+       Printf.sprintf
+         "only %d shard(s) can run in parallel on %d core(s); the near-linear 8v1 bar needs >= \
+          9 cores, so this gate only checks that sharding does not regress throughput"
+         parallel_shards cores);
+  if !gate && not passed then
+    fail_gate "8-client scaling %.2fx < required %.2fx (%s mode, %d core(s))" scaling_8v1 required
+      mode cores
 
 (* --- pmfarm: distributed campaign throughput and recovery ----------------------------- *)
 
@@ -1191,155 +1131,128 @@ let farm_bench () =
     | Some (Error e) -> failwith ("bench farm: " ^ e)
     | None -> failwith "bench farm: coordinator died without a result"
   in
-  (* Throughput: the same campaign, 1 worker then 2. *)
+  let row = row ~target:"farm" in
+  note ~target:"farm" ~name:"campaign" (Farm.Spec.to_string spec);
+  count ~target:"farm" ~layer:"config" "jobs" jobs;
+  count ~target:"farm" ~layer:"config" "cores" cores;
+  (* Throughput: the same campaign, 1 worker then 2, timed from the
+     workers' start to the coordinator's result. *)
   Fmt.pr "%-10s %12s %14s %9s@." "workers" "seconds" "jobs_per_s" "vs 1";
   let r1 = ref nan in
   let rates =
     List.map
       (fun workers ->
-        let dir, socket = fresh_paths (Printf.sprintf "w%d" workers) in
-        let cfg = Farm.Coordinator.default_cfg ~spec ~socket ~dir in
-        let coord = start_coordinator cfg in
-        let t0 = now_ns () in
-        let ws =
-          List.init workers (fun i ->
-              Thread.create
-                (fun () ->
-                  ignore
-                    (Farm.Worker.run
-                       (Farm.Worker.default_cfg ~socket
-                          ~name:(Printf.sprintf "bench-w%d" i))))
-                ())
+        let t =
+          samples ~runs:1
+            ~setup:(fun () ->
+              let dir, socket = fresh_paths (Printf.sprintf "w%d" workers) in
+              let cfg = Farm.Coordinator.default_cfg ~spec ~socket ~dir in
+              (dir, socket, start_coordinator cfg))
+            ~teardown:(fun (dir, ws, s) ->
+              List.iter Thread.join ws;
+              if s.Farm.Coordinator.jobs_done <> jobs then failwith "bench farm: lost jobs";
+              bench_rm_rf dir)
+            (fun (dir, socket, coord) ->
+              let ws =
+                List.init workers (fun i ->
+                    Thread.create
+                      (fun () ->
+                        ignore
+                          (Farm.Worker.run
+                             (Farm.Worker.default_cfg ~socket
+                                ~name:(Printf.sprintf "bench-w%d" i))))
+                      ())
+              in
+              (dir, ws, finish coord))
+          |> best
         in
-        let s = finish coord in
-        let t = Int64.to_float (Int64.sub (now_ns ()) t0) /. 1e9 in
-        List.iter Thread.join ws;
-        if s.Farm.Coordinator.jobs_done <> jobs then failwith "bench farm: lost jobs";
         let rate = float_of_int jobs /. t in
         if workers = 1 then r1 := rate;
         Fmt.pr "%-10d %12.3f %14.2f %9.2fx@." workers t rate (rate /. !r1);
-        tsv "farm\tthroughput\t%d\tjobs_per_s\t%.2f" workers rate;
-        bench_rm_rf dir;
-        (workers, t, rate))
+        let layer = Printf.sprintf "workers/%d" workers in
+        row ~layer ~metric:"seconds" ~unit:"s" ~better:`Lower t;
+        row ~layer ~metric:"jobs_per_s" ~unit:"jobs/s" ~better:`Higher rate;
+        (workers, rate))
       [ 1; 2 ]
   in
-  let rate_at n =
-    try
-      let _, _, r = List.find (fun (w, _, _) -> w = n) rates in
-      r
-    with Not_found -> nan
-  in
+  let rate_at n = try List.assoc n rates with Not_found -> nan in
   let scaling_2v1 = rate_at 2 /. rate_at 1 in
-  tsv "farm\tscaling\t2v1\tratio\t%.3f" scaling_2v1;
+  row ~layer:"summary" ~metric:"scaling_2v1" ~unit:"x" ~better:`Higher scaling_2v1;
+  row ~layer:"summary" ~metric:"multi_core_pending" ~unit:"bool" ~better:`Lower
+    (flag (cores < 3));
   (* Recovery: a raw victim claims the only job and dies; a raw rescuer,
      already connected and idle, timestamps the reassigned offer. *)
-  let reassign_once () =
-    let spec1 = Farm.Spec.fuzz ~max_ops:8 ~model:Model.X86 ~seed:0 ~count:4 ~chunk:4 () in
-    let dir, socket = fresh_paths "reassign" in
-    let cfg = Farm.Coordinator.default_cfg ~spec:spec1 ~socket ~dir in
-    let coord = start_coordinator cfg in
-    let connect () =
-      let fd = Unix.socket ~cloexec:true PF_UNIX SOCK_STREAM 0 in
-      Unix.connect fd (ADDR_UNIX socket);
-      (match Wire.write_frame fd Wire.Worker_hello (Wire.encode_worker_hello ~name:"bench") with
-      | Ok () -> ()
-      | Error e -> failwith ("bench farm: " ^ Wire.error_to_string e));
-      let r = Wire.reader fd in
-      (match Wire.read_one r with
-      | Ok (Wire.Worker_hello, _) -> ()
-      | Ok _ | Error _ -> failwith "bench farm: bad handshake");
-      (fd, r)
-    in
-    let victim, victim_r = connect () in
-    (match Wire.read_one victim_r with
+  let spec1 = Farm.Spec.fuzz ~max_ops:8 ~model:Model.X86 ~seed:0 ~count:4 ~chunk:4 () in
+  let connect socket =
+    let fd = Unix.socket ~cloexec:true PF_UNIX SOCK_STREAM 0 in
+    Unix.connect fd (ADDR_UNIX socket);
+    (match Wire.write_frame fd Wire.Worker_hello (Wire.encode_worker_hello ~name:"bench") with
+    | Ok () -> ()
+    | Error e -> failwith ("bench farm: " ^ Wire.error_to_string e));
+    let r = Wire.reader fd in
+    (match Wire.read_one r with
+    | Ok (Wire.Worker_hello, _) -> ()
+    | Ok _ | Error _ -> failwith "bench farm: bad handshake");
+    (fd, r)
+  in
+  let read_offer r what =
+    match Wire.read_one r with
     | Ok (Wire.Job_offer, payload) -> (
       match Wire.decode_job_offer payload with
-      | Ok (job, attempt, _, _, _) ->
-        ignore (Wire.write_frame victim Wire.Job_claim (Wire.encode_job_claim ~job ~attempt))
+      | Ok (job, attempt, lo, hi, _) -> (job, attempt, lo, hi)
       | Error e -> failwith ("bench farm: " ^ Wire.error_to_string e))
-    | Ok _ | Error _ -> failwith "bench farm: expected the first offer");
-    let rescuer, rescuer_r = connect () in
-    (* Die job-in-hand; the rescuer's read returns when the coordinator
-       has detected the death, requeued the job and re-offered it. *)
-    let t0 = now_ns () in
-    Unix.close victim;
-    let job, attempt, lo, hi =
-      match Wire.read_one rescuer_r with
-      | Ok (Wire.Job_offer, payload) -> (
-        match Wire.decode_job_offer payload with
-        | Ok (job, attempt, lo, hi, _) -> (job, attempt, lo, hi)
-        | Error e -> failwith ("bench farm: " ^ Wire.error_to_string e))
-      | Ok _ | Error _ -> failwith "bench farm: expected the reassigned offer"
-    in
-    let latency_ms = Int64.to_float (Int64.sub (now_ns ()) t0) /. 1e6 in
-    (* Finish the campaign honestly so the coordinator tears down. *)
-    (match Farm.run_units spec1 ~lo ~hi with
-    | Error e -> failwith ("bench farm: " ^ e)
-    | Ok r ->
-      ignore
-        (Wire.write_frame rescuer Wire.Job_result
-           (Wire.encode_job_result ~job ~attempt ~digest:r.Farm.digest ~units:r.Farm.units
-              ~elapsed_ms:0 ~findings:r.Farm.findings)));
-    let s = finish coord in
-    (try Unix.close rescuer with Unix.Unix_error _ -> ());
-    if s.Farm.Coordinator.reassigned < 1 then failwith "bench farm: death not reassigned";
-    bench_rm_rf dir;
-    latency_ms
+    | Ok _ | Error _ -> failwith ("bench farm: expected " ^ what)
   in
-  let samples = List.init 5 (fun _ -> reassign_once ()) in
-  let best = List.fold_left Float.min infinity samples in
-  let mean = List.fold_left ( +. ) 0.0 samples /. float_of_int (List.length samples) in
-  Fmt.pr "@.reassignment latency: best %.2f ms, mean %.2f ms over %d deaths@." best mean
-    (List.length samples);
-  tsv "farm\treassign\tbest\tms\t%.3f" best;
-  tsv "farm\treassign\tmean\tms\t%.3f" mean;
+  let latencies =
+    samples ~runs:5
+      ~setup:(fun () ->
+        let dir, socket = fresh_paths "reassign" in
+        let coord = start_coordinator (Farm.Coordinator.default_cfg ~spec:spec1 ~socket ~dir) in
+        let victim, victim_r = connect socket in
+        let job, attempt, _, _ = read_offer victim_r "the first offer" in
+        ignore (Wire.write_frame victim Wire.Job_claim (Wire.encode_job_claim ~job ~attempt));
+        let rescuer, rescuer_r = connect socket in
+        (dir, coord, victim, rescuer, rescuer_r))
+      ~teardown:(fun (dir, coord, rescuer, (job, attempt, lo, hi)) ->
+        (* Finish the campaign honestly so the coordinator tears down. *)
+        (match Farm.run_units spec1 ~lo ~hi with
+        | Error e -> failwith ("bench farm: " ^ e)
+        | Ok r ->
+          ignore
+            (Wire.write_frame rescuer Wire.Job_result
+               (Wire.encode_job_result ~job ~attempt ~digest:r.Farm.digest ~units:r.Farm.units
+                  ~elapsed_ms:0 ~findings:r.Farm.findings)));
+        let s = finish coord in
+        (try Unix.close rescuer with Unix.Unix_error _ -> ());
+        if s.Farm.Coordinator.reassigned < 1 then failwith "bench farm: death not reassigned";
+        bench_rm_rf dir)
+      (* Die job-in-hand; the rescuer's read returns when the coordinator
+         has detected the death, requeued the job and re-offered it. *)
+      (fun (dir, coord, victim, rescuer, rescuer_r) ->
+        Unix.close victim;
+        (dir, coord, rescuer, read_offer rescuer_r "the reassigned offer"))
+    |> List.map (fun t -> t *. 1e3)
+  in
+  let best = best latencies in
+  let n = List.length latencies in
+  let mean = List.fold_left ( +. ) 0.0 latencies /. float_of_int n in
+  Fmt.pr "@.reassignment latency: best %.2f ms, mean %.2f ms over %d deaths@." best mean n;
+  row ~layer:"reassignment_ms" ~metric:"best" ~unit:"ms" ~better:`Lower best;
+  row ~layer:"reassignment_ms" ~metric:"mean" ~unit:"ms" ~better:`Lower mean;
+  count ~target:"farm" ~layer:"reassignment_ms" "samples" n;
   if cores < 3 then
     Fmt.pr
       " (2-worker scaling on %d core(s) measures protocol overhead, not parallelism;@.\
       \ re-run on a multi-core host for a real scaling signal)@."
-      cores;
-  match !json_path with
-  | None -> ()
-  | Some path ->
-    let oc = open_out path in
-    Printf.fprintf oc
-      "{\n\
-      \  \"bench\": \"farm\",\n\
-      \  \"campaign\": \"%s\",\n\
-      \  \"jobs\": %d,\n\
-      \  \"cores\": %d,\n\
-      \  \"workers\": [%s],\n\
-      \  \"scaling_2v1\": %.3f,\n\
-      \  \"multi_core_pending\": %b,\n\
-      \  \"reassignment_ms\": {\"best\": %.3f, \"mean\": %.3f, \"samples\": %d}\n\
-       }\n"
-      (Farm.Spec.to_string spec) jobs cores
-      (String.concat ", "
-         (List.map
-            (fun (w, t, r) ->
-              Printf.sprintf "{\"workers\": %d, \"seconds\": %.3f, \"jobs_per_s\": %.2f}" w t r)
-            rates))
-      scaling_2v1 (cores < 3) best mean (List.length samples);
-    close_out oc;
-    Fmt.pr "@.JSON written to %s@." path
+      cores
 
 (* --- Bechamel micro-measurements ------------------------------------------------------ *)
 
 let bechamel () =
   Fmt.pr "@.### Bechamel micro-measurements (one Test per experiment family)@.@.";
   let open Bechamel in
-  let section =
-    (* Pre-record a representative trace section: 32 ctree transactions. *)
-    let builder = Builder.create () in
-    let pool = Pool.create ~size:(1 lsl 22) ~sink:(Builder.sink builder) () in
-    let m = Ctree_map.create pool in
-    for i = 0 to 31 do
-      Pool.tx_checker_start pool;
-      Ctree_map.insert m ~key:(Int64.of_int i) ~value:(Bytes.make 64 'x');
-      Pool.tx_checker_end pool
-    done;
-    Builder.take builder
-  in
+  (* A representative trace section: 32 ctree transactions. *)
+  let section = ctree_section 32 in
   let test_fig10_insert =
     Test.make ~name:"fig10a:ctree-insert+pmtest"
       (Staged.stage (fun () ->
@@ -1429,7 +1342,7 @@ let repair_bench () =
   let seed0 = 1000 in
   Fmt.pr "%-8s %10s %10s %12s %12s %8s %8s %8s %8s@." "model" "programs" "edits" "prog/s"
     "entries/s" "del-f" "del-wb" "ins-f" "ins-wb";
-  let model_rows = ref [] in
+  let count = count ~target:"repair" in
   List.iter
     (fun model ->
       let programs =
@@ -1468,22 +1381,20 @@ let repair_bench () =
         (float_of_int progs /. t)
         (float_of_int entries /. t)
         del_fences del_flushes ins_fences ins_flushes;
-      tsv "repair\t%s\t%d\tprogs_per_s\t%.0f" name progs (float_of_int progs /. t);
-      tsv "repair\t%s\t%d\tedits\t%d" name progs edits;
-      model_rows :=
-        Printf.sprintf
-          "    {\"model\": %S, \"programs\": %d, \"seed_base\": %d, \"progs_per_s\": %.0f, \
-           \"entries_per_s\": %.0f, \"edits_applied\": %d, \"fences_deleted\": %d, \
-           \"flushes_deleted\": %d, \"flushes_narrowed\": %d, \"fences_inserted\": %d, \
-           \"flushes_inserted\": %d, \"logs_inserted\": %d}"
-          name progs seed0
-          (float_of_int progs /. t)
-          (float_of_int entries /. t)
-          edits del_fences del_flushes
-          (sum (fun o -> o.Repair.narrowed_flushes))
-          ins_fences ins_flushes
-          (sum (fun o -> o.Repair.inserted_logs))
-        :: !model_rows)
+      let count = count ~layer:name in
+      count "programs" progs;
+      count "seed_base" seed0;
+      row ~target:"repair" ~layer:name ~metric:"progs_per_s" ~unit:"progs/s" ~better:`Higher
+        (float_of_int progs /. t);
+      row ~target:"repair" ~layer:name ~metric:"entries_per_s" ~unit:"entries/s" ~better:`Higher
+        (float_of_int entries /. t);
+      count "edits_applied" edits;
+      count "fences_deleted" del_fences;
+      count "flushes_deleted" del_flushes;
+      count "flushes_narrowed" (sum (fun o -> o.Repair.narrowed_flushes));
+      count "fences_inserted" ins_fences;
+      count "flushes_inserted" ins_flushes;
+      count "logs_inserted" (sum (fun o -> o.Repair.inserted_logs)))
     Model.all_kinds;
   (* The two seeded PMFS performance bugs: the repairer must reproduce the
      upstream fixes mechanically. *)
@@ -1518,22 +1429,8 @@ let repair_bench () =
     o_fsync.Repair.deleted_fences;
   Fmt.pr "  empty-commit fence      %d fence(s) deleted (expect 1)@."
     o_empty.Repair.deleted_fences;
-  match !json_path with
-  | None -> ()
-  | Some path ->
-    let oc = open_out path in
-    Printf.fprintf oc
-      "{\n\
-      \  \"bench\": \"repair\",\n\
-      \  \"models\": [\n\
-       %s\n\
-      \  ],\n\
-      \  \"pmfs\": {\"fsync_fences_deleted\": %d, \"empty_tx_fences_deleted\": %d}\n\
-       }\n"
-      (String.concat ",\n" (List.rev !model_rows))
-      o_fsync.Repair.deleted_fences o_empty.Repair.deleted_fences;
-    close_out oc;
-    Fmt.pr "@.JSON written to %s@." path
+  count ~layer:"pmfs" "fsync_fences_deleted" o_fsync.Repair.deleted_fences;
+  count ~layer:"pmfs" "empty_tx_fences_deleted" o_empty.Repair.deleted_fences
 
 (* --- Litmus-suite throughput ------------------------------------------------------------- *)
 
@@ -1546,7 +1443,8 @@ let litmus_bench () =
   Fmt.pr " whole-model validation gate can run)@.@.";
   let reps = 20 in
   Fmt.pr "%-8s %8s %10s %12s@." "model" "tests" "total(s)" "tests/s";
-  let model_rows = ref [] and rates = ref [] in
+  let row = row ~target:"litmus" in
+  let rates = ref [] in
   List.iter
     (fun model ->
       let tests = Suite.for_model model in
@@ -1567,31 +1465,13 @@ let litmus_bench () =
       let name = Model.kind_name model in
       rates := rate :: !rates;
       Fmt.pr "%-8s %8d %10.3f %12.0f@." name n t rate;
-      tsv "litmus\t%s\t%d\ttests_per_s\t%.0f" name n rate;
-      model_rows :=
-        Printf.sprintf "    {\"model\": %S, \"tests\": %d, \"reps\": %d, \"tests_per_s\": %.1f}"
-          name n reps rate
-        :: !model_rows)
+      count ~target:"litmus" ~layer:name "tests" n;
+      count ~target:"litmus" ~layer:name "reps" reps;
+      row ~layer:name ~metric:"tests_per_s" ~unit:"tests/s" ~better:`Higher rate)
     Model.all_kinds;
   let geo = Stats.geomean (Array.of_list !rates) in
   Fmt.pr "@.geomean across models: %.0f tests/s@." geo;
-  tsv "litmus\tgeomean\t-\ttests_per_s\t%.0f" geo;
-  match !json_path with
-  | None -> ()
-  | Some path ->
-    let oc = open_out path in
-    Printf.fprintf oc
-      "{\n\
-      \  \"bench\": \"litmus\",\n\
-      \  \"models\": [\n\
-       %s\n\
-      \  ],\n\
-      \  \"geomean_tests_per_s\": %.1f\n\
-       }\n"
-      (String.concat ",\n" (List.rev !model_rows))
-      geo;
-    close_out oc;
-    Fmt.pr "@.JSON written to %s@." path
+  row ~layer:"summary" ~metric:"geomean_tests_per_s" ~unit:"tests/s" ~better:`Higher geo
 
 (* --- Crash-state exploration throughput -------------------------------------------------- *)
 
@@ -1601,15 +1481,14 @@ let crashfs_bench () =
   Fmt.pr "(each run drives a seeded syscall workload, enumerates the durable images at@.";
   Fmt.pr " every persist boundary and remounts each distinct one; the pruned ratio is@.";
   Fmt.pr " the fraction of candidate states the epoch/dedup bounding never remounts)@.@.";
-  let count = max 20 (!kv_ops / 40) in
+  let workloads = max 20 (!kv_ops / 40) in
   Fmt.pr "%-6s %6s %8s %10s %10s %10s %12s %12s %8s@." "fs" "runs" "bounds" "images" "remounts"
     "total(s)" "images/s" "remounts/s" "pruned";
-  let rows = ref [] in
   List.iter
     (fun fs ->
       let config = Crashfs.default_config fs in
       let c = ref None in
-      let t = time (fun () -> c := Some (Crashfs.run_campaign config ~count ~seed:0 ())) in
+      let t = time (fun () -> c := Some (Crashfs.run_campaign config ~count:workloads ~seed:0 ())) in
       match !c with
       | None -> ()
       | Some c ->
@@ -1624,32 +1503,25 @@ let crashfs_bench () =
           (float_of_int s.Crashfs.images /. t)
           (float_of_int s.Crashfs.recoveries /. t)
           (100. *. ratio);
-        tsv "crashfs\t%s\t%d\timages_per_s\t%.0f" name count
+        let row = row ~target:"crashfs" ~layer:name in
+        let count = count ~target:"crashfs" ~layer:name in
+        count "runs" c.Crashfs.runs;
+        count "ops" s.Crashfs.ops;
+        count "applied" s.Crashfs.applied;
+        count "boundaries" s.Crashfs.boundaries;
+        count "explored" s.Crashfs.explored;
+        count "images" s.Crashfs.images;
+        count "recoveries" s.Crashfs.recoveries;
+        row ~metric:"avoided" ~unit:"count" ~better:`None s.Crashfs.avoided;
+        row ~metric:"pruned_ratio" ~unit:"ratio" ~better:`Higher ratio;
+        row ~metric:"images_per_s" ~unit:"images/s" ~better:`Higher
           (float_of_int s.Crashfs.images /. t);
-        tsv "crashfs\t%s\t%d\tpruned_ratio\t%.3f" name count ratio;
-        rows :=
-          Printf.sprintf
-            "    {\"fs\": %S, \"runs\": %d, \"ops\": %d, \"applied\": %d, \"boundaries\": %d, \
-             \"explored\": %d, \"images\": %d, \"recoveries\": %d, \"avoided\": %.0f, \
-             \"pruned_ratio\": %.4f, \"images_per_s\": %.0f, \"recoveries_per_s\": %.0f, \
-             \"findings\": %d}"
-            name c.Crashfs.runs s.Crashfs.ops s.Crashfs.applied s.Crashfs.boundaries
-            s.Crashfs.explored s.Crashfs.images s.Crashfs.recoveries s.Crashfs.avoided ratio
-            (float_of_int s.Crashfs.images /. t)
-            (float_of_int s.Crashfs.recoveries /. t)
-            (List.length c.Crashfs.findings)
-          :: !rows)
+        row ~metric:"recoveries_per_s" ~unit:"recoveries/s" ~better:`Higher
+          (float_of_int s.Crashfs.recoveries /. t);
+        count ~better:`Lower "findings" (List.length c.Crashfs.findings))
     [ Crashfs.Pmfs; Crashfs.Nova ];
   Fmt.pr "@.(remounting dominates; every remount replays recovery plus the fsck@.";
-  Fmt.pr " invariants, so the pruned ratio is the speedup the bounding buys)@.";
-  match !json_path with
-  | None -> ()
-  | Some path ->
-    let oc = open_out path in
-    Printf.fprintf oc "{\n  \"bench\": \"crashfs\",\n  \"fs\": [\n%s\n  ]\n}\n"
-      (String.concat ",\n" (List.rev !rows));
-    close_out oc;
-    Fmt.pr "@.JSON written to %s@." path
+  Fmt.pr " invariants, so the pruned ratio is the speedup the bounding buys)@."
 
 (* --- Driver ----------------------------------------------------------------------------- *)
 
@@ -1691,9 +1563,6 @@ let () =
     | "--runs" :: v :: rest ->
       runs := int_of_string v;
       parse rest
-    | "--tsv" :: v :: rest ->
-      tsv_path := Some v;
-      parse rest
     | "--json" :: v :: rest ->
       json_path := Some v;
       parse rest
@@ -1725,4 +1594,4 @@ let () =
   Fmt.pr "PMTest benchmark harness — %d insertions, %d workload ops, best of %d runs@."
     !insertions !kv_ops !runs;
   List.iter (fun (_, f) -> f ()) selected;
-  write_tsv ()
+  write_json ()

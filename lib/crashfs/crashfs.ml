@@ -934,11 +934,7 @@ module Repro = struct
 
   let save ~dir c =
     let path = Filename.concat dir (c.name ^ ".pmt") in
-    let tmp = path ^ ".tmp" in
-    let oc = open_out tmp in
-    output_string oc (to_text c);
-    close_out oc;
-    Sys.rename tmp path;
+    Files.write_atomic path (fun oc -> output_string oc (to_text c));
     path
 
   let load_dir dir =

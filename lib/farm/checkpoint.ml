@@ -1,28 +1,10 @@
-(* On-disk campaign checkpoints, and the atomic file write they and the
-   triage store share. *)
+(* On-disk campaign checkpoints.  [write_atomic] is the write they and the
+   triage store share: a SIGKILL mid-write leaves a stray [.tmp], never a
+   torn file a resume would trip over. *)
 
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    let parent = Filename.dirname dir in
-    if parent <> dir then mkdir_p parent;
-    Sys.mkdir dir 0o755
-  end
-
-(* Same discipline as [Serial.save_file]: a SIGKILL mid-write leaves a
-   stray [.tmp], never a torn file a resume would trip over. *)
 let write_atomic path text =
-  mkdir_p (Filename.dirname path);
-  let tmp =
-    Filename.temp_file ~temp_dir:(Filename.dirname path) (Filename.basename path ^ ".") ".tmp"
-  in
-  match
-    let oc = open_out tmp in
-    Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc text)
-  with
-  | () -> Sys.rename tmp path
-  | exception e ->
-    (try Sys.remove tmp with Sys_error _ -> ());
-    raise e
+  Pmtest_util.Files.mkdir_p (Filename.dirname path);
+  Pmtest_util.Files.write_atomic path (fun oc -> output_string oc text)
 
 type done_job = { job : int; attempt : int; units : int; digest : string }
 

@@ -333,7 +333,7 @@ module Coordinator = struct
         ~heartbeat_timeout:cfg.heartbeat_timeout ~steal_after:cfg.steal_after ~obs:cfg.obs
         cfg.spec resume
     in
-    Checkpoint.mkdir_p cfg.triage_dir;
+    Pmtest_util.Files.mkdir_p cfg.triage_dir;
     if Sys.file_exists cfg.socket then (try Unix.unlink cfg.socket with Unix.Unix_error _ -> ());
     let listen_fd = Unix.socket ~cloexec:true PF_UNIX SOCK_STREAM 0 in
     match

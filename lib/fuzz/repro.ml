@@ -132,13 +132,6 @@ let header_of_case c =
   ]
   @ List.map check_to_header c.checks
 
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    let parent = Filename.dirname dir in
-    if parent <> dir then mkdir_p parent;
-    Sys.mkdir dir 0o755
-  end
-
 let case_text c =
   let buf = Buffer.create 512 in
   List.iter (fun h -> Printf.bprintf buf "# %s\n" h) (header_of_case c);
@@ -269,7 +262,7 @@ let index_for dir =
     idx
 
 let save ~dir c =
-  mkdir_p dir;
+  Pmtest_util.Files.mkdir_p dir;
   let idx = index_for dir in
   let digest = case_digest c in
   match Hashtbl.find_opt idx digest with

@@ -133,20 +133,22 @@ let send_err t fd msg = ignore (send t fd Wire.Err (Wire.encode_err msg))
    buffers fill, with no explicit credit protocol.  [Shed] drops the
    section on the floor and counts it. *)
 let dispatch t sess p =
-  Mutex.lock sess.sm;
-  if t.cfg.policy = Wire.Shed && sess.inflight >= t.cfg.max_inflight then begin
-    Mutex.unlock sess.sm;
+  let admitted =
+    Mutex.protect sess.sm (fun () ->
+        if t.cfg.policy = Wire.Shed && sess.inflight >= t.cfg.max_inflight then None
+        else begin
+          while sess.inflight >= t.cfg.max_inflight do
+            Condition.wait sess.sc sess.sm
+          done;
+          sess.inflight <- sess.inflight + 1;
+          Some (sess.inflight, sess.prelude)
+        end)
+  in
+  match admitted with
+  | None ->
     Packed.free ~pool:sess.shard.arena_pool p;
     if Obs.enabled t.obs then Obs.add t.obs sections_shed 1
-  end
-  else begin
-    while sess.inflight >= t.cfg.max_inflight do
-      Condition.wait sess.sc sess.sm
-    done;
-    sess.inflight <- sess.inflight + 1;
-    let depth = sess.inflight in
-    let prelude = sess.prelude in
-    Mutex.unlock sess.sm;
+  | Some (depth, prelude) ->
     if Obs.enabled t.obs then Obs.max t.obs inflight_hwm depth;
     let t0 = Obs.now_ns () in
     Runtime.send_packed_cb ~model:sess.model ~prelude sess.shard.rt p (fun r ->
@@ -160,7 +162,6 @@ let dispatch t sess p =
             sess.inflight <- sess.inflight - 1;
             Condition.broadcast sess.sc);
         if Obs.enabled t.obs then Obs.record t.obs section_latency (Obs.now_ns () - t0))
-  end
 
 (* Returns [false] to end the session. *)
 let handle_frame t sess kind payload =
@@ -325,25 +326,27 @@ let serve_conn t sh cid fd =
 (* Least-loaded admission, ties to the lowest index: under [t.m], pick
    the shard with the fewest pinned connections and hand the fd over. *)
 let pin_conn t fd =
-  Mutex.lock t.m;
-  if t.stopping then begin
-    Mutex.unlock t.m;
-    try Unix.close fd with Unix.Unix_error _ -> ()
-  end
-  else begin
-    let best = ref 0 in
-    Array.iteri (fun i n -> if n < t.assigned.(!best) then best := i) t.assigned;
-    let s = !best in
-    let cid = t.next_cid in
-    t.next_cid <- cid + 1;
-    Hashtbl.replace t.conns cid fd;
-    t.assigned.(s) <- t.assigned.(s) + 1;
-    Mutex.unlock t.m;
+  let pinned =
+    Mutex.protect t.m (fun () ->
+        if t.stopping then None
+        else begin
+          let best = ref 0 in
+          Array.iteri (fun i n -> if n < t.assigned.(!best) then best := i) t.assigned;
+          let s = !best in
+          let cid = t.next_cid in
+          t.next_cid <- cid + 1;
+          Hashtbl.replace t.conns cid fd;
+          t.assigned.(s) <- t.assigned.(s) + 1;
+          Some (s, cid)
+        end)
+  in
+  match pinned with
+  | None -> ( try Unix.close fd with Unix.Unix_error _ -> ())
+  | Some (s, cid) ->
     let sh = t.shards.(s) in
     Mutex.protect sh.iq_m (fun () ->
         sh.iq <- (cid, fd) :: sh.iq;
         Condition.signal sh.iq_c)
-  end
 
 (* Multi-accept fan-in: every shard runs its own acceptor on the one
    shared listener, so accept handling itself scales with the shard

@@ -107,20 +107,10 @@ let read_channel ic =
   in
   go 1
 
-(* Write-to-temp + rename: a crash (or a SIGKILLed [attach --record])
-   mid-write leaves at worst a stray [.tmp] sibling, never a truncated
-   [.pmt] that a later corpus replay would trip over. *)
+(* A crash (or a SIGKILLed [attach --record]) mid-write never leaves a
+   truncated [.pmt] that a later corpus replay would trip over. *)
 let save_file ?header path entries =
-  let dir = Filename.dirname path in
-  let tmp = Filename.temp_file ~temp_dir:dir (Filename.basename path ^ ".") ".tmp" in
-  match
-    let oc = open_out tmp in
-    Fun.protect ~finally:(fun () -> close_out oc) (fun () -> write_channel ?header oc entries)
-  with
-  | () -> Sys.rename tmp path
-  | exception e ->
-    (try Sys.remove tmp with Sys_error _ -> ());
-    raise e
+  Files.write_atomic path (fun oc -> write_channel ?header oc entries)
 
 let load_file path =
   let ic = open_in path in

@@ -246,6 +246,36 @@ let test_repro_round_trip () =
   | Error e -> Alcotest.fail e
   | Ok case' -> Alcotest.(check bool) "case round-trips" true (case = case')
 
+(* A stale [<name>.pmt.tmp] (here a directory, which nothing can open
+   for writing) must not block saving [<name>.pmt]: each save writes its
+   own uniquely named temp file. *)
+let test_repro_save_beside_stale_tmp () =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "pmtest-crashfs-save-%d" (Unix.getpid ()))
+  in
+  Pmtest_util.Files.mkdir_p dir;
+  let stale = Filename.concat dir "stale.pmt.tmp" in
+  Sys.mkdir stale 0o755;
+  let case =
+    {
+      Crashfs.Repro.name = "stale";
+      fs = Crashfs.Pmfs;
+      model = Pmtest_model.Model.X86;
+      seed = 7;
+      fault = None;
+      expect_failure = false;
+      ops = [| Workload.Create "a"; Workload.Fsync "a" |];
+    }
+  in
+  let path = Crashfs.Repro.save ~dir case in
+  let entries = List.sort compare (Array.to_list (Sys.readdir dir)) in
+  Sys.remove path;
+  Sys.rmdir stale;
+  Sys.rmdir dir;
+  Alcotest.(check (list string)) "only the case and the stale dir" [ "stale.pmt"; "stale.pmt.tmp" ]
+    entries
+
 let test_repro_rejects_garbage () =
   (match Crashfs.Repro.of_text ~name:"x" "not a case\n" with
   | Error _ -> ()
@@ -328,5 +358,6 @@ let () =
             test_op_serialization_round_trips;
           Alcotest.test_case "shrink keeps the failure" `Quick
             test_shrink_is_minimal_and_still_fails;
+          Alcotest.test_case "save ignores a stale .tmp" `Quick test_repro_save_beside_stale_tmp;
         ] );
     ]
