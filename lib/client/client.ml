@@ -156,7 +156,7 @@ module Session = struct
     {
       Pmtest.model = conn.model;
       send = (fun ~prelude p -> send_packed ~prelude conn p);
-      send_boxed = (fun section -> send_events conn section);
+      send_boxed = (fun ~prelude section -> send_events ~prelude conn section);
       get_result = (fun () -> get_result conn);
       shutdown = (fun () -> get_result conn);
     }

@@ -21,16 +21,26 @@
     ({!check_packed}).
 
     Trace sections sent via [PMTest_SEND_TRACE] are independent (§4.4):
-    each {!check} call starts from fresh shadow state, which is what lets
-    the runtime fan sections out to worker threads. *)
+    each pass starts from fresh {e observable} state, which is what lets
+    the runtime fan sections out to worker threads.  The storage behind
+    it is not fresh: each domain keeps one engine state between passes
+    and resets it in place, so a steady-state pass allocates nothing per
+    entry and nothing per section but its report.  The reuse is safe
+    under systhreads (a second concurrent pass in one domain builds its
+    own state) and after an exception (a pass that raises drops its
+    state); a pass that grew its state past a fixed bound drops it too. *)
 
 open Pmtest_model
 open Pmtest_trace
 
-val check : ?obs:Pmtest_obs.Obs.t -> ?model:Model.kind -> Event.t array -> Report.t
+val check :
+  ?obs:Pmtest_obs.Obs.t -> ?model:Model.kind -> ?prelude:Event.t array -> Event.t array -> Report.t
 (** Validate one trace section. Defaults to the x86 persistency model.
-    With an enabled [obs] the per-section entry/op/checker/diagnostic
-    totals are added to the collector after the pass. *)
+    [prelude] (default empty) is replayed first — the session's
+    exclusion preamble — so the report equals a check of
+    [Array.append prelude entries] without that copy.  With an enabled
+    [obs] the per-section entry/op/checker/diagnostic totals are added
+    to the collector after the pass. *)
 
 val check_packed :
   ?obs:Pmtest_obs.Obs.t -> ?model:Model.kind -> ?prelude:Event.t array -> Packed.t -> Report.t

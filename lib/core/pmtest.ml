@@ -8,7 +8,7 @@ module Obs = Pmtest_obs.Obs
 type target = {
   model : Model.kind;
   send : prelude:Event.t array -> Packed.t -> (unit, string) result;
-  send_boxed : Event.t array -> (unit, string) result;
+  send_boxed : prelude:Event.t array -> Event.t array -> (unit, string) result;
   get_result : unit -> (Report.t, string) result;
   shutdown : unit -> (Report.t, string) result;
 }
@@ -21,8 +21,8 @@ let local runtime =
         Runtime.send_packed ~prelude runtime p;
         Ok ());
     send_boxed =
-      (fun section ->
-        Runtime.send_trace runtime section;
+      (fun ~prelude section ->
+        Runtime.send_trace ~prelude runtime section;
         Ok ());
     get_result = (fun () -> Ok (Runtime.get_result runtime));
     shutdown = (fun () -> Ok (Runtime.shutdown runtime));
@@ -37,9 +37,13 @@ type t = {
   mutex : Mutex.t;
   mutable tracking : bool;
   (* Exclusions outlive trace sections: the engine checks each section
-     independently, so the active exclusion set is re-announced at the
-     head of every section sent to the target. *)
+     independently, so the active exclusion set is re-announced as a
+     preamble beside every section sent to the target. *)
   mutable excluded : unit Interval_map.t;
+  (* The last preamble built and the thread it was built for, kept until
+     the scope changes: a session with a steady scope sends every
+     section the same array. *)
+  mutable preamble : (int * Event.t array) option;
   (* Called with every section handed to the target — how offline tools
      (the static lint, trace recorders) observe a live session. *)
   mutable observers : (Event.t array -> unit) list;
@@ -59,6 +63,7 @@ let over ?(obs = Obs.disabled) ?(packed = false) target =
       mutex = Mutex.create ();
       tracking = true;
       excluded = Interval_map.empty;
+      preamble = None;
       observers = [];
       error = None;
     }
@@ -123,15 +128,24 @@ type section = Arena of Packed.t | Events of Event.t array
 (* The live exclusion scope as [Exclude] controls, in address order.
    Caller holds [t.mutex]. *)
 let preamble t ~thread =
-  Array.of_list
-    (List.rev
-       (Interval_map.fold
-          (fun lo hi () acc ->
-            Event.make ~thread (Event.Control (Event.Exclude { addr = lo; size = hi - lo })) :: acc)
-          t.excluded []))
+  match t.preamble with
+  | Some (th, a) when th = thread -> a
+  | _ ->
+    let a =
+      Array.of_list
+        (List.rev
+           (Interval_map.fold
+              (fun lo hi () acc ->
+                Event.make ~thread (Event.Control (Event.Exclude { addr = lo; size = hi - lo }))
+                :: acc)
+              t.excluded []))
+    in
+    t.preamble <- Some (thread, a);
+    a
 
 let rescope t ~exclude addr size =
   let hi = addr + size in
+  t.preamble <- None;
   t.excluded <-
     (if exclude then Interval_map.set t.excluded ~lo:addr ~hi ()
      else Interval_map.clear t.excluded ~lo:addr ~hi)
@@ -184,7 +198,8 @@ let send_trace ?(thread = 0) t =
         t.target.send ~prelude p
       | _ ->
         (* Observers want the boxed shape; decode once and recycle the
-           arena. *)
+           arena.  They see the preamble at the section's head; the
+           target gets it beside the section, uncopied. *)
         let events =
           match section with
           | Events a -> a
@@ -193,9 +208,12 @@ let send_trace ?(thread = 0) t =
             Packed.free p;
             a
         in
-        let events = if Array.length prelude = 0 then events else Array.append prelude events in
-        List.iter (fun f -> f events) observers;
-        t.target.send_boxed events)
+        (match observers with
+        | [] -> ()
+        | _ ->
+          let seen = if Array.length prelude = 0 then events else Array.append prelude events in
+          List.iter (fun f -> f seen) observers);
+        t.target.send_boxed ~prelude events)
 
 let ok_or_fail = function Ok r -> r | Error msg -> failwith msg
 let get_result t = ok_or_fail (t.target.get_result ())

@@ -53,8 +53,9 @@ type target = {
   send : prelude:Event.t array -> Packed.t -> (unit, string) result;
       (** Check a packed section after replaying [prelude] (the session's
           exclusion preamble). Consumes the arena on every path. *)
-  send_boxed : Event.t array -> (unit, string) result;
-      (** Check a boxed section whose preamble is already its head. *)
+  send_boxed : prelude:Event.t array -> Event.t array -> (unit, string) result;
+      (** Check a boxed section after replaying [prelude], as [send]
+          does for an arena. *)
   get_result : unit -> (Report.t, string) result;
   shutdown : unit -> (Report.t, string) result;
       (** Drain, release the target and return the final aggregate. *)

@@ -4,10 +4,13 @@ module Obs = Pmtest_obs.Obs
 
 (* A section travels either boxed (the historical Event.t array) or as a
    packed arena that the worker checks with the cursor engine and then
-   recycles to the freelist.  A packed section may carry a small boxed
-   prelude — the session's exclusion preamble — replayed before the
-   arena so active scopes never force the decode-to-boxed fallback. *)
-type section = Boxed of Event.t array | Packed of { p : Packed.t; prelude : Event.t array }
+   recycles to the freelist.  Either may carry a small boxed prelude —
+   the session's exclusion preamble — replayed before the section, so an
+   active scope neither forces the decode-to-boxed fallback nor a copy
+   of the boxed section. *)
+type section =
+  | Boxed of { entries : Event.t array; prelude : Event.t array }
+  | Packed of { p : Packed.t; prelude : Event.t array }
 
 (* [model] overrides the runtime's default for this section (the daemon
    serves sessions with different persistency models off one pool);
@@ -146,7 +149,7 @@ let complete t seq report k =
 
 let check_payload t (task : task) =
   match task.payload with
-  | Boxed entries -> Engine.check ~obs:t.obs ~model:task.model entries
+  | Boxed { entries; prelude } -> Engine.check ~obs:t.obs ~model:task.model ~prelude entries
   | Packed { p; prelude } ->
     let r = Engine.check_packed ~obs:t.obs ~model:task.model ~prelude p in
     (match t.arena_pool with
@@ -232,7 +235,7 @@ let model t = t.model
 let obs t = t.obs
 
 let section_entries = function
-  | Boxed a -> Array.length a
+  | Boxed { entries; prelude } -> Array.length entries + Array.length prelude
   | Packed { p; prelude } -> Packed.count p + Array.length prelude
 
 let send_section t task =
@@ -265,7 +268,8 @@ let send_section t task =
     post w (Task (seq, task))
   end
 
-let send_trace t entries = send_section t { payload = Boxed entries; model = t.model; k = None }
+let send_trace ?(prelude = [||]) t entries =
+  send_section t { payload = Boxed { entries; prelude }; model = t.model; k = None }
 
 let send_packed ?(prelude = [||]) t p =
   send_section t { payload = Packed { p; prelude }; model = t.model; k = None }

@@ -41,8 +41,10 @@ val worker_count : t -> int
 val model : t -> Model.kind
 val obs : t -> Pmtest_obs.Obs.t
 
-val send_trace : t -> Event.t array -> unit
-(** Queue a section for checking. Raises [Invalid_argument] after
+val send_trace : ?prelude:Event.t array -> t -> Event.t array -> unit
+(** Queue a section for checking. [prelude] (default empty) is a boxed
+    prefix — the session's exclusion preamble — replayed before the
+    section, as if prepended to it. Raises [Invalid_argument] after
     {!shutdown}. Dispatch samples two workers at a rotating start index
     (O(1) per send, round-robin when idle) and posts with a lock-free
     CAS push — a loaded pipeline takes no mutex anywhere on the send

@@ -1,13 +1,15 @@
-(* Mutable page-indexed disjoint interval map — the engine's shadow
-   memory, with the observable semantics of {!Interval_map}.
+(* Mutable page-indexed disjoint interval map from byte ranges to ints —
+   the engine's shadow memory, with the observable semantics of
+   {!Interval_map}.
 
-   Storage is an int-keyed hash table from page index (address asr
-   [page_bits]) to a small sorted array of segments, each segment
-   confined to its page.  A logical interval that crosses a page boundary
-   is stored as one segment per page; every continuation segment carries
-   a [jl] ("joined left") flag meaning "I am the same logical interval as
-   the segment ending at my [lo]".  Reads follow flagged runs forward, so
-   the observable contents — [to_list], the pieces [exists] visits,
+   Storage is one array of page records sorted by page index (address
+   asr [page_bits]), each holding its segments struct-of-arrays: sorted
+   [lo]/[hi]/[v] int arrays and the [jl] flags, every segment confined
+   to its page.  A logical interval that crosses a page boundary is
+   stored as one segment per page; every continuation segment carries a
+   [jl] ("joined left") flag meaning "I am the same logical interval as
+   the segment ending at my [lo]".  Reads follow flagged runs forward,
+   so the observable contents — [to_list], the pieces [exists] visits,
    [map_range] piece boundaries — are exactly what {!Interval_map} would
    hold after the same operation sequence, including its deliberate
    non-merging of adjacent equal values (pinned by the property tests in
@@ -15,20 +17,21 @@
    segment always starts its page, and the segment it joins is always
    present.
 
-   Lookups: the last page found is remembered, so consecutive operations
-   on one page probe the table once between them; pages are never
-   removed, so the remembered page never goes stale.  An operation on a
-   range inside one page is a single lookup followed by work on that
-   page's array.  A range spanning pages walks [live]: the pages given a
-   segment since the last [reset], kept sorted by key, so a walk is a
-   binary search plus a scan of the pages it meets, and [reset] touches
-   only those pages.
+   Pages: [pages.(0 .. nlive-1)] are the pages given a segment since
+   the last [reset], ascending by key; the records past [nlive] are
+   spares from earlier epochs.  A page first touched takes a spare (or a
+   new record) and is spliced into place, so a map reused across
+   [reset]s holds as many page records as its busiest epoch needed,
+   whatever addresses later epochs touch, and [reset] is O(1).  Lookups
+   remember the last page found and otherwise binary-search the live
+   prefix; a missing page reads as [none], a page with no segments, so
+   read paths need no special case.
 
-   Mutation is in-place: page arrays are spliced with [Array.blit], no
-   balanced-tree rebuilding.  The per-op paths allocate only the
-   segments they store: walks are loops over mutable locals, callbacks
-   take their environment as an argument instead of a closure, and a
-   missing page is an exception, not an option. *)
+   Mutation is in-place: page arrays are spliced by typed loops (see
+   [move_ints]).  Every array holds immediates only, so a steady-state operation
+   allocates nothing and never crosses the write barrier: walks are
+   loops over mutable locals, and callbacks take their environment as
+   an argument instead of a closure. *)
 
 let page_bits = 12
 let page_size = 1 lsl page_bits
@@ -36,97 +39,91 @@ let page_of_addr a = a asr page_bits
 let page_lo k = k lsl page_bits
 let page_aligned a = a land (page_size - 1) = 0
 
-type 'a seg = { mutable lo : int; mutable hi : int; mutable v : 'a; mutable jl : bool }
-
-type 'a page = {
-  key : int;
-  mutable segs : 'a seg array;
-  mutable n : int;
-  mutable listed : bool;  (* in [live] *)
+type page = {
+  mutable key : int;
+  mutable n : int;  (* segments in use *)
+  mutable lo : int array;
+  mutable hi : int array;
+  mutable v : int array;
+  mutable jl : bool array;
 }
 
-(* A section's pages are mostly neighbours: identity hashing spreads them
-   over consecutive buckets with no call into the runtime. *)
-module Tbl = Hashtbl.Make (struct
-  type t = int
+(* The missing page.  Its key is [min_int], which no lookup asks for
+   ([page_of_addr] shifts it away), and it has no segments, so nothing
+   ever writes to it: it is safely shared by every map and domain. *)
+let none = { key = min_int; n = 0; lo = [||]; hi = [||]; v = [||]; jl = [||] }
 
-  let equal (a : int) b = a = b
-  let hash (k : int) = k land max_int
-end)
-
-type 'a t = {
-  pages : 'a page Tbl.t;
-  mutable last : 'a page;  (* the page found last *)
-  mutable live : 'a page array;  (* [0, nlive): listed pages, ascending keys *)
+type t = {
+  mutable pages : page array;  (* [0, nlive) live, ascending keys; then spares *)
   mutable nlive : int;
+  mutable npages : int;  (* records in [pages] *)
+  mutable last : page;  (* the page found last, or [none] *)
 }
 
-(* A section's shadow, its TX log and its scope writes are three maps
-   touching few pages each: a small table keeps per-section setup cheap.
-   [last] starts on a placeholder keyed [min_int], which no lookup asks
-   for: [page_of_addr] shifts it away. *)
-let create () =
-  { pages = Tbl.create 16; last = { key = min_int; segs = [||]; n = 0; listed = false };
-    live = [||]; nlive = 0 }
+let create () = { pages = [||]; nlive = 0; npages = 0; last = none }
 
 let reset t =
-  for i = 0 to t.nlive - 1 do
-    let p = t.live.(i) in
-    p.n <- 0;
-    p.listed <- false
+  t.nlive <- 0;
+  t.last <- none
+
+let capacity t =
+  let c = ref 0 in
+  for i = 0 to t.npages - 1 do
+    c := !c + Array.length t.pages.(i).lo
   done;
-  t.nlive <- 0
+  !c
 
 let check_range name lo hi =
   if lo >= hi then invalid_arg ("Page_map." ^ name ^ ": empty range")
 
-(* Raises [Not_found] when page [k] was never created. *)
-let find_page t k =
-  if k = t.last.key then t.last
-  else begin
-    let p = Tbl.find t.pages k in
-    t.last <- p;
-    p
-  end
-
-let ensure_page t k =
-  match find_page t k with
-  | p -> p
-  | exception Not_found ->
-    let p = { key = k; segs = [||]; n = 0; listed = false } in
-    Tbl.add t.pages k p;
-    t.last <- p;
-    p
-
-(* [a] with [x] inserted at [i] among its first [n] elements, grown by
-   doubling when full. *)
-let array_insert a n i x =
-  let a =
-    if n < Array.length a then a
-    else begin
-      let b = Array.make (max 4 (2 * n)) x in
-      Array.blit a 0 b 0 n;
-      b
-    end
-  in
-  Array.blit a i a (i + 1) (n - i);
-  a.(i) <- x;
-  a
-
-(* First index of [live] whose page key is at least [k]. *)
+(* First index of the live prefix whose page key is at least [k]. *)
 let first_live t k =
   let lo = ref 0 and hi = ref t.nlive in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if t.live.(mid).key >= k then hi := mid else lo := mid + 1
+    if t.pages.(mid).key >= k then hi := mid else lo := mid + 1
   done;
   !lo
 
-let list_page t p =
-  if not p.listed then begin
-    p.listed <- true;
-    t.live <- array_insert t.live t.nlive (first_live t p.key) p;
-    t.nlive <- t.nlive + 1
+(* Page [k], or [none] when it holds nothing this epoch. *)
+let find t k =
+  if k = t.last.key then t.last
+  else begin
+    let i = first_live t k in
+    if i < t.nlive && t.pages.(i).key = k then begin
+      let p = t.pages.(i) in
+      t.last <- p;
+      p
+    end
+    else none
+  end
+
+let ensure_page t k =
+  let p = find t k in
+  if p != none then p
+  else begin
+    if t.nlive = t.npages then begin
+      if t.npages = Array.length t.pages then begin
+        let a = Array.make (max 8 (2 * t.npages)) none in
+        Array.blit t.pages 0 a 0 t.npages;
+        t.pages <- a
+      end;
+      t.pages.(t.npages) <-
+        { key = k; n = 0; lo = Array.make 4 0; hi = Array.make 4 0; v = Array.make 4 0;
+          jl = Array.make 4 false };
+      t.npages <- t.npages + 1
+    end;
+    (* The first spare moves into its sorted place; the blit shifts the
+       live pages after it over the slot it leaves. *)
+    let p = t.pages.(t.nlive) in
+    p.key <- k;
+    p.n <- 0;
+    let i = first_live t k in
+    Array.blit t.pages i t.pages (i + 1) (t.nlive - i);
+    t.pages.(i) <- p;
+    t.nlive <- t.nlive + 1;
+    t.last <- p;
+    p
   end
 
 (* First index whose segment ends strictly after [x] — the first segment
@@ -135,18 +132,64 @@ let lower_bound p x =
   let lo = ref 0 and hi = ref p.n in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if p.segs.(mid).hi > x then hi := mid else lo := mid + 1
+    if p.hi.(mid) > x then hi := mid else lo := mid + 1
   done;
   !lo
 
-let page_insert t p i seg =
-  p.segs <- array_insert p.segs p.n i seg;
-  p.n <- p.n + 1;
-  list_page t p
+(* [Array.blit] into an array in the major heap goes through the write
+   barrier element by element, whatever the elements are.  These arrays
+   hold immediates, so typed loops move them with plain stores.  Callers
+   keep [src + len] and [dst + len] within the array. *)
+let move_ints (a : int array) ~src ~dst len =
+  if dst > src then
+    for k = len - 1 downto 0 do
+      Array.unsafe_set a (dst + k) (Array.unsafe_get a (src + k))
+    done
+  else
+    for k = 0 to len - 1 do
+      Array.unsafe_set a (dst + k) (Array.unsafe_get a (src + k))
+    done
+
+let move_flags (a : bool array) ~src ~dst len =
+  if dst > src then
+    for k = len - 1 downto 0 do
+      Array.unsafe_set a (dst + k) (Array.unsafe_get a (src + k))
+    done
+  else
+    for k = 0 to len - 1 do
+      Array.unsafe_set a (dst + k) (Array.unsafe_get a (src + k))
+    done
+
+let move p ~src ~dst len =
+  move_ints p.lo ~src ~dst len;
+  move_ints p.hi ~src ~dst len;
+  move_ints p.v ~src ~dst len;
+  move_flags p.jl ~src ~dst len
+
+let grow p =
+  let cap = 2 * Array.length p.lo in
+  let extend a fill =
+    let b = Array.make cap fill in
+    Array.blit a 0 b 0 p.n;
+    b
+  in
+  p.lo <- extend p.lo 0;
+  p.hi <- extend p.hi 0;
+  p.v <- extend p.v 0;
+  p.jl <- extend p.jl false
+
+let page_insert p i ~lo ~hi ~v ~jl =
+  if p.n = Array.length p.lo then grow p;
+  move p ~src:i ~dst:(i + 1) (p.n - i);
+  p.lo.(i) <- lo;
+  p.hi.(i) <- hi;
+  p.v.(i) <- v;
+  p.jl.(i) <- jl;
+  p.n <- p.n + 1
 
 let page_remove p i j =
   if j > i then begin
-    Array.blit p.segs j p.segs i (p.n - j);
+    move p ~src:j ~dst:i (p.n - j);
     p.n <- p.n - (j - i)
   end
 
@@ -155,44 +198,40 @@ let page_remove p i j =
    [lower_bound p lo].  A right fragment starts a fresh logical interval,
    so its [jl] drops.  Bounds outside the page behave as the page's own
    edges. *)
-let clear_page t p i ~lo ~hi =
+let clear_page p i ~lo ~hi =
   let i = ref i in
-  if !i < p.n && p.segs.(!i).lo < lo then begin
-    let s = p.segs.(!i) in
-    if s.hi > hi then
+  if !i < p.n && p.lo.(!i) < lo then begin
+    if p.hi.(!i) > hi then
       (* One segment covers the whole cleared span: split it. *)
-      page_insert t p (!i + 1) { lo = hi; hi = s.hi; v = s.v; jl = false };
-    s.hi <- lo;
+      page_insert p (!i + 1) ~lo:hi ~hi:p.hi.(!i) ~v:p.v.(!i) ~jl:false;
+    p.hi.(!i) <- lo;
     incr i
   end;
   let j = ref !i in
-  while !j < p.n && p.segs.(!j).hi <= hi do
+  while !j < p.n && p.hi.(!j) <= hi do
     incr j
   done;
   page_remove p !i !j;
-  if !i < p.n && p.segs.(!i).lo < hi then begin
-    let s = p.segs.(!i) in
-    s.lo <- hi;
-    s.jl <- false
+  if !i < p.n && p.lo.(!i) < hi then begin
+    p.lo.(!i) <- hi;
+    p.jl.(!i) <- false
   end;
   !i
 
 (* Make [x] a segment boundary inside [p] that starts a fresh logical
    interval: split a segment straddling it, or sever the join of one
    starting there (only page-aligned starts carry [jl]). *)
-let split_page t p x =
+let split_page p x =
   let i = lower_bound p x in
   if i < p.n then begin
-    let s = p.segs.(i) in
-    if s.lo < x then begin
-      page_insert t p (i + 1) { lo = x; hi = s.hi; v = s.v; jl = false };
-      s.hi <- x
+    if p.lo.(i) < x then begin
+      page_insert p (i + 1) ~lo:x ~hi:p.hi.(i) ~v:p.v.(i) ~jl:false;
+      p.hi.(i) <- x
     end
-    else if s.lo = x then s.jl <- false
+    else if p.lo.(i) = x then p.jl.(i) <- false
   end
 
-let split t x =
-  match find_page t (page_of_addr x) with p -> split_page t p x | exception Not_found -> ()
+let split t x = split_page (find t (page_of_addr x)) x
 
 (* After clearing up to [hi] nothing ends at [hi] any more, so a segment
    starting there must not continue a truncated interval.  Inside a page
@@ -201,15 +240,14 @@ let split t x =
 let clear_unchecked t ~lo ~hi =
   let k0 = page_of_addr lo and k1 = page_of_addr (hi - 1) in
   if k0 = k1 then begin
-    match find_page t k0 with
-    | p -> ignore (clear_page t p (lower_bound p lo) ~lo ~hi)
-    | exception Not_found -> ()
+    let p = find t k0 in
+    ignore (clear_page p (lower_bound p lo) ~lo ~hi)
   end
   else begin
     let i = ref (first_live t k0) in
-    while !i < t.nlive && t.live.(!i).key <= k1 do
-      let p = t.live.(!i) in
-      ignore (clear_page t p (lower_bound p lo) ~lo ~hi);
+    while !i < t.nlive && t.pages.(!i).key <= k1 do
+      let p = t.pages.(!i) in
+      ignore (clear_page p (lower_bound p lo) ~lo ~hi);
       incr i
     done
   end;
@@ -225,13 +263,12 @@ let set t ~lo ~hi v =
   if k0 = k1 then begin
     let p = ensure_page t k0 in
     let i = lower_bound p lo in
-    if i < p.n && p.segs.(i).lo = lo && p.segs.(i).hi = hi then begin
-      (* Rewriting exactly one stored segment: reuse it. *)
-      let s = p.segs.(i) in
-      s.v <- v;
-      s.jl <- false
+    if i < p.n && p.lo.(i) = lo && p.hi.(i) = hi then begin
+      (* Rewriting exactly one stored segment: overwrite it. *)
+      p.v.(i) <- v;
+      p.jl.(i) <- false
     end
-    else page_insert t p (clear_page t p i ~lo ~hi) { lo; hi; v; jl = false };
+    else page_insert p (clear_page p i ~lo ~hi) ~lo ~hi ~v ~jl:false;
     if page_aligned hi then split t hi
   end
   else begin
@@ -241,7 +278,7 @@ let set t ~lo ~hi v =
       let base = page_lo k in
       let plo = max lo base and phi = min hi (base + page_size) in
       let p = ensure_page t k in
-      page_insert t p (lower_bound p plo) { lo = plo; hi = phi; v; jl = plo <> lo }
+      page_insert p (lower_bound p plo) ~lo:plo ~hi:phi ~v ~jl:(plo <> lo)
     done
   end
 
@@ -249,8 +286,8 @@ let set t ~lo ~hi v =
    segment holds [x]. *)
 let covered_to p x =
   let i = ref (lower_bound p x) and x = ref x in
-  while !i < p.n && p.segs.(!i).lo <= !x do
-    x := p.segs.(!i).hi;
+  while !i < p.n && p.lo.(!i) <= !x do
+    x := p.hi.(!i);
     incr i
   done;
   !x
@@ -259,29 +296,21 @@ let covers t ~lo ~hi =
   check_range "covers" lo hi;
   let x = ref lo and ok = ref true in
   while !ok && !x < hi do
-    match find_page t (page_of_addr !x) with
-    | exception Not_found -> ok := false
-    | p ->
-      let e = covered_to p !x in
-      (* Past a gap, or stopped short of the page's end. *)
-      if e = !x || (e < hi && not (page_aligned e)) then ok := false;
-      x := e
+    let e = covered_to (find t (page_of_addr !x)) !x in
+    (* Past a gap, or stopped short of the page's end. *)
+    if e = !x || (e < hi && not (page_aligned e)) then ok := false;
+    x := e
   done;
   !ok
 
-(* End of the logical interval through segment [s], followed across
-   page-aligned joins but not past [hi]. *)
-let run_end t s ~hi =
-  let e = ref s.hi and joined = ref true in
+(* End of the logical interval through segment [i] of [p], followed
+   across page-aligned joins but not past [hi]. *)
+let run_end t p i ~hi =
+  let e = ref p.hi.(i) and joined = ref true in
   while !joined && !e < hi && page_aligned !e do
-    joined := false;
-    match find_page t (page_of_addr !e) with
-    | p ->
-      if p.n > 0 && p.segs.(0).jl && p.segs.(0).lo = !e then begin
-        e := p.segs.(0).hi;
-        joined := true
-      end
-    | exception Not_found -> ()
+    let q = find t (page_of_addr !e) in
+    joined := q.n > 0 && q.jl.(0) && q.lo.(0) = !e;
+    if !joined then e := q.hi.(0)
   done;
   !e
 
@@ -289,9 +318,10 @@ let run_end t s ~hi =
    the query: a joined segment past [lo] was covered by its run. *)
 let exists_in_page t p ~lo ~hi f arg =
   let i = ref (lower_bound p lo) and found = ref false in
-  while (not !found) && !i < p.n && p.segs.(!i).lo < hi do
-    let s = p.segs.(!i) in
-    if not (s.jl && s.lo > lo) then found := f arg (max s.lo lo) (min (run_end t s ~hi) hi) s.v;
+  while (not !found) && !i < p.n && p.lo.(!i) < hi do
+    let l = p.lo.(!i) in
+    if not (p.jl.(!i) && l > lo) then
+      found := f arg (max l lo) (min (run_end t p !i ~hi) hi) p.v.(!i);
     incr i
   done;
   !found
@@ -299,12 +329,11 @@ let exists_in_page t p ~lo ~hi f arg =
 let exists t ~lo ~hi f arg =
   check_range "exists" lo hi;
   let k0 = page_of_addr lo and k1 = page_of_addr (hi - 1) in
-  if k0 = k1 then
-    match find_page t k0 with p -> exists_in_page t p ~lo ~hi f arg | exception Not_found -> false
+  if k0 = k1 then exists_in_page t (find t k0) ~lo ~hi f arg
   else begin
     let i = ref (first_live t k0) and found = ref false in
-    while (not !found) && !i < t.nlive && t.live.(!i).key <= k1 do
-      found := exists_in_page t t.live.(!i) ~lo ~hi f arg;
+    while (not !found) && !i < t.nlive && t.pages.(!i).key <= k1 do
+      found := exists_in_page t t.pages.(!i) ~lo ~hi f arg;
       incr i
     done;
     !found
@@ -316,10 +345,9 @@ let exists t ~lo ~hi f arg =
    gap. *)
 let map_page p ~lo ~hi f arg x =
   let i = ref (lower_bound p lo) and x = ref x in
-  while !i < p.n && p.segs.(!i).lo < hi do
-    let s = p.segs.(!i) in
-    s.v <- f arg s.v;
-    if s.lo = !x then x := s.hi;
+  while !i < p.n && p.lo.(!i) < hi do
+    p.v.(!i) <- f arg p.v.(!i);
+    if p.lo.(!i) = !x then x := p.hi.(!i);
     incr i
   done;
   !x
@@ -328,19 +356,17 @@ let map_range t ~lo ~hi f arg =
   check_range "map_range" lo hi;
   let k0 = page_of_addr lo and k1 = page_of_addr (hi - 1) in
   if k0 = k1 then begin
-    match find_page t k0 with
-    | exception Not_found -> false
-    | p ->
-      split_page t p lo;
-      if page_aligned hi then split t hi else split_page t p hi;
-      map_page p ~lo ~hi f arg lo = hi
+    let p = find t k0 in
+    split_page p lo;
+    if page_aligned hi then split t hi else split_page p hi;
+    map_page p ~lo ~hi f arg lo = hi
   end
   else begin
     split t lo;
     split t hi;
     let i = ref (first_live t k0) and x = ref lo in
-    while !i < t.nlive && t.live.(!i).key <= k1 do
-      x := map_page t.live.(!i) ~lo ~hi f arg !x;
+    while !i < t.nlive && t.pages.(!i).key <= k1 do
+      x := map_page t.pages.(!i) ~lo ~hi f arg !x;
       incr i
     done;
     !x = hi

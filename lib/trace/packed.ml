@@ -256,6 +256,7 @@ type view = {
   mutable tag : tag;
   mutable thread : int;
   mutable loc : Loc.t;
+  mutable lid : int;
   mutable a : int;
   mutable b : int;
   mutable c : int;
@@ -264,7 +265,7 @@ type view = {
 }
 
 let make_view () =
-  { tag = T_write; thread = 0; loc = Loc.none; a = 0; b = 0; c = 0; d = 0; rule = "" }
+  { tag = T_write; thread = 0; loc = Loc.none; lid = 0; a = 0; b = 0; c = 0; d = 0; rule = "" }
 
 let rec read_u t p shift acc =
   let b = Char.code (Bytes.unsafe_get t.buf p) in
@@ -285,7 +286,9 @@ let read t ~pos (v : view) =
   t.rpos <- pos + 1;
   v.tag <- tag_of_code.(code);
   v.thread <- read_int t;
-  v.loc <- Vec.get t.locs (read_int t);
+  let lid = read_int t in
+  v.lid <- lid;
+  v.loc <- Vec.get t.locs lid;
   (match v.tag with
   | T_write | T_clwb | T_is_persist | T_tx_add | T_exclude | T_include ->
     v.a <- read_int t;
@@ -301,6 +304,8 @@ let read t ~pos (v : view) =
     t.rpos <- t.rpos + n
   | _ -> ());
   t.rpos
+
+let loc t lid = Vec.get t.locs lid
 
 let kind_of_view v : Event.kind =
   match v.tag with
@@ -407,6 +412,7 @@ let read_checked t ~pos (v : view) =
   v.thread <- arg_checked t;
   let lid = arg_checked t in
   if lid < 0 || lid >= Vec.length t.locs then bad t.rpos "location id %d out of range" lid;
+  v.lid <- lid;
   v.loc <- Vec.get t.locs lid;
   (match v.tag with
   | T_write | T_clwb | T_is_persist | T_tx_add | T_exclude | T_include ->
@@ -466,16 +472,15 @@ let arenas_allocated = Obs.counter "arenas_allocated"
 let arenas_reused = Obs.counter "arenas_reused"
 
 let alloc ?(obs = Obs.disabled) ?(pool = default_pool) () =
-  Mutex.lock pool.pm;
   let a =
-    match pool.items with
-    | p :: rest ->
-      pool.items <- rest;
-      pool.plen <- pool.plen - 1;
-      Some p
-    | [] -> None
+    Mutex.protect pool.pm (fun () ->
+        match pool.items with
+        | p :: rest ->
+          pool.items <- rest;
+          pool.plen <- pool.plen - 1;
+          Some p
+        | [] -> None)
   in
-  Mutex.unlock pool.pm;
   match a with
   | Some p ->
     if Obs.enabled obs then begin
@@ -489,12 +494,11 @@ let alloc ?(obs = Obs.disabled) ?(pool = default_pool) () =
 
 let free ?(pool = default_pool) t =
   reset t;
-  Mutex.lock pool.pm;
-  if pool.plen < pool.pcap then begin
-    pool.items <- t :: pool.items;
-    pool.plen <- pool.plen + 1
-  end;
-  Mutex.unlock pool.pm
+  Mutex.protect pool.pm (fun () ->
+      if pool.plen < pool.pcap then begin
+        pool.items <- t :: pool.items;
+        pool.plen <- pool.plen + 1
+      end)
 
 (* Builder-side recycling keeps the intern table (see [reset]); an arena
    reused for {e decoding} must not — decoded loc ids index the frame's

@@ -75,13 +75,15 @@ type tag =
   | T_gpf
 
 (** One decoded event, overwritten in place by each {!read} — callers
-    must copy anything they keep.  [a]/[b] hold addr/size (or the A
-    range of isOrderedBefore, whose B range is [c]/[d]); [rule] is only
+    must copy anything they keep.  [lid] is the arena's id for [loc]
+    (see {!loc}); [a]/[b] hold addr/size (or the A range of
+    isOrderedBefore, whose B range is [c]/[d]); [rule] is only
     meaningful for lint tags. *)
 type view = {
   mutable tag : tag;
   mutable thread : int;
   mutable loc : Loc.t;
+  mutable lid : int;
   mutable a : int;
   mutable b : int;
   mutable c : int;
@@ -97,6 +99,11 @@ val read : t -> pos:int -> view -> int
     Raises [Invalid_argument] if [pos] is out of bounds. *)
 
 val iter : t -> (view -> unit) -> unit
+
+val loc : t -> int -> Loc.t
+(** [loc t lid] is the location a view of [t] decoded with id [lid]:
+    ids are stable while the arena is neither freed nor re-decoded, so
+    an int can stand for a location until the arena is done with. *)
 
 val kind_of_view : view -> Event.kind
 val event_of_view : view -> Event.t

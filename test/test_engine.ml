@@ -5,6 +5,7 @@ open Pmtest_model
 open Pmtest_trace
 module Engine = Pmtest_core.Engine
 module Report = Pmtest_core.Report
+module Pmtest = Pmtest_core.Pmtest
 
 let e kind = Event.make kind
 let w addr size = e (Event.Op (Model.Write { addr; size }))
@@ -445,33 +446,193 @@ let test_report_merge () =
 
 (* --- Allocation budget ------------------------------------------------------ *)
 
-(* The packed engine's minor-heap words per entry over a seeded Redis+LRU
-   corpus (Fig. 11's op mix, a section every 16 ops).  [Gc.minor_words]
-   counts this domain exactly, so the bound needs no timing slack; the
-   engine measured 110 words/entry before its hot path stopped building
-   lists, options and closures per entry, about 8 after, and about 5.8
-   once scope ends stopped sorting page keys and an exact rewrite of a
-   stored range reused its segment. *)
-let test_check_packed_allocation_budget () =
-  let module Pmtest = Pmtest_core.Pmtest in
-  let module Redis = Pmtest_workloads.Redis in
+(* Every section a session hands its target, as its observers see it:
+   with the exclusion preamble at its head. *)
+let session_corpus drive =
   let s = Pmtest.init ~workers:0 () in
   let sections = ref [] in
-  Pmtest.on_section s (fun section -> sections := Packed.of_events section :: !sections);
-  let r = Redis.create ~sink:(Pmtest.sink s) () in
-  Array.iteri
-    (fun i op ->
-      Redis.apply r op;
-      if (i + 1) mod 16 = 0 then Pmtest.send_trace s)
-    (Pmtest_workloads.Clients.redis_lru ~ops:2000 ~keys:16384 (Pmtest_util.Rng.create 3));
+  Pmtest.on_section s (fun section -> sections := section :: !sections);
+  drive s;
   ignore (Pmtest.finish s);
-  let entries = List.fold_left (fun n p -> n + Packed.count p) 0 !sections in
+  List.rev !sections
+
+(* Fig. 11's Redis+LRU op mix, a section every 16 ops. *)
+let redis_corpus () =
+  let module Redis = Pmtest_workloads.Redis in
+  session_corpus (fun s ->
+      let r = Redis.create ~sink:(Pmtest.sink s) () in
+      Array.iteri
+        (fun i op ->
+          Redis.apply r op;
+          if (i + 1) mod 16 = 0 then Pmtest.send_trace s)
+        (Pmtest_workloads.Clients.redis_lru ~ops:2000 ~keys:16384 (Pmtest_util.Rng.create 3)))
+
+(* Fig. 10a's C-Tree cell: TX-checked 64 B inserts, one ~66-entry
+   section each. *)
+let ctree_corpus () =
+  let module Pool = Pmtest_pmdk.Pool in
+  let module Ctree_map = Pmtest_pmdk.Ctree_map in
+  session_corpus (fun s ->
+      let pool = Pool.create ~size:(8 * 1024 * 1024) ~sink:(Pmtest.sink s) () in
+      let m = Ctree_map.create pool in
+      let value = Bytes.make 64 'v' in
+      for i = 1 to 400 do
+        Pool.tx_checker_start pool;
+        Ctree_map.insert m ~key:(Int64.of_int (i * 2654435761 land 0xffffff)) ~value;
+        Pool.tx_checker_end pool;
+        Pmtest.send_trace s
+      done)
+
+let entries_of sections = List.fold_left (fun n a -> n + Array.length a) 0 sections
+
+(* Minor words per entry of [check] over [items], after one warm-up
+   pass has grown this domain's engine state.  [Gc.minor_words] counts
+   this domain exactly, so the bound needs no timing slack. *)
+let words_per_entry check items ~entries =
+  List.iter check items;
   let w0 = Gc.minor_words () in
-  List.iter (fun p -> ignore (Engine.check_packed p)) !sections;
-  let per_entry = (Gc.minor_words () -. w0) /. float_of_int entries in
-  if per_entry > 15.0 then
-    Alcotest.failf "check_packed allocated %.1f minor words/entry over %d entries (budget 15)"
+  List.iter check items;
+  (Gc.minor_words () -. w0) /. float_of_int entries
+
+(* The packed engine over the Redis+LRU corpus.  It measured 110
+   words/entry before its hot path stopped building lists, options and
+   closures per entry, about 8 after, about 5.8 once scope ends stopped
+   sorting page keys and an exact rewrite of a stored range reused its
+   segment, and about 0.02 once the state was kept between sections and
+   the shadow stored only ints. *)
+let test_check_packed_allocation_budget () =
+  let redis = redis_corpus () in
+  let entries = entries_of redis in
+  let per_entry =
+    words_per_entry (fun p -> ignore (Engine.check_packed p)) (List.map Packed.of_events redis)
+      ~entries
+  in
+  if per_entry > 2.0 then
+    Alcotest.failf "check_packed allocated %.2f minor words/entry over %d entries (budget 2)"
       per_entry entries
+
+(* The boxed engine over ~66-entry C-Tree sections, where per-section
+   costs dominate: 11.5 words/entry when every section built a fresh
+   state. *)
+let test_check_allocation_budget () =
+  let ctree = ctree_corpus () in
+  let entries = entries_of ctree in
+  let per_entry = words_per_entry (fun a -> ignore (Engine.check a)) ctree ~entries in
+  if per_entry > 2.5 then
+    Alcotest.failf "check allocated %.2f minor words/entry over %d entries (budget 2.5)"
+      per_entry entries
+
+(* A kept state must not point into the minor heap between passes: a
+   young value stored in its old arrays is promoted at the next minor
+   collection, on every section.  A minor collection after each pass
+   promotes whatever the kept state still holds; the corpus itself is
+   old by then. *)
+let promoted_per_entry check items ~entries =
+  List.iter check items;
+  Gc.full_major ();
+  let p0 = (Gc.quick_stat ()).Gc.promoted_words in
+  List.iter
+    (fun x ->
+      check x;
+      Gc.minor ())
+    items;
+  ((Gc.quick_stat ()).Gc.promoted_words -. p0) /. float_of_int entries
+
+let test_check_promotes_nothing () =
+  let ctree = ctree_corpus () and redis = redis_corpus () in
+  let arenas = List.map Packed.of_events redis in
+  let boxed sections = promoted_per_entry (fun a -> ignore (Engine.check a)) sections in
+  List.iter
+    (fun (name, per_entry) ->
+      if per_entry > 0.05 then
+        Alcotest.failf "%s promoted %.3f words/entry (bound 0.05)" name per_entry)
+    [
+      ("check over C-Tree", boxed ctree ~entries:(entries_of ctree));
+      ("check over Redis", boxed redis ~entries:(entries_of redis));
+      ( "check_packed over Redis",
+        promoted_per_entry (fun p -> ignore (Engine.check_packed p)) arenas
+          ~entries:(entries_of redis) );
+    ]
+
+(* --- The kept state --------------------------------------------------------- *)
+
+(* Each pass reuses its domain's engine state.  Whatever ran before — a
+   concurrent pass, a pass that raised, a section too big to keep — the
+   reports must be the ones a sequential run gives. *)
+
+let digest_reports check sections =
+  List.map (fun a -> Report.to_string (check a)) sections
+
+let boxed_and_packed sections =
+  digest_reports (fun a -> Engine.check a) sections
+  @ digest_reports (fun a -> Engine.check_packed (Packed.of_events a)) sections
+
+let test_systhreads_share_a_domain () =
+  let ctree = ctree_corpus () and redis = redis_corpus () in
+  let want_c = boxed_and_packed ctree and want_r = boxed_and_packed redis in
+  (* Enough rounds that the tick preempts passes midway. *)
+  let rounds = 8 in
+  let run sections out () =
+    for _ = 1 to rounds do
+      out := boxed_and_packed sections :: !out;
+      Thread.yield ()
+    done
+  in
+  let got_c = ref [] and got_r = ref [] in
+  let tc = Thread.create (run ctree got_c) () and tr = Thread.create (run redis got_r) () in
+  Thread.join tc;
+  Thread.join tr;
+  List.iter (fun got -> Alcotest.(check (list string)) "C-Tree reports" want_c got) !got_c;
+  List.iter (fun got -> Alcotest.(check (list string)) "Redis reports" want_r got) !got_r;
+  Alcotest.(check int) "every round ran" (2 * rounds) (List.length !got_c + List.length !got_r)
+
+let test_domains_check_at_once () =
+  let ctree = ctree_corpus () and redis = redis_corpus () in
+  let want_c = boxed_and_packed ctree and want_r = boxed_and_packed redis in
+  let dc = Domain.spawn (fun () -> List.init 3 (fun _ -> boxed_and_packed ctree)) in
+  let dr = Domain.spawn (fun () -> List.init 3 (fun _ -> boxed_and_packed redis)) in
+  List.iter (Alcotest.(check (list string)) "C-Tree reports" want_c) (Domain.join dc);
+  List.iter (Alcotest.(check (list string)) "Redis reports" want_r) (Domain.join dr)
+
+let test_raise_leaves_next_check_correct () =
+  let ctree = ctree_corpus () in
+  let want = boxed_and_packed ctree in
+  (* A pass that has filled its shadow, TX log, scope and exclusion
+     holes, then dies on an empty-range write. *)
+  let dirty = Array.concat [ List.nth ctree 1; List.nth ctree 2 ] in
+  let bad = Array.append dirty [| w 0x2000 0 |] in
+  Alcotest.check_raises "empty range write" (Invalid_argument "Page_map.set: empty range")
+    (fun () -> ignore (Engine.check bad));
+  Alcotest.(check (list string)) "reports after the raise" want (boxed_and_packed ctree)
+
+let test_oversized_section_is_not_kept () =
+  let ctree = ctree_corpus () in
+  let want = boxed_and_packed ctree in
+  (* Writes on far more pages, and far more statuses, than a kept state
+     may hold, left unflushed and in scope. *)
+  let huge =
+    Array.concat
+      [
+        [| tx Event.Tx_checker_start |];
+        Array.init 5000 (fun i -> w ((i * 4096) + (i mod 64)) 8);
+        [| is_persist 0 (5000 * 4096); tx Event.Tx_checker_end |];
+      ]
+  in
+  let r = Engine.check huge in
+  Alcotest.(check int) "huge section checked" 5003 r.Report.entries;
+  (* The huge state was dropped: the next pass grows a fresh one, the
+     pass after that finds it kept. *)
+  let small = [| w 0x100 8; clwb 0x100 8; sfence; is_persist 0x100 8 |] in
+  let words () =
+    let w0 = Gc.minor_words () in
+    ignore (Engine.check small);
+    Gc.minor_words () -. w0
+  in
+  let fresh = words () in
+  let kept = words () in
+  if not (fresh > 100. && kept < 40.) then
+    Alcotest.failf "a pass after the huge one allocated %.0f words, the next %.0f" fresh kept;
+  Alcotest.(check (list string)) "reports after it" want (boxed_and_packed ctree)
 
 let () =
   Alcotest.run "engine"
@@ -550,5 +711,16 @@ let () =
           Alcotest.test_case "report summary groups by site" `Quick test_report_summarize;
           Alcotest.test_case "check_packed allocation budget" `Quick
             test_check_packed_allocation_budget;
+          Alcotest.test_case "check allocation budget" `Quick test_check_allocation_budget;
+          Alcotest.test_case "kept state promotes nothing" `Quick test_check_promotes_nothing;
+        ] );
+      ( "kept-state",
+        [
+          Alcotest.test_case "two systhreads in one domain" `Quick test_systhreads_share_a_domain;
+          Alcotest.test_case "two domains at once" `Quick test_domains_check_at_once;
+          Alcotest.test_case "a raise leaves the next check correct" `Quick
+            test_raise_leaves_next_check_correct;
+          Alcotest.test_case "an oversized section is not kept" `Quick
+            test_oversized_section_is_not_kept;
         ] );
     ]

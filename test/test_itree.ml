@@ -255,10 +255,33 @@ let prop_page_map_interleaved =
       in
       go Interval_map.empty steps)
 
+(* One map reused across many [reset]s, as the engine keeps its shadow
+   from section to section: after every epoch it must read as a fresh
+   [Interval_map] of that epoch's ops alone.  Epochs touch different
+   pages, so spare page records are re-keyed, and a page remembered from
+   an earlier epoch must never be found again. *)
+let prop_page_map_reused =
+  QCheck2.Test.make ~name:"page_map reused across resets" ~count:200 ~long_factor:100
+    QCheck2.Gen.(
+      list_size (int_range 1 12)
+        (pair
+           (list_size (int_range 0 25) gen_pm_op)
+           (list_size (int_range 1 4) (pair gen_pm_range (int_range 0 9)))))
+    (fun epochs ->
+      let pm = Page_map.create () in
+      List.for_all
+        (fun (ops, queries) ->
+          Page_map.reset pm;
+          List.iter (apply_pm_pmap pm) ops;
+          let im = List.fold_left apply_pm_imap Interval_map.empty ops in
+          Page_map.to_list pm = Interval_map.to_list im
+          && List.for_all (fun (q, target) -> queries_agree pm im q target) queries)
+        epochs)
+
 let test_page_map_empty_range_rejected () =
   let pm = Page_map.create () in
   Alcotest.check_raises "set" (Invalid_argument "Page_map.set: empty range") (fun () ->
-      Page_map.set pm ~lo:5 ~hi:5 ());
+      Page_map.set pm ~lo:5 ~hi:5 0);
   Alcotest.check_raises "clear" (Invalid_argument "Page_map.clear: empty range") (fun () ->
       Page_map.clear pm ~lo:9 ~hi:3)
 
@@ -267,36 +290,38 @@ let test_page_map_empty_range_rejected () =
    exactly there, or later reads re-merge a dead interval. *)
 let test_page_map_boundary_sever () =
   let pm = Page_map.create () in
-  Page_map.set pm ~lo:4000 ~hi:4200 "a";
+  Page_map.set pm ~lo:4000 ~hi:4200 1;
   Page_map.clear pm ~lo:4000 ~hi:4096;
-  Alcotest.(check (list (triple int int string)))
+  Alcotest.(check (list (triple int int int)))
     "right fragment stands alone"
-    [ (4096, 4200, "a") ]
+    [ (4096, 4200, 1) ]
     (Page_map.to_list pm);
-  Page_map.set pm ~lo:4090 ~hi:4096 "a";
-  Alcotest.(check (list (triple int int string)))
+  Page_map.set pm ~lo:4090 ~hi:4096 1;
+  Alcotest.(check (list (triple int int int)))
     "adjacent equal values stay unmerged"
-    [ (4090, 4096, "a"); (4096, 4200, "a") ]
+    [ (4090, 4096, 1); (4096, 4200, 1) ]
     (Page_map.to_list pm)
 
 (* map_range splits at both bounds; a bound on a page edge must sever the
-   join there, or the mapped piece re-merges with its unmapped half. *)
+   join there, or the mapped piece re-merges with its unmapped half.
+   Each map appends a decimal digit, so a value spells the maps it went
+   through. *)
 let test_page_map_map_severs () =
   let pm = Page_map.create () in
-  Page_map.set pm ~lo:4000 ~hi:8300 "a";
-  ignore (Page_map.map_range pm ~lo:4096 ~hi:8192 (fun s v -> v ^ s) "'");
-  Alcotest.(check (list (triple int int string)))
+  let append d v = (10 * v) + d in
+  Page_map.set pm ~lo:4000 ~hi:8300 1;
+  ignore (Page_map.map_range pm ~lo:4096 ~hi:8192 append 2);
+  Alcotest.(check (list (triple int int int)))
     "page-aligned bounds"
-    [ (4000, 4096, "a"); (4096, 8192, "a'"); (8192, 8300, "a") ]
+    [ (4000, 4096, 1); (4096, 8192, 12); (8192, 8300, 1) ]
     (Page_map.to_list pm);
-  ignore (Page_map.map_range pm ~lo:4050 ~hi:4100 (fun s v -> v ^ s) "*");
-  Alcotest.(check (list (triple int int string)))
+  ignore (Page_map.map_range pm ~lo:4050 ~hi:4100 append 3);
+  Alcotest.(check (list (triple int int int)))
     "bounds inside pages"
-    [ (4000, 4050, "a"); (4050, 4096, "a*"); (4096, 4100, "a'*"); (4100, 8192, "a'");
-      (8192, 8300, "a") ]
+    [ (4000, 4050, 1); (4050, 4096, 13); (4096, 4100, 123); (4100, 8192, 12); (8192, 8300, 1) ]
     (Page_map.to_list pm);
   Page_map.reset pm;
-  Alcotest.(check (list (triple int int string))) "reset empties" [] (Page_map.to_list pm);
+  Alcotest.(check (list (triple int int int))) "reset empties" [] (Page_map.to_list pm);
   Alcotest.(check bool) "reset uncovers" false (Page_map.covers pm ~lo:4000 ~hi:4001)
 
 (* map_range answers whether its whole range was bound, wherever the gap
@@ -330,18 +355,18 @@ let test_page_map_map_coverage () =
    clip to the query, and exists stops at the first hit. *)
 let test_page_map_walk () =
   let pm = Page_map.create () in
-  Page_map.set pm ~lo:4090 ~hi:4100 "a";
-  Page_map.set pm ~lo:4100 ~hi:4200 "b";
+  Page_map.set pm ~lo:4090 ~hi:4100 1;
+  Page_map.set pm ~lo:4100 ~hi:4200 2;
   Alcotest.(check bool) "covered across page and pieces" true (Page_map.covers pm ~lo:4090 ~hi:4200);
   Alcotest.(check bool) "gap past the end" false (Page_map.covers pm ~lo:4090 ~hi:4201);
-  Alcotest.(check (pair bool (list (triple int int string))))
+  Alcotest.(check (pair bool (list (triple int int int))))
     "full walk, clipped"
-    (false, [ (4095, 4100, "a"); (4100, 4101, "b") ])
+    (false, [ (4095, 4100, 1); (4100, 4101, 2) ])
     (pm_visits pm ~lo:4095 ~hi:4101 (fun _ -> false));
-  Alcotest.(check (pair bool (list (triple int int string))))
+  Alcotest.(check (pair bool (list (triple int int int))))
     "stops at the first hit"
-    (true, [ (4090, 4100, "a") ])
-    (pm_visits pm ~lo:0 ~hi:8192 (fun v -> v = "a"))
+    (true, [ (4090, 4100, 1) ])
+    (pm_visits pm ~lo:0 ~hi:8192 (fun v -> v = 1))
 
 let () =
   let qtests =
@@ -352,6 +377,7 @@ let () =
         prop_equal_denotational;
         prop_page_map_matches_interval_map;
         prop_page_map_queries_match;
+        prop_page_map_reused;
       ]
   in
   (* Alcotest truncates a long test name to a width set by the longest

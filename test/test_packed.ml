@@ -321,6 +321,42 @@ let test_packed_session_observers_see_sections () =
   ignore (Pmtest.finish t);
   Alcotest.(check int) "observer saw every entry" 3 !seen
 
+(* The preamble travels beside a section, never copied into it; only
+   observers see it at the section's head.  What they see must check to
+   the session's own report, boxed or packed. *)
+let test_session_preamble_beside_section () =
+  List.iter
+    (fun packed ->
+      let t = Pmtest.init ~model:Model.X86 ~workers:0 ~packed () in
+      let seen = ref [] in
+      Pmtest.on_section t (fun section -> seen := section :: !seen);
+      Pmtest.exclude t ~addr:0x100 ~size:0x10;
+      Pmtest.send_trace t;
+      Pmtest.emit t (Event.Op (Model.Write { addr = 0x100; size = 8 }));
+      Pmtest.is_persist t ~addr:0x100 ~size:8;
+      Pmtest.emit t (Event.Op (Model.Write { addr = 0x200; size = 8 }));
+      Pmtest.is_persist t ~addr:0x200 ~size:8;
+      Pmtest.send_trace t;
+      let r = Pmtest.finish t in
+      let sections = List.rev !seen in
+      let name = if packed then "packed" else "boxed" in
+      (match sections with
+      | [ _; second ] ->
+        Alcotest.(check bool)
+          (name ^ ": preamble heads the observed section")
+          true
+          (second.(0).Event.kind = Event.Control (Event.Exclude { addr = 0x100; size = 0x10 }))
+      | l -> Alcotest.failf "%s: observed %d sections, expected 2" name (List.length l));
+      let replayed =
+        List.fold_left (fun acc a -> Report.merge acc (Engine.check a)) Report.empty sections
+      in
+      Alcotest.(check string)
+        (name ^ ": report of the observed sections")
+        (Report.to_string replayed) (Report.to_string r);
+      Alcotest.(check int) (name ^ ": only the write outside the hole fails") 1
+        (List.length (Report.fails r)))
+    [ false; true ]
+
 let () =
   Alcotest.run "packed"
     [
@@ -348,6 +384,8 @@ let () =
           Alcotest.test_case "packed session equals boxed" `Quick test_packed_session_equals_boxed;
           Alcotest.test_case "observers see decoded sections" `Quick
             test_packed_session_observers_see_sections;
+          Alcotest.test_case "preamble travels beside the section" `Quick
+            test_session_preamble_beside_section;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
