@@ -107,11 +107,7 @@ let record_events () =
   let buf = Pmtest_util.Vec.create () in
   let m = Mutex.create () in
   recording := Some (buf, m);
-  fun () ->
-    Mutex.lock m;
-    let a = Pmtest_util.Vec.to_array buf in
-    Mutex.unlock m;
-    a
+  fun () -> Mutex.protect m (fun () -> Pmtest_util.Vec.to_array buf)
 
 let tee_sink thread (sink : Sink.t) =
   match !recording with
@@ -120,9 +116,7 @@ let tee_sink thread (sink : Sink.t) =
     {
       Sink.emit =
         (fun kind loc ->
-          Mutex.lock m;
-          Pmtest_util.Vec.push buf (Event.make ~thread ~loc kind);
-          Mutex.unlock m;
+          Mutex.protect m (fun () -> Pmtest_util.Vec.push buf (Event.make ~thread ~loc kind));
           sink.Sink.emit kind loc);
     }
 
@@ -1164,7 +1158,8 @@ let serve_cmd =
            (info [ "shards" ]
               ~doc:
                 "Independent execution shards; each owns its worker domains, arena freelist \
-                 and accept loop, and sessions are pinned to the least-loaded shard.")))
+                 and session loop, and shard 0 pins each new session to the least-loaded \
+                 shard.")))
   in
   let max_sessions =
     Arg.(
@@ -1194,9 +1189,9 @@ let serve_cmd =
            Wire.Block
            (info [ "policy" ]
               ~doc:
-                "Backpressure when a session exceeds --max-inflight: $(b,block) parks the \
-                 session's reader (the client's sends stall), $(b,shed) drops the section and \
-                 counts it.")))
+                "Backpressure when a session exceeds --max-inflight: $(b,block) stops reading \
+                 the session's socket (the client's sends stall), $(b,shed) drops the section \
+                 and counts it.")))
   in
   let profile =
     Common_args.profile ~doc:"Print the service profile (sessions, frames, latency) on exit."

@@ -26,42 +26,22 @@ let default_config =
     policy = Wire.Block;
   }
 
-(* One shard: a whole private copy of the daemon's hot state.  Sessions
-   pinned to different shards share {e no} mutex — each shard owns its
-   runtime (worker domains + merge lock), its arena freelist, and its
-   own accept thread, and its session readers run as threads of the
-   shard's domain, so even their OCaml runtime lock is private.  The
-   only cross-shard state left is the admission table under [t.m],
-   touched once per connect/disconnect. *)
+(* One shard: a whole private copy of the daemon's hot state, run by one
+   [select] loop on the shard's own domain.  Sessions pinned to different
+   shards share no mutex: each shard owns its runtime (worker domains +
+   merge lock) and its arena freelist.  What crosses shards or domains is
+   lock-free: the pin counts, the daemon's live count, the hand-over of
+   accepted fds, and the completions the workers report. *)
 type shard = {
   idx : int;
   rt : Runtime.t;
   arena_pool : Packed.pool;
-  (* Accepted fds are handed to their pinned shard through this queue;
-     the shard's dispatcher spawns the session thread inside its own
-     domain (threads cannot migrate, so pinning happens at spawn). *)
-  iq_m : Mutex.t;
-  iq_c : Condition.t;
-  mutable iq : (int * Unix.file_descr) list;  (* reversed arrival order *)
-  mutable iq_quit : bool;
-}
-
-(* One attached client.  [sm]/[sc] guard the per-session fields; lock
-   order is shard-runtime-merge-lock before [sm] (the completion
-   callback runs under the former and takes the latter), and the reader
-   thread never holds [sm] while dispatching, so that order is never
-   inverted. *)
-type session = {
-  sid : int;
-  fd : Unix.file_descr;
-  reader : Wire.reader;
-  shard : shard;
-  model : Model.kind;
-  sm : Mutex.t;
-  sc : Condition.t;
-  mutable prelude : Event.t array;
-  mutable inflight : int;  (* dispatched, not yet merged *)
-  mutable aggregate : Report.t;
+  pins : int Atomic.t;  (* connections pinned here, admitted or not *)
+  inbox : (int * Unix.file_descr) list Atomic.t;  (* from shard 0's accept; newest first *)
+  checked : (int * Report.t) list Atomic.t;  (* (session, report); newest first *)
+  wanted : int Atomic.t;  (* completions until the loop can move: wake it at the last *)
+  wake_r : Unix.file_descr;
+  wake_w : Unix.file_descr;
 }
 
 type t = {
@@ -70,27 +50,25 @@ type t = {
   listen : Unix.file_descr;
   shards : shard array;
   mutable domains : unit Domain.t array;
-  (* [m] guards everything below: the admission table is the single
-     piece of cross-shard daemon state. *)
-  m : Mutex.t;
-  drained : Condition.t;
-  mutable next_cid : int;
-  (* cid -> fd of every accepted connection (handshaking or admitted),
-     so [stop] can shut all their reads down. *)
-  conns : (int, Unix.file_descr) Hashtbl.t;
-  (* Connections currently pinned to each shard — the least-loaded
-     admission metric and the [sessions_per_shard] introspection. *)
-  assigned : int array;
-  mutable nlive : int;  (* admitted sessions, vs [max_sessions] *)
-  mutable stopping : bool;
-  mutable stopped : bool;
+  live : int Atomic.t;  (* admitted sessions, against [max_sessions] *)
+  stopping : bool Atomic.t;
+  mutable next_sid : int;  (* shard 0's loop only *)
 }
 
-let active_sessions t = Mutex.protect t.m (fun () -> t.nlive)
+(* The loop's half of a session; {!Dispatch} holds the rest. *)
+type session = {
+  fd : Unix.file_descr;
+  reader : Wire.reader;
+  mutable model : Model.kind option;  (* [Some] once admitted *)
+  mutable prelude : Event.t array;
+  mutable aggregate : Report.t;
+  mutable streak : int;  (* sections dispatched since the last reply *)
+  mutable rest : float;  (* not read again before this time *)
+}
 
+let active_sessions t = Atomic.get t.live
 let shard_count t = Array.length t.shards
-
-let sessions_per_shard t = Mutex.protect t.m (fun () -> Array.copy t.assigned)
+let sessions_per_shard t = Array.map (fun sh -> Atomic.get sh.pins) t.shards
 
 (* --- Daemon counters ------------------------------------------------------ *)
 
@@ -117,373 +95,303 @@ let count_frame obs frames bytes payload =
     Obs.add obs bytes (Wire.header_len + String.length payload)
   end
 
-(* --- Per-session protocol ------------------------------------------------ *)
+let count obs c = if Obs.enabled obs then Obs.add obs c 1
 
-let send t fd kind payload =
-  match Wire.write_frame fd kind payload with
-  | Ok () ->
-    count_frame t.obs frames_out frame_bytes_out payload;
-    true
-  | Error _ -> false
+(* A session streaming sections (16 since its last reply) is read at most
+   every 0.5 ms.  Otherwise every client write wakes the loop from
+   select(2), and where the program, the loop and the checkers share few
+   CPUs the kernel tends to run the woken loop on the writer's CPU, ahead
+   of the writer: on a 2-vCPU host that preempted a streaming Redis
+   client ~90 times per 4000-op session and slowed it ~7 %.  Resting lets
+   frames gather in the socket buffer; short sessions never rest, and a
+   streaming session's [Get_result] waits at most one rest. *)
+let streaming = 16
+let rest_s = 0.0005
 
-let send_err t fd msg = ignore (send t fd Wire.Err (Wire.encode_err msg))
+let now () = float_of_int (Obs.now_ns ()) /. 1e9
 
-(* Backpressure: [Block] parks the reader thread until the pool catches
-   up — the client's sends then stall in [write(2)] once the socket
-   buffers fill, with no explicit credit protocol.  [Shed] drops the
-   section on the floor and counts it. *)
-let dispatch t sess p =
-  let admitted =
-    Mutex.protect sess.sm (fun () ->
-        if t.cfg.policy = Wire.Shed && sess.inflight >= t.cfg.max_inflight then None
-        else begin
-          while sess.inflight >= t.cfg.max_inflight do
-            Condition.wait sess.sc sess.sm
-          done;
-          sess.inflight <- sess.inflight + 1;
-          Some (sess.inflight, sess.prelude)
-        end)
+let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
+
+let rec push a x =
+  let l = Atomic.get a in
+  if not (Atomic.compare_and_set a l (x :: l)) then push a x
+
+(* [wake_w] is non-blocking: a full pipe already guarantees a wakeup. *)
+let wake sh = try ignore (Unix.write_substring sh.wake_w "x" 0 1) with Unix.Unix_error _ -> ()
+
+(* Admission is one CAS on the live count, whichever shard asks. *)
+let rec admit t () =
+  let n = Atomic.get t.live in
+  if n >= t.cfg.max_sessions then Some (Printf.sprintf "session limit reached (%d active)" n)
+  else if Atomic.compare_and_set t.live n (n + 1) then begin
+    if Obs.enabled t.obs then Obs.max t.obs sessions_hwm (n + 1);
+    None
+  end
+  else admit t ()
+
+(* Shard 0 pins each connection to the least-loaded shard (ties to the
+   lowest index) and hands it over; a session never migrates, so its
+   completions fire in dispatch order on one merge loop. *)
+let accept t =
+  match Unix.accept ~cloexec:true t.listen with
+  | exception Unix.Unix_error _ -> ()  (* the peer gave up, or out of fds *)
+  | fd, _ ->
+    (* Blocking, whatever it inherited from the listening fd: a full
+       socket buffer must wait out the write deadline, not fail at once. *)
+    (try Unix.clear_nonblock fd with Unix.Unix_error _ -> ());
+    let sh = t.shards.(Dispatch.least_loaded (sessions_per_shard t)) in
+    Atomic.incr sh.pins;
+    push sh.inbox (t.next_sid, fd);
+    t.next_sid <- t.next_sid + 1;
+    wake sh
+
+let corrupt t msg =
+  count t.obs frames_corrupt;
+  Dispatch.Bad msg
+
+let frame t sh (kind, payload) =
+  count_frame t.obs frames_in frame_bytes_in payload;
+  (* A frame with a valid CRC can still carry garbage (hostile or buggy
+     client); the checked decoder turns that into a session error instead
+     of an exception inside a checking worker. *)
+  let decode wrap =
+    match Packed.decode_wire ~obs:t.obs ~pool:sh.arena_pool payload with
+    | Ok p -> wrap p
+    | Error e ->
+      corrupt t
+        (Printf.sprintf "bad %s: %s" (Wire.kind_name kind) (Packed.decode_error_to_string e))
   in
-  match admitted with
-  | None ->
-    Packed.free ~pool:sess.shard.arena_pool p;
-    if Obs.enabled t.obs then Obs.add t.obs sections_shed 1
-  | Some (depth, prelude) ->
-    if Obs.enabled t.obs then Obs.max t.obs inflight_hwm depth;
-    let t0 = Obs.now_ns () in
-    Runtime.send_packed_cb ~model:sess.model ~prelude sess.shard.rt p (fun r ->
-        (* Fires in dispatch order under the shard runtime's merge lock:
-           a session is pinned to exactly one shard, so its callback
-           stream is totally ordered there and the per-session aggregate
-           stays byte-identical to a dedicated synchronous run over the
-           same section stream — sharding never reorders one session. *)
-        Mutex.protect sess.sm (fun () ->
-            sess.aggregate <- Report.merge sess.aggregate r;
-            sess.inflight <- sess.inflight - 1;
-            Condition.broadcast sess.sc);
-        if Obs.enabled t.obs then Obs.record t.obs section_latency (Obs.now_ns () - t0))
-
-(* Returns [false] to end the session. *)
-let handle_frame t sess kind payload =
   match (kind : Wire.kind) with
-  | Wire.Prelude -> (
-    match Packed.decode_wire ~obs:t.obs ~pool:sess.shard.arena_pool payload with
-    | Error e ->
-      if Obs.enabled t.obs then Obs.add t.obs frames_corrupt 1;
-      send_err t sess.fd ("bad prelude: " ^ Packed.decode_error_to_string e);
-      false
-    | Ok arena ->
-      let events = Packed.to_events arena in
-      Packed.free ~pool:sess.shard.arena_pool arena;
-      Mutex.protect sess.sm (fun () -> sess.prelude <- events);
-      true)
-  | Wire.Section -> (
-    (* A frame with a valid CRC can still carry garbage (hostile or
-       buggy client); the checked decoder turns that into a session
-       error instead of an exception inside a checking worker. *)
-    match Packed.decode_wire ~obs:t.obs ~pool:sess.shard.arena_pool payload with
-    | Error e ->
-      if Obs.enabled t.obs then Obs.add t.obs frames_corrupt 1;
-      send_err t sess.fd ("bad section: " ^ Packed.decode_error_to_string e);
-      false
-    | Ok p ->
-      dispatch t sess p;
-      true)
-  | Wire.Get_result ->
-    let r =
-      Mutex.protect sess.sm (fun () ->
-          while sess.inflight > 0 do
-            Condition.wait sess.sc sess.sm
-          done;
-          sess.aggregate)
-    in
-    send t sess.fd Wire.Report_frame (Wire.encode_report r)
-  | Wire.Bye -> false
-  | Wire.Hello | Wire.Hello_ack | Wire.Report_frame | Wire.Err
-  | Wire.Worker_hello | Wire.Job_offer | Wire.Job_claim | Wire.Job_result | Wire.Job_refused
-  | Wire.Checkpoint ->
-    (* Farm frames belong on a pmfarm coordinator link, not a checking
-       session; refuse them like any other out-of-place kind. *)
-    send_err t sess.fd (Printf.sprintf "unexpected %s frame" (Wire.kind_name kind));
-    false
+  | Wire.Hello -> (
+    match Wire.decode_hello payload with
+    | Ok model -> Dispatch.Hello model
+    | Error e -> Dispatch.Bad (Wire.error_to_string e))
+  | Wire.Prelude -> decode (fun p -> Dispatch.Prelude p)
+  | Wire.Section -> decode (fun p -> Dispatch.Section p)
+  | Wire.Get_result -> Dispatch.Get_result
+  | Wire.Bye -> Dispatch.Bye
+  | k -> Dispatch.Other k
 
-(* The reader drains every complete frame a single [read(2)] delivered
-   before coming back for more: under concurrent load the syscall, the
-   wakeup and the buffer walk amortise across the whole batch. *)
-let rec session_loop t sess =
-  match Wire.read_batch sess.reader with
-  | Ok frames ->
-    let continue =
-      List.fold_left
-        (fun cont (kind, payload) ->
-          cont
-          && begin
-               count_frame t.obs frames_in frame_bytes_in payload;
-               handle_frame t sess kind payload
-             end)
-        true frames
-    in
-    if continue then session_loop t sess
-  | Error Wire.Timeout -> send_err t sess.fd "idle timeout exceeded"
-  | Error Wire.Closed ->
-    (* Client hung up — possibly mid-frame; anything already dispatched
-       keeps flowing through the pool and is simply never reported. *)
-    ()
-  | Error (Wire.Corrupt m) ->
-    if Obs.enabled t.obs then Obs.add t.obs frames_corrupt 1;
-    send_err t sess.fd ("corrupt frame: " ^ m)
-  | Error (Wire.Version_mismatch v) ->
-    if Obs.enabled t.obs then Obs.add t.obs frames_corrupt 1;
-    send_err t sess.fd (Printf.sprintf "unsupported protocol version %d" v)
+let wire_error t = function
+  | Wire.Timeout -> []
+  (* Client hung up, possibly mid-frame; anything already dispatched
+     keeps flowing through the pool and is simply never reported. *)
+  | Wire.Closed -> [ Dispatch.Bye ]
+  | Wire.Corrupt m -> [ corrupt t ("corrupt frame: " ^ m) ]
+  | Wire.Version_mismatch v -> [ corrupt t (Printf.sprintf "unsupported protocol version %d" v) ]
 
-(* Handshake, admission, the frame loop, then teardown.  Runs as a
-   thread of its shard's domain; never lets an exception escape (a dead
-   session must not take the daemon down). *)
-let serve_conn t sh cid fd =
-  (* [cleanup] is idempotent (the exception arm below may run after a
-     normal-path cleanup already did), and [admitted] lives in a ref so
-     an exception escaping [session_loop] still unwinds the live-session
-     count it bumped at admission. *)
-  let admitted = ref false in
-  let cleaned = ref false in
-  let cleanup () =
-    if not !cleaned then begin
-      cleaned := true;
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      Mutex.protect t.m (fun () ->
-          Hashtbl.remove t.conns cid;
-          t.assigned.(sh.idx) <- t.assigned.(sh.idx) - 1;
-          if !admitted then t.nlive <- t.nlive - 1;
-          Condition.broadcast t.drained);
-      if !admitted && Obs.enabled t.obs then Obs.add t.obs sessions_closed 1
-    end
+(* A shard domain's main: one [select] over the wake pipe, the readable
+   sessions and (shard 0) the listener, sleeping until the next idle
+   deadline.  The dispatcher decides; this loop only does the I/O. *)
+let run_shard t sh =
+  let d =
+    Dispatch.create ~max_inflight:t.cfg.max_inflight ~policy:t.cfg.policy
+      ~idle_timeout:t.cfg.idle_timeout ~admit:(admit t)
   in
-  match
-    if t.cfg.idle_timeout > 0.0 then
-      Unix.setsockopt_float fd Unix.SO_RCVTIMEO t.cfg.idle_timeout;
-    let reader = Wire.reader fd in
-    match Wire.read_one reader with
-    | Ok (Wire.Hello, payload) -> (
-      count_frame t.obs frames_in frame_bytes_in payload;
-      match Wire.decode_hello payload with
-      | Error e ->
-        send_err t fd (Wire.error_to_string e);
-        cleanup ()
-      | Ok model -> (
-        let verdict =
-          Mutex.protect t.m (fun () ->
-              if t.stopping then Error "daemon is shutting down"
-              else if t.nlive >= t.cfg.max_sessions then
-                Error (Printf.sprintf "session limit reached (%d active)" t.nlive)
-              else begin
-                t.nlive <- t.nlive + 1;
-                if Obs.enabled t.obs then Obs.max t.obs sessions_hwm t.nlive;
-                admitted := true;
-                Ok cid
-              end)
-        in
-        match verdict with
-        | Error msg ->
-          send_err t fd msg;
-          cleanup ()
-        | Ok sid ->
+  let conns = Hashtbl.create 16 (* sid -> session *) in
+  let timeout = if t.cfg.idle_timeout > 0. then Some t.cfg.idle_timeout else None in
+  let rec apply acts = List.iter act acts
+  and act = function
+    | Dispatch.Ack (sid, model) ->
+      with_conn sid (fun c ->
+          c.model <- Some model;
           if Obs.enabled t.obs then begin
             Obs.add t.obs sessions_opened 1;
             Obs.shard_session t.obs ~shard:sh.idx
           end;
-          let sess =
-            {
-              sid;
-              fd;
-              reader;
-              shard = sh;
-              model;
-              sm = Mutex.create ();
-              sc = Condition.create ();
-              prelude = [||];
-              inflight = 0;
-              aggregate = Report.empty;
-            }
-          in
-          if
-            send t fd Wire.Hello_ack
-              (Wire.encode_hello_ack ~session:sid ~max_inflight:t.cfg.max_inflight
-                 ~policy:t.cfg.policy)
-          then session_loop t sess;
-          cleanup ()))
-    | Ok (kind, _) ->
-      send_err t fd (Printf.sprintf "expected hello, got %s" (Wire.kind_name kind));
-      cleanup ()
-    | Error (Wire.Version_mismatch v) ->
-      if Obs.enabled t.obs then Obs.add t.obs frames_corrupt 1;
-      send_err t fd (Printf.sprintf "unsupported protocol version %d" v);
-      cleanup ()
-    | Error _ -> cleanup ()
-  with
-  | () -> ()
-  | exception _ -> cleanup ()
-
-(* Least-loaded admission, ties to the lowest index: under [t.m], pick
-   the shard with the fewest pinned connections and hand the fd over. *)
-let pin_conn t fd =
-  let pinned =
-    Mutex.protect t.m (fun () ->
-        if t.stopping then None
-        else begin
-          let best = ref 0 in
-          Array.iteri (fun i n -> if n < t.assigned.(!best) then best := i) t.assigned;
-          let s = !best in
-          let cid = t.next_cid in
-          t.next_cid <- cid + 1;
-          Hashtbl.replace t.conns cid fd;
-          t.assigned.(s) <- t.assigned.(s) + 1;
-          Some (s, cid)
-        end)
+          send sid c Wire.Hello_ack
+            (Wire.encode_hello_ack ~session:sid ~max_inflight:t.cfg.max_inflight
+               ~policy:t.cfg.policy))
+    | Dispatch.Set_prelude (sid, arena) ->
+      with_conn sid (fun c -> c.prelude <- Packed.to_events arena);
+      Packed.free ~pool:sh.arena_pool arena
+    | Dispatch.Check { sid; section; depth } -> (
+      match Hashtbl.find_opt conns sid with
+      | None -> Packed.free ~pool:sh.arena_pool section
+      | Some c ->
+        c.streak <- c.streak + 1;
+        if Obs.enabled t.obs then Obs.max t.obs inflight_hwm depth;
+        let t0 = Obs.now_ns () in
+        Runtime.send_packed_cb ?model:c.model ~prelude:c.prelude sh.rt section (fun r ->
+            (* Fires in dispatch order under the shard runtime's merge
+               lock, and the loop merges in push order: each session's
+               aggregate stays byte-identical to a dedicated synchronous
+               run over the same section stream. *)
+            push sh.checked (sid, r);
+            if Atomic.fetch_and_add sh.wanted (-1) = 1 then wake sh;
+            if Obs.enabled t.obs then Obs.record t.obs section_latency (Obs.now_ns () - t0)))
+    | Dispatch.Shed (_, section) ->
+      Packed.free ~pool:sh.arena_pool section;
+      count t.obs sections_shed
+    | Dispatch.Reply sid ->
+      with_conn sid (fun c ->
+          c.streak <- 0;
+          send sid c Wire.Report_frame (Wire.encode_report c.aggregate))
+    | Dispatch.Close (sid, msg) ->
+      with_conn sid (fun c ->
+          Option.iter (fun m -> send sid c Wire.Err (Wire.encode_err m)) msg;
+          Hashtbl.remove conns sid;
+          close_quiet c.fd;
+          Atomic.decr sh.pins;
+          if c.model <> None then begin
+            Atomic.decr t.live;
+            count t.obs sessions_closed
+          end)
+  and with_conn sid f = Option.iter f (Hashtbl.find_opt conns sid)
+  (* A write fails on a dead peer, or after [idle_timeout] on one that
+     stopped reading; either way the session is over. *)
+  and send sid c kind payload =
+    match Wire.write_frame ?timeout c.fd kind payload with
+    | Ok () -> count_frame t.obs frames_out frame_bytes_out payload
+    | Error _ -> apply (Dispatch.hangup d sid)
   in
-  match pinned with
-  | None -> ( try Unix.close fd with Unix.Unix_error _ -> ())
-  | Some (s, cid) ->
-    let sh = t.shards.(s) in
-    Mutex.protect sh.iq_m (fun () ->
-        sh.iq <- (cid, fd) :: sh.iq;
-        Condition.signal sh.iq_c)
-
-(* Multi-accept fan-in: every shard runs its own acceptor on the one
-   shared listener, so accept handling itself scales with the shard
-   count and a stall in one shard's domain never blocks new connects. *)
-let rec accept_loop t =
-  if not t.stopping then
-    match Unix.accept ~cloexec:true t.listen with
-    | fd, _ ->
-      pin_conn t fd;
-      accept_loop t
-    | exception Unix.Unix_error (EINTR, _, _) -> accept_loop t
-    | exception Unix.Unix_error _ -> ()  (* listen fd closed by [stop] *)
-
-(* A shard domain's main: one acceptor thread plus the session
-   dispatcher.  Session threads are spawned (and therefore scheduled)
-   inside this domain and joined before the domain exits. *)
-let shard_main t sh =
-  let acceptor = Thread.create (fun () -> accept_loop t) () in
-  let threads = ref [] in
-  let rec loop () =
-    let batch, quit =
-      Mutex.protect sh.iq_m (fun () ->
-          while sh.iq = [] && not sh.iq_quit do
-            Condition.wait sh.iq_c sh.iq_m
-          done;
-          let batch = List.rev sh.iq in
-          sh.iq <- [];
-          (batch, sh.iq_quit))
+  let service sid c =
+    let now = now () in
+    let fs =
+      match Wire.read_some c.reader with
+      | Ok frames ->
+        List.map (frame t sh) frames
+        @ Option.fold ~none:[] ~some:(wire_error t) (Wire.read_error c.reader)
+      | Error e -> wire_error t e
+      | exception Unix.Unix_error _ -> [ Dispatch.Bye ]
     in
-    List.iter
-      (fun (cid, fd) ->
-        threads := Thread.create (fun () -> serve_conn t sh cid fd) () :: !threads)
-      batch;
-    if not quit then loop ()
+    apply (Dispatch.frames d sid ~now fs);
+    if c.streak >= streaming then c.rest <- now +. rest_s
   in
-  loop ();
-  Thread.join acceptor;
-  List.iter Thread.join !threads
+  let adopt (sid, fd) =
+    Hashtbl.replace conns sid
+      {
+        fd;
+        reader = Wire.reader fd;
+        model = None;
+        prelude = [||];
+        aggregate = Report.empty;
+        streak = 0;
+        rest = 0.;
+      };
+    apply (Dispatch.connect d sid ~now:(now ()))
+  in
+  let merge () =
+    let now = now () in
+    List.iter
+      (fun (sid, r) ->
+        with_conn sid (fun c -> c.aggregate <- Report.merge c.aggregate r);
+        apply (Dispatch.completed d sid ~now))
+      (List.rev (Atomic.exchange sh.checked []))
+  in
+  let buf = Bytes.create 64 in
+  let rec loop draining =
+    List.iter adopt (List.rev (Atomic.exchange sh.inbox []));
+    merge ();
+    let stopping = Atomic.get t.stopping in
+    if stopping && not draining then apply (Dispatch.stop d);
+    apply (Dispatch.tick d ~now:(now ()));
+    if not (stopping && Dispatch.sessions d = 0) then begin
+      (* Armed before the last look at [checked]: a completion pushed
+         after that look counts down from here, and the last one needed
+         wakes us. *)
+      Atomic.set sh.wanted (Dispatch.needed d);
+      let now = now () in
+      let reading, wake_at =
+        Hashtbl.fold
+          (fun sid c (l, w) ->
+            if not (Dispatch.readable d sid) then (l, w)
+            else if c.rest > now then (l, Float.min w c.rest)
+            else ((c.fd, sid) :: l, w))
+          conns
+          ([], Option.value (Dispatch.next_deadline d) ~default:infinity)
+      in
+      let timeout =
+        if Atomic.get sh.checked <> [] then 0.
+        else if wake_at = infinity then -1.
+        else Float.max 0. (wake_at -. now)
+      in
+      let fds = sh.wake_r :: List.map fst reading in
+      let fds = if sh.idx = 0 && not stopping then t.listen :: fds else fds in
+      let ready =
+        match Unix.select fds [] [] timeout with
+        | r, _, _ -> r
+        | exception Unix.Unix_error (EINTR, _, _) -> []
+      in
+      if List.mem sh.wake_r ready then ignore (Unix.read sh.wake_r buf 0 (Bytes.length buf));
+      List.iter
+        (fun fd -> Option.iter (fun sid -> with_conn sid (service sid)) (List.assoc_opt fd reading))
+        ready;
+      (* Accept last, so no fd closed while serving this batch is reused
+         by a new connection before the batch is done. *)
+      if sh.idx = 0 && List.mem t.listen ready then accept t;
+      loop stopping
+    end
+  in
+  loop false
 
 let start ?(obs = Obs.disabled) cfg =
   (* Writing a report to a vanished client must be an EPIPE result, not
      a process kill. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-  let cfg =
-    (* [Block] with a zero bound would deadlock the first section;
-       [Shed] with zero is a legitimate drop-everything configuration
-       (the deterministic shed test uses it). *)
-    let cfg =
-      if cfg.policy = Wire.Block && cfg.max_inflight < 1 then { cfg with max_inflight = 1 }
-      else cfg
-    in
-    if cfg.shards < 1 then { cfg with shards = 1 } else cfg
-  in
+  (* [Block] with a zero bound would deadlock the first section; [Shed]
+     with zero is a legitimate drop-everything configuration (the
+     deterministic shed test uses it). *)
+  let floor = if cfg.policy = Wire.Block then 1 else 0 in
+  let cfg = { cfg with shards = max 1 cfg.shards; max_inflight = max floor cfg.max_inflight } in
   if Sys.file_exists cfg.socket then Unix.unlink cfg.socket;
   let listen = Unix.socket ~cloexec:true PF_UNIX SOCK_STREAM 0 in
   (try
      Unix.bind listen (ADDR_UNIX cfg.socket);
-     Unix.listen listen 64
+     Unix.listen listen 64;
+     (* A connection reset between select and accept must not block. *)
+     Unix.set_nonblock listen
    with e ->
-     (try Unix.close listen with Unix.Unix_error _ -> ());
+     close_quiet listen;
      raise e);
   let mk_shard idx =
     let arena_pool = Packed.create_pool () in
+    let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+    Unix.set_nonblock wake_w;
     {
       idx;
       rt = Runtime.create ~workers:cfg.workers ~obs ~shard:idx ~arena_pool ();
       arena_pool;
-      iq_m = Mutex.create ();
-      iq_c = Condition.create ();
-      iq = [];
-      iq_quit = false;
+      pins = Atomic.make 0;
+      inbox = Atomic.make [];
+      checked = Atomic.make [];
+      wanted = Atomic.make 0;
+      wake_r;
+      wake_w;
     }
   in
-  let shards = Array.init cfg.shards mk_shard in
   let t =
     {
       cfg;
       obs;
       listen;
-      shards;
+      shards = Array.init cfg.shards mk_shard;
       domains = [||];
-      m = Mutex.create ();
-      drained = Condition.create ();
-      next_cid = 1;
-      conns = Hashtbl.create 16;
-      assigned = Array.make cfg.shards 0;
-      nlive = 0;
-      stopping = false;
-      stopped = false;
+      live = Atomic.make 0;
+      stopping = Atomic.make false;
+      next_sid = 1;
     }
   in
-  t.domains <- Array.map (fun sh -> Domain.spawn (fun () -> shard_main t sh)) shards;
+  t.domains <- Array.map (fun sh -> Domain.spawn (fun () -> run_shard t sh)) t.shards;
   t
 
 let config t = t.cfg
 
 let stop t =
-  let first =
-    Mutex.protect t.m (fun () ->
-        let first = not t.stopped in
-        t.stopped <- true;
-        t.stopping <- true;
-        first)
-  in
-  if first then begin
-    (* Closing a listening fd does not wake threads parked in accept(2);
-       throwaway connections do — one per acceptor.  Each acceptor
-       consumes at most one wakeup after [stopping] flips, then exits. *)
-    for _ = 1 to Array.length t.shards do
-      try
-        let fd = Unix.socket ~cloexec:true PF_UNIX SOCK_STREAM 0 in
-        (try Unix.connect fd (ADDR_UNIX t.cfg.socket) with Unix.Unix_error _ -> ());
-        Unix.close fd
-      with Unix.Unix_error _ -> ()
-    done;
-    (* Stop reading from every accepted connection (handshaking or
-       admitted): each reader finishes the frame in hand, drains what it
-       dispatched and unregisters.  The write side stays open so a
-       pending report still goes out. *)
-    Mutex.protect t.m (fun () ->
-        Hashtbl.iter
-          (fun _ fd -> try Unix.shutdown fd SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ())
-          t.conns;
-        while Hashtbl.length t.conns > 0 do
-          Condition.wait t.drained t.m
-        done);
-    (* All sessions are gone; release the shard dispatchers, join the
-       shard domains (which join their acceptor and session threads),
-       then drain each shard's pool. *)
+  if not (Atomic.exchange t.stopping true) then begin
+    Array.iter wake t.shards;
+    Array.iter Domain.join t.domains;
     Array.iter
       (fun sh ->
-        Mutex.protect sh.iq_m (fun () ->
-            sh.iq_quit <- true;
-            Condition.signal sh.iq_c))
+        (* Handed over after its shard's loop had ended. *)
+        List.iter
+          (fun (_, fd) ->
+            Atomic.decr sh.pins;
+            close_quiet fd)
+          (Atomic.exchange sh.inbox []);
+        ignore (Runtime.shutdown sh.rt);
+        List.iter close_quiet [ sh.wake_r; sh.wake_w ])
       t.shards;
-    Array.iter Domain.join t.domains;
-    Array.iter (fun sh -> ignore (Runtime.shutdown sh.rt)) t.shards;
-    (try Unix.close t.listen with Unix.Unix_error _ -> ());
+    close_quiet t.listen;
     try Unix.unlink t.cfg.socket with Unix.Unix_error _ | Sys_error _ -> ()
   end

@@ -4,19 +4,19 @@
     One daemon owns a Unix domain socket and [shards] independent
     execution shards.  Each shard is a whole private copy of the hot
     path: its own {!Pmtest_core.Runtime} (worker domains + merge lock),
-    its own packed-arena freelist, its own acceptor on the shared
-    listener, and its own domain on which its session readers run — two
-    sessions pinned to different shards share {e no} mutex.  Connections
-    are pinned to the least-loaded shard at accept time; a session never
-    migrates, so its completion callbacks still fire in dispatch order
-    on one merge loop and its aggregate report stays byte-identical to a
-    dedicated in-process run over the same sections.
+    its own packed-arena freelist, and its own domain running one
+    [select] loop over its sessions — two sessions pinned to different
+    shards share {e no} mutex.  Shard 0's loop also accepts and pins
+    each connection to the least-loaded shard; a session never migrates,
+    so its completion callbacks fire in dispatch order on one merge loop
+    and its aggregate report stays byte-identical to a dedicated
+    in-process run over the same sections.  {!Dispatch} decides what
+    each frame, completion and deadline does; the loop does the I/O.
 
     Each accepted connection is a {e session}: it declares a persistency
     model in its [Hello], then streams packed trace sections
-    ({!Pmtest_wire.Wire} frames); the session reader decodes every
-    complete frame per [read(2)] in one batch and feeds its shard's pool
-    with a per-session completion callback.
+    ({!Pmtest_wire.Wire} frames), each decoded in the loop and checked
+    by its shard's pool with a per-session completion callback.
 
     Robustness contract:
     - a corrupt frame (bad CRC, bad packed bytes) fails {e that
@@ -24,12 +24,14 @@
       bytes;
     - a client that crashes mid-frame is reaped when its socket reads
       EOF; sections it already sent finish checking and are discarded;
-    - a session idle longer than [idle_timeout] is closed;
+    - a session that sends no complete frame for [idle_timeout] while
+      the daemon waits on it, or takes longer to take in a reply, is
+      closed;
     - sessions past [max_inflight] unchecked sections are either paused
       ([Block]: the daemon stops reading their socket) or trimmed
       ([Shed]: further sections are dropped and counted);
-    - {!stop} drains: no new sessions, live readers are shut down,
-      everything dispatched is checked, then every shard exits. *)
+    - {!stop} drains: nothing new is admitted or read, every pending
+      result is answered, then every shard exits. *)
 
 module Wire = Pmtest_wire.Wire
 
@@ -39,7 +41,7 @@ type config = {
   workers : int;  (** Checking domains {e per shard}. *)
   max_sessions : int;  (** Concurrent sessions, whole daemon; excess get [Err]. *)
   max_inflight : int;  (** Unchecked sections per session. *)
-  idle_timeout : float;  (** Seconds between frames; [0.] disables. *)
+  idle_timeout : float;  (** Seconds between frames, and per reply; [0.] disables. *)
   policy : Wire.policy;  (** What to do past [max_inflight]. *)
 }
 
@@ -50,18 +52,18 @@ val default_config : config
 type t
 
 val start : ?obs:Pmtest_obs.Obs.t -> config -> t
-(** Bind, listen and return immediately; each shard runs on its own
-    domain, sessions on threads of their shard's domain.  A stale socket
-    file at [cfg.socket] is replaced.  [Block] clamps [max_inflight] up
-    to 1 (zero would deadlock); [Shed] keeps it, so [max_inflight = 0] +
-    [Shed] drops every section — the deterministic shed configuration
-    tests use. *)
+(** Bind, listen and return immediately; each shard runs its loop on its
+    own domain.  A stale socket file at [cfg.socket] is replaced.
+    [Block] clamps [max_inflight] up to 1 (zero would deadlock); [Shed]
+    keeps it, so [max_inflight = 0] + [Shed] drops every section — the
+    deterministic shed configuration tests use. *)
 
 val stop : t -> unit
-(** Graceful drain, idempotent: stop accepting, shut down every live
-    connection's read side, wait for them to unregister, then join the
-    shard domains, drain every shard's worker pool and unlink the
-    socket. *)
+(** Graceful drain, idempotent: stop accepting and reading, answer every
+    pending result once its sections are checked (a client that does not
+    read it holds this up for at most [idle_timeout]), close every
+    session, join the shard domains, drain every shard's worker pool and
+    unlink the socket. *)
 
 val config : t -> config
 

@@ -118,12 +118,24 @@ let crc32 s =
 
 (* --- Raw fd I/O ---------------------------------------------------------- *)
 
-let rec write_exactly fd buf pos len =
+(* [deadline] (monotonic ns) bounds the whole buffer: each write(2) gets
+   only the time left as its [SO_SNDTIMEO], so a peer that drains a few
+   bytes at a time cannot stretch one frame past it.  A zero
+   [SO_SNDTIMEO] means no timeout, hence the 1 ms floor. *)
+let rec write_exactly ?deadline fd buf pos len =
   if len = 0 then Ok ()
   else
-    match Unix.write fd buf pos len with
-    | n -> write_exactly fd buf (pos + n) (len - n)
-    | exception Unix.Unix_error (EINTR, _, _) -> write_exactly fd buf pos len
+    match
+      Option.iter
+        (fun d ->
+          let left = float_of_int (d - Pmtest_obs.Obs.now_ns ()) /. 1e9 in
+          if left <= 0. then raise (Unix.Unix_error (EAGAIN, "write", ""));
+          Unix.setsockopt_float fd SO_SNDTIMEO (Float.max left 1e-3))
+        deadline;
+      Unix.write fd buf pos len
+    with
+    | n -> write_exactly ?deadline fd buf (pos + n) (len - n)
+    | exception Unix.Unix_error (EINTR, _, _) -> write_exactly ?deadline fd buf pos len
     | exception Unix.Unix_error ((ECONNRESET | EPIPE | EBADF), _, _) -> Error Closed
     (* SO_SNDTIMEO expired: the peer stopped reading. *)
     | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> Error Timeout
@@ -143,7 +155,7 @@ let get_u32be b off =
   lor (Char.code (Bytes.get b (off + 2)) lsl 8)
   lor Char.code (Bytes.get b (off + 3))
 
-let write_frame fd kind payload =
+let write_frame ?timeout fd kind payload =
   let len = String.length payload in
   if len > max_payload then Error (Corrupt (Printf.sprintf "outgoing payload too large (%d bytes)" len))
   else begin
@@ -158,7 +170,10 @@ let write_frame fd kind payload =
     put_u32be b 2 len;
     put_u32be b 6 (crc32 payload);
     Bytes.blit_string payload 0 b header_len len;
-    write_exactly fd b 0 (Bytes.length b)
+    let deadline =
+      Option.map (fun s -> Pmtest_obs.Obs.now_ns () + int_of_float (s *. 1e9)) timeout
+    in
+    write_exactly ?deadline fd b 0 (Bytes.length b)
   end
 
 (* --- Buffered batch reader ----------------------------------------------
@@ -233,8 +248,8 @@ let rec refill r ~need =
     Bytes.blit r.buf 0 nb 0 r.lim;
     r.buf <- nb
   end;
-  (* SO_RCVTIMEO surfaces as EAGAIN/EWOULDBLOCK from read(2): that is
-     the session idle timeout, distinct from the peer closing. *)
+  (* SO_RCVTIMEO surfaces as EAGAIN/EWOULDBLOCK from read(2): the peer
+     went quiet, which is distinct from the peer closing. *)
   match Unix.read r.rfd r.buf r.lim (Bytes.length r.buf - r.lim) with
   | 0 -> Error (eof_error r)
   | n ->
@@ -281,6 +296,8 @@ let read_some r =
     | `Need (need, []) -> (
       match refill r ~need with Ok () -> deliver (drain r []) | Error e -> set_err r e)
     | d -> deliver d)
+
+let read_error r = r.rerr
 
 let rec read_batch r = match read_some r with Ok [] -> read_batch r | res -> res
 

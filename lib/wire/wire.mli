@@ -85,8 +85,8 @@ val kind_name : kind -> string
 type error =
   | Closed  (** Peer hung up (or fd shut down during drain). *)
   | Timeout
-      (** [SO_RCVTIMEO] expired — the session idle limit — or
-          [SO_SNDTIMEO] did: the peer stopped reading. *)
+      (** [SO_RCVTIMEO] expired — the peer went quiet — or a write
+          deadline did: the peer stopped reading. *)
   | Corrupt of string  (** Bad CRC / kind / length / payload encoding. *)
   | Version_mismatch of int  (** Peer speaks another protocol version. *)
 
@@ -108,7 +108,9 @@ val header_len : int
     stops reading yields [Error Timeout]; part of the frame may have
     gone out, so the link is then unusable. *)
 
-val write_frame : Unix.file_descr -> kind -> string -> (unit, error) result
+val write_frame : ?timeout:float -> Unix.file_descr -> kind -> string -> (unit, error) result
+(** [timeout] bounds the whole frame, in seconds, however slowly the peer
+    drains it; it replaces the fd's [SO_SNDTIMEO]. *)
 
 (** {1 Reading}
 
@@ -136,6 +138,11 @@ val read_some : reader -> ((kind * string) list, error) result
     possibly none: the call for an event loop whose [select] just
     reported the fd readable.  A [read(2)] ending mid-frame returns
     [Ok []] and keeps the partial frame for the next call. *)
+
+val read_error : reader -> error option
+(** The sticky error the next read will report, if it is known already:
+    a loop can act on it at once instead of waiting for the fd to turn
+    readable again. *)
 
 val read_batch : reader -> ((kind * string) list, error) result
 (** Block until at least one full frame is available, then return
