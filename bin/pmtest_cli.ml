@@ -20,6 +20,7 @@ module Client = Pmtest_client.Client
 module Wire = Pmtest_wire.Wire
 module Litmus = Pmtest_litmus.Litmus
 module Suite = Pmtest_litmus.Suite
+module Farm = Pmtest_farm.Farm
 open Pmtest_bugdb
 open Pmtest_workloads
 
@@ -647,7 +648,6 @@ let repair_cmd =
 
 (* --- fuzz -------------------------------------------------------------------- *)
 
-module Fuzz_gen = Pmtest_fuzz.Gen
 module Campaign = Pmtest_fuzz.Campaign
 module Cross = Pmtest_fuzz.Cross
 module Repro = Pmtest_fuzz.Repro
@@ -699,43 +699,27 @@ let run_fuzz_mutate failures =
 let run_fuzz_campaign models count seed max_ops corpus progress profile failures =
   List.iter
     (fun model ->
-      let base = Campaign.default_cfg model in
-      let gen =
-        match max_ops with
-        | None -> base.Campaign.gen
-        | Some m -> { base.Campaign.gen with Fuzz_gen.max_ops = m }
-      in
-      let cfg = { base with Campaign.count; seed; gen } in
+      let spec = Farm.Spec.fuzz ?max_ops ~model ~seed ~count ~chunk:1 () in
       Fmt.pr "@.== %s: %d program(s), base seed %d ==@." (model_name model) count seed;
       let on_program i =
         if progress && i > 0 && i mod 1000 = 0 then Fmt.pr "  ... %d@.%!" i
       in
       let obs = if profile then Obs.create () else Obs.disabled in
-      let stats = Campaign.run ~obs ~on_program cfg in
+      let stats = Campaign.run ~obs ~on_program (Farm.Spec.campaign_cfg spec) in
       Fmt.pr "%a@." Campaign.pp_stats stats;
       if profile then Fmt.pr "@.%a@." Obs.pp (Obs.snapshot obs);
       List.iter
         (fun f ->
           incr failures;
-          let shrunk = { f.Campaign.program with Fuzz_gen.events = f.Campaign.shrunk } in
+          let case = Repro.of_finding f in
+          let shrunk = case.Repro.program in
           Fmt.pr "@.-- disagreement: model %s, seed %d, pair %s --@.%s@.@.serial trace:@.%s@.OCaml repro:@.%s@."
             (model_name model) f.Campaign.found_seed
             (Cross.pair_name f.Campaign.pair)
             f.Campaign.detail (Repro.serial_text shrunk) (Repro.ocaml_snippet shrunk);
-          match corpus with
-          | None -> ()
-          | Some dir ->
-            let name =
-              Printf.sprintf "%s-seed%d-%s" (model_name model) f.Campaign.found_seed
-                (String.map
-                   (fun c -> if c = '/' then '-' else c)
-                   (Cross.pair_name f.Campaign.pair))
-            in
-            let case =
-              { Repro.name; program = shrunk; checks = [ Repro.Agree f.Campaign.pair ] }
-            in
-            let path = Repro.save ~dir case in
-            Fmt.pr "saved regression case to %s@." path)
+          Option.iter
+            (fun dir -> Fmt.pr "saved regression case to %s@." (Repro.save ~dir case))
+            corpus)
         stats.Campaign.findings)
     models
 
@@ -826,13 +810,8 @@ let run_crashfs fses model count seed max_ops fault corpus progress =
   (match corpus with None -> () | Some dir -> replay_crashfs_corpus dir fses failures);
   List.iter
     (fun fs ->
-      let config = { (Crashfs.default_config fs) with Crashfs.model } in
-      let config =
-        match max_ops with None -> config | Some m -> { config with Crashfs.max_ops = m }
-      in
-      match
-        match fault with None -> Ok config | Some f -> Crashfs.with_fault config f
-      with
+      let spec = Farm.Spec.crashfs ?max_ops ?fault ~fs ~model ~seed ~count ~chunk:1 () in
+      match Farm.Spec.crashfs_config spec with
       | Error e ->
         Fmt.epr "%s@." e;
         incr failures
@@ -847,18 +826,13 @@ let run_crashfs fses model count seed max_ops fault corpus progress =
         let c = Crashfs.run_campaign config ~count ~seed ~progress:on_run () in
         Fmt.pr "%a@." Crashfs.pp_summary c;
         List.iter
-          (fun (f : Crashfs.finding) ->
+          (fun f ->
             incr failures;
-            match corpus with
-            | None -> ()
-            | Some dir ->
-              let name =
-                Printf.sprintf "%s-%s-seed%d" (Crashfs.fs_kind_name fs)
-                  (Option.value ~default:"clean" (Crashfs.fault_name config))
-                  f.Crashfs.f_seed
-              in
-              let path = Crashfs.Repro.save ~dir (Crashfs.Repro.of_finding config ~name f) in
-              Fmt.pr "saved crashfs case to %s@." path)
+            Option.iter
+              (fun dir ->
+                let path = Crashfs.Repro.save ~dir (Crashfs.Repro.of_finding config f) in
+                Fmt.pr "saved crashfs case to %s@." path)
+              corpus)
           c.Crashfs.findings)
     fses;
   if !failures = 0 then begin
@@ -1340,8 +1314,6 @@ let attach_cmd =
       $ record $ verify $ profile)
 
 (* --- farm -------------------------------------------------------------------- *)
-
-module Farm = Pmtest_farm.Farm
 
 let farm_spec campaign model fs fault seed count chunk max_ops =
   match campaign with

@@ -5,6 +5,7 @@ module Sink = Pmtest_trace.Sink
 module Event = Pmtest_trace.Event
 module Fs = Pmtest_pmfs.Fs
 module Nova = Pmtest_nova.Nova
+module Crashtest = Pmtest_crashtest.Crashtest
 
 type fs_kind = Pmfs | Nova
 
@@ -91,6 +92,11 @@ let fault_name config =
   | Nova ->
     Option.bind config.nova_bug (fun b ->
         List.find_opt (fun (_, b') -> b' = b) nova_bugs |> Option.map fst)
+
+let make_config ?max_ops ?fault fs model =
+  let config = { (default_config fs) with model } in
+  let config = match max_ops with None -> config | Some m -> { config with max_ops = m } in
+  match fault with None -> Ok config | Some f -> with_fault config f
 
 (* --- Stats ------------------------------------------------------------------ *)
 
@@ -620,12 +626,9 @@ let run_ops config ~seed ops =
           (match config.model with
           | Model.Eadr -> f (Machine.volatile_image machine)
           | Model.X86 | Model.Hops ->
-            if Machine.crash_state_count machine <= float_of_int config.exhaustive_limit then
-              ignore (Machine.iter_crash_states ~limit:config.exhaustive_limit machine f)
-            else
-              for _ = 1 to config.samples_per_boundary do
-                f (Machine.sample_crash_state machine rng)
-              done
+            ignore
+              (Crashtest.explore ~limit:config.exhaustive_limit
+                 ~samples:config.samples_per_boundary machine rng f)
           | Model.Cxl -> assert false);
           last_images := float_of_int !count
         end
@@ -692,26 +695,10 @@ let gen_ops config ~seed =
 
 (* --- Shrinking -------------------------------------------------------------- *)
 
-let without ops lo hi =
-  let n = Array.length ops in
-  Array.init (n - (hi - lo)) (fun i -> if i < lo then ops.(i) else ops.(i + (hi - lo)))
-
 let shrink config ~seed ops =
   let pred ops' = (run_ops config ~seed ops').failures <> [] in
   if not (pred ops) then invalid_arg "Crashfs.shrink: the input sequence survives";
-  let ops = ref ops in
-  (* ddmin over the op sequence, as Fuzz.Shrink does over events. *)
-  let chunk = ref (max 1 (Array.length !ops / 2)) in
-  while !chunk >= 1 do
-    let i = ref 0 in
-    while !i < Array.length !ops do
-      let hi = min (Array.length !ops) (!i + !chunk) in
-      let candidate = without !ops !i hi in
-      if Array.length candidate < Array.length !ops && pred candidate then ops := candidate
-      else i := !i + !chunk
-    done;
-    chunk := (if !chunk = 1 then 0 else !chunk / 2)
-  done;
+  let ops = ref (fst (Ddmin.pass ~pred ops)) in
   (* Greedy operand simplification of the surviving writes. *)
   let simplify (op : Workload.op) =
     match op with
@@ -826,21 +813,20 @@ module Repro = struct
   }
 
   let config_of_case c =
-    let config = { (default_config c.fs) with model = c.model } in
-    match c.fault with
-    | None -> config
-    | Some f -> (
-      match with_fault config f with
-      | Ok config -> config
-      | Error e -> invalid_arg ("Crashfs.Repro.config_of_case: " ^ e))
+    match make_config ?fault:c.fault c.fs c.model with
+    | Ok config -> config
+    | Error e -> invalid_arg ("Crashfs.Repro.config_of_case: " ^ e)
 
-  let of_finding (config : config) ~name finding =
+  let of_finding (config : config) finding =
+    let fault = fault_name config in
     {
-      name;
+      name =
+        Printf.sprintf "%s-%s-seed%d" (fs_kind_name config.fs)
+          (Option.value ~default:"clean" fault) finding.f_seed;
       fs = config.fs;
       model = config.model;
       seed = finding.f_seed;
-      fault = fault_name config;
+      fault;
       expect_failure = true;
       ops = finding.f_shrunk;
     }
@@ -875,12 +861,10 @@ module Repro = struct
             let line = String.trim line in
             if line = "" then ()
             else if String.length line >= 2 && String.sub line 0 2 = "# " then begin
-              match String.index_opt line ':' with
+              match Files.header_field (String.sub line 2 (String.length line - 2)) with
               | None -> ()
-              | Some i ->
-                let key = String.trim (String.sub line 2 (i - 2)) in
-                let value = String.trim (String.sub line (i + 1) (String.length line - i - 1)) in
-                (match key with
+              | Some (key, value) -> (
+                match key with
                 | "name" -> name := value
                 | "fs" -> (
                   match fs_kind_of_string value with
@@ -924,42 +908,20 @@ module Repro = struct
           }
         in
         (* Validate the fault name eagerly. *)
-        (match c.fault with
-        | Some f -> (
-          match with_fault (default_config fs) f with
-          | Ok _ -> Ok c
-          | Error e -> Error e)
-        | None -> Ok c))
+        Result.map (fun _ -> c) (make_config ?fault:c.fault fs c.model))
     | _ -> Error "not a pmtest-crashfs-case file"
 
   let save ~dir c =
+    Files.mkdir_p dir;
     let path = Filename.concat dir (c.name ^ ".pmt") in
     Files.write_atomic path (fun oc -> output_string oc (to_text c));
     path
 
   let load_dir dir =
-    match Sys.readdir dir with
-    | exception Sys_error e -> Error e
-    | entries ->
-      let files =
-        Array.to_list entries
-        |> List.filter (fun f ->
-               Filename.check_suffix f ".pmt" && not (Sys.is_directory (Filename.concat dir f)))
-        |> List.sort compare
-      in
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | f :: rest -> (
-          let path = Filename.concat dir f in
-          let ic = open_in path in
-          let len = in_channel_length ic in
-          let text = really_input_string ic len in
-          close_in ic;
-          match of_text ~name:(Filename.chop_suffix f ".pmt") text with
-          | Ok c -> go (c :: acc) rest
-          | Error e -> Error (Printf.sprintf "%s: %s" path e))
-      in
-      go [] files
+    Files.load_corpus dir (fun path ->
+        let text = In_channel.with_open_text path In_channel.input_all in
+        of_text ~name:(Filename.chop_suffix (Filename.basename path) ".pmt") text
+        |> Result.map_error (Printf.sprintf "%s: %s" path))
 
   let replay c =
     let config = config_of_case c in

@@ -18,8 +18,10 @@
     are enumerated, and byte-identical images are deduplicated before
     the (comparatively expensive) remount — the recovered state is a
     pure function of the image. Yat-style enumeration at every store,
-    by contrast, is the product over dirty lines that
-    {!Pmtest_pmem.Machine.crash_state_count} reports. *)
+    by contrast, is the product over dirty lines of the store versions
+    each line could have persisted. Each explored boundary goes through
+    {!Pmtest_crashtest.Crashtest.explore}: enumerated within
+    [exhaustive_limit], sampled beyond it. *)
 
 module Fs = Pmtest_pmfs.Fs
 module Nova = Pmtest_nova.Nova
@@ -60,6 +62,12 @@ val with_fault : config -> string -> (config, string) result
 
 val fault_name : config -> string option
 
+val make_config :
+  ?max_ops:int -> ?fault:string -> fs_kind -> Pmtest_model.Model.kind -> (config, string) result
+(** {!default_config} under [model], with [max_ops] and the seeded fault
+    (by canonical name, as {!with_fault}) when given. Every campaign
+    config — CLI, farm job, corpus case — is built here. *)
+
 (** {1 Single-run harness} *)
 
 type failure = {
@@ -95,8 +103,9 @@ val gen_ops : config -> seed:int -> Workload.op array
 
 val shrink : config -> seed:int -> Workload.op array -> Workload.op array
 (** ddmin the op sequence (plus operand simplification) to a 1-minimal
-    sequence that still fails under {!run_ops}, in the style of
-    [Fuzz.Shrink]. Raises [Invalid_argument] if the input survives. *)
+    sequence that still fails under {!run_ops}, with the fuzzer's
+    {!Pmtest_util.Ddmin.pass}. Raises [Invalid_argument] if the input
+    survives. *)
 
 (** {1 Campaigns} *)
 
@@ -150,14 +159,18 @@ module Repro : sig
   }
 
   val config_of_case : case -> config
-  val of_finding : config -> name:string -> finding -> case
+  val of_finding : config -> finding -> case
+  (** Named [<fs>-<fault or clean>-seed<seed>]; the shrunk ops. *)
+
   val to_text : case -> string
   val of_text : name:string -> string -> (case, string) result
   val save : dir:string -> case -> string
-  (** Atomic write; returns the path. *)
+  (** Atomic write of [dir/<name>.pmt] (creating [dir] if needed);
+      returns the path. *)
 
   val load_dir : string -> (case list, string) result
-  (** Every [*.pmt] in the directory, sorted by name. *)
+  (** Every [*.pmt] in the directory, sorted by name; a missing
+      directory is an empty corpus. *)
 
   val replay : case -> (stats, string) result
   (** Re-run and compare the outcome against [expect_failure]. *)

@@ -21,51 +21,17 @@ type verdict = {
 
 let survived v = v.failures = []
 
-let run ?(config = default_config) ~machine ~recover ~steps ~step () =
-  if not (Machine.track_versions machine) then
-    invalid_arg "Crashtest.run: machine must be created with ~track_versions:true";
-  let rng = Rng.create config.seed in
-  let crash_points = ref 0 in
-  let images = ref 0 in
-  let exhaustive_points = ref 0 in
-  let failures = ref [] in
-  let try_image point img =
-    incr images;
-    let outcome =
-      match recover (Bytes.copy img) with
-      | Ok () -> None
-      | Error message -> Some message
-      | exception e -> Some ("recovery raised " ^ Printexc.to_string e)
-    in
-    match outcome with
-    | None -> ()
-    | Some message ->
-      if List.length !failures < config.max_failures then
-        failures := { crash_point = point; message } :: !failures
-  in
-  let inject point =
-    incr crash_points;
-    if Machine.crash_state_count machine <= float_of_int config.exhaustive_limit then begin
-      incr exhaustive_points;
-      ignore
-        (Machine.iter_crash_states ~limit:config.exhaustive_limit machine (try_image point))
-    end
-    else
-      for _ = 1 to config.samples_per_point do
-        try_image point (Machine.sample_crash_state machine rng)
-      done
-  in
-  inject (-1);
-  for i = 0 to steps - 1 do
-    step i;
-    if List.length !failures < config.max_failures then inject i
-  done;
-  {
-    crash_points = !crash_points;
-    images_tested = !images;
-    exhaustive_points = !exhaustive_points;
-    failures = List.rev !failures;
-  }
+let explore ~limit ~samples machine rng f =
+  if Machine.crash_state_count machine <= float_of_int limit then begin
+    ignore (Machine.iter_crash_states ~limit machine f);
+    true
+  end
+  else begin
+    for _ = 1 to samples do
+      f (Machine.sample_crash_state machine rng)
+    done;
+    false
+  end
 
 type live = {
   l_machine : Machine.t;
@@ -79,50 +45,62 @@ type live = {
   mutable l_failures : failure list;
 }
 
-let live_inject l =
-  if List.length l.l_failures < l.l_config.max_failures then begin
-    l.l_crash_points <- l.l_crash_points + 1;
-    let try_image img =
-      l.l_images <- l.l_images + 1;
-      let outcome =
-        match l.l_recover (Bytes.copy img) with
-        | Ok () -> None
-        | Error message -> Some message
-        | exception e -> Some ("recovery raised " ^ Printexc.to_string e)
-      in
-      match outcome with
-      | None -> ()
-      | Some message ->
-        if List.length l.l_failures < l.l_config.max_failures then
-          l.l_failures <- { crash_point = l.l_ops; message } :: l.l_failures
-    in
-    if Machine.crash_state_count l.l_machine <= float_of_int l.l_config.exhaustive_limit then begin
-      l.l_exhaustive <- l.l_exhaustive + 1;
-      ignore (Machine.iter_crash_states ~limit:l.l_config.exhaustive_limit l.l_machine try_image)
-    end
-    else
-      for _ = 1 to l.l_config.samples_per_point do
-        try_image (Machine.sample_crash_state l.l_machine l.l_rng)
-      done
-  end
+let live config ~machine ~recover ~who =
+  if not (Machine.track_versions machine) then
+    invalid_arg (who ^ ": machine must be created with ~track_versions:true");
+  {
+    l_machine = machine;
+    l_recover = recover;
+    l_config = config;
+    l_rng = Rng.create config.seed;
+    l_ops = 0;
+    l_crash_points = 0;
+    l_images = 0;
+    l_exhaustive = 0;
+    l_failures = [];
+  }
+
+let collecting l = List.length l.l_failures < l.l_config.max_failures
+
+let record l point message =
+  if collecting l then l.l_failures <- { crash_point = point; message } :: l.l_failures
+
+(* One crash point: recover every image [explore] yields. *)
+let inject l point =
+  l.l_crash_points <- l.l_crash_points + 1;
+  let try_image img =
+    l.l_images <- l.l_images + 1;
+    match l.l_recover (Bytes.copy img) with
+    | Ok () -> ()
+    | Error message -> record l point message
+    | exception e -> record l point ("recovery raised " ^ Printexc.to_string e)
+  in
+  let c = l.l_config in
+  if explore ~limit:c.exhaustive_limit ~samples:c.samples_per_point l.l_machine l.l_rng try_image
+  then l.l_exhaustive <- l.l_exhaustive + 1
+
+let verdict l =
+  {
+    crash_points = l.l_crash_points;
+    images_tested = l.l_images;
+    exhaustive_points = l.l_exhaustive;
+    failures = List.rev l.l_failures;
+  }
+
+let run ?(config = default_config) ~machine ~recover ~steps ~step () =
+  let l = live config ~machine ~recover ~who:"Crashtest.run" in
+  inject l (-1);
+  for i = 0 to steps - 1 do
+    step i;
+    if collecting l then inject l i
+  done;
+  verdict l
+
+let live_inject l = if collecting l then inject l l.l_ops
 
 let attach ?(config = default_config) ?(every = 4) ~machine ~recover () =
-  if not (Machine.track_versions machine) then
-    invalid_arg "Crashtest.attach: machine must be created with ~track_versions:true";
+  let l = live config ~machine ~recover ~who:"Crashtest.attach" in
   if every <= 0 then invalid_arg "Crashtest.attach: every must be positive";
-  let l =
-    {
-      l_machine = machine;
-      l_recover = recover;
-      l_config = config;
-      l_rng = Rng.create config.seed;
-      l_ops = 0;
-      l_crash_points = 0;
-      l_images = 0;
-      l_exhaustive = 0;
-      l_failures = [];
-    }
-  in
   let emit kind _loc =
     match (kind : Pmtest_trace.Event.kind) with
     | Pmtest_trace.Event.Op _ ->
@@ -134,12 +112,7 @@ let attach ?(config = default_config) ?(every = 4) ~machine ~recover () =
 
 let live_verdict l =
   live_inject l;
-  {
-    crash_points = l.l_crash_points;
-    images_tested = l.l_images;
-    exhaustive_points = l.l_exhaustive;
-    failures = List.rev l.l_failures;
-  }
+  verdict l
 
 let pp_verdict ppf v =
   if survived v then

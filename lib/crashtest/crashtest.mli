@@ -59,6 +59,15 @@ val run :
 
 val pp_verdict : Format.formatter -> verdict -> unit
 
+val explore :
+  limit:int -> samples:int -> Machine.t -> Pmtest_util.Rng.t -> (bytes -> unit) -> bool
+(** One crash point: call the function on every durable image the
+    machine could leave behind if it lost power now, when there are at
+    most [limit] of them, and return [true]; otherwise on [samples]
+    images drawn from [rng], and return [false]. The buffer may be
+    reused between calls — copy it to keep it. {!run}, {!attach} and
+    crashfs all explore through this. *)
+
 (** {1 Operation-granular injection}
 
     [run] injects crashes between program steps; correct transactional

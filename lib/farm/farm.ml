@@ -2,8 +2,6 @@ module Model = Pmtest_model.Model
 module Obs = Pmtest_obs.Obs
 module Wire = Pmtest_wire.Wire
 module Campaign = Pmtest_fuzz.Campaign
-module Gen = Pmtest_fuzz.Gen
-module Cross = Pmtest_fuzz.Cross
 module Fuzz_repro = Pmtest_fuzz.Repro
 module Crashfs = Pmtest_crashfs.Crashfs
 module Litmus = Pmtest_litmus.Litmus
@@ -23,72 +21,39 @@ type unit_result = {
   findings : (string * string) list;
 }
 
-let fuzz_findings model (stats : Campaign.stats) =
-  List.map
-    (fun (f : Campaign.finding) ->
-      let shrunk = { f.Campaign.program with Gen.events = f.Campaign.shrunk } in
-      let name =
-        Printf.sprintf "%s-seed%d-%s" (Model.kind_name model) f.Campaign.found_seed
-          (String.map (fun c -> if c = '/' then '-' else c) (Cross.pair_name f.Campaign.pair))
-      in
-      let case =
-        { Fuzz_repro.name; program = shrunk; checks = [ Fuzz_repro.Agree f.Campaign.pair ] }
-      in
-      (name, Fuzz_repro.case_text case))
-    stats.Campaign.findings
-
 let run_units (spec : Spec.t) ~lo ~hi =
   if hi < lo then Error "inverted job range"
   else
     match spec.Spec.kind with
     | Spec.Fuzz ->
-      let base = Campaign.default_cfg spec.Spec.model in
-      let gen =
-        match spec.Spec.max_ops with
-        | None -> base.Campaign.gen
-        | Some m -> { base.Campaign.gen with Gen.max_ops = m }
+      let stats = Campaign.run_range (Spec.campaign_cfg spec) ~lo ~hi in
+      let finding f =
+        let c = Fuzz_repro.of_finding f in
+        (c.Fuzz_repro.name, Fuzz_repro.case_text c)
       in
-      let cfg = { base with Campaign.gen } in
-      let stats = Campaign.run_range cfg ~lo ~hi in
       Ok
         {
           digest = Campaign.digest stats;
           units = hi - lo;
-          findings = fuzz_findings spec.Spec.model stats;
+          findings = List.map finding stats.Campaign.findings;
         }
-    | Spec.Crashfs -> (
-      let config =
-        { (Crashfs.default_config spec.Spec.fs) with Crashfs.model = spec.Spec.model }
-      in
-      let config =
-        match spec.Spec.max_ops with
-        | None -> config
-        | Some m -> { config with Crashfs.max_ops = m }
-      in
-      let config =
-        match spec.Spec.fault with
-        | None -> Ok config
-        | Some f -> Crashfs.with_fault config f
-      in
-      match config with
+    | Spec.Crashfs _ -> (
+      match Spec.crashfs_config spec with
       | Error e -> Error e
       | Ok config -> (
         match Crashfs.run_range config ~lo ~hi () with
         | exception Invalid_argument e -> Error e
         | c ->
-          let findings =
-            List.map
-              (fun (f : Crashfs.finding) ->
-                let name =
-                  Printf.sprintf "%s-%s-seed%d"
-                    (Crashfs.fs_kind_name spec.Spec.fs)
-                    (Option.value ~default:"clean" (Crashfs.fault_name config))
-                    f.Crashfs.f_seed
-                in
-                (name, Crashfs.Repro.to_text (Crashfs.Repro.of_finding config ~name f)))
-              c.Crashfs.findings
+          let finding f =
+            let case = Crashfs.Repro.of_finding config f in
+            (case.Crashfs.Repro.name, Crashfs.Repro.to_text case)
           in
-          Ok { digest = Crashfs.campaign_digest c; units = hi - lo; findings }))
+          Ok
+            {
+              digest = Crashfs.campaign_digest c;
+              units = hi - lo;
+              findings = List.map finding c.Crashfs.findings;
+            }))
     | Spec.Litmus ->
       let n = List.length Suite.all in
       if lo < 0 || hi > n then
@@ -166,13 +131,12 @@ module Coordinator = struct
     mutable closed : bool;
   }
 
-  let send_err fd msg = ignore (Wire.write_frame fd Wire.Err (Wire.encode_err msg))
-
   (* The campaign itself: one thread, one [select] over the listening
      fd and every connection.  Reads take what one read(2) delivered;
-     writes are bounded by [SO_SNDTIMEO]; the timeout is the
-     scheduler's next heartbeat expiry or steal time, or the oldest
-     handshake's deadline. *)
+     each frame written must go out whole within [heartbeat_timeout],
+     so a peer that drains a few bytes at a time cannot hold the loop;
+     the timeout is the scheduler's next heartbeat expiry or steal
+     time, or the oldest handshake's deadline. *)
   let serve cfg sched listen_fd =
     let spec_s = Spec.to_string cfg.spec in
     let conns = Hashtbl.create 16 (* fd -> conn *) in
@@ -185,16 +149,14 @@ module Coordinator = struct
         try Unix.close c.fd with Unix.Unix_error _ -> ()
       end
     in
+    let write c kind payload = Wire.write_frame ~timeout:cfg.heartbeat_timeout c.fd kind payload in
     let rec apply acts = List.iter act acts
     and act = function
       | Sched.Offer { wid; job; attempt; lo; hi } -> (
         match Hashtbl.find_opt links wid with
         | None -> ()  (* its link failed earlier in this batch *)
-        | Some c -> (
-          let payload = Wire.encode_job_offer ~job ~attempt ~lo ~hi ~spec:spec_s in
-          match Wire.write_frame c.fd Wire.Job_offer payload with
-          | Ok () -> ()
-          | Error _ -> drop c))
+        | Some c ->
+          send c Wire.Job_offer (Wire.encode_job_offer ~job ~attempt ~lo ~hi ~spec:spec_s))
       | Sched.Drop wid -> Option.iter close (Hashtbl.find_opt links wid)
       | Sched.Store { name; text } ->
         Checkpoint.write_atomic (Filename.concat cfg.triage_dir (name ^ ".pmt")) text
@@ -203,11 +165,13 @@ module Coordinator = struct
     and drop c =
       close c;
       Option.iter (fun wid -> apply (Sched.lost sched wid ~now:(now ()))) c.wid
-    in
+    (* A frame that did not go out whole leaves the stream unusable. *)
+    and send c kind payload = match write c kind payload with Ok () -> () | Error _ -> drop c in
+    let send_err c msg = send c Wire.Err (Wire.encode_err msg) in
     let hello c payload =
       match Wire.decode_worker_hello payload with
       | Error e ->
-        send_err c.fd (Wire.error_to_string e);
+        send_err c (Wire.error_to_string e);
         close c
       | Ok _name ->
         let wid, acts = Sched.join sched ~now:(now ()) in
@@ -216,14 +180,14 @@ module Coordinator = struct
         (* The ack goes out before any offer: an offer arriving first
            fails the worker's handshake. *)
         let ack = Wire.encode_worker_hello ~name:(Printf.sprintf "w%d" wid) in
-        (match Wire.write_frame c.fd Wire.Worker_hello ack with Ok () -> () | Error _ -> drop c);
+        send c Wire.Worker_hello ack;
         apply acts
     in
     let frame c (kind, payload) =
       match (c.wid, kind) with
       | None, Wire.Worker_hello -> hello c payload
       | None, kind ->
-        send_err c.fd (Printf.sprintf "expected worker-hello, got %s" (Wire.kind_name kind));
+        send_err c (Printf.sprintf "expected worker-hello, got %s" (Wire.kind_name kind));
         close c
       | Some wid, kind -> (
         let now = now () in
@@ -237,16 +201,16 @@ module Coordinator = struct
           match Wire.decode_job_result payload with
           | Ok (job, attempt, digest, units, _elapsed_ms, findings) when known job ->
             apply (Sched.result sched wid ~now ~job ~attempt ~digest ~units ~findings)
-          | Ok (job, _, _, _, _, _) -> send_err c.fd (Printf.sprintf "unknown job %d" job)
-          | Error e -> send_err c.fd ("bad job result: " ^ Wire.error_to_string e))
+          | Ok (job, _, _, _, _, _) -> send_err c (Printf.sprintf "unknown job %d" job)
+          | Error e -> send_err c ("bad job result: " ^ Wire.error_to_string e))
         | Wire.Job_refused -> (
           match Wire.decode_job_refused payload with
           | Ok (job, _attempt, reason) when known job ->
             apply (Sched.refusal sched wid ~now ~job ~reason)
-          | Ok (job, _, _) -> send_err c.fd (Printf.sprintf "unknown job %d" job)
-          | Error e -> send_err c.fd ("bad job refusal: " ^ Wire.error_to_string e))
+          | Ok (job, _, _) -> send_err c (Printf.sprintf "unknown job %d" job)
+          | Error e -> send_err c ("bad job refusal: " ^ Wire.error_to_string e))
         | Wire.Bye -> drop c
-        | kind -> send_err c.fd (Printf.sprintf "unexpected %s frame" (Wire.kind_name kind)))
+        | kind -> send_err c (Printf.sprintf "unexpected %s frame" (Wire.kind_name kind)))
     in
     let service c =
       match Wire.read_some c.reader with
@@ -260,11 +224,9 @@ module Coordinator = struct
       | exception Unix.Unix_error _ -> ()  (* the peer gave up, or out of fds *)
       | fd, _ ->
         (* Blocking, whatever it inherited from the listening fd: a full
-           socket buffer must wait out [SO_SNDTIMEO], not fail at once. *)
-        (try
-           Unix.clear_nonblock fd;
-           Unix.setsockopt_float fd Unix.SO_SNDTIMEO cfg.heartbeat_timeout
-         with Unix.Unix_error _ -> ());
+           socket buffer must wait out the frame's deadline, not fail at
+           once. *)
+        (try Unix.clear_nonblock fd with Unix.Unix_error _ -> ());
         Hashtbl.replace conns fd
           { fd; reader = Wire.reader fd; opened = now (); wid = None; closed = false }
     in
@@ -304,7 +266,7 @@ module Coordinator = struct
         let bye = not (Sched.crashed sched) in
         Hashtbl.iter
           (fun _ c ->
-            if bye && c.wid <> None then ignore (Wire.write_frame c.fd Wire.Bye "");
+            if bye && c.wid <> None then ignore (write c Wire.Bye "");
             try Unix.close c.fd with Unix.Unix_error _ -> ())
           conns)
       (fun () ->

@@ -34,13 +34,15 @@ module Crashfs = Pmtest_crashfs.Crashfs
 (** {1 Campaign specs} *)
 
 module Spec : sig
-  type kind = Spec.kind = Fuzz | Crashfs | Litmus
+  type kind = Spec.kind =
+    | Fuzz
+    | Crashfs of { fs : Crashfs.fs_kind; fault : string option }
+        (** [fault]: a seeded crashfs fault, by canonical name. *)
+    | Litmus
 
   type t = Spec.t = {
     kind : kind;
     model : Model.kind;
-    fs : Crashfs.fs_kind;  (** Crashfs campaigns only. *)
-    fault : string option;  (** Seeded crashfs fault (canonical name). *)
     seed : int;  (** Base seed ([Litmus]: base suite index). *)
     count : int;  (** Total units (programs / runs / tests). *)
     chunk : int;  (** Units per job. *)
@@ -48,7 +50,6 @@ module Spec : sig
   }
 
   val kind_name : kind -> string
-  val kind_of_name : string -> kind option
 
   val fuzz : ?max_ops:int -> model:Model.kind -> seed:int -> count:int -> chunk:int -> unit -> t
 
@@ -67,19 +68,36 @@ module Spec : sig
   (** The whole curated suite as index jobs over
       {!Pmtest_litmus.Suite.all}. *)
 
+  (** {2 What a spec runs}
+
+      The one derivation of each kind's configuration: {!run_units}
+      and [pmtest-cli fuzz], [crashfs] and [farm serve] all go through
+      these, so a farm job and a CLI run of the same spec explore the
+      same states and write the same reproducers. *)
+
+  val campaign_cfg : t -> Pmtest_fuzz.Campaign.cfg
+  (** {!Pmtest_fuzz.Campaign.default_cfg} under [model], over
+      [\[seed, seed + count)], with [max_ops] when given. *)
+
+  val crashfs_config : t -> (Crashfs.config, string) result
+  (** {!Pmtest_crashfs.Crashfs.make_config} from a [Crashfs] spec's file
+      system, fault, model and [max_ops]; [Error] for an unknown fault
+      or another kind. *)
+
   val to_string : t -> string
   (** One line, [kind key=value...]; round-trips through
       {!of_string}. This is what travels in [Job_offer] frames and
-      checkpoint files. *)
+      checkpoint files. [fs=] and [fault=] appear for crashfs only. *)
 
   val of_string : string -> (t, string) result
-  (** Parses and {!validate}s: a spec that decodes is runnable. *)
+  (** Parses and {!validate}s: a spec that decodes is runnable. [fs=]
+      and [fault=] are rejected outside crashfs. *)
 
   val validate : t -> (unit, string) result
   (** Rejects what no worker could ever run: negative seed or count
       (job ranges travel as unsigned varints), [chunk < 1], an unknown
-      crashfs fault name, a fault on a non-crashfs campaign.
-      {!Coordinator.run} applies this before offering any job. *)
+      crashfs fault name. {!Coordinator.run} applies this before
+      offering any job. *)
 
   val jobs : t -> (int * int * int) list
   (** [(id, lo, hi)] for every job: [count] units cut into [chunk]-sized
@@ -139,7 +157,9 @@ module Coordinator : sig
     heartbeat_timeout : float;
         (** Seconds without any frame from a worker before its jobs are
             reassigned. Also the deadline for a new connection's
-            [Worker_hello] and the send timeout of every write. *)
+            [Worker_hello] and for every frame written to a worker: a
+            peer that does not take a whole frame within it is
+            dropped. *)
     steal_after : float;
         (** Seconds in flight before an idle worker may be offered a
             duplicate attempt of a slow job. *)

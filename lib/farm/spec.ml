@@ -2,54 +2,59 @@
    in every [Job_offer] and checkpoint. *)
 
 module Model = Pmtest_model.Model
+module Campaign = Pmtest_fuzz.Campaign
+module Gen = Pmtest_fuzz.Gen
 module Crashfs = Pmtest_crashfs.Crashfs
 module Suite = Pmtest_litmus.Suite
 
-type kind = Fuzz | Crashfs | Litmus
+type kind = Fuzz | Crashfs of { fs : Crashfs.fs_kind; fault : string option } | Litmus
 
 type t = {
   kind : kind;
   model : Model.kind;
-  fs : Crashfs.fs_kind;
-  fault : string option;
   seed : int;
   count : int;
   chunk : int;
   max_ops : int option;
 }
 
-let kind_name = function Fuzz -> "fuzz" | Crashfs -> "crashfs" | Litmus -> "litmus"
-
-let kind_of_name = function
-  | "fuzz" -> Some Fuzz
-  | "crashfs" -> Some Crashfs
-  | "litmus" -> Some Litmus
-  | _ -> None
+let kind_name = function Fuzz -> "fuzz" | Crashfs _ -> "crashfs" | Litmus -> "litmus"
 
 let fuzz ?max_ops ~model ~seed ~count ~chunk () =
-  { kind = Fuzz; model; fs = Crashfs.Pmfs; fault = None; seed; count; chunk; max_ops }
+  { kind = Fuzz; model; seed; count; chunk; max_ops }
 
 let crashfs ?max_ops ?fault ~fs ~model ~seed ~count ~chunk () =
-  { kind = Crashfs; model; fs; fault; seed; count; chunk; max_ops }
+  { kind = Crashfs { fs; fault }; model; seed; count; chunk; max_ops }
 
 let litmus ~chunk () =
-  {
-    kind = Litmus;
-    model = Model.X86;
-    fs = Crashfs.Pmfs;
-    fault = None;
-    seed = 0;
-    count = List.length Suite.all;
-    chunk;
-    max_ops = None;
-  }
+  let count = List.length Suite.all in
+  { kind = Litmus; model = Model.X86; seed = 0; count; chunk; max_ops = None }
+
+let campaign_cfg t =
+  let base = Campaign.default_cfg t.model in
+  let gen =
+    match t.max_ops with
+    | None -> base.Campaign.gen
+    | Some m -> { base.Campaign.gen with Gen.max_ops = m }
+  in
+  { base with Campaign.gen; seed = t.seed; count = t.count }
+
+let crashfs_config t =
+  match t.kind with
+  | Crashfs { fs; fault } -> Crashfs.make_config ?max_ops:t.max_ops ?fault fs t.model
+  | Fuzz | Litmus -> Error (kind_name t.kind ^ " is not a crashfs campaign")
 
 let to_string t =
   let b = Buffer.create 64 in
   Buffer.add_string b (kind_name t.kind);
-  Printf.bprintf b " model=%s fs=%s seed=%d count=%d chunk=%d" (Model.kind_name t.model)
-    (Crashfs.fs_kind_name t.fs) t.seed t.count t.chunk;
-  Option.iter (fun f -> Printf.bprintf b " fault=%s" f) t.fault;
+  Printf.bprintf b " model=%s" (Model.kind_name t.model);
+  (match t.kind with
+  | Crashfs { fs; _ } -> Printf.bprintf b " fs=%s" (Crashfs.fs_kind_name fs)
+  | Fuzz | Litmus -> ());
+  Printf.bprintf b " seed=%d count=%d chunk=%d" t.seed t.count t.chunk;
+  (match t.kind with
+  | Crashfs { fault = Some f; _ } -> Printf.bprintf b " fault=%s" f
+  | _ -> ());
   Option.iter (fun m -> Printf.bprintf b " max_ops=%d" m) t.max_ops;
   Buffer.contents b
 
@@ -63,32 +68,26 @@ let validate t =
   else if t.count < 0 then Error "negative count"
   else if t.chunk < 1 then Error "chunk < 1"
   else
-    match (t.kind, t.fault) with
-    | _, None -> Ok ()
-    | Crashfs, Some f ->
-      Result.map (fun _ -> ()) (Crashfs.with_fault (Crashfs.default_config t.fs) f)
-    | (Fuzz | Litmus), Some _ ->
-      Error (Printf.sprintf "fault only applies to crashfs campaigns, not %s" (kind_name t.kind))
+    match t.kind with
+    | Crashfs _ -> Result.map ignore (crashfs_config t)
+    | Fuzz | Litmus -> Ok ()
 
 let of_string s =
   match String.split_on_char ' ' (String.trim s) with
   | [] | [ "" ] -> Error "empty campaign spec"
   | kind_s :: rest -> (
-    match kind_of_name kind_s with
+    let kind =
+      match kind_s with
+      | "fuzz" -> Some Fuzz
+      | "crashfs" -> Some (Crashfs { fs = Crashfs.Pmfs; fault = None })
+      | "litmus" -> Some Litmus
+      | _ -> None
+    in
+    match kind with
     | None -> Error (Printf.sprintf "unknown campaign kind %S" kind_s)
     | Some kind ->
       let spec =
-        ref
-          {
-            kind;
-            model = Model.X86;
-            fs = Crashfs.Pmfs;
-            fault = None;
-            seed = 0;
-            count = -1;
-            chunk = -1;
-            max_ops = None;
-          }
+        ref { kind; model = Model.X86; seed = 0; count = -1; chunk = -1; max_ops = None }
       in
       let err = ref None in
       let fail fmt = Printf.ksprintf (fun m -> if !err = None then err := Some m) fmt in
@@ -105,28 +104,31 @@ let of_string s =
                 | Some n -> f n
                 | None -> fail "bad integer %S for %s" value key
               in
-              match key with
-              | "model" -> (
+              match (key, !spec.kind) with
+              | "model", _ -> (
                 match Model.kind_of_string value with
                 | Some m -> spec := { !spec with model = m }
                 | None -> fail "unknown model %S" value)
-              | "fs" -> (
+              | "fs", Crashfs c -> (
                 match Crashfs.fs_kind_of_string value with
-                | Some f -> spec := { !spec with fs = f }
+                | Some fs -> spec := { !spec with kind = Crashfs { c with fs } }
                 | None -> fail "unknown fs %S" value)
-              | "fault" -> spec := { !spec with fault = Some value }
-              | "seed" -> int_val (fun n -> spec := { !spec with seed = n })
-              | "count" -> int_val (fun n -> spec := { !spec with count = n })
-              | "chunk" -> int_val (fun n -> spec := { !spec with chunk = n })
-              | "max_ops" -> int_val (fun n -> spec := { !spec with max_ops = Some n })
+              | "fault", Crashfs c ->
+                spec := { !spec with kind = Crashfs { c with fault = Some value } }
+              | ("fs" | "fault"), (Fuzz | Litmus) ->
+                fail "%s only applies to crashfs campaigns, not %s" key kind_s
+              | "seed", _ -> int_val (fun n -> spec := { !spec with seed = n })
+              | "count", _ -> int_val (fun n -> spec := { !spec with count = n })
+              | "chunk", _ -> int_val (fun n -> spec := { !spec with chunk = n })
+              | "max_ops", _ -> int_val (fun n -> spec := { !spec with max_ops = Some n })
               | _ -> fail "unknown spec key %S" key))
         rest;
-      (match !err with
+      match !err with
       | Some e -> Error e
       | None ->
         if !spec.count < 0 then Error "spec is missing count"
         else if !spec.chunk < 1 then Error "spec is missing chunk (or chunk < 1)"
-        else Result.map (fun () -> !spec) (validate !spec)))
+        else Result.map (fun () -> !spec) (validate !spec))
 
 let jobs t =
   let stop = t.seed + t.count in

@@ -149,11 +149,9 @@ let parse_header_line acc line =
   match acc with
   | Error _ as e -> e
   | Ok (name, model, pm_size, checks) -> (
-    match String.index_opt line ':' with
+    match Pmtest_util.Files.header_field line with
     | None -> acc (* free-form comment, e.g. the version banner *)
-    | Some i -> (
-      let key = String.sub line 0 i in
-      let value = String.trim (String.sub line (i + 1) (String.length line - i - 1)) in
+    | Some (key, value) -> (
       match key with
       | "name" -> Ok (Some value, model, pm_size, checks)
       | "model" -> (
@@ -215,25 +213,7 @@ let load_file path =
             checks = List.rev checks;
           }))
 
-let load_dir dir =
-  if not (Sys.file_exists dir) then Ok []
-  else begin
-    let files =
-      Sys.readdir dir |> Array.to_list
-      |> List.filter (fun f -> Filename.check_suffix f ".pmt")
-      |> List.sort compare
-    in
-    List.fold_left
-      (fun acc f ->
-        match acc with
-        | Error _ as e -> e
-        | Ok cases -> (
-          match load_file (Filename.concat dir f) with
-          | Ok c -> Ok (c :: cases)
-          | Error _ as e -> e))
-      (Ok []) files
-    |> Result.map List.rev
-  end
+let load_dir dir = Pmtest_util.Files.load_corpus dir load_file
 
 (* Dedupe bookkeeping for [save]: digest -> path, one table per corpus
    directory, built by scanning the directory once per process and kept
@@ -249,15 +229,12 @@ let index_for dir =
   | Some idx -> idx
   | None ->
     let idx = Hashtbl.create 64 in
-    if Sys.file_exists dir then
-      Array.iter
-        (fun f ->
-          if Filename.check_suffix f ".pmt" then
-            let path = Filename.concat dir f in
-            match load_file path with
-            | Ok c -> Hashtbl.replace idx (case_digest c) path
-            | Error _ -> ())
-        (Sys.readdir dir);
+    List.iter
+      (fun path ->
+        match load_file path with
+        | Ok c -> Hashtbl.replace idx (case_digest c) path
+        | Error _ -> ())
+      (Pmtest_util.Files.corpus_files dir);
     Hashtbl.replace digest_index dir idx;
     idx
 
@@ -272,6 +249,14 @@ let save ~dir c =
     Serial.save_file ~header:(header_of_case c) path c.program.Gen.events;
     Hashtbl.replace idx digest path;
     path
+
+let of_finding (f : Campaign.finding) =
+  let program = { f.Campaign.program with Gen.events = f.Campaign.shrunk } in
+  let name =
+    Printf.sprintf "%s-seed%d-%s" (Model.kind_name program.Gen.model) f.Campaign.found_seed
+      (String.map (fun c -> if c = '/' then '-' else c) (Cross.pair_name f.Campaign.pair))
+  in
+  { name; program; checks = [ Agree f.Campaign.pair ] }
 
 let run_check c = function
   | Agree pair -> (

@@ -59,6 +59,10 @@ val case_digest : case -> string
     campaign-specific seed) does not contribute, so the same bug found
     by different campaigns dedupes. *)
 
+val of_finding : Campaign.finding -> case
+(** The shrunk program, named [<model>-seed<seed>-<pair>], checking that
+    the pair agrees. *)
+
 val save : dir:string -> case -> string
 (** Write [dir/<name>.pmt] (creating [dir] if needed); returns the
     path. If a case with the same {!case_digest} already exists in

@@ -1,33 +1,6 @@
 open Pmtest_model
 open Pmtest_trace
 
-(* Remove the half-open index range [lo, hi). *)
-let without events lo hi =
-  let n = Array.length events in
-  Array.init (n - (hi - lo)) (fun i -> if i < lo then events.(i) else events.(i + (hi - lo)))
-
-(* One ddmin pass: chunked removal at granularity [k] halving down to 1.
-   Returns the (possibly) smaller array; [changed] reports progress. *)
-let ddmin ~pred events =
-  let events = ref events in
-  let changed = ref false in
-  let chunk = ref (max 1 (Array.length !events / 2)) in
-  while !chunk >= 1 do
-    let i = ref 0 in
-    while !i < Array.length !events do
-      let hi = min (Array.length !events) (!i + !chunk) in
-      let candidate = without !events !i hi in
-      if Array.length candidate < Array.length !events && pred candidate then begin
-        events := candidate;
-        changed := true
-        (* keep [i]: the next chunk slid into place *)
-      end
-      else i := !i + !chunk
-    done;
-    chunk := if !chunk = 1 then 0 else !chunk / 2
-  done;
-  (!events, !changed)
-
 let with_kind (e : Event.t) kind = { e with Event.kind }
 
 (* Candidate simplifications of one event, most aggressive first. *)
@@ -126,7 +99,7 @@ let minimize ?(max_rounds = 8) ~pred events =
   let continue = ref true in
   while !continue && !round < max_rounds do
     incr round;
-    let e1, c1 = ddmin ~pred !events in
+    let e1, c1 = Pmtest_util.Ddmin.pass ~pred !events in
     let e2, c2 = simplify ~pred e1 in
     events := e2;
     continue := c1 || c2

@@ -17,3 +17,30 @@ let write_atomic path write =
   | exception e ->
     (try Sys.remove tmp with Sys_error _ -> ());
     raise e
+
+let corpus_files dir =
+  if not (Sys.file_exists dir) then []
+  else
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f ->
+           Filename.check_suffix f ".pmt" && not (Sys.is_directory (Filename.concat dir f)))
+    |> List.sort compare
+    |> List.map (Filename.concat dir)
+
+let load_corpus dir load =
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
+    | path :: rest -> (
+      match load path with
+      | Ok c -> go (c :: acc) rest
+      | Error _ as e -> e
+      | exception Sys_error e -> Error e)
+  in
+  match corpus_files dir with exception Sys_error e -> Error e | files -> go [] files
+
+let header_field line =
+  match String.index_opt line ':' with
+  | None -> None
+  | Some i ->
+    let value = String.sub line (i + 1) (String.length line - i - 1) in
+    Some (String.trim (String.sub line 0 i), String.trim value)

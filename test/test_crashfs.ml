@@ -276,6 +276,35 @@ let test_repro_save_beside_stale_tmp () =
   Alcotest.(check (list string)) "only the case and the stale dir" [ "stale.pmt"; "stale.pmt.tmp" ]
     entries
 
+(* A corpus directory that does not exist yet is an empty corpus, and
+   the first save creates it. *)
+let test_repro_fresh_corpus_dir () =
+  let root =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "pmtest-crashfs-fresh-%d" (Unix.getpid ()))
+  in
+  let dir = Filename.concat root "new" in
+  Alcotest.(check int) "a missing directory is an empty corpus" 0
+    (List.length (ok (Crashfs.Repro.load_dir dir)));
+  let case =
+    {
+      Crashfs.Repro.name = "fresh";
+      fs = Crashfs.Pmfs;
+      model = Pmtest_model.Model.X86;
+      seed = 1;
+      fault = Some "skip-journal-flush";
+      expect_failure = true;
+      ops = pmfs_bug_ops;
+    }
+  in
+  let path = Crashfs.Repro.save ~dir case in
+  let loaded = ok (Crashfs.Repro.load_dir dir) in
+  Sys.remove path;
+  Sys.rmdir dir;
+  Sys.rmdir root;
+  Alcotest.(check string) "saved under its name" (Filename.concat dir "fresh.pmt") path;
+  Alcotest.(check bool) "the saved case loads back" true (loaded = [ case ])
+
 let test_repro_rejects_garbage () =
   (match Crashfs.Repro.of_text ~name:"x" "not a case\n" with
   | Error _ -> ()
@@ -359,5 +388,6 @@ let () =
           Alcotest.test_case "shrink keeps the failure" `Quick
             test_shrink_is_minimal_and_still_fails;
           Alcotest.test_case "save ignores a stale .tmp" `Quick test_repro_save_beside_stale_tmp;
+          Alcotest.test_case "fresh corpus directory" `Quick test_repro_fresh_corpus_dir;
         ] );
     ]

@@ -104,20 +104,27 @@ let start_worker ?(attempts = 8) ~socket name =
 
 let test_spec_round_trip () =
   List.iter
-    (fun spec ->
+    (fun (spec, want) ->
       let s = Farm.Spec.to_string spec in
+      Alcotest.(check string) "rendering" want s;
       match Farm.Spec.of_string s with
       | Error e -> Alcotest.failf "%s: %s" s e
       | Ok got ->
         Alcotest.(check bool) (s ^ " survives") true (got = spec);
         Alcotest.(check string) "renders identically" s (Farm.Spec.to_string got))
     [
-      fuzz_spec;
-      crash_spec;
-      Farm.Spec.fuzz ~model:Model.Cxl ~seed:1000 ~count:1 ~chunk:1 ();
-      Farm.Spec.crashfs ~max_ops:12 ~fs:Crashfs.Nova ~model:Model.Eadr ~seed:7 ~count:50
-        ~chunk:9 ();
-      Farm.Spec.litmus ~chunk:4 ();
+      (fuzz_spec, "fuzz model=x86 seed=0 count=40 chunk=10 max_ops=10");
+      ( crash_spec,
+        "crashfs model=x86 fs=pmfs seed=0 count=30 chunk=10 fault=skip-journal-flush" );
+      ( Farm.Spec.fuzz ~model:Model.Cxl ~seed:1000 ~count:1 ~chunk:1 (),
+        "fuzz model=cxl seed=1000 count=1 chunk=1" );
+      ( Farm.Spec.crashfs ~max_ops:12 ~fs:Crashfs.Nova ~model:Model.Eadr ~seed:7 ~count:50
+          ~chunk:9 (),
+        "crashfs model=eadr fs=nova seed=7 count=50 chunk=9 max_ops=12" );
+      ( Farm.Spec.crashfs ~max_ops:6 ~fault:"skip-tail-persist" ~fs:Crashfs.Nova ~model:Model.Hops
+          ~seed:3 ~count:8 ~chunk:2 (),
+        "crashfs model=hops fs=nova seed=3 count=8 chunk=2 fault=skip-tail-persist max_ops=6" );
+      (Farm.Spec.litmus ~chunk:4 (), "litmus model=x86 seed=0 count=25 chunk=4");
     ]
 
 let test_spec_rejects_garbage () =
@@ -139,6 +146,8 @@ let test_spec_rejects_garbage () =
       "fuzz model=x86 seed=-3 count=1 chunk=1";
       "crashfs model=x86 fs=pmfs fault=no-such-fault seed=0 count=1 chunk=1";
       "fuzz model=x86 fault=skip-journal-flush seed=0 count=1 chunk=1";
+      "fuzz model=x86 fs=nova seed=0 count=1 chunk=1";
+      "litmus model=x86 fs=pmfs seed=0 count=25 chunk=5";
     ]
 
 let test_spec_jobs_cover_the_range () =
@@ -156,6 +165,37 @@ let test_run_units_deterministic () =
     Alcotest.(check string) "same job, same digest" a.Farm.digest b.Farm.digest;
     Alcotest.(check int) "units" 10 a.Farm.units
   | Error e, _ | _, Error e -> Alcotest.failf "run_units: %s" e
+
+(* Pinned digests, one row per campaign kind: two runs of the same code
+   always agree, so only fixed values catch a change to what a job
+   derives from its spec (config, generator, shrinker, digest text).
+   The faulty crashfs rows have findings, so both shrinkers run. *)
+let test_run_units_golden () =
+  let crashfs ?fault fs ~count =
+    Farm.Spec.crashfs ?fault ~fs ~model:Model.X86 ~seed:0 ~count ~chunk:count ()
+  in
+  List.iter
+    (fun (spec, hi, want) ->
+      let what = Printf.sprintf "%s [0, %d)" (Farm.Spec.to_string spec) hi in
+      match Farm.run_units spec ~lo:0 ~hi with
+      | Error e -> Alcotest.failf "%s: %s" what e
+      | Ok r -> Alcotest.(check string) what want r.Farm.digest)
+    [
+      ( Farm.Spec.fuzz ~max_ops:16 ~model:Model.X86 ~seed:0 ~count:48 ~chunk:48 (),
+        48,
+        "8fba58ff78152701f6106705095539ea" );
+      ( Farm.Spec.fuzz ~model:Model.Hops ~seed:0 ~count:24 ~chunk:24 (),
+        24,
+        "4f479fa80e6ea67db7f88bc1d4656d53" );
+      ( crashfs ~fault:"skip-journal-flush" Crashfs.Pmfs ~count:4,
+        4,
+        "d19c23481aa84760262dfa6f2e1de11f" );
+      ( crashfs ~fault:"skip-tail-persist" Crashfs.Nova ~count:4,
+        4,
+        "531b08c435704b0110c00b8e26120f5c" );
+      (crashfs Crashfs.Pmfs ~count:8, 8, "f55e41197f8f9b85b372fe2a6a80f067");
+      (Farm.Spec.litmus ~chunk:25 (), 25, "92b7e506a6d92c820236558198a6aa91");
+    ]
 
 (* --- Checkpoints ------------------------------------------------------------- *)
 
@@ -383,6 +423,88 @@ let test_silent_peer_does_not_hang () =
             s.Farm.Coordinator.jobs_done;
           Alcotest.(check bool) "teardown closes the late silent peer" true
             (closed_by_peer (Option.get !late))))
+
+let test_trickling_peer_is_dropped () =
+  (* A worker floods the coordinator with bad frames and then takes the
+     error replies a few bytes at a time.  Once those replies fill its
+     socket buffer, every frame written to it must still go out whole
+     within [heartbeat_timeout]: the coordinator drops the peer and an
+     honest worker finishes the campaign while the trickle goes on.
+     With a deadline per write(2) instead, each reply could wait out a
+     full timeout and the peer held the loop for as long as it liked. *)
+  with_dir (fun dir ->
+      let socket = next_socket () in
+      let timeout = 0.3 in
+      let cfg =
+        {
+          (Farm.Coordinator.default_cfg ~spec:fuzz_spec ~socket ~dir) with
+          Farm.Coordinator.heartbeat_timeout = timeout;
+        }
+      in
+      let ((_, result) as coord) = start_coordinator cfg in
+      let fd = Unix.socket ~cloexec:true PF_UNIX SOCK_STREAM 0 in
+      Unix.connect fd (ADDR_UNIX socket);
+      must_write fd Wire.Worker_hello (Wire.encode_worker_hello ~name:"trickle");
+      (match must_read (Wire.reader fd) with
+      | Wire.Worker_hello, _ -> ()
+      | kind, _ -> Alcotest.failf "expected hello ack, got %s" (Wire.kind_name kind));
+      let dropped = Atomic.make false and stop = Atomic.make false in
+      (* A worker never sends offers: each one earns an [Err] reply.
+         They go out a thousand per write(2), so a single read on the
+         coordinator's side already owes more replies than a socket
+         buffer holds. *)
+      let offers =
+        let r, w = Unix.pipe ~cloexec:true () in
+        must_write w Wire.Job_offer "";
+        let one = Bytes.create Wire.header_len in
+        ignore (Unix.read r one 0 Wire.header_len);
+        List.iter Unix.close [ r; w ];
+        String.concat "" (List.init 1000 (fun _ -> Bytes.to_string one))
+      in
+      let flood =
+        Thread.create
+          (fun () ->
+            (try
+               while true do
+                 ignore (Unix.write_substring fd offers 0 (String.length offers))
+               done
+             with Unix.Unix_error _ -> ());
+            Atomic.set dropped true)
+          ()
+      in
+      let trickle =
+        Thread.create
+          (fun () ->
+            let buf = Bytes.create 8 and until = Unix.gettimeofday () +. 8.0 in
+            Unix.setsockopt_float fd SO_RCVTIMEO (timeout /. 3.);
+            while (not (Atomic.get stop)) && Unix.gettimeofday () < until do
+              (try ignore (Unix.read fd buf 0 8) with Unix.Unix_error _ -> ());
+              Thread.delay (timeout /. 3.)
+            done;
+            (* Wakes the flood thread if the coordinator never let go. *)
+            try Unix.shutdown fd SHUTDOWN_ALL with Unix.Unix_error _ -> ())
+          ()
+      in
+      let w =
+        Thread.create
+          (fun () ->
+            ignore
+              (Farm.Worker.run
+                 { (Farm.Worker.default_cfg ~socket ~name:"honest") with hb_interval = 0.05 }))
+          ()
+      in
+      let dropped_in_time = within 4.0 (fun () -> Atomic.get dropped) in
+      let finished_in_time = within 4.0 (fun () -> !result <> None) in
+      Atomic.set stop true;
+      List.iter Thread.join [ flood; trickle ];
+      Unix.close fd;
+      let s = finish_coordinator coord in
+      Thread.join w;
+      Alcotest.(check bool) "the trickling peer is dropped" true dropped_in_time;
+      Alcotest.(check bool) "the campaign finishes meanwhile" true finished_in_time;
+      Alcotest.(check int) "all jobs done" s.Farm.Coordinator.jobs s.Farm.Coordinator.jobs_done;
+      Alcotest.(check bool) "its job went to the honest worker" true
+        (s.Farm.Coordinator.reassigned >= 1))
 
 let test_duplicate_result_mismatch_flags_nondet () =
   (* Replay verification: a second result for an already-done job whose
@@ -918,8 +1040,10 @@ let () =
             test_spec_jobs_cover_the_range;
         ] );
       ( "jobs",
-        [ Alcotest.test_case "run_units is deterministic" `Quick test_run_units_deterministic ]
-      );
+        [
+          Alcotest.test_case "run_units is deterministic" `Quick test_run_units_deterministic;
+          Alcotest.test_case "run_units digests are pinned" `Quick test_run_units_golden;
+        ] );
       ( "checkpoint",
         [ Alcotest.test_case "save/load round trip" `Quick test_checkpoint_round_trip ] );
       ( "campaign",
@@ -941,6 +1065,8 @@ let () =
             test_invalid_specs_rejected_before_serving;
           Alcotest.test_case "silent peers cannot hang the run" `Quick
             test_silent_peer_does_not_hang;
+          Alcotest.test_case "trickling peers cannot hold the loop" `Quick
+            test_trickling_peer_is_dropped;
         ] );
       ("sched", [ QCheck_alcotest.to_alcotest prop_sched_matches_model ]);
     ]
