@@ -794,10 +794,11 @@ let perf () =
   let codec_speedup = ns_boxed /. ns_packed in
   Fmt.pr "  emit speedup: %.2fx@." codec_speedup;
   row ~layer:"codec" ~metric:"emit_speedup" ~unit:"x" ~better:`Higher codec_speedup;
-  (* 2. Engine dispatch: one pre-recorded section checked from a boxed
-     array ([check], [on_entry]) and from a packed arena ([check_packed],
-     the [on_view] cursor).  Both run over the same shadow memory, so
-     this isolates dispatch and may read below 1x. *)
+  (* 2. Engine entry: one pre-recorded section checked from a boxed
+     array ([check], mapped by [Packed.set_view]) and from a packed arena
+     ([check_packed], decoded by the [Packed.read] cursor).  Both feed one
+     dispatcher over one shadow memory, so this isolates decoding and
+     may read below 1x. *)
   let section = ctree_section 256 in
   let packed_section = Packed.of_events section in
   let reps = 200 in
@@ -808,12 +809,12 @@ let perf () =
     time (fun () -> for _ = 1 to reps do ignore (Engine.check_packed packed_section) done)
   in
   let ev = float_of_int (Array.length section * reps) in
-  Fmt.pr "@.engine dispatch on a %d-entry ctree section (x%d), one shared shadow:@."
+  Fmt.pr "@.engine entry on a %d-entry ctree section (x%d), one dispatcher and shadow:@."
     (Array.length section) reps;
-  Fmt.pr "  %-24s %10.0f ev/s@." "array dispatch (check)" (ev /. t_box);
+  Fmt.pr "  %-24s %10.0f ev/s@." "boxed array (check)" (ev /. t_box);
   Fmt.pr "  %-24s %10.0f ev/s@." "cursor (check_packed)" (ev /. t_pak);
   let engine_speedup = t_box /. t_pak in
-  Fmt.pr "  cursor-over-array dispatch speedup: %.2fx@." engine_speedup;
+  Fmt.pr "  cursor-over-array decode speedup: %.2fx@." engine_speedup;
   row ~layer:"engine/ctree-section" ~metric:"cursor_dispatch_speedup" ~unit:"x" ~better:`Higher
     engine_speedup;
   (* 3. Fig. 10a subset end to end at workers=0: the whole pipeline with
@@ -858,17 +859,17 @@ let perf () =
   Fmt.pr
     "@.(the packed path removes one heap block per traced event; both paths check@.";
   Fmt.pr
-    " over the same page-indexed shadow, and test_packed and the engine/packed fuzz@.";
-  Fmt.pr " contract pin their dispatchers and the arena codec to identical verdicts)@.";
+    " through one dispatcher and one page-indexed shadow, and test_packed and the@.";
+  Fmt.pr " engine/packed fuzz contract pin the arena codec to identical verdicts)@.";
   (* The gate pins the representation-owned metrics (codec emit, engine
-     dispatch): the whole-run numbers are dominated by the shared workload +
+     decode): the whole-run numbers are dominated by the shared workload +
      engine cost and swing +-10% with machine noise on small sections, so
      they are reported but not gated. *)
   let rep_geo = sqrt (codec_speedup *. engine_speedup) in
   row ~layer:"gate/representation" ~metric:"geomean_speedup" ~unit:"x" ~better:`Higher rep_geo;
   if !gate && rep_geo < 1.0 then
     fail_gate
-      "packed representation slower than boxed (codec %.2fx x dispatch %.2fx, geomean %.3fx < 1.0)"
+      "packed representation slower than boxed (codec %.2fx x decode %.2fx, geomean %.3fx < 1.0)"
       codec_speedup engine_speedup rep_geo
 
 (* --- pmtestd service overhead ----------------------------------------------------------- *)

@@ -1315,11 +1315,20 @@ let attach_cmd =
 
 (* --- farm -------------------------------------------------------------------- *)
 
+(* A flag the campaign kind has no use for is refused in
+   [Spec.of_string]'s words, not dropped. *)
 let farm_spec campaign model fs fault seed count chunk max_ops =
-  match campaign with
-  | `Fuzz -> Farm.Spec.fuzz ?max_ops ~model ~seed ~count ~chunk ()
-  | `Crashfs -> Farm.Spec.crashfs ?max_ops ?fault ~fs ~model ~seed ~count ~chunk ()
-  | `Litmus -> Farm.Spec.litmus ~chunk ()
+  let kind = match campaign with `Fuzz -> "fuzz" | `Crashfs -> "crashfs" | `Litmus -> "litmus" in
+  let stray flag = Error (Printf.sprintf "%s only applies to crashfs campaigns, not %s" flag kind) in
+  match (campaign, fs, fault, max_ops) with
+  | (`Fuzz | `Litmus), Some _, _, _ -> stray "fs"
+  | (`Fuzz | `Litmus), _, Some _, _ -> stray "fault"
+  | `Litmus, _, _, Some _ -> Error "max-ops only applies to fuzz and crashfs campaigns, not litmus"
+  | `Fuzz, _, _, _ -> Ok (Farm.Spec.fuzz ?max_ops ~model ~seed ~count ~chunk ())
+  | `Crashfs, _, _, _ ->
+    let fs = Option.value fs ~default:Crashfs.Pmfs in
+    Ok (Farm.Spec.crashfs ?max_ops ?fault ~fs ~model ~seed ~count ~chunk ())
+  | `Litmus, _, _, _ -> Ok (Farm.Spec.litmus ~chunk ())
 
 let run_farm_serve resume socket dir campaign model fs fault seed count chunk max_ops capacity
     heartbeat_timeout steal_after stop_after profile =
@@ -1338,11 +1347,15 @@ let run_farm_serve resume socket dir campaign model fs fault seed count chunk ma
     Fmt.epr "pmfarm: nothing to resume: no readable checkpoint in %s@." dir;
     2
   | _ ->
-  let spec =
+  match
     match resumed_spec with
-    | Some spec -> spec
+    | Some spec -> Ok spec
     | None -> farm_spec campaign model fs fault seed count chunk max_ops
-  in
+  with
+  | Error e ->
+    Fmt.epr "pmfarm: %s@." e;
+    2
+  | Ok spec ->
   let obs = if profile then Obs.create () else Obs.disabled in
   let cfg =
     {
@@ -1428,9 +1441,9 @@ let farm_campaign_args =
     Arg.(
       value
         (opt
-           (enum [ ("pmfs", Crashfs.Pmfs); ("nova", Crashfs.Nova) ])
-           Crashfs.Pmfs
-           (info [ "fs" ] ~doc:"File system for crashfs campaigns.")))
+           (some (enum [ ("pmfs", Crashfs.Pmfs); ("nova", Crashfs.Nova) ]))
+           None
+           (info [ "fs" ] ~doc:"File system for crashfs campaigns (default $(b,pmfs)).")))
   in
   let fault =
     Arg.(

@@ -30,58 +30,17 @@ let encode_prelude events =
 let empty_prelude = lazy (encode_prelude [||])
 
 let connect ?(model = Model.X86) ~socket () =
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-  match Unix.socket ~cloexec:true PF_UNIX SOCK_STREAM 0 with
-  | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
-  | fd -> (
-    match Unix.connect fd (ADDR_UNIX socket) with
-    | exception Unix.Unix_error (e, _, _) ->
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      Error (Printf.sprintf "cannot connect to %s: %s" socket (Unix.error_message e))
-    | () -> (
-      let fail msg =
-        (try Unix.close fd with Unix.Unix_error _ -> ());
-        Error msg
-      in
-      let reader = Wire.reader fd in
-      match Wire.write_frame fd Wire.Hello (Wire.encode_hello ~model) with
-      | Error e -> fail (err_of e)
-      | Ok () -> (
-        match Wire.read_one reader with
-        | Error e -> fail (err_of e)
-        | Ok (Wire.Err, payload) ->
-          fail
-            (match Wire.decode_err payload with
-            | Ok m -> "server refused session: " ^ m
-            | Error e -> err_of e)
-        | Ok (Wire.Hello_ack, payload) -> (
-          match Wire.decode_hello_ack payload with
-          | Error e -> fail (err_of e)
-          | Ok (_session, _max_inflight, policy) ->
-            Ok { fd; reader; model; policy; sent_prelude = Lazy.force empty_prelude; closed = false })
-        | Ok (kind, _) -> fail (Printf.sprintf "unexpected %s frame" (Wire.kind_name kind)))))
+  Wire.dial ~socket
+    ~hello:(Wire.Hello, Wire.encode_hello ~model)
+    ~reply:(Wire.Hello_ack, Wire.decode_hello_ack)
+    ~refused:"server refused session"
+  |> Result.map (fun (fd, reader, (_session, _max_inflight, policy)) ->
+         { fd; reader; model; policy; sent_prelude = Lazy.force empty_prelude; closed = false })
 
-(* Exponential backoff with full-range jitter (0.5x..1.5x of the
-   nominal delay): workers of one farm that all lose the coordinator at
-   once must not reconnect in lockstep. *)
 let connect_retry ?model ?(attempts = 8) ?(base_delay = 0.05) ?(max_delay = 2.0) ?on_retry
     ~socket () =
   if attempts < 1 then invalid_arg "Client.connect_retry: attempts < 1";
-  let rng = Random.State.make_self_init () in
-  let rec go n delay =
-    match connect ?model ~socket () with
-    | Ok _ as ok -> ok
-    | Error e ->
-      if n + 1 >= attempts then
-        Error (Printf.sprintf "%s (after %d attempt(s))" e attempts)
-      else begin
-        let jittered = delay *. (0.5 +. Random.State.float rng 1.0) in
-        (match on_retry with Some f -> f ~attempt:(n + 1) ~delay:jittered e | None -> ());
-        (try Unix.sleepf jittered with Unix.Unix_error _ -> ());
-        go (n + 1) (Float.min max_delay (delay *. 2.0))
-      end
-  in
-  go 0 base_delay
+  Wire.retry ~attempts ~base_delay ~max_delay ?on_retry (connect ?model ~socket)
 
 let policy t = t.policy
 

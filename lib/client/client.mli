@@ -26,13 +26,9 @@ val connect_retry :
   socket:string ->
   unit ->
   (t, string) result
-(** {!connect} with exponential backoff: after a failure, sleep
-    [base_delay] (default 50 ms) doubling up to [max_delay] (default
-    2 s), each sleep jittered to 0.5x..1.5x so a fleet of workers that
-    lost their coordinator together does not reconnect in lockstep.
-    Gives up after [attempts] (default 8) tries; [on_retry] fires
-    before each sleep with the upcoming delay and the error just
-    seen. *)
+(** {!connect} under {!Wire.retry}: [attempts] (default 8) tries with
+    jittered backoff from [base_delay] (default 50 ms) doubling up to
+    [max_delay] (default 2 s). *)
 
 val policy : t -> Wire.policy
 (** The backpressure contract the server announced in its ack. *)

@@ -13,9 +13,11 @@ type snapshot = { timestamp : int; ranges : range_status list }
 type pending_diag = { kind : Report.kind; loc : Loc.t; render : unit -> string }
 
 (* One pass over one shadow memory: the page-indexed mutable
-   {!Page_map}, whatever form the section arrives in.  Boxed events go
-   through [on_entry], packed arenas through the [on_view] cursor; both
-   drive the same transitions below.
+   {!Page_map}, and one dispatcher, [on_view], whatever form the section
+   arrives in.  A packed arena is decoded into the state's view by the
+   cursor; a boxed event is mapped into the same view by
+   [Packed.set_view], the encoder's own map, so no second match over
+   [Event.kind] exists to drift from the first.
 
    Local status of a modified byte range (paper §4.4): a {e slot}, an
    index into three int arrays — the epoch of its last write, the epoch
@@ -484,60 +486,13 @@ let drain st =
   st.now <- st.now + 1;
   push_dfence st
 
-let on_op st lid op =
-  st.ops <- st.ops + 1;
-  if not (Model.valid_op st.model op) then invalid_op st lid op
-  else begin
-    match op with
-    | Model.Write { addr; size } -> on_write st lid ~addr ~size
-    | Model.Clwb { addr; size } ->
-      if st.model = Model.Eadr then eadr_clwb st lid ~addr ~size
-      else on_clwb st lid ~addr ~size
-    | Model.Sfence -> if st.model <> Model.Eadr then st.now <- st.now + 1
-    | Model.Ofence -> st.now <- st.now + 1
-    | Model.Dfence | Model.Gpf -> drain st
-  end
-
 let on_exclude st ~addr ~size = exclude_range st ~lo:addr ~hi:(addr + size)
 let on_include st ~addr ~size = ignore (include_range st ~lo:addr ~hi:(addr + size))
 
-(* [lid] is the entry's location id (see [state]). *)
-let on_entry st lid (e : Event.t) =
-  st.entries <- st.entries + 1;
-  match e.kind with
-  | Event.Op op -> on_op st lid op
-  | Event.Checker c -> begin
-    st.checkers <- st.checkers + 1;
-    match c with
-    | Event.Is_persist { addr; size } -> on_is_persist st lid ~addr ~size
-    | Event.Is_ordered_before { a_addr; a_size; b_addr; b_size } ->
-      on_is_ordered_before st lid ~a_addr ~a_size ~b_addr ~b_size
-  end
-  | Event.Tx tx -> begin
-    match tx with
-    | Event.Tx_begin ->
-      if st.tx_depth = 0 then Page_map.reset st.logged;
-      st.tx_depth <- st.tx_depth + 1
-    | Event.Tx_add { addr; size } -> on_tx_add st lid ~addr ~size
-    | Event.Tx_commit | Event.Tx_abort ->
-      st.tx_depth <- max 0 (st.tx_depth - 1);
-      if st.tx_depth = 0 then Page_map.reset st.logged
-    | Event.Tx_checker_start ->
-      st.scope_active <- true;
-      Page_map.reset st.scope_writes
-    | Event.Tx_checker_end -> on_tx_checker_end st lid
-  end
-  | Event.Control c -> begin
-    match c with
-    | Event.Exclude { addr; size } -> on_exclude st ~addr ~size
-    | Event.Include { addr; size } -> on_include st ~addr ~size
-    | Event.Lint_off _ | Event.Lint_on _ ->
-      (* Static-lint suppression scopes mean nothing to the dynamic engine. *)
-      ()
-  end
-
-(* Packed dispatch: same transitions as [on_entry], decoded straight
-   from the cursor view.  Op validity mirrors [Model.valid_op] without
+(* The one dispatcher: every entry reaches the transitions above as a
+   {!Packed.view}, decoded by [Packed.read] from an arena or filled by
+   [Packed.set_view] from a boxed event.  [lid] is the entry's location
+   id (see [state]).  Op validity mirrors [Model.valid_op] without
    building an op value; the boxed value is only constructed on the
    (diagnosed, rare) invalid path. *)
 let on_view st (v : Packed.view) =
@@ -620,33 +575,39 @@ let ranges_of st =
          { lo; hi; persist = persist_interval st s; flush = flush_interval st s } :: acc)
        st.shadow [])
 
+let on_event st lid (e : Event.t) =
+  Packed.set_view st.view ~lid e.Event.kind;
+  on_view st st.view
+
 (* A pass over [prelude] then [entries]: the state comes from this
    domain's slot and goes back to it only if the pass returns. *)
 let run_events model prelude entries =
   let st = acquire model in
   st.prelude <- prelude;
   for i = 0 to Array.length prelude - 1 do
-    on_entry st (-1 - i) prelude.(i)
+    on_event st (-1 - i) prelude.(i)
   done;
   st.events <- entries;
   for i = 0 to Array.length entries - 1 do
-    on_entry st i entries.(i)
+    on_event st i entries.(i)
   done;
   st
 
-let check ?(obs = Pmtest_obs.Obs.disabled) ?(model = Model.X86) ?(prelude = [||]) entries =
-  let st = run_events model prelude entries in
+let finish obs st =
   note_obs obs st;
   let r = report_of st in
   release st;
   r
 
+let check ?(obs = Pmtest_obs.Obs.disabled) ?(model = Model.X86) ?(prelude = [||]) entries =
+  finish obs (run_events model prelude entries)
+
 let check_packed ?(obs = Pmtest_obs.Obs.disabled) ?(model = Model.X86) ?(prelude = [||]) packed
     =
   (* The session's exclusion preamble arrives boxed (it is rebuilt from
-     the live scope, never traced); replaying it through [on_entry]
-     keeps the report identical to {!check} on the section array with
-     the same events prepended. *)
+     the live scope, never traced); replaying it through [set_view] and
+     the same [on_view] keeps the report identical to {!check} on the
+     section array with the same events prepended. *)
   let st = run_events model prelude [||] in
   st.packed <- true;
   st.arena <- packed;
@@ -657,10 +618,7 @@ let check_packed ?(obs = Pmtest_obs.Obs.disabled) ?(model = Model.X86) ?(prelude
     pos := Packed.read packed ~pos:!pos v;
     on_view st v
   done;
-  note_obs obs st;
-  let r = report_of st in
-  release st;
-  r
+  finish obs st
 
 let check_with_snapshot ?(model = Model.X86) entries =
   let st = run_events model [||] entries in

@@ -16,9 +16,11 @@
     overlaps one of [b], or (HOPS) every interval of [a] starts strictly
     before every interval of [b].
 
-    The shadow memory is one page-indexed mutable {!Page_map}, whether
-    the section arrives as boxed events ({!check}) or as a packed arena
-    ({!check_packed}).
+    The shadow memory is one page-indexed mutable {!Page_map}, and there
+    is one dispatcher, whether the section arrives as boxed events
+    ({!check}) or as a packed arena ({!check_packed}): a boxed event is
+    mapped into a {!Packed.view} by {!Packed.set_view}, the encoder's own
+    map, and an arena entry is decoded into the same view.
 
     Trace sections sent via [PMTest_SEND_TRACE] are independent (§4.4):
     each pass starts from fresh {e observable} state, which is what lets
@@ -49,10 +51,9 @@ val check_packed :
     boxed event prefix replayed before the arena — the session's
     exclusion preamble — so the report equals {!check} on
     [Array.append prelude (to_events p)].  Both entry points share one
-    shadow memory, so the packed-vs-boxed contract (fuzz and
-    test_packed) pins only the two dispatchers and the arena codec;
-    diagnostics render their messages only here, at
-    report-materialisation time. *)
+    shadow memory and one dispatcher, so the packed-vs-boxed contract
+    (fuzz and test_packed) pins only the arena codec; diagnostics render
+    their messages only here, at report-materialisation time. *)
 
 (** {1 Introspection for tests and examples} *)
 

@@ -50,6 +50,7 @@ type t = {
   (* The target's first error (a remote transport can fail); later
      sections are still taken, so builders never grow unbounded. *)
   mutable error : string option;
+  scan : Packed.view;  (* [note_scope]'s view of a boxed event *)
 }
 
 let over ?(obs = Obs.disabled) ?(packed = false) target =
@@ -66,6 +67,7 @@ let over ?(obs = Obs.disabled) ?(packed = false) target =
       preamble = None;
       observers = [];
       error = None;
+      scan = Packed.make_view ();
     }
   in
   Hashtbl.replace t.builders 0 (Builder.create ~thread:0 ~packed ~obs ());
@@ -151,24 +153,23 @@ let rescope t ~exclude addr size =
      else Interval_map.clear t.excluded ~lo:addr ~hi)
 
 (* Apply a section's scope controls to the live exclusion set, so the
-   next section starts from the right scope.  Caller holds [t.mutex]. *)
+   next section starts from the right scope.  Both section forms are
+   scanned as {!Packed.view}s: an arena is decoded only when its builder
+   recorded a scope control, a boxed event is mapped by
+   [Packed.set_view] into [t.scan].  Caller holds [t.mutex]. *)
+let note_view t (v : Packed.view) =
+  match v.Packed.tag with
+  | Packed.T_exclude -> rescope t ~exclude:true v.Packed.a v.Packed.b
+  | Packed.T_include -> rescope t ~exclude:false v.Packed.a v.Packed.b
+  | _ -> ()
+
 let note_scope t = function
-  | Arena p ->
-    (* Only decode the arena when the builder actually recorded a scope
-       control — the common fast path skips the scan entirely. *)
-    if Packed.has_scope_controls p then
-      Packed.iter p (fun (v : Packed.view) ->
-          match v.Packed.tag with
-          | Packed.T_exclude -> rescope t ~exclude:true v.Packed.a v.Packed.b
-          | Packed.T_include -> rescope t ~exclude:false v.Packed.a v.Packed.b
-          | _ -> ())
+  | Arena p -> if Packed.has_scope_controls p then Packed.iter p (note_view t)
   | Events a ->
     Array.iter
       (fun (e : Event.t) ->
-        match e.Event.kind with
-        | Event.Control (Event.Exclude { addr; size }) -> rescope t ~exclude:true addr size
-        | Event.Control (Event.Include { addr; size }) -> rescope t ~exclude:false addr size
-        | _ -> ())
+        Packed.set_view t.scan ~lid:0 e.Event.kind;
+        note_view t t.scan)
       a
 
 let latch t = function

@@ -340,41 +340,6 @@ module Worker = struct
       log = ignore;
     }
 
-  let handshake cfg fd reader =
-    match
-      Wire.write_frame fd Wire.Worker_hello (Wire.encode_worker_hello ~name:cfg.name)
-    with
-    | Error e -> Error (Wire.error_to_string e)
-    | Ok () -> (
-      match Wire.read_one reader with
-      | Error e -> Error (Wire.error_to_string e)
-      | Ok (Wire.Worker_hello, payload) ->
-        Result.map_error Wire.error_to_string (Wire.decode_worker_hello payload)
-      | Ok (Wire.Err, payload) ->
-        Error
-          (match Wire.decode_err payload with
-          | Ok m -> "coordinator refused: " ^ m
-          | Error e -> Wire.error_to_string e)
-      | Ok (kind, _) -> Error (Printf.sprintf "unexpected %s frame" (Wire.kind_name kind)))
-
-  (* Dial and handshake; the fd is closed on any failure. *)
-  let connect cfg =
-    match Unix.socket ~cloexec:true PF_UNIX SOCK_STREAM 0 with
-    | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
-    | fd -> (
-      let fail msg =
-        (try Unix.close fd with Unix.Unix_error _ -> ());
-        Error msg
-      in
-      match Unix.connect fd (ADDR_UNIX cfg.socket) with
-      | exception Unix.Unix_error (e, _, _) ->
-        fail (Printf.sprintf "cannot connect to %s: %s" cfg.socket (Unix.error_message e))
-      | () -> (
-        let reader = Wire.reader fd in
-        match handshake cfg fd reader with
-        | Ok assigned -> Ok (fd, reader, assigned)
-        | Error e -> fail ("handshake failed: " ^ e)))
-
   (* One connection's lifetime. Returns [`Bye] on an orderly campaign
      end, [`Lost] when the link died and a reconnect should be tried. *)
   let session cfg fd reader ~jobs_done =
@@ -472,28 +437,32 @@ module Worker = struct
     outcome
 
   let run cfg =
-    (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
     if cfg.attempts < 1 then Error "Worker.run: attempts < 1"
     else begin
-      let rng = Random.State.make_self_init () in
       let jobs_done = ref 0 in
-      let rec connect_loop fails delay =
-        match connect cfg with
-        | Error e when fails + 1 >= cfg.attempts ->
-          Error (Printf.sprintf "%s (after %d attempt(s))" e cfg.attempts)
-        | Error e ->
-          let jittered = delay *. (0.5 +. Random.State.float rng 1.0) in
-          cfg.log (Printf.sprintf "%s; retrying in %.0f ms" e (jittered *. 1000.));
-          (try Unix.sleepf jittered with Unix.Unix_error _ -> ());
-          connect_loop (fails + 1) (Float.min cfg.max_delay (delay *. 2.0))
+      let on_retry ~attempt:_ ~delay e =
+        cfg.log (Printf.sprintf "%s; retrying in %.0f ms" e (delay *. 1000.))
+      in
+      let dial () =
+        Wire.dial ~socket:cfg.socket
+          ~hello:(Wire.Worker_hello, Wire.encode_worker_hello ~name:cfg.name)
+          ~reply:(Wire.Worker_hello, Wire.decode_worker_hello)
+          ~refused:"coordinator refused"
+      in
+      let rec connect_loop () =
+        match
+          Wire.retry ~attempts:cfg.attempts ~base_delay:cfg.base_delay ~max_delay:cfg.max_delay
+            ~on_retry dial
+        with
+        | Error e -> Error e
         | Ok (fd, reader, assigned) -> (
           cfg.log (Printf.sprintf "connected as %s" assigned);
           match session cfg fd reader ~jobs_done with
           | `Bye -> Ok !jobs_done
           | `Lost ->
             cfg.log "link lost; reconnecting";
-            connect_loop 0 cfg.base_delay)
+            connect_loop ())
       in
-      connect_loop 0 cfg.base_delay
+      connect_loop ()
     end
 end

@@ -281,8 +281,8 @@ let vs_crashtest (p : Gen.program) =
     | f :: _ -> Disagree f.Crashtest.message
   end
 
-(* The packed cursor checker is a representation twin of the boxed
-   engine: every trace applies, every report field must match. *)
+(* The packed cursor feeds the engine's one dispatcher, as the boxed
+   path does: every trace applies, every report field must match. *)
 let vs_packed (p : Gen.program) =
   let key r =
     ( List.map

@@ -35,9 +35,9 @@
     - {b engine/packed}: on every trace, checking the packed encoding
       with [Engine.check_packed] must produce a report identical to the
       boxed [Engine.check] — same diagnostic (kind, loc, message)
-      sequence and same entry/op/checker counts. This pins the flat
-      fast path (codec + cursor dispatch + page-indexed shadow) to the
-      boxed reference semantics.
+      sequence and same entry/op/checker counts. Both paths share one
+      dispatcher and one shadow, so this pins the arena codec and the
+      cursor (location ids included) to the boxed path.
     - {b engine/serve}: on every trace and model, driving the program
       through a fresh session on a shared in-process [pmtestd] daemon
       (sections over the framed wire protocol, exclusion preambles as

@@ -46,6 +46,21 @@ let tag_of_code =
     T_include; T_lint_off; T_lint_on; T_gpf;
   |]
 
+type view = {
+  mutable tag : tag;
+  mutable thread : int;
+  mutable loc : Loc.t;
+  mutable lid : int;
+  mutable a : int;
+  mutable b : int;
+  mutable c : int;
+  mutable d : int;
+  mutable rule : string;
+}
+
+let make_view () =
+  { tag = T_write; thread = 0; loc = Loc.none; lid = 0; a = 0; b = 0; c = 0; d = 0; rule = "" }
+
 type t = {
   mutable buf : Bytes.t;
   mutable len : int;  (* bytes used *)
@@ -64,6 +79,8 @@ type t = {
      the file string. *)
   memo_locs : Loc.t array;
   memo_ids : int array;
+  (* [push] maps its event through [set_view] into this view. *)
+  scratch : view;
 }
 
 let memo_size = 32
@@ -80,6 +97,7 @@ let create ?(capacity = 256) () =
       loc_ids = Hashtbl.create 32;
       memo_locs = Array.make memo_size Loc.none;
       memo_ids = Array.make memo_size 0;
+      scratch = make_view ();
     }
   in
   Vec.push t.locs Loc.none;
@@ -160,36 +178,50 @@ let intern t (loc : Loc.t) =
     id
   end
 
-(* Reserves room for the tag plus up to six varints (thread, loc and at
-   most four args, 10 bytes each) so the per-event encode path does one
-   bounds check total; arg writers below use the unsafe puts. *)
-let hdr t code ~thread lid =
-  ensure t 61;
-  Bytes.unsafe_set t.buf t.len (Char.unsafe_chr code);
-  t.len <- t.len + 1;
-  put_varint_unsafe t thread;
-  put_varint_unsafe t lid
+(* The one map from an event to its wire shape; [kind_of_view] is its
+   inverse.  [loc] is never stored, so a long-lived view (an arena's
+   scratch view, the engine's) takes no write barrier here; [rule] is
+   set for the lint tags only. *)
+let[@inline] set_range v tag addr size =
+  v.tag <- tag;
+  v.a <- addr;
+  v.b <- size
 
-let fin t = t.count <- t.count + 1
+let set_view v ~lid (kind : Event.kind) =
+  v.lid <- lid;
+  match kind with
+  | Event.Op (Model.Write { addr; size }) -> set_range v T_write addr size
+  | Event.Op (Model.Clwb { addr; size }) -> set_range v T_clwb addr size
+  | Event.Op Model.Sfence -> v.tag <- T_sfence
+  | Event.Op Model.Ofence -> v.tag <- T_ofence
+  | Event.Op Model.Dfence -> v.tag <- T_dfence
+  | Event.Op Model.Gpf -> v.tag <- T_gpf
+  | Event.Checker (Event.Is_persist { addr; size }) -> set_range v T_is_persist addr size
+  | Event.Checker (Event.Is_ordered_before { a_addr; a_size; b_addr; b_size }) ->
+    set_range v T_is_ordered a_addr a_size;
+    v.c <- b_addr;
+    v.d <- b_size
+  | Event.Tx Event.Tx_begin -> v.tag <- T_tx_begin
+  | Event.Tx (Event.Tx_add { addr; size }) -> set_range v T_tx_add addr size
+  | Event.Tx Event.Tx_commit -> v.tag <- T_tx_commit
+  | Event.Tx Event.Tx_abort -> v.tag <- T_tx_abort
+  | Event.Tx Event.Tx_checker_start -> v.tag <- T_tx_checker_start
+  | Event.Tx Event.Tx_checker_end -> v.tag <- T_tx_checker_end
+  | Event.Control (Event.Exclude { addr; size }) -> set_range v T_exclude addr size
+  | Event.Control (Event.Include { addr; size }) -> set_range v T_include addr size
+  | Event.Control (Event.Lint_off { rule }) ->
+    v.tag <- T_lint_off;
+    v.rule <- rule
+  | Event.Control (Event.Lint_on { rule }) ->
+    v.tag <- T_lint_on;
+    v.rule <- rule
 
-let push_write t ~thread ~addr ~size loc =
-  hdr t 0 ~thread (intern t loc);
-  put_varint_unsafe t addr;
-  put_varint_unsafe t size;
-  fin t
-
-let push_clwb t ~thread ~addr ~size loc =
-  hdr t 1 ~thread (intern t loc);
-  put_varint_unsafe t addr;
-  put_varint_unsafe t size;
-  fin t
-
-let push_fence t ~thread op loc =
-  let code =
-    match op with Model.Sfence -> 2 | Model.Ofence -> 3 | Model.Gpf -> 17 | _ -> 4
-  in
-  hdr t code ~thread (intern t loc);
-  fin t
+let code_of_tag = function
+  | T_write -> 0 | T_clwb -> 1 | T_sfence -> 2 | T_ofence -> 3 | T_dfence -> 4
+  | T_is_persist -> 5 | T_is_ordered -> 6 | T_tx_begin -> 7 | T_tx_add -> 8
+  | T_tx_commit -> 9 | T_tx_abort -> 10 | T_tx_checker_start -> 11
+  | T_tx_checker_end -> 12 | T_exclude -> 13 | T_include -> 14 | T_lint_off -> 15
+  | T_lint_on -> 16 | T_gpf -> 17
 
 let put_rule t rule =
   put_varint_unsafe t (String.length rule);
@@ -197,75 +229,37 @@ let put_rule t rule =
   Bytes.blit_string rule 0 t.buf t.len (String.length rule);
   t.len <- t.len + String.length rule
 
-let push t ~thread (kind : Event.kind) loc =
-  (match kind with
-  | Event.Op (Model.Write { addr; size }) ->
-    hdr t 0 ~thread (intern t loc);
-    put_varint_unsafe t addr;
-    put_varint_unsafe t size
-  | Event.Op (Model.Clwb { addr; size }) ->
-    hdr t 1 ~thread (intern t loc);
-    put_varint_unsafe t addr;
-    put_varint_unsafe t size
-  | Event.Op Model.Sfence -> hdr t 2 ~thread (intern t loc)
-  | Event.Op Model.Ofence -> hdr t 3 ~thread (intern t loc)
-  | Event.Op Model.Dfence -> hdr t 4 ~thread (intern t loc)
-  | Event.Op Model.Gpf -> hdr t 17 ~thread (intern t loc)
-  | Event.Checker (Event.Is_persist { addr; size }) ->
-    hdr t 5 ~thread (intern t loc);
-    put_varint_unsafe t addr;
-    put_varint_unsafe t size
-  | Event.Checker (Event.Is_ordered_before { a_addr; a_size; b_addr; b_size }) ->
-    hdr t 6 ~thread (intern t loc);
-    put_varint_unsafe t a_addr;
-    put_varint_unsafe t a_size;
-    put_varint_unsafe t b_addr;
-    put_varint_unsafe t b_size
-  | Event.Tx Event.Tx_begin -> hdr t 7 ~thread (intern t loc)
-  | Event.Tx (Event.Tx_add { addr; size }) ->
-    hdr t 8 ~thread (intern t loc);
-    put_varint_unsafe t addr;
-    put_varint_unsafe t size
-  | Event.Tx Event.Tx_commit -> hdr t 9 ~thread (intern t loc)
-  | Event.Tx Event.Tx_abort -> hdr t 10 ~thread (intern t loc)
-  | Event.Tx Event.Tx_checker_start -> hdr t 11 ~thread (intern t loc)
-  | Event.Tx Event.Tx_checker_end -> hdr t 12 ~thread (intern t loc)
-  | Event.Control (Event.Exclude { addr; size }) ->
+(* The field writer mirrors [read].  One [ensure] up front covers the tag
+   and up to six varints (thread, loc and at most four args, 10 bytes
+   each), so the varint writes skip the bounds check. *)
+let push t ~thread kind loc =
+  let v = t.scratch in
+  set_view v ~lid:(intern t loc) kind;
+  ensure t 61;
+  Bytes.unsafe_set t.buf t.len (Char.unsafe_chr (code_of_tag v.tag));
+  t.len <- t.len + 1;
+  put_varint_unsafe t thread;
+  put_varint_unsafe t v.lid;
+  (match v.tag with
+  | T_write | T_clwb | T_is_persist | T_tx_add ->
+    put_varint_unsafe t v.a;
+    put_varint_unsafe t v.b
+  | T_exclude | T_include ->
     t.scope_controls <- t.scope_controls + 1;
-    hdr t 13 ~thread (intern t loc);
-    put_varint_unsafe t addr;
-    put_varint_unsafe t size
-  | Event.Control (Event.Include { addr; size }) ->
-    t.scope_controls <- t.scope_controls + 1;
-    hdr t 14 ~thread (intern t loc);
-    put_varint_unsafe t addr;
-    put_varint_unsafe t size
-  | Event.Control (Event.Lint_off { rule }) ->
-    hdr t 15 ~thread (intern t loc);
-    put_rule t rule
-  | Event.Control (Event.Lint_on { rule }) ->
-    hdr t 16 ~thread (intern t loc);
-    put_rule t rule);
-  fin t
+    put_varint_unsafe t v.a;
+    put_varint_unsafe t v.b
+  | T_is_ordered ->
+    put_varint_unsafe t v.a;
+    put_varint_unsafe t v.b;
+    put_varint_unsafe t v.c;
+    put_varint_unsafe t v.d
+  | T_lint_off | T_lint_on -> put_rule t v.rule
+  | _ -> ());
+  t.count <- t.count + 1
 
 let push_event t (e : Event.t) = push t ~thread:e.Event.thread e.Event.kind e.Event.loc
 
 (* --- Decoding ---------------------------------------------------------- *)
-
-type view = {
-  mutable tag : tag;
-  mutable thread : int;
-  mutable loc : Loc.t;
-  mutable lid : int;
-  mutable a : int;
-  mutable b : int;
-  mutable c : int;
-  mutable d : int;
-  mutable rule : string;
-}
-
-let make_view () =
-  { tag = T_write; thread = 0; loc = Loc.none; lid = 0; a = 0; b = 0; c = 0; d = 0; rule = "" }
 
 let rec read_u t p shift acc =
   let b = Char.code (Bytes.unsafe_get t.buf p) in
@@ -341,18 +335,11 @@ let iter t f =
   done
 
 let to_events t =
-  if t.count = 0 then [||]
-  else begin
-    let out = Array.make t.count (event_of_view (make_view ())) in
-    let v = make_view () in
-    let pos = ref 0 and i = ref 0 in
-    while !pos < t.len do
-      pos := read t ~pos:!pos v;
+  let out = Array.make t.count (Event.make (Event.Tx Event.Tx_begin)) and i = ref 0 in
+  iter t (fun v ->
       out.(!i) <- event_of_view v;
-      incr i
-    done;
-    out
-  end
+      incr i);
+  out
 
 let of_events evs =
   let t = create ~capacity:(16 * Array.length evs) () in
@@ -434,24 +421,22 @@ let read_checked t ~pos (v : view) =
     ());
   t.rpos
 
+(* Walk the whole arena with [read_checked] and match the event count
+   against the header.  Scope controls are recounted (the counter
+   normally accrues at encode time), so [has_scope_controls] holds on
+   received arenas too. *)
 let validate t =
   let v = make_view () in
-  match
-    let pos = ref 0 and n = ref 0 in
-    while !pos < t.len do
-      pos := read_checked t ~pos:!pos v;
-      incr n
-    done;
-    !n
-  with
-  | n when n = t.count -> Ok ()
-  | n ->
-    Error
-      {
-        offset = t.len;
-        reason = Printf.sprintf "event count mismatch: header says %d, decoded %d" t.count n;
-      }
-  | exception Bad e -> Error e
+  let pos = ref 0 and n = ref 0 in
+  t.scope_controls <- 0;
+  while !pos < t.len do
+    pos := read_checked t ~pos:!pos v;
+    incr n;
+    match v.tag with
+    | T_exclude | T_include -> t.scope_controls <- t.scope_controls + 1
+    | _ -> ()
+  done;
+  if !n <> t.count then bad t.len "event count mismatch: header says %d, decoded %d" t.count !n
 
 (* --- Arena freelists ----------------------------------------------------
    Sections retire at a steady rate (builder fills, worker drains), so a
@@ -592,16 +577,6 @@ let decode_wire ?obs ?pool s =
     Bytes.blit_string s q t.buf 0 blen;
     t.len <- blen;
     t.count <- count;
-    (match validate t with Ok () -> () | Error e -> raise (Bad e));
-    (* Recount scope controls (the counter normally accrues at encode
-       time) so [has_scope_controls] holds on received arenas too. *)
-    let v = make_view () in
-    let pos = ref 0 in
-    while !pos < t.len do
-      pos := read t ~pos:!pos v;
-      match v.tag with
-      | T_exclude | T_include -> t.scope_controls <- t.scope_controls + 1
-      | _ -> ()
-    done;
+    validate t;
     Ok t
   with Bad e -> Error e

@@ -14,7 +14,6 @@
     builder or worker at a time. *)
 
 open Pmtest_util
-module Model = Pmtest_model.Model
 
 type t
 
@@ -38,14 +37,10 @@ val has_scope_controls : t -> bool
 (** {1 Encoding} *)
 
 val push : t -> thread:int -> Event.kind -> Loc.t -> unit
+(** Encode one event: {!set_view} into the arena's scratch view, then
+    the tag's fields in {!read}'s order. *)
 
 val push_event : t -> Event.t -> unit
-
-val push_write : t -> thread:int -> addr:int -> size:int -> Loc.t -> unit
-val push_clwb : t -> thread:int -> addr:int -> size:int -> Loc.t -> unit
-
-val push_fence : t -> thread:int -> Model.op -> Loc.t -> unit
-(** [op] must be [Sfence], [Ofence], [Dfence] or [Gpf]. *)
 
 val of_events : Event.t array -> t
 
@@ -105,6 +100,13 @@ val loc : t -> int -> Loc.t
     ids are stable while the arena is neither freed nor re-decoded, so
     an int can stand for a location until the arena is done with. *)
 
+val set_view : view -> lid:int -> Event.kind -> unit
+(** The one dispatcher from {!Event.kind} to the wire shape: sets [tag],
+    [lid] and the tag's fields ([a]–[d]; [rule] for the lint tags only).
+    [thread] and [loc] are left alone, so a long-lived view takes no
+    write barrier.  The encoder, [Engine.check] and the session's scope
+    scan all go through it; {!kind_of_view} is its inverse. *)
+
 val kind_of_view : view -> Event.kind
 val event_of_view : view -> Event.t
 val to_events : t -> Event.t array
@@ -123,14 +125,6 @@ type decode_error = { offset : int; reason : string }
 
 val decode_error_to_string : decode_error -> string
 
-val validate : t -> (unit, decode_error) result
-(** Walk the whole arena like {!read}, with every access bounds-checked:
-    a truncated or garbage tag, an overlong or unterminated varint, an
-    out-of-range location id, an overrunning rule string or a range
-    whose size is not positive yields [Error] with the byte offset of the
-    malformed field.  Also verifies the event count matches the encoded
-    header. *)
-
 val encode_wire : t -> string
 (** Self-contained byte form: the arena's loc intern table followed by
     the event bytes, suitable for framing onto a socket.  Unlike the raw
@@ -140,8 +134,12 @@ type pool
 (** An arena freelist (see the {e Arena freelists} section below). *)
 
 val decode_wire : ?obs:Pmtest_obs.Obs.t -> ?pool:pool -> string -> (t, decode_error) result
-(** Inverse of {!encode_wire}, fully validated ({!validate} has run, the
-    loc table is in bounds, nothing trails the event bytes).  The
+(** Inverse of {!encode_wire}, fully validated: a truncated or garbage
+    tag, an overlong or unterminated varint, an out-of-range location
+    id, an overrunning rule string, a range whose size is not positive
+    or an event count that disagrees with the header yields [Error] with
+    the byte offset of the malformed field, and nothing may trail the
+    event bytes.  The
     resulting arena is safe to hand to the unchecked cursor / the
     engine.  With [pool] the arena is drawn from (and its buffer reused
     out of) that freelist instead of freshly allocated — free it back to

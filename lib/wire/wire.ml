@@ -610,3 +610,57 @@ let decode_checkpoint s =
       at_end s pos;
       ((if r = 0 then None else Some (r - 1)), jobs_done))
     s
+
+(* --- Dialing ----------------------------------------------------------------
+
+   A pmtestd client and a pmfarm worker open a link the same way: connect,
+   send a hello, read one reply; an [Err] reply is a refusal.  The socket
+   is closed on every failure. *)
+
+let dial ~socket ~hello:(hello_kind, hello) ~reply:(reply_kind, decode_reply) ~refused =
+  (* A peer that vanishes mid-write must yield EPIPE, not kill us. *)
+  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
+  match Unix.socket ~cloexec:true PF_UNIX SOCK_STREAM 0 with
+  | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
+  | fd ->
+    let result =
+      match Unix.connect fd (ADDR_UNIX socket) with
+      | exception Unix.Unix_error (e, _, _) ->
+        Error (Printf.sprintf "cannot connect to %s: %s" socket (Unix.error_message e))
+      | () -> (
+        let r = reader fd in
+        match write_frame fd hello_kind hello with
+        | Error e -> Error (error_to_string e)
+        | Ok () -> (
+          match read_one r with
+          | Error e -> Error (error_to_string e)
+          | Ok (kind, payload) when kind = reply_kind -> (
+            match decode_reply payload with
+            | Ok v -> Ok (fd, r, v)
+            | Error e -> Error (error_to_string e))
+          | Ok (Err, payload) ->
+            Error
+              (match decode_err payload with
+              | Ok m -> refused ^ ": " ^ m
+              | Error e -> error_to_string e)
+          | Ok (kind, _) -> Error (Printf.sprintf "unexpected %s frame" (kind_name kind))))
+    in
+    if Result.is_error result then (try Unix.close fd with Unix.Unix_error _ -> ());
+    result
+
+(* Exponential backoff with full-range jitter (0.5x..1.5x of the
+   nominal delay): workers of one farm that all lose the coordinator at
+   once must not reconnect in lockstep. *)
+let retry ~attempts ~base_delay ~max_delay ?(on_retry = fun ~attempt:_ ~delay:_ _ -> ()) f =
+  let rng = Random.State.make_self_init () in
+  let rec go n delay =
+    match f () with
+    | Ok _ as ok -> ok
+    | Error e when n + 1 >= attempts -> Error (Printf.sprintf "%s (after %d attempt(s))" e attempts)
+    | Error e ->
+      let jittered = delay *. (0.5 +. Random.State.float rng 1.0) in
+      on_retry ~attempt:(n + 1) ~delay:jittered e;
+      (try Unix.sleepf jittered with Unix.Unix_error _ -> ());
+      go (n + 1) (Float.min max_delay (delay *. 2.0))
+  in
+  go 0 base_delay

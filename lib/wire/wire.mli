@@ -218,3 +218,31 @@ val encode_checkpoint : running:int option -> jobs_done:int -> string
 val decode_checkpoint : string -> (int option * int, error) result
 (** Worker heartbeat: the job currently executing (if any) and jobs
     completed over the connection's lifetime. *)
+
+(** {1 Dialing}
+
+    How [Client] (pmtestd sessions) and the pmfarm worker open a link. *)
+
+val dial :
+  socket:string ->
+  hello:kind * string ->
+  reply:kind * (string -> ('a, error) result) ->
+  refused:string ->
+  (Unix.file_descr * reader * 'a, string) result
+(** Connect to the Unix socket, send [hello], read one reply: a frame of
+    the [reply] kind goes to its decoder, an [Err] frame yields
+    ["<refused>: <message>"], anything else is an error.  The socket is
+    closed on every failure.  Ignores [SIGPIPE] process-wide. *)
+
+val retry :
+  attempts:int ->
+  base_delay:float ->
+  max_delay:float ->
+  ?on_retry:(attempt:int -> delay:float -> string -> unit) ->
+  (unit -> ('a, string) result) ->
+  ('a, string) result
+(** Call [f] up to [attempts] times.  Between failures sleep [base_delay],
+    doubling up to [max_delay], each sleep jittered to 0.5x..1.5x so peers
+    that failed together do not retry in lockstep; [on_retry] sees the
+    upcoming delay and the error.  The last error gains
+    ["(after N attempt(s))"]. *)

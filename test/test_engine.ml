@@ -406,7 +406,32 @@ let test_exclusion_scopes_tx_checker () =
 let test_invalid_op () =
   check_kinds ~model:Model.Hops [ w 0x100 8; clwb 0x100 8; sfence ]
     [ Report.Invalid_op; Report.Invalid_op ];
-  check_kinds ~model:Model.X86 [ w 0x100 8; ofence ] [ Report.Invalid_op ]
+  check_kinds ~model:Model.X86 [ w 0x100 8; ofence ] [ Report.Invalid_op ];
+  (* Every op under every model, boxed and packed: [Invalid_op] iff the
+     model's ISA lacks the op.  [listed] stops compiling when [Model.op]
+     gains a constructor that [ops] does not name. *)
+  let _listed : Model.op -> unit = function
+    | Model.Write _ | Model.Clwb _ | Model.Sfence | Model.Ofence | Model.Dfence | Model.Gpf -> ()
+  in
+  let ops =
+    Model.[ Write { addr = 0x100; size = 8 }; Clwb { addr = 0x100; size = 8 }; Sfence; Ofence;
+            Dfence; Gpf ]
+  in
+  let invalid r =
+    List.length (List.filter (fun d -> d.Report.kind = Report.Invalid_op) r.Report.diagnostics)
+  in
+  List.iter
+    (fun model ->
+      List.iter
+        (fun op ->
+          let section = [| w 0x100 8; e (Event.Op op) |] in
+          let expected = if Model.valid_op model op then 0 else 1 in
+          let label = Format.asprintf "%s %a" (Model.kind_name model) Model.pp_op op in
+          Alcotest.(check int) (label ^ " boxed") expected (invalid (Engine.check ~model section));
+          Alcotest.(check int) (label ^ " packed") expected
+            (invalid (Engine.check_packed ~model (Packed.of_events section))))
+        ops)
+    Model.all_kinds
 
 (* --- Report bookkeeping --------------------------------------------------- *)
 

@@ -53,7 +53,18 @@ let test_round_trip_all_tags () =
   Alcotest.(check bool) "decode identity" true (entries_equal sample_entries (Packed.to_events p));
   (* A second decode must see the same events — the cursor resets. *)
   Alcotest.(check bool) "decode is repeatable" true
-    (entries_equal sample_entries (Packed.to_events p))
+    (entries_equal sample_entries (Packed.to_events p));
+  (* [kind_of_view] inverts [set_view], the map every encoder and the
+     engine's boxed entry share. *)
+  let v = Packed.make_view () in
+  Array.iter
+    (fun (e : Event.t) ->
+      Packed.set_view v ~lid:0 e.Event.kind;
+      Alcotest.(check bool)
+        (Format.asprintf "set_view round trip: %a" Event.pp_kind e.Event.kind)
+        true
+        (Packed.kind_of_view v = e.Event.kind))
+    sample_entries
 
 let test_tag_coverage () =
   (* Every tag constructor must be reachable from sample_entries, so the
@@ -188,7 +199,7 @@ let test_corpus_reports_identical () =
 let test_freelist_recycles () =
   let obs = Obs.create () in
   let a = Packed.alloc ~obs () in
-  Packed.push_write a ~thread:0 ~addr:0 ~size:8 Loc.none;
+  Packed.push a ~thread:0 (Event.Op (Model.Write { addr = 0; size = 8 })) Loc.none;
   Packed.free a;
   let b = Packed.alloc ~obs () in
   Alcotest.(check bool) "recycled arena is empty" true (Packed.is_empty b);
