@@ -1317,18 +1317,30 @@ let attach_cmd =
 
 (* A flag the campaign kind has no use for is refused in
    [Spec.of_string]'s words, not dropped. *)
+(* [model] and [seed] are [None] unless given: a litmus campaign runs
+   the fixed suite, so only an explicit flag can disagree with it. *)
+(* [model] and [seed] are [None] unless given on the command line: a
+   litmus campaign runs the fixed suite, so it refuses either flag. *)
 let farm_spec campaign model fs fault seed count chunk max_ops =
   let kind = match campaign with `Fuzz -> "fuzz" | `Crashfs -> "crashfs" | `Litmus -> "litmus" in
   let stray flag = Error (Printf.sprintf "%s only applies to crashfs campaigns, not %s" flag kind) in
+  let fixed flag = Error (Printf.sprintf "%s does not apply to litmus campaigns" flag) in
+  let model_or_x86 = Option.value model ~default:Model.X86 in
+  let seed_or_0 = Option.value seed ~default:0 in
   match (campaign, fs, fault, max_ops) with
   | (`Fuzz | `Litmus), Some _, _, _ -> stray "fs"
   | (`Fuzz | `Litmus), _, Some _, _ -> stray "fault"
   | `Litmus, _, _, Some _ -> Error "max-ops only applies to fuzz and crashfs campaigns, not litmus"
-  | `Fuzz, _, _, _ -> Ok (Farm.Spec.fuzz ?max_ops ~model ~seed ~count ~chunk ())
+  | `Litmus, _, _, _ when model <> None -> fixed "model"
+  | `Litmus, _, _, _ when seed <> None -> fixed "seed"
+  | `Litmus, _, _, _ -> Ok (Farm.Spec.litmus ~chunk ())
+  | `Fuzz, _, _, _ ->
+    Ok (Farm.Spec.fuzz ?max_ops ~model:model_or_x86 ~seed:seed_or_0 ~count ~chunk ())
   | `Crashfs, _, _, _ ->
     let fs = Option.value fs ~default:Crashfs.Pmfs in
-    Ok (Farm.Spec.crashfs ?max_ops ?fault ~fs ~model ~seed ~count ~chunk ())
-  | `Litmus, _, _, _ -> Ok (Farm.Spec.litmus ~chunk ())
+    Ok
+      (Farm.Spec.crashfs ?max_ops ?fault ~fs ~model:model_or_x86 ~seed:seed_or_0 ~count ~chunk
+         ())
 
 let run_farm_serve resume socket dir campaign model fs fault seed count chunk max_ops capacity
     heartbeat_timeout steal_after stop_after profile =
@@ -1504,9 +1516,12 @@ let farm_serve_term ~resume =
     const run_farm_serve $ const resume
     $ Common_args.socket ~doc:"Unix socket the coordinator listens on." ()
     $ farm_dir_arg $ campaign
-    $ Common_args.model ()
+    $ Common_args.model_opt ~doc:(Common_args.model_doc ^ " Default x86; not for litmus.")
     $ fs $ fault
-    $ Common_args.seed ~default:0 ~doc:"Base campaign seed." ()
+    $ Arg.(
+        value
+          (opt (some int) None
+             (info [ "seed" ] ~doc:"Base campaign seed (default 0; not for litmus).")))
     $ count $ chunk $ max_ops $ capacity $ heartbeat_timeout $ steal_after $ stop_after
     $ Common_args.profile ~doc:"Print farm counters (offers, steals, reassignments) on exit.")
 

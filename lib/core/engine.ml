@@ -60,6 +60,7 @@ type state = {
   mutable tx_depth : int;
   mutable scope_active : bool;
   scope_writes : Page_map.t;  (* byte -> location id of the write *)
+  mutable scope_walks : int;  (* TX_CHECKER_ENDs that took the per-segment walk *)
   mutable unmodified : bool;  (* the clwb in hand met a byte never written *)
   mutable reflushed : bool;  (* ... or a write already written back *)
   mutable diags : pending_diag list;  (* newest first *)
@@ -94,6 +95,7 @@ let create_state () =
     tx_depth = 0;
     scope_active = false;
     scope_writes = Page_map.create ();
+    scope_walks = 0;
     unmodified = false;
     reflushed = false;
     diags = [];
@@ -118,6 +120,7 @@ let reset st =
   st.tx_depth <- 0;
   st.scope_active <- false;
   Page_map.reset st.scope_writes;
+  st.scope_walks <- 0;
   st.unmodified <- false;
   st.reflushed <- false;
   st.diags <- [];
@@ -445,9 +448,10 @@ let on_tx_add st lid ~addr ~size =
 
 let scope_unpersisted st lo hi _ = exists_effective st 0 ~addr:lo ~size:(hi - lo) unpersisted_in
 
-let on_tx_checker_end st lid =
-  if st.tx_depth > 0 then
-    diag st Report.Incomplete_tx lid (fun () -> "transaction still open at TX_CHECKER_END");
+(* The per-segment walk: each scope write, cut by the current holes,
+   looked up in the shadow, and an [Incomplete_tx] for every unpersisted
+   piece.  The only code that renders one. *)
+let scope_walk st lid =
   if Page_map.exists st.scope_writes ~lo:min_int ~hi:max_int scope_unpersisted st then
     List.iter
       (fun (lo, hi, wlid) ->
@@ -466,7 +470,22 @@ let on_tx_checker_end st lid =
                 end)
               (pieces st ~lo:slo ~hi:shi))
           (subranges st ~addr:lo ~size:(hi - lo)))
-      (Page_map.to_list st.scope_writes);
+      (Page_map.to_list st.scope_writes)
+
+(* TX_CHECKER_END asks whether some byte a scope write touched, outside
+   the exclusion holes, is not yet persisted.  One merged walk over the
+   scope writes and the shadow asks the same without the holes: a byte
+   the walk clears is clear whatever the holes are, so when it finds
+   nothing — every clean scope — that answer is exact.  Only when it
+   finds an unpersisted byte does the per-segment walk answer again,
+   with the holes of now. *)
+let on_tx_checker_end st lid =
+  if st.tx_depth > 0 then
+    diag st Report.Incomplete_tx lid (fun () -> "transaction still open at TX_CHECKER_END");
+  if Page_map.exists_under st.scope_writes st.shadow unpersisted st then begin
+    st.scope_walks <- st.scope_walks + 1;
+    scope_walk st lid
+  end;
   st.scope_active <- false;
   Page_map.reset st.scope_writes
 
@@ -558,6 +577,7 @@ let entries_checked = Pmtest_obs.Obs.counter "entries_checked"
 let ops_checked = Pmtest_obs.Obs.counter "ops_checked"
 let checkers_run = Pmtest_obs.Obs.counter "checkers_run"
 let diagnostics = Pmtest_obs.Obs.counter "diagnostics"
+let scope_walks = Pmtest_obs.Obs.counter "scope_end_walks"
 
 let note_obs obs st =
   let module Obs = Pmtest_obs.Obs in
@@ -565,7 +585,8 @@ let note_obs obs st =
     Obs.add obs entries_checked st.entries;
     Obs.add obs ops_checked st.ops;
     Obs.add obs checkers_run st.checkers;
-    Obs.add obs diagnostics st.ndiags
+    Obs.add obs diagnostics st.ndiags;
+    Obs.add obs scope_walks st.scope_walks
   end
 
 let ranges_of st =

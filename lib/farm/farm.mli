@@ -91,12 +91,15 @@ module Spec : sig
 
   val of_string : string -> (t, string) result
   (** Parses and {!validate}s: a spec that decodes is runnable. [fs=]
-      and [fault=] are rejected outside crashfs. *)
+      and [fault=] are rejected outside crashfs, and a litmus spec takes
+      only [count] and [chunk] of its own. *)
 
   val validate : t -> (unit, string) result
   (** Rejects what no worker could ever run: negative seed or count
       (job ranges travel as unsigned varints), [chunk < 1], an unknown
-      crashfs fault name. {!Coordinator.run} applies this before
+      crashfs fault name, a litmus range past the suite.  A litmus spec
+      must also keep {!litmus}'s model, seed and (absent) [max_ops],
+      which the suite fixes.  {!Coordinator.run} applies this before
       offering any job. *)
 
   val jobs : t -> (int * int * int) list

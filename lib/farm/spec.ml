@@ -60,9 +60,11 @@ let to_string t =
 
 (* Everything [run_units] would choke on, caught before any job is
    offered: seeds travel as unsigned varints (a negative one would
-   blow up mid-[encode_job_offer], inside the coordinator loop), and an
+   blow up mid-[encode_job_offer], inside the coordinator loop), an
    unknown fault name would make every attempt of every job fail
-   worker-side. *)
+   worker-side, and so would a litmus range past the suite.  A litmus
+   campaign runs the fixed suite, so a model, seed or op bound other
+   than [litmus]'s would be recorded in checkpoints and never used. *)
 let validate t =
   if t.seed < 0 then Error "negative seed (job ranges travel as unsigned varints)"
   else if t.count < 0 then Error "negative count"
@@ -70,7 +72,19 @@ let validate t =
   else
     match t.kind with
     | Crashfs _ -> Result.map ignore (crashfs_config t)
-    | Fuzz | Litmus -> Ok ()
+    | Fuzz -> Ok ()
+    | Litmus ->
+      let suite = litmus ~chunk:t.chunk () in
+      if t.model <> suite.model then
+        Error
+          (Printf.sprintf "a litmus campaign takes model=%s (each test names its own model)"
+             (Model.kind_name suite.model))
+      else if t.seed <> suite.seed then
+        Error (Printf.sprintf "a litmus campaign takes seed=%d (the suite's first test)" suite.seed)
+      else if t.max_ops <> None then Error "max_ops only applies to fuzz and crashfs campaigns"
+      else if t.count > suite.count then
+        Error (Printf.sprintf "count %d runs past the %d-test litmus suite" t.count suite.count)
+      else Ok ()
 
 let of_string s =
   match String.split_on_char ' ' (String.trim s) with

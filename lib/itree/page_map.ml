@@ -76,14 +76,17 @@ let capacity t =
 let check_range name lo hi =
   if lo >= hi then invalid_arg ("Page_map." ^ name ^ ": empty range")
 
-(* First index of the live prefix whose page key is at least [k]. *)
-let first_live t k =
-  let lo = ref 0 and hi = ref t.nlive in
+(* First index of the live prefix, from [i] on, whose page key is at
+   least [k]. *)
+let seek t i k =
+  let lo = ref i and hi = ref t.nlive in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
     if t.pages.(mid).key >= k then hi := mid else lo := mid + 1
   done;
   !lo
+
+let[@inline] first_live t k = seek t 0 k
 
 (* Page [k], or [none] when it holds nothing this epoch. *)
 let find t k =
@@ -338,6 +341,35 @@ let exists t ~lo ~hi f arg =
     done;
     !found
   end
+
+(* The pages both maps hold, found by one pass over the two sorted live
+   prefixes ([seek] skips the pages one map lacks); inside each, the two
+   sorted segment arrays are merged the same way, so a stretch of [b]
+   under [a] is found without a lookup.  On an overlap the segment that
+   ends first is done with. *)
+let exists_under a b f arg =
+  let i = ref 0 and j = ref 0 and found = ref false in
+  while (not !found) && !i < a.nlive && !j < b.nlive do
+    let pa = a.pages.(!i) and pb = b.pages.(!j) in
+    if pa.key < pb.key then i := seek a (!i + 1) pb.key
+    else if pb.key < pa.key then j := seek b (!j + 1) pa.key
+    else begin
+      let x = ref 0 and y = ref 0 in
+      while (not !found) && !x < pa.n && !y < pb.n do
+        let alo = pa.lo.(!x) and ahi = pa.hi.(!x) in
+        let blo = pb.lo.(!y) and bhi = pb.hi.(!y) in
+        if ahi <= blo then incr x
+        else if bhi <= alo then incr y
+        else begin
+          found := f arg (max alo blo) (min ahi bhi) pb.v.(!y);
+          if ahi <= bhi then incr x else incr y
+        end
+      done;
+      incr i;
+      incr j
+    end
+  done;
+  !found
 
 (* Map the segments of [p] inside [lo, hi), already split there, and
    return how far the segments run contiguously from [x]: it advances

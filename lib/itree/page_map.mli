@@ -54,6 +54,17 @@ val exists : t -> lo:int -> hi:int -> ('b -> int -> int -> int -> bool) -> 'b ->
     whole map.  [f] gets its environment as [arg], so a closed [f]
     allocates nothing.  [f] must not change [t]. *)
 
+val exists_under : t -> t -> ('b -> int -> int -> int -> bool) -> 'b -> bool
+(** [exists_under a b f arg] calls [f arg l h v] on stretches [\[l, h)]
+    of [b]'s stored segments (value [v]) that lie inside a stored
+    segment of [a], in ascending order, and stops at the first [true]:
+    whether [f] holds for some part of [b] under [a].  Segments are the
+    per-page pieces, not [exists]'s logical intervals, so one interval
+    may be visited as several stretches.  One merged pass over both
+    maps' pages and each shared page's segments: O(p + s) for the pages
+    and segments walked, no lookup, no allocation.  [f] must not change
+    either map. *)
+
 val map_range : t -> lo:int -> hi:int -> ('b -> int -> int) -> 'b -> bool
 (** [map_range t ~lo ~hi f arg] splits stored intervals at [lo] and [hi]
     and replaces the value [v] of every piece inside with [f arg v];

@@ -14,7 +14,10 @@ module Obs = Pmtest_obs.Obs
 
    Decoding goes through a reusable mutable {!view}: the cursor loop in
    [Engine.check_packed] reads straight out of the buffer and never
-   materialises an [Event.t].  Each arena has one internal read cursor
+   materialises an [Event.t].  A view holds only immediates and the
+   lint rule: its location is the id [lid], resolved through [loc] when
+   a diagnostic is rendered, so a long-lived view takes no write barrier
+   per entry.  Each arena has one internal read cursor
    ([rpos]), so interleaved decodes of the same arena from two threads
    are not supported (arenas are owned by one builder, then by one
    worker — never shared). *)
@@ -49,7 +52,6 @@ let tag_of_code =
 type view = {
   mutable tag : tag;
   mutable thread : int;
-  mutable loc : Loc.t;
   mutable lid : int;
   mutable a : int;
   mutable b : int;
@@ -59,7 +61,7 @@ type view = {
 }
 
 let make_view () =
-  { tag = T_write; thread = 0; loc = Loc.none; lid = 0; a = 0; b = 0; c = 0; d = 0; rule = "" }
+  { tag = T_write; thread = 0; lid = 0; a = 0; b = 0; c = 0; d = 0; rule = "" }
 
 type t = {
   mutable buf : Bytes.t;
@@ -179,9 +181,9 @@ let intern t (loc : Loc.t) =
   end
 
 (* The one map from an event to its wire shape; [kind_of_view] is its
-   inverse.  [loc] is never stored, so a long-lived view (an arena's
-   scratch view, the engine's) takes no write barrier here; [rule] is
-   set for the lint tags only. *)
+   inverse.  Only immediates are stored, so a long-lived view (an
+   arena's scratch view, the engine's) takes no write barrier here;
+   [rule] is set for the lint tags only. *)
 let[@inline] set_range v tag addr size =
   v.tag <- tag;
   v.a <- addr;
@@ -270,19 +272,26 @@ let rec read_u t p shift acc =
     acc
   end
 
-let read_int t =
-  let u = read_u t t.rpos 0 0 in
-  unzigzag u
+(* Thread ids, location ids, sizes and short-range addresses are mostly
+   one byte: that case skips the loop. *)
+let[@inline] read_int t =
+  let p = t.rpos in
+  let b = Char.code (Bytes.unsafe_get t.buf p) in
+  if b < 0x80 then begin
+    t.rpos <- p + 1;
+    unzigzag b
+  end
+  else unzigzag (read_u t p 0 0)
 
+(* The hot cursor trusts its arena (encoded by [push], or validated by
+   [decode_wire]), so every tag code is in [tag_of_code]. *)
 let read t ~pos (v : view) =
   if pos >= t.len then invalid_arg "Packed.read: out of bounds";
   let code = Char.code (Bytes.unsafe_get t.buf pos) in
   t.rpos <- pos + 1;
-  v.tag <- tag_of_code.(code);
+  v.tag <- Array.unsafe_get tag_of_code code;
   v.thread <- read_int t;
-  let lid = read_int t in
-  v.lid <- lid;
-  v.loc <- Vec.get t.locs lid;
+  v.lid <- read_int t;
   (match v.tag with
   | T_write | T_clwb | T_is_persist | T_tx_add | T_exclude | T_include ->
     v.a <- read_int t;
@@ -324,7 +333,8 @@ let kind_of_view v : Event.kind =
   | T_lint_off -> Event.Control (Event.Lint_off { rule = v.rule })
   | T_lint_on -> Event.Control (Event.Lint_on { rule = v.rule })
 
-let event_of_view v : Event.t = { Event.kind = kind_of_view v; loc = v.loc; thread = v.thread }
+let event_of_view t v : Event.t =
+  { Event.kind = kind_of_view v; loc = loc t v.lid; thread = v.thread }
 
 let iter t f =
   let v = make_view () in
@@ -337,7 +347,7 @@ let iter t f =
 let to_events t =
   let out = Array.make t.count (Event.make (Event.Tx Event.Tx_begin)) and i = ref 0 in
   iter t (fun v ->
-      out.(!i) <- event_of_view v;
+      out.(!i) <- event_of_view t v;
       incr i);
   out
 
@@ -400,7 +410,6 @@ let read_checked t ~pos (v : view) =
   let lid = arg_checked t in
   if lid < 0 || lid >= Vec.length t.locs then bad t.rpos "location id %d out of range" lid;
   v.lid <- lid;
-  v.loc <- Vec.get t.locs lid;
   (match v.tag with
   | T_write | T_clwb | T_is_persist | T_tx_add | T_exclude | T_include ->
     v.a <- arg_checked t;

@@ -70,14 +70,14 @@ type tag =
   | T_gpf
 
 (** One decoded event, overwritten in place by each {!read} — callers
-    must copy anything they keep.  [lid] is the arena's id for [loc]
-    (see {!loc}); [a]/[b] hold addr/size (or the A range of
-    isOrderedBefore, whose B range is [c]/[d]); [rule] is only
-    meaningful for lint tags. *)
+    must copy anything they keep.  [lid] is the arena's id for the
+    event's location (see {!loc}); [a]/[b] hold addr/size (or the A
+    range of isOrderedBefore, whose B range is [c]/[d]); [rule] is only
+    meaningful for lint tags.  Every other field is an immediate, so
+    decoding into a long-lived view takes no write barrier. *)
 type view = {
   mutable tag : tag;
   mutable thread : int;
-  mutable loc : Loc.t;
   mutable lid : int;
   mutable a : int;
   mutable b : int;
@@ -91,7 +91,10 @@ val make_view : unit -> view
 val read : t -> pos:int -> view -> int
 (** Decode the event at byte offset [pos] into the view; returns the
     offset of the next event.  Iterate from 0 while [< byte_length t].
-    Raises [Invalid_argument] if [pos] is out of bounds. *)
+    Raises [Invalid_argument] if [pos] is out of bounds.  The arena is
+    trusted — built by {!push} or validated by {!decode_wire} — so tags
+    and varints are not checked: a one-byte varint, the common case,
+    is one load and a compare. *)
 
 val iter : t -> (view -> unit) -> unit
 
@@ -103,12 +106,14 @@ val loc : t -> int -> Loc.t
 val set_view : view -> lid:int -> Event.kind -> unit
 (** The one dispatcher from {!Event.kind} to the wire shape: sets [tag],
     [lid] and the tag's fields ([a]–[d]; [rule] for the lint tags only).
-    [thread] and [loc] are left alone, so a long-lived view takes no
-    write barrier.  The encoder, [Engine.check] and the session's scope
+    [thread] is left alone, and a long-lived view takes no write
+    barrier.  The encoder, [Engine.check] and the session's scope
     scan all go through it; {!kind_of_view} is its inverse. *)
 
 val kind_of_view : view -> Event.kind
-val event_of_view : view -> Event.t
+val event_of_view : t -> view -> Event.t
+(** The event a view of [t] decoded, its location resolved by {!loc}. *)
+
 val to_events : t -> Event.t array
 
 (** {1 Checked decoding and the wire form}

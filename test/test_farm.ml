@@ -148,6 +148,10 @@ let test_spec_rejects_garbage () =
       "fuzz model=x86 fault=skip-journal-flush seed=0 count=1 chunk=1";
       "fuzz model=x86 fs=nova seed=0 count=1 chunk=1";
       "litmus model=x86 fs=pmfs seed=0 count=25 chunk=5";
+      "litmus model=x86 seed=0 count=25 chunk=5 max_ops=3";
+      "litmus model=hops seed=0 count=25 chunk=5";
+      "litmus model=x86 seed=1 count=24 chunk=5";
+      "litmus model=x86 seed=0 count=26 chunk=5";
     ]
 
 let test_spec_jobs_cover_the_range () =
@@ -731,8 +735,9 @@ let test_repeated_refusals_abort_campaign () =
 let test_invalid_specs_rejected_before_serving () =
   (* Negative seeds would blow up mid-[encode_job_offer] inside the
      coordinator loop; an unknown fault would make every attempt of
-     every job fail worker-side.  Both are rejected before the socket
-     even opens. *)
+     every job fail worker-side, and so would a litmus range past the
+     suite; a litmus spec that sets what the suite fixes is refused
+     too.  All are rejected before the socket even opens. *)
   (match Farm.Spec.validate (Farm.Spec.fuzz ~model:Model.X86 ~seed:(-1) ~count:5 ~chunk:5 ()) with
   | Ok () -> Alcotest.fail "negative seed validated"
   | Error _ -> ());
@@ -747,6 +752,10 @@ let test_invalid_specs_rejected_before_serving () =
           Farm.Spec.fuzz ~model:Model.X86 ~seed:(-7) ~count:5 ~chunk:5 ();
           Farm.Spec.crashfs ~fault:"no-such-fault" ~fs:Crashfs.Pmfs ~model:Model.X86 ~seed:0
             ~count:5 ~chunk:5 ();
+          { (Farm.Spec.litmus ~chunk:5 ()) with Farm.Spec.seed = 1 };
+          { (Farm.Spec.litmus ~chunk:5 ()) with Farm.Spec.count = 30 };
+          { (Farm.Spec.litmus ~chunk:5 ()) with Farm.Spec.max_ops = Some 3 };
+          { (Farm.Spec.litmus ~chunk:5 ()) with Farm.Spec.model = Model.Cxl };
         ])
 
 (* --- Scheduler model ----------------------------------------------------------

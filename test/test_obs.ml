@@ -144,6 +144,7 @@ let synthetic : Obs.snapshot =
         ("ops_checked", 30);
         ("checkers_run", 5);
         ("diagnostics", 2);
+        ("scope_end_walks", 1);
         ("batches", 4);
         ("batch_sections_max", 2);
         ("arenas_allocated", 3);
@@ -230,6 +231,7 @@ let golden_tsv =
       "counter\tops_checked\t30";
       "counter\tcheckers_run\t5";
       "counter\tdiagnostics\t2";
+      "counter\tscope_end_walks\t1";
       "counter\tbatches\t4";
       "counter\tbatch_sections_max\t2";
       "counter\tarenas_allocated\t3";
@@ -283,7 +285,7 @@ let golden_tsv =
 let golden_jsonl =
   String.concat "\n"
     [
-      {|{"type":"counters","elapsed_ns":5000,"events_traced":42,"sections_sent":3,"sections_checked":3,"sections_merged":3,"sections_dropped":1,"queue_hwm":2,"reorder_hwm":1,"entries_checked":40,"ops_checked":30,"checkers_run":5,"diagnostics":2,"batches":4,"batch_sections_max":2,"arenas_allocated":3,"arenas_reused":1,"repair_traces":2,"repair_edits":5,"repair_rounds":4,"repair_ns":800,"repair_verify_ns":650,"serve_sessions_opened":2,"serve_sessions_closed":2,"serve_sessions_hwm":2,"serve_frames_in":6,"serve_frames_out":4,"serve_frame_bytes_in":900,"serve_frame_bytes_out":120,"serve_frames_corrupt":1,"serve_sections_shed":0,"serve_inflight_hwm":3,"farm_workers":2,"farm_workers_lost":1,"farm_jobs":8,"farm_jobs_done":8,"farm_offers":9,"farm_retries":1,"farm_steals":1,"farm_reassignments":1,"farm_findings":3,"farm_dup_findings":1,"farm_nondet":0,"farm_heartbeats":12,"farm_checkpoints":8}|};
+      {|{"type":"counters","elapsed_ns":5000,"events_traced":42,"sections_sent":3,"sections_checked":3,"sections_merged":3,"sections_dropped":1,"queue_hwm":2,"reorder_hwm":1,"entries_checked":40,"ops_checked":30,"checkers_run":5,"diagnostics":2,"scope_end_walks":1,"batches":4,"batch_sections_max":2,"arenas_allocated":3,"arenas_reused":1,"repair_traces":2,"repair_edits":5,"repair_rounds":4,"repair_ns":800,"repair_verify_ns":650,"serve_sessions_opened":2,"serve_sessions_closed":2,"serve_sessions_hwm":2,"serve_frames_in":6,"serve_frames_out":4,"serve_frame_bytes_in":900,"serve_frame_bytes_out":120,"serve_frames_corrupt":1,"serve_sections_shed":0,"serve_inflight_hwm":3,"farm_workers":2,"farm_workers_lost":1,"farm_jobs":8,"farm_jobs_done":8,"farm_offers":9,"farm_retries":1,"farm_steals":1,"farm_reassignments":1,"farm_findings":3,"farm_dup_findings":1,"farm_nondet":0,"farm_heartbeats":12,"farm_checkpoints":8}|};
       {|{"type":"worker","id":0,"sections":2,"busy_ns":700}|};
       {|{"type":"worker","id":1,"sections":1,"busy_ns":300}|};
       {|{"type":"shard","shard":0,"sessions":1,"sections":2}|};

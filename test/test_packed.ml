@@ -89,7 +89,9 @@ let test_serial_packed_agree () =
   Alcotest.(check bool) "re-pack of serial reload" true
     (entries_equal sample_entries (Packed.to_events (Packed.of_events reloaded)))
 
-(* Random events exercising varint widths, interning and rule strings. *)
+(* Random events exercising varint widths, interning and rule strings.
+   Thread ids take one varint byte up to 63, so some are wider, and some
+   are negative. *)
 let gen_entry =
   QCheck2.Gen.(
     let addr = int_range 0 (1 lsl 20) and size = int_range 1 4096 in
@@ -137,20 +139,24 @@ let gen_entry =
            Event.Control (Event.Lint_on { rule }));
         ]
     in
-    map3 (fun kind loc thread -> Event.make ~thread ~loc kind) kind loc (int_range 0 7))
+    let thread = oneof [ int_range 0 7; int_range 64 100_000; int_range (-100_000) (-1) ] in
+    map3 (fun kind loc thread -> Event.make ~thread ~loc kind) kind loc thread)
 
 let prop_packed_round_trip =
-  QCheck2.Test.make ~name:"packed round trip" ~count:500
+  QCheck2.Test.make ~name:"packed round trip" ~count:500 ~long_factor:100
     QCheck2.Gen.(array_size (int_range 0 64) gen_entry)
     (fun evs -> entries_equal evs (Packed.to_events (Packed.of_events evs)))
 
+(* With a prelude, as a session's exclusion preamble arrives: replayed
+   boxed before the arena, its entries' location ids are negative. *)
 let prop_check_packed_equals_boxed =
-  QCheck2.Test.make ~name:"check_packed equals check" ~count:300
+  QCheck2.Test.make ~name:"check_packed equals check" ~count:300 ~long_factor:100
     QCheck2.Gen.(
-      pair
+      triple
+        (array_size (int_range 1 6) gen_entry)
         (array_size (int_range 0 48) gen_entry)
         (oneofl Model.all_kinds))
-    (fun (evs, model) ->
+    (fun (prelude, evs, model) ->
       let key (r : Report.t) =
         ( List.map
             (fun (d : Report.diagnostic) -> (d.Report.kind, d.Report.loc, d.Report.message))
@@ -159,7 +165,34 @@ let prop_check_packed_equals_boxed =
           r.Report.ops,
           r.Report.checkers )
       in
-      key (Engine.check ~model evs) = key (Engine.check_packed ~model (Packed.of_events evs)))
+      key (Engine.check ~model ~prelude evs)
+      = key (Engine.check_packed ~model ~prelude (Packed.of_events evs)))
+
+(* Location ids take one varint byte up to 63 and two up to 8191: a
+   section with more distinct call sites than that decodes ids of
+   every width, and every diagnostic still names its own site. *)
+let test_many_locations () =
+  let n = 9000 in
+  let evs =
+    Array.init (2 * n) (fun i ->
+        let site = i / 2 in
+        let loc = Loc.make ~file:"sites.c" ~line:site in
+        let addr = 64 * site in
+        Event.make ~thread:(site - 4500) ~loc
+          (if i mod 2 = 0 then Event.Op (Model.Write { addr; size = 8 })
+           else Event.Checker (Event.Is_persist { addr; size = 8 })))
+  in
+  let p = Packed.of_events evs in
+  Alcotest.(check bool) "decode identity" true (entries_equal evs (Packed.to_events p));
+  (match Packed.decode_wire (Packed.encode_wire p) with
+  | Error e -> Alcotest.fail (Packed.decode_error_to_string e)
+  | Ok q -> Alcotest.(check bool) "wire round trip" true (entries_equal evs (Packed.to_events q)));
+  let boxed = Engine.check evs and packed = Engine.check_packed p in
+  Alcotest.(check string) "same report" (Report.to_string boxed) (Report.to_string packed);
+  Alcotest.(check (list int))
+    "each failure at its own site"
+    (List.init n (fun i -> i))
+    (List.map (fun (d : Report.diagnostic) -> d.Report.loc.Loc.line) packed.Report.diagnostics)
 
 let corpus_dir = "../fuzz/corpus"
 
@@ -377,6 +410,7 @@ let () =
           Alcotest.test_case "all 18 tags reachable" `Quick test_tag_coverage;
           Alcotest.test_case "agrees with the serial codec" `Quick test_serial_packed_agree;
           Alcotest.test_case "freelist recycles arenas" `Quick test_freelist_recycles;
+          Alcotest.test_case "ids past one and two bytes" `Quick test_many_locations;
         ] );
       ( "wire",
         [
