@@ -692,8 +692,8 @@ let fuzz_bench () =
             row ~layer ~metric:"seconds" ~unit:"s" ~better:`Lower secs)
           s.Campaign.pair_seconds)
     Model.all_kinds;
-  Fmt.pr "@.(differential checking dominates generation; the crashtest pair enumerates@.";
-  Fmt.pr " versioned crash images and is the budget to watch on long campaigns)@."
+  Fmt.pr "@.(differential checking dominates generation; the crashtest pair enumerates or@.";
+  Fmt.pr " samples the durable images of the final crash point only)@."
 
 (* --- Observability overhead ------------------------------------------------------------ *)
 

@@ -55,7 +55,8 @@ val run :
     been created with [~track_versions:true]), injecting crashes after
     every step and at the start. [recover] receives a durable image and
     must boot it, run recovery, and verify the application invariant.
-    Exceptions raised by [recover] are converted into failures. *)
+    Exceptions raised by [recover] are converted into failures. Litmus
+    runs through it: its [Any]-scoped states need every point. *)
 
 val pp_verdict : Format.formatter -> verdict -> unit
 
@@ -65,8 +66,8 @@ val explore :
     machine could leave behind if it lost power now, when there are at
     most [limit] of them, and return [true]; otherwise on [samples]
     images drawn from [rng], and return [false]. The buffer may be
-    reused between calls — copy it to keep it. {!run}, {!attach} and
-    crashfs all explore through this. *)
+    reused between calls — copy it to keep it. {!run}, {!attach},
+    crashfs and the fuzz engine/crashtest contract explore through it. *)
 
 (** {1 Operation-granular injection}
 

@@ -213,32 +213,27 @@ let vs_crashtest (p : Gen.program) =
   else if not (ops_in_bounds p) then Skip "ops outside the simulated device"
   else if Event.op_count p.Gen.events = 0 then Agree
   else begin
-    let apply m (e : Event.t) ~payload =
-      match e.Event.kind with
-      | Event.Op (Model.Write { addr; size }) ->
-        Machine.store m ~addr (Bytes.make size (payload ()))
-      | Event.Op (Model.Clwb { addr; size }) -> Machine.clwb m ~addr ~size
-      | Event.Op Model.Sfence -> Machine.sfence m
-      | Event.Op Model.Ofence -> Machine.ofence m
-      | Event.Op Model.Dfence -> Machine.dfence m
-      (* The global persist barrier drains everything pending — the
-         simulated device's dfence. *)
-      | Event.Op Model.Gpf -> Machine.dfence m
-      | _ -> ()
-    in
-    let payload_counter () =
-      let k = ref 0 in
-      fun () ->
-        let v = Char.chr ((!k mod 250) + 1) in
-        incr k;
-        v
-    in
-    (* First replay: the final volatile content the durable claims are
-       checked against. *)
-    let probe = Machine.create ~size:p.Gen.pm_size () in
-    let pay = payload_counter () in
-    Array.iter (fun e -> apply probe e ~payload:(fun () -> pay ())) p.Gen.events;
-    let final = Machine.volatile_image probe in
+    (* Only the final crash point carries the engine's end-of-trace
+       durability claims, so only it is explored: each durable image the
+       replayed device could leave must hold the final volatile content. *)
+    let m = Machine.create ~track_versions:true ~size:p.Gen.pm_size () in
+    let writes = ref 0 in
+    Array.iter
+      (fun (e : Event.t) ->
+        match e.Event.kind with
+        | Event.Op (Model.Write { addr; size }) ->
+          Machine.store m ~addr (Bytes.make size (Char.chr ((!writes mod 250) + 1)));
+          incr writes
+        | Event.Op (Model.Clwb { addr; size }) -> Machine.clwb m ~addr ~size
+        | Event.Op Model.Sfence -> Machine.sfence m
+        | Event.Op Model.Ofence -> Machine.ofence m
+        | Event.Op Model.Dfence -> Machine.dfence m
+        (* The global persist barrier drains everything pending — the
+           simulated device's dfence. *)
+        | Event.Op Model.Gpf -> Machine.dfence m
+        | _ -> ())
+      p.Gen.events;
+    let final = Machine.volatile_image m in
     let _, snap = Engine.check_with_snapshot ~model:p.Gen.model p.Gen.events in
     let claims =
       List.filter
@@ -246,39 +241,28 @@ let vs_crashtest (p : Gen.program) =
           Interval.ends_by r.Engine.persist snap.Engine.timestamp)
         snap.Engine.ranges
     in
-    let machine = Machine.create ~track_versions:true ~size:p.Gen.pm_size () in
-    let pay = payload_counter () in
-    let steps = Array.length p.Gen.events in
-    let cur = ref (-1) in
-    let step i =
-      cur := i;
-      apply machine p.Gen.events.(i) ~payload:(fun () -> pay ())
+    let differs img (r : Engine.range_status) =
+      let rec go i = i < r.Engine.hi && (Bytes.get img i <> Bytes.get final i || go (i + 1)) in
+      go r.Engine.lo
     in
-    let recover img =
-      (* Only the final crash point carries the engine's end-of-trace
-         durability claims; earlier points assert nothing. *)
-      if !cur <> steps - 1 then Ok ()
-      else
-        match
-          List.find_opt
-            (fun (r : Engine.range_status) ->
-              not
-                (String.equal
-                   (Bytes.sub_string img r.Engine.lo (r.Engine.hi - r.Engine.lo))
-                   (Bytes.sub_string final r.Engine.lo (r.Engine.hi - r.Engine.lo))))
-            claims
-        with
-        | None -> Ok ()
-        | Some r ->
-          Error
-            (Printf.sprintf
-               "engine claims [0x%x,+%d) persisted but a reachable image disagrees" r.Engine.lo
-               (r.Engine.hi - r.Engine.lo))
+    let exception Failed of string in
+    let check img =
+      match List.find_opt (differs img) claims with
+      | None -> ()
+      | Some r ->
+        raise
+          (Failed
+             (Printf.sprintf "engine claims [0x%x,+%d) persisted but a reachable image disagrees"
+                r.Engine.lo (r.Engine.hi - r.Engine.lo)))
+      | exception e -> raise (Failed ("recovery raised " ^ Printexc.to_string e))
     in
-    let verdict = Crashtest.run ~machine ~recover ~steps ~step () in
-    match verdict.Crashtest.failures with
-    | [] -> Agree
-    | f :: _ -> Disagree f.Crashtest.message
+    let c = Crashtest.default_config in
+    match
+      Crashtest.explore ~limit:c.Crashtest.exhaustive_limit ~samples:c.Crashtest.samples_per_point
+        m (Rng.create c.Crashtest.seed) check
+    with
+    | _ -> Agree
+    | exception Failed msg -> Disagree msg
   end
 
 (* The packed cursor feeds the engine's one dispatcher, as the boxed

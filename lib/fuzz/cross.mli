@@ -24,9 +24,10 @@
       {!Oracle} ground truth (isPersist/isOrderedBefore sound {e and}
       complete).
     - {b engine/crashtest}: not under eADR (the simulated device keeps
-      stores volatile). Replaying the program as {!Pmtest_crashtest}
-      steps, every durable image at the final crash point must contain
-      the content of every range the engine claims persisted. Exclusion
+      stores volatile). Every durable image [Crashtest.explore] yields
+      at the final crash point of the replayed program must contain the
+      content of every range the engine claims persisted; earlier
+      points carry no claim and are not explored. Exclusion
       holes are covered: the engine's shadow now records writes across
       holes (exclusion gates diagnostics, not history), so no stale
       pre-exclusion claim can outlive the data it described — the

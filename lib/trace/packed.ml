@@ -135,12 +135,13 @@ let ensure t n =
     t.buf <- b
   end
 
-(* Zigzag so negative ints (legal in hand-built events) stay compact. *)
+(* Zigzag so negative ints stay compact. [u] is an unsigned 63-bit int:
+   [max_int] and [min_int] map to negative ints, nine varint bytes. *)
 let[@inline] zigzag n = (n lsl 1) lxor (n asr 62)
 let[@inline] unzigzag u = (u lsr 1) lxor (- (u land 1))
 
 let rec put_u t u =
-  if u < 0x80 then begin
+  if u land lnot 0x7f = 0 then begin
     Bytes.unsafe_set t.buf t.len (Char.unsafe_chr u);
     t.len <- t.len + 1
   end
@@ -373,10 +374,10 @@ let bad offset fmt = Printf.ksprintf (fun reason -> raise (Bad { offset; reason 
 
 (* Bounds-checked varint at [p], from a field starting at [pos]: unlike
    [read_u] it never reads past [len] and rejects encodings longer than
-   an OCaml int.  Leaves [rpos] after the field, as [read_u] does. *)
+   nine bytes (63 bits).  Leaves [rpos] after the field, as [read_u] does. *)
 let rec read_u_checked t pos p shift acc =
   if p >= t.len then bad pos "truncated varint"
-  else if shift > 63 then bad pos "varint too long"
+  else if shift > 56 then bad pos "varint too long"
   else begin
     let b = Char.code (Bytes.get t.buf p) in
     let acc = acc lor ((b land 0x7f) lsl shift) in
@@ -547,7 +548,7 @@ let decode_wire ?obs ?pool s =
   let uv pos =
     let rec go p shift acc =
       if p >= slen then bad pos "truncated varint"
-      else if shift > 63 then bad pos "varint too long"
+      else if shift > 56 then bad pos "varint too long"
       else begin
         let b = Char.code (String.unsafe_get s p) in
         let acc = acc lor ((b land 0x7f) lsl shift) in

@@ -7,18 +7,18 @@ module Report = Pmtest_core.Report
      version  u8   (= [version])
      kind     u8
      len      u32be  (payload bytes)
-     crc      u32be  (CRC-32/IEEE of the payload)
+     crc      u32be  (CRC-32/IEEE of version, kind, len, then payload)
      payload  len bytes
 
-   The CRC catches a torn or bit-flipped frame before its payload ever
-   reaches the packed decoder; the decoder's own validation (checked
-   varints, loc-table bounds) then guards against a hostile client that
-   computes a correct CRC over garbage. *)
+   The CRC catches a torn or bit-flipped frame, kind byte included,
+   before its payload ever reaches the packed decoder; the decoder's own
+   validation (checked varints, loc-table bounds) then guards against a
+   hostile client that computes a correct CRC over garbage. *)
 
 (* One protocol version for every frame kind: both ends of every link
    are built from this repository, so a header carrying any other
    version byte is a peer this build cannot talk to. *)
-let version = 2
+let version = 3
 
 (* Cap well above any real section (the fuzz generator tops out around
    tens of KiB) but low enough that a corrupt length field cannot make
@@ -110,11 +110,14 @@ let crc_table =
          done;
          !c))
 
-let crc32 s =
-  let table = Lazy.force crc_table in
-  let c = ref 0xffffffff in
-  String.iter (fun ch -> c := table.((!c lxor Char.code ch) land 0xff) lxor (!c lsr 8)) s;
-  !c lxor 0xffffffff
+let crc_update c b pos len =
+  let table = Lazy.force crc_table and c = ref c in
+  for i = pos to pos + len - 1 do
+    c := table.((!c lxor Char.code (Bytes.get b i)) land 0xff) lxor (!c lsr 8)
+  done;
+  !c
+
+let crc32 s = crc_update 0xffffffff (Bytes.unsafe_of_string s) 0 (String.length s) lxor 0xffffffff
 
 (* --- Raw fd I/O ---------------------------------------------------------- *)
 
@@ -143,6 +146,11 @@ let rec write_exactly ?deadline fd buf pos len =
 (* version + kind + len + crc. *)
 let header_len = 10
 
+(* The CRC of the frame at [off] with a [len]-byte payload: the header
+   up to the CRC field, then the payload. *)
+let frame_crc b off len =
+  crc_update (crc_update 0xffffffff b off 6) b (off + header_len) len lxor 0xffffffff
+
 let put_u32be b off v =
   Bytes.set b off (Char.chr ((v lsr 24) land 0xff));
   Bytes.set b (off + 1) (Char.chr ((v lsr 16) land 0xff));
@@ -168,8 +176,8 @@ let write_frame ?timeout fd kind payload =
     Bytes.set b 0 (Char.chr version);
     Bytes.set b 1 (Char.chr (kind_code kind));
     put_u32be b 2 len;
-    put_u32be b 6 (crc32 payload);
     Bytes.blit_string payload 0 b header_len len;
+    put_u32be b 6 (frame_crc b 0 len);
     let deadline =
       Option.map (fun s -> Pmtest_obs.Obs.now_ns () + int_of_float (s *. 1e9)) timeout
     in
@@ -218,13 +226,10 @@ let parse_one r =
         if len > max_payload then
           `Fail (Corrupt (Printf.sprintf "payload length %d exceeds limit" len))
         else if buffered r < header_len + len then `Need (header_len + len)
+        else if frame_crc b off len <> crc then `Fail (Corrupt "frame CRC mismatch")
         else begin
-          let payload = Bytes.sub_string b (off + header_len) len in
-          if crc32 payload <> crc then `Fail (Corrupt "payload CRC mismatch")
-          else begin
-            r.pos <- off + header_len + len;
-            `Frame (kind, payload)
-          end
+          r.pos <- off + header_len + len;
+          `Frame (kind, Bytes.sub_string b (off + header_len) len)
         end
   end
 

@@ -7,7 +7,7 @@
     version  u8     {!version}
     kind     u8
     len      u32be  payload length in bytes
-    crc      u32be  CRC-32/IEEE of the payload
+    crc      u32be  CRC-32/IEEE of version, kind, len, then the payload
     payload  len bytes
     v}
 
@@ -48,7 +48,8 @@
     Every frame of either family is stamped {!version}; a header
     carrying any other version byte is rejected as [Version_mismatch].
 
-    The CRC rejects torn or corrupted frames cheaply;
+    The CRC rejects torn or corrupted frames cheaply, a flipped kind or
+    length byte included;
     [Packed.decode_wire]'s full validation then protects the worker
     pool from adversarial payloads that carry a correct CRC. *)
 
@@ -56,7 +57,7 @@ module Model = Pmtest_model.Model
 module Report = Pmtest_core.Report
 
 val version : int
-(** The one frame version this build writes and accepts (2). *)
+(** The one frame version this build writes and accepts (3). *)
 
 val max_payload : int
 (** Reader-side allocation guard (64 MiB); larger frames are corrupt by

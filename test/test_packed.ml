@@ -12,6 +12,9 @@ module Repro = Pmtest_fuzz.Repro
 module Gen = Pmtest_fuzz.Gen
 module Obs = Pmtest_obs.Obs
 module Loc = Pmtest_util.Loc
+module Wire = Pmtest_wire.Wire
+module Case = Pmtest_bugdb.Case
+module Catalog = Pmtest_bugdb.Catalog
 
 (* One event per wire tag (18), mirroring test_serial's sample. *)
 let sample_entries =
@@ -147,6 +150,65 @@ let prop_packed_round_trip =
     QCheck2.Gen.(array_size (int_range 0 64) gen_entry)
     (fun evs -> entries_equal evs (Packed.to_events (Packed.of_events evs)))
 
+(* Any int, weighted toward both ends of the range and the powers of
+   two where a varint gains a byte. *)
+let gen_any_int =
+  QCheck2.Gen.(
+    oneof
+      [
+        oneofl [ min_int; max_int; 0; -1 ];
+        map2 (fun k d -> (1 lsl k) + d) (int_range 0 62) (int_range (-1) 1);
+        map2 (fun k d -> d - (1 lsl k)) (int_range 0 62) (int_range (-1) 1);
+        int;
+      ])
+
+(* One event of each of the 18 tags, every int field drawn from the whole
+   range. Range sizes stay positive, as [decode_wire] requires. *)
+let gen_wide_entry =
+  QCheck2.Gen.(
+    let size = map (fun n -> if n = min_int then max_int else max 1 (abs n)) gen_any_int in
+    let* tag = int_range 0 17
+    and* a = gen_any_int
+    and* b = size
+    and* c = gen_any_int
+    and* d = size
+    and* thread = gen_any_int
+    and* line = oneof [ int_range 0 999; map (fun n -> n land max_int) gen_any_int ]
+    and* rule = string_size ~gen:printable (int_range 0 6) in
+    let kind =
+      match tag with
+      | 0 -> Event.Op (Model.Write { addr = a; size = b })
+      | 1 -> Event.Op (Model.Clwb { addr = a; size = b })
+      | 2 -> Event.Op Model.Sfence
+      | 3 -> Event.Op Model.Ofence
+      | 4 -> Event.Op Model.Dfence
+      | 5 -> Event.Op Model.Gpf
+      | 6 -> Event.Checker (Event.Is_persist { addr = a; size = b })
+      | 7 -> Event.Checker (Event.Is_ordered_before { a_addr = a; a_size = b; b_addr = c; b_size = d })
+      | 8 -> Event.Tx Event.Tx_begin
+      | 9 -> Event.Tx (Event.Tx_add { addr = a; size = b })
+      | 10 -> Event.Tx Event.Tx_commit
+      | 11 -> Event.Tx Event.Tx_abort
+      | 12 -> Event.Tx Event.Tx_checker_start
+      | 13 -> Event.Tx Event.Tx_checker_end
+      | 14 -> Event.Control (Event.Exclude { addr = a; size = b })
+      | 15 -> Event.Control (Event.Include { addr = a; size = b })
+      | 16 -> Event.Control (Event.Lint_off { rule })
+      | _ -> Event.Control (Event.Lint_on { rule })
+    in
+    return (Event.make ~thread ~loc:(Loc.make ~file:"wide.c" ~line) kind))
+
+let prop_codec_total_over_int =
+  QCheck2.Test.make ~name:"codec total over int" ~count:1000 ~long_factor:100
+    QCheck2.Gen.(array_size (int_range 1 8) gen_wide_entry)
+    (fun evs ->
+      let p = Packed.of_events evs in
+      entries_equal evs (Packed.to_events p)
+      &&
+      match Packed.decode_wire (Packed.encode_wire p) with
+      | Ok q -> entries_equal evs (Packed.to_events q)
+      | Error e -> QCheck2.Test.fail_report (Packed.decode_error_to_string e))
+
 (* With a prelude, as a session's exclusion preamble arrives: replayed
    boxed before the arena, its entries' location ids are negative. *)
 let prop_check_packed_equals_boxed =
@@ -194,7 +256,8 @@ let test_many_locations () =
     (List.init n (fun i -> i))
     (List.map (fun (d : Report.diagnostic) -> d.Report.loc.Loc.line) packed.Report.diagnostics)
 
-let corpus_dir = "../fuzz/corpus"
+(* dune runs tests from _build/default/test; [dune exec] from the root. *)
+let corpus_dir = if Sys.file_exists "../fuzz/corpus" then "../fuzz/corpus" else "fuzz/corpus"
 
 let corpus_cases () =
   match Repro.load_dir corpus_dir with
@@ -314,6 +377,125 @@ let test_wire_corrupted_tag () =
     Bytes.set b pos orig
   done
 
+(* --- Deterministic decoder fuzz ---------------------------------------------
+
+   Every section the fuzz corpus and the bug catalog send, cut at every
+   byte and flipped at every bit, both as a [decode_wire] payload and as
+   a whole [Wire] frame. Tier-1 takes the first section of each catalog
+   case; the long run (QCHECK_LONG=1) takes every distinct one. *)
+
+let fuzz_sections =
+  lazy
+    (let long = match Sys.getenv_opt "QCHECK_LONG" with Some ("1" | "true") -> true | _ -> false in
+     let seen = Hashtbl.create 64 and out = ref [] in
+     let add name evs =
+       let s = Packed.encode_wire (Packed.of_events evs) in
+       if not (Hashtbl.mem seen s) then begin
+         Hashtbl.add seen s ();
+         out := (name, s) :: !out
+       end
+     in
+     add "all tags" sample_entries;
+     List.iter
+       (fun (c : Repro.case) -> add c.Repro.name c.Repro.program.Gen.events)
+       (corpus_cases ());
+     List.iter
+       (fun (c : Case.t) ->
+         let n = ref 0 in
+         ignore
+           (c.Case.run
+              ~observer:(fun evs ->
+                if long || !n = 0 then add (Printf.sprintf "%s section %d" c.Case.id !n) evs;
+                incr n)
+              ()))
+       Catalog.all;
+     List.rev !out)
+
+(* Call [f] on every proper prefix of [s] and on [s] with each bit
+   flipped in turn. A flipped mutant is valid only during its call. *)
+let iter_mutants s f =
+  for n = 0 to String.length s - 1 do
+    f (`Cut n) (String.sub s 0 n)
+  done;
+  let b = Bytes.of_string s in
+  for i = 0 to (8 * Bytes.length b) - 1 do
+    let orig = Bytes.get b (i / 8) in
+    Bytes.set b (i / 8) (Char.chr (Char.code orig lxor (1 lsl (i mod 8))));
+    f (`Flip i) (Bytes.unsafe_to_string b);
+    Bytes.set b (i / 8) orig
+  done
+
+let mutant_name = function
+  | `Cut n -> Printf.sprintf "cut at byte %d" n
+  | `Flip i -> Printf.sprintf "bit %d flipped" i
+
+(* A mutant that decodes must re-encode to a frame that decodes to the
+   same events; a canonical encoding is its own re-encoding. *)
+let test_decode_wire_mutants () =
+  List.iter
+    (fun (name, s) ->
+      iter_mutants s (fun mutant m ->
+          match Packed.decode_wire m with
+          | Error _ -> ()
+          | Ok q -> (
+            let e = Packed.encode_wire q in
+            if not (String.equal e m) then
+              match Packed.decode_wire e with
+              | Ok q' when entries_equal (Packed.to_events q) (Packed.to_events q') -> ()
+              | _ -> Alcotest.failf "%s, %s: decodes but does not round-trip" name (mutant_name mutant))
+          | exception e ->
+            Alcotest.failf "%s, %s: decode_wire raised %s" name (mutant_name mutant)
+              (Printexc.to_string e)))
+    (Lazy.force fuzz_sections)
+
+let with_socketpair f =
+  let a, b = Unix.socketpair ~cloexec:true PF_UNIX SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close a; Unix.close b) (fun () -> f a b)
+
+(* The bytes [Wire.write_frame] puts on the socket. *)
+let raw_frame payload =
+  with_socketpair (fun a b ->
+      (match Wire.write_frame a Wire.Section payload with
+      | Ok () -> ()
+      | Error e -> Alcotest.fail (Wire.error_to_string e));
+      let len = Wire.header_len + String.length payload in
+      let buf = Bytes.create len in
+      let rec fill off = if off < len then fill (off + Unix.read b buf off (len - off)) in
+      fill 0;
+      Bytes.to_string buf)
+
+(* A cut frame, or one whose length field changed, is refused only at
+   end of stream, so it travels alone on a socket that is then shut.
+   Every other mutant is a whole frame the reader must refuse from its
+   own bytes: those share one socket, with a fresh reader each, and a
+   reader that waits for more is a failure. *)
+let test_wire_refuses_mutants () =
+  with_socketpair (fun sa sb ->
+      Unix.setsockopt_float sb Unix.SO_RCVTIMEO 5.0;
+      List.iter
+        (fun (name, s) ->
+          iter_mutants (raw_frame s) (fun mutant m ->
+              let refused fd =
+                match Wire.read_one (Wire.reader ~buffer:(String.length m + 1) fd) with
+                | Error Wire.Timeout ->
+                  Alcotest.failf "%s, %s: Wire waited on a whole frame" name (mutant_name mutant)
+                | Error _ -> ()
+                | Ok (kind, _) ->
+                  Alcotest.failf "%s, %s: Wire accepted the frame as %s" name
+                    (mutant_name mutant) (Wire.kind_name kind)
+              in
+              let send fd = ignore (Unix.write_substring fd m 0 (String.length m)) in
+              match mutant with
+              | `Flip i when i < 16 || i >= 48 ->
+                send sa;
+                refused sb
+              | _ ->
+                with_socketpair (fun a b ->
+                    send a;
+                    Unix.shutdown a Unix.SHUTDOWN_SEND;
+                    refused b)))
+        (Lazy.force fuzz_sections))
+
 let check_session ~packed ~workers () =
   let t = Pmtest.init ~model:Model.X86 ~workers ~packed () in
   (* Two sections with an exclusion scope crossing the boundary, checkers
@@ -419,6 +601,11 @@ let () =
           Alcotest.test_case "typed errors on garbage" `Quick test_wire_garbage;
           Alcotest.test_case "byte corruption never raises" `Quick test_wire_corrupted_tag;
         ] );
+      ( "decoder-fuzz",
+        [
+          Alcotest.test_case "decode_wire total on every mutant" `Quick test_decode_wire_mutants;
+          Alcotest.test_case "Wire refuses every mutant" `Quick test_wire_refuses_mutants;
+        ] );
       ( "corpus",
         [
           Alcotest.test_case "decode identity on every case" `Quick test_corpus_decode_identity;
@@ -434,5 +621,5 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_packed_round_trip; prop_check_packed_equals_boxed ] );
+          [ prop_packed_round_trip; prop_codec_total_over_int; prop_check_packed_equals_boxed ] );
     ]
