@@ -693,7 +693,9 @@ let fuzz_bench () =
           s.Campaign.pair_seconds)
     Model.all_kinds;
   Fmt.pr "@.(differential checking dominates generation; the crashtest pair enumerates or@.";
-  Fmt.pr " samples the durable images of the final crash point only)@."
+  Fmt.pr " samples the durable images of the final crash point only. The pairs share one@.";
+  Fmt.pr " boxed engine pass, one lint and one packed check per program, each charged to@.";
+  Fmt.pr " the first pair that reads it: engine/naive pays for the boxed pass)@."
 
 (* --- Observability overhead ------------------------------------------------------------ *)
 

@@ -67,10 +67,11 @@ let run ?(obs = Pmtest_obs.Obs.disabled) ?(on_program = fun _ -> ()) cfg =
     (* Each program plays the role of one section: generation is the
        trace, the cross-check pass is the engine check. *)
     Obs.sync_section obs ~seq:i ~entries @@ fun () ->
+    let analysis = Cross.analyse program in
     List.iteri
       (fun pi pair ->
         let t0 = Obs.now_ns () in
-        let outcome = Cross.compare_pair pair program in
+        let outcome = Cross.compare_analysis pair analysis in
         pair_time.(pi) <- pair_time.(pi) +. seconds_since t0;
         match outcome with
         | Cross.Agree -> applied.(pi) <- applied.(pi) + 1

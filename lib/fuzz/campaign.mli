@@ -38,7 +38,10 @@ type stats = {
   skipped : (Cross.pair * int) list;
   findings : finding list;
   gen_seconds : float;  (** Monotonic wall time spent generating programs. *)
-  pair_seconds : (Cross.pair * float) list;  (** ... and in each checker pair. *)
+  pair_seconds : (Cross.pair * float) list;
+      (** ... and in each checker pair; each field of a program's
+          shared {!Cross.analysis} is charged to the first pair that
+          forces it, so the pairs sum to the whole cross-check. *)
 }
 
 val program_for_seed : cfg -> int -> Gen.program

@@ -74,14 +74,36 @@ let ops_in_bounds (p : Gen.program) =
       | _ -> true)
     p.Gen.events
 
-let count_diff label a b =
+let count_diff label kind er other =
+  let a = Report.count kind er and b = Report.count kind other in
   if a = b then None else Some (Printf.sprintf "%s: engine %d vs %d" label a b)
 
 let first_diff diffs = match List.filter_map Fun.id diffs with [] -> Agree | d :: _ -> Disagree d
 
-let vs_naive (p : Gen.program) =
+(* The three analyses several contracts read, run at most once per
+   program and only when a contract first asks for one. *)
+type analysis = {
+  program : Gen.program;
+  boxed : (Report.t * Engine.snapshot) Lazy.t;
+  lint : Lint.result Lazy.t;
+  packed : Report.t Lazy.t;
+}
+
+let analyse (p : Gen.program) =
+  let model = p.Gen.model and events = p.Gen.events in
+  {
+    program = p;
+    boxed = lazy (Engine.check_with_snapshot ~model events);
+    lint = lazy (Lint.run ~model events);
+    packed = lazy (Engine.check_packed ~model (Packed.of_events events));
+  }
+
+let report a = fst (Lazy.force a.boxed)
+let snapshot a = snd (Lazy.force a.boxed)
+
+let vs_naive ({ program = p; _ } as a) =
   let key r = List.map (fun d -> (d.Report.kind, d.Report.loc)) r.Report.diagnostics in
-  let er = Engine.check ~model:p.Gen.model p.Gen.events in
+  let er = report a in
   let nr = Naive.check ~model:p.Gen.model p.Gen.events in
   if key er = key nr then Agree
   else
@@ -90,45 +112,21 @@ let vs_naive (p : Gen.program) =
          (List.length er.Report.diagnostics)
          (List.length nr.Report.diagnostics))
 
-let vs_lint (p : Gen.program) =
+let vs_lint ({ program = p; _ } as a) =
   if Gen.has_lint_control p then Skip "lint suppression controls present"
   else begin
-    let er = Engine.check ~model:p.Gen.model p.Gen.events in
-    let lr = Lint.report_of (Lint.run ~model:p.Gen.model p.Gen.events) in
-    let diffs =
+    let er = report a and lr = Lint.report_of (Lazy.force a.lint) in
+    first_diff
       [
-        count_diff "duplicate-writeback"
-          (Report.count Report.Duplicate_writeback er)
-          (Report.count Report.Duplicate_writeback lr);
-        count_diff "unnecessary-writeback"
-          (Report.count Report.Unnecessary_writeback er)
-          (Report.count Report.Unnecessary_writeback lr);
+        count_diff "duplicate-writeback" Report.Duplicate_writeback er lr;
+        count_diff "unnecessary-writeback" Report.Unnecessary_writeback er lr;
+        (if tx_scoped p.Gen.events && not (Gen.has_exclusion p) then
+           count_diff "missing-log" Report.Missing_log er lr
+         else None);
       ]
-      @
-      if tx_scoped p.Gen.events && not (Gen.has_exclusion p) then
-        [
-          count_diff "missing-log"
-            (Report.count Report.Missing_log er)
-            (Report.count Report.Missing_log lr);
-        ]
-      else []
-    in
-    first_diff diffs
   end
 
-(* Bytes the engine cannot yet guarantee durable, from the final shadow
-   snapshot. *)
-let engine_unpersisted (p : Gen.program) =
-  let _, snap = Engine.check_with_snapshot ~model:p.Gen.model p.Gen.events in
-  let set = Bytes.make p.Gen.pm_size '\000' in
-  List.iter
-    (fun (r : Engine.range_status) ->
-      if not (Interval.ends_by r.Engine.persist snap.Engine.timestamp) then
-        Bytes.fill set r.Engine.lo (r.Engine.hi - r.Engine.lo) '\001')
-    snap.Engine.ranges;
-  set
-
-let vs_pmemcheck (p : Gen.program) =
+let vs_pmemcheck ({ program = p; _ } as a) =
   if p.Gen.model <> Model.X86 then Skip "pmemcheck models x86 only"
   else if Gen.has_exclusion p then Skip "pmemcheck has no exclusion scopes"
   else if not (ops_in_bounds p) then Skip "ops outside the shadowed range"
@@ -140,7 +138,14 @@ let vs_pmemcheck (p : Gen.program) =
     List.iter
       (fun (addr, size) -> Bytes.fill pc_set addr size '\001')
       (Pmemcheck.unpersisted_ranges pc);
-    let en_set = engine_unpersisted p in
+    (* Bytes the engine cannot yet guarantee durable, from the final
+       shadow snapshot. *)
+    let snap = snapshot a and en_set = Bytes.make p.Gen.pm_size '\000' in
+    List.iter
+      (fun (r : Engine.range_status) ->
+        if not (Interval.ends_by r.Engine.persist snap.Engine.timestamp) then
+          Bytes.fill en_set r.Engine.lo (r.Engine.hi - r.Engine.lo) '\001')
+      snap.Engine.ranges;
     let byte_diff =
       if Bytes.equal pc_set en_set then None
       else begin
@@ -155,24 +160,14 @@ let vs_pmemcheck (p : Gen.program) =
              (Bytes.get pc_set !i = '\001'))
       end
     in
-    let er = Engine.check ~model:p.Gen.model p.Gen.events in
-    let pr = Pmemcheck.result pc in
-    let diffs =
-      [ byte_diff ]
-      @ (if tx_scoped p.Gen.events then
-           [
-             count_diff "missing-log"
-               (Report.count Report.Missing_log er)
-               (Report.count Report.Missing_log pr);
-           ]
-         else [])
-      @ [
-          count_diff "duplicate-log"
-            (Report.count Report.Duplicate_log er)
-            (Report.count Report.Duplicate_log pr);
-        ]
-    in
-    first_diff diffs
+    let er = report a and pr = Pmemcheck.result pc in
+    first_diff
+      [
+        byte_diff;
+        (if tx_scoped p.Gen.events then count_diff "missing-log" Report.Missing_log er pr
+         else None);
+        count_diff "duplicate-log" Report.Duplicate_log er pr;
+      ]
   end
 
 let checker_string = function
@@ -180,12 +175,12 @@ let checker_string = function
   | Event.Is_ordered_before { a_addr; a_size; b_addr; b_size } ->
     Printf.sprintf "isOrderedBefore(0x%x,%d; 0x%x,%d)" a_addr a_size b_addr b_size
 
-let vs_oracle (p : Gen.program) =
+let vs_oracle ({ program = p; _ } as a) =
   match Oracle.evaluate p with
   | None -> Skip "not oracle-eligible (tx/control entries or unaligned ranges)"
   | Some { Oracle.exhaustive = false; _ } -> Skip "crash-state enumeration truncated"
   | Some { Oracle.points; _ } ->
-    let report = Engine.check ~model:p.Gen.model p.Gen.events in
+    let report = report a in
     let engine_holds idx =
       let loc = p.Gen.events.(idx).Event.loc in
       not
@@ -208,7 +203,7 @@ let vs_oracle (p : Gen.program) =
            (if pt.Oracle.holds then "FAIL" else "pass")
            (if pt.Oracle.holds then "holds" else "violated")))
 
-let vs_crashtest (p : Gen.program) =
+let vs_crashtest ({ program = p; _ } as a) =
   if p.Gen.model = Model.Eadr then Skip "the simulated device does not model eADR"
   else if not (ops_in_bounds p) then Skip "ops outside the simulated device"
   else if Event.op_count p.Gen.events = 0 then Agree
@@ -227,14 +222,13 @@ let vs_crashtest (p : Gen.program) =
         | Event.Op (Model.Clwb { addr; size }) -> Machine.clwb m ~addr ~size
         | Event.Op Model.Sfence -> Machine.sfence m
         | Event.Op Model.Ofence -> Machine.ofence m
-        | Event.Op Model.Dfence -> Machine.dfence m
         (* The global persist barrier drains everything pending — the
            simulated device's dfence. *)
-        | Event.Op Model.Gpf -> Machine.dfence m
+        | Event.Op (Model.Dfence | Model.Gpf) -> Machine.dfence m
         | _ -> ())
       p.Gen.events;
     let final = Machine.volatile_image m in
-    let _, snap = Engine.check_with_snapshot ~model:p.Gen.model p.Gen.events in
+    let snap = snapshot a in
     let claims =
       List.filter
         (fun (r : Engine.range_status) ->
@@ -267,19 +261,9 @@ let vs_crashtest (p : Gen.program) =
 
 (* The packed cursor feeds the engine's one dispatcher, as the boxed
    path does: every trace applies, every report field must match. *)
-let vs_packed (p : Gen.program) =
-  let key r =
-    ( List.map
-        (fun (d : Report.diagnostic) -> (d.Report.kind, d.Report.loc, d.Report.message))
-        r.Report.diagnostics,
-      r.Report.entries,
-      r.Report.ops,
-      r.Report.checkers )
-  in
-  let er = Engine.check ~model:p.Gen.model p.Gen.events in
-  let packed = Packed.of_events p.Gen.events in
-  let pr = Engine.check_packed ~model:p.Gen.model packed in
-  if key er = key pr then Agree
+let vs_packed a =
+  let er = report a and pr = Lazy.force a.packed in
+  if er = pr then Agree
   else
     Disagree
       (Printf.sprintf "boxed and packed reports differ (boxed %d diag(s), packed %d)"
@@ -330,14 +314,6 @@ let drive_session ~emit ~flush (p : Gen.program) =
     p.Gen.events;
   List.iter flush !threads
 
-let report_key r =
-  ( List.map
-      (fun (d : Report.diagnostic) -> (d.Report.kind, d.Report.loc, d.Report.message))
-      r.Report.diagnostics,
-    r.Report.entries,
-    r.Report.ops,
-    r.Report.checkers )
-
 let vs_serve (p : Gen.program) =
   let local =
     let s = Pmtest.init ~model:p.Gen.model ~workers:0 ~packed:true () in
@@ -360,7 +336,7 @@ let vs_serve (p : Gen.program) =
     match remote with
     | Error m -> Disagree ("daemon session failed: " ^ m)
     | Ok remote ->
-      if report_key local = report_key remote then Agree
+      if local = remote then Agree
       else
         Disagree
           (Printf.sprintf "in-process and served reports differ (local %d diag(s), served %d)"
@@ -385,14 +361,16 @@ let vs_serve (p : Gen.program) =
      shrink the end-of-trace uncertainty, never invent a new image. *)
 let image_subset a b = Hashtbl.fold (fun k () acc -> acc && Hashtbl.mem b k) a true
 
-let vs_repair (p : Gen.program) =
-  let o = Repair.fixpoint ~model:p.Gen.model p.Gen.events in
+let vs_repair ({ program = p; _ } as a) =
+  let o = Repair.fixpoint ~model:p.Gen.model ~lint:(Lazy.force a.lint) p.Gen.events in
   if not o.Repair.converged then
     Disagree
       (Printf.sprintf "repair did not converge (%d lint passes, %d edits)" o.Repair.iterations
          (Repair.edits_applied o))
   else
-    match Repair.verify_static ~model:p.Gen.model ~original:p.Gen.events o with
+    match
+      Repair.verify_static ~model:p.Gen.model ~original:p.Gen.events ~original_report:(report a) o
+    with
     | problem :: _ -> Disagree ("static proof: " ^ problem)
     | [] ->
       if Repair.edits_applied o = 0 then Agree
@@ -433,17 +411,21 @@ let vs_repair (p : Gen.program) =
           end
       end
 
-let compare_pair pair p =
+let compare_analysis pair a =
   match pair with
-  | Engine_vs_naive -> vs_naive p
-  | Engine_vs_lint -> vs_lint p
-  | Engine_vs_pmemcheck -> vs_pmemcheck p
-  | Engine_vs_oracle -> vs_oracle p
-  | Engine_vs_crashtest -> vs_crashtest p
-  | Engine_vs_packed -> vs_packed p
-  | Engine_vs_serve -> vs_serve p
-  | Engine_vs_repair -> vs_repair p
+  | Engine_vs_naive -> vs_naive a
+  | Engine_vs_lint -> vs_lint a
+  | Engine_vs_pmemcheck -> vs_pmemcheck a
+  | Engine_vs_oracle -> vs_oracle a
+  | Engine_vs_crashtest -> vs_crashtest a
+  | Engine_vs_packed -> vs_packed a
+  | Engine_vs_serve -> vs_serve a.program
+  | Engine_vs_repair -> vs_repair a
 
-let run p = List.map (fun pair -> (pair, compare_pair pair p)) all_pairs
+let compare_pair pair p = compare_analysis pair (analyse p)
+
+let run p =
+  let a = analyse p in
+  List.map (fun pair -> (pair, compare_analysis pair a)) all_pairs
 
 let disagrees pair p = match compare_pair pair p with Disagree _ -> true | _ -> false

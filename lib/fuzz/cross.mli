@@ -2,7 +2,14 @@
 
     Each pair is compared only where the tools' documented precision
     contracts overlap; everything else is reported as [Skip] with the
-    reason, never silently dropped. The contracts:
+    reason, never silently dropped.
+
+    The contracts share one {!analysis} per program, each field computed
+    when a contract first reads it: the boxed report and final shadow
+    snapshot (one [Engine.check_with_snapshot]; every contract but serve
+    reads the report, pmemcheck and crashtest the snapshot), the lint
+    under the default rules (lint, and repair's first round) and the
+    packed report (packed). The contracts:
 
     - {b engine/naive}: identical diagnostic (kind, loc) sequences on
       every trace — {!Pmtest_baseline.Naive_engine} is a semantic twin.
@@ -81,11 +88,19 @@ type outcome =
 val all_pairs : pair list
 val pair_name : pair -> string
 
+type analysis
+
+val analyse : Gen.program -> analysis
+(** Runs nothing until a contract reads a field. *)
+
+val compare_analysis : pair -> analysis -> outcome
+(** {!compare_pair} on the analysed program, whatever read it before. *)
+
 val compare_pair : pair -> Gen.program -> outcome
-(** Deterministic: depends only on the program. *)
+(** Deterministic: depends only on the program. Analyses it afresh. *)
 
 val run : Gen.program -> (pair * outcome) list
-(** Every pair in {!all_pairs} order. *)
+(** Every pair in {!all_pairs} order, over one shared analysis. *)
 
 val disagrees : pair -> Gen.program -> bool
 (** [compare_pair] is [Disagree _] — the predicate handed to

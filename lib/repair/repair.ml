@@ -230,18 +230,17 @@ let repair_ns = Obs.counter "repair_ns"
 let verify_ns = Obs.counter "repair_verify_ns"
 
 let fixpoint ?(obs = Obs.disabled) ?(model = Model.X86) ?(rules = Rule.default)
-    ?(max_rounds = default_max_rounds) events =
-  let rec go round events edits =
-    let r = Lint.run ~model ~rules events in
+    ?(max_rounds = default_max_rounds) ?lint events =
+  let rec go round events edits lint =
+    let r = match lint with Some r -> r | None -> Lint.run ~model ~rules events in
     let p = plan ~model events r in
     if p = [] then (events, round, true, edits)
     else if round >= max_rounds then (events, round, false, edits)
     else
-      go (round + 1) (apply ~model events p)
-        (edits @ List.map (fun ed -> (round, ed)) p)
+      go (round + 1) (apply ~model events p) (edits @ List.map (fun ed -> (round, ed)) p) None
   in
   let t0 = Obs.now_ns () in
-  let repaired, rounds, converged, edits = go 1 events [] in
+  let repaired, rounds, converged, edits = go 1 events [] lint in
   let deleted_fences, deleted_flushes, narrowed_flushes, inserted_flushes, inserted_fences,
       inserted_logs =
     count_edits edits
@@ -290,21 +289,14 @@ let multiset_subset a b =
   in
   go a b
 
-let report_key (r : Report.t) =
-  ( List.map
-      (fun (d : Report.diagnostic) -> (d.Report.kind, d.Report.loc, d.Report.message))
-      r.Report.diagnostics,
-    r.Report.entries,
-    r.Report.ops,
-    r.Report.checkers )
-
 let verify_static ?(obs = Obs.disabled) ?(model = Model.X86) ?(rules = Rule.default) ~original
-    (o : outcome) =
+    ?original_report (o : outcome) =
   let t0 = Obs.now_ns () in
   let problems = ref [] in
   let fail fmt = Format.kasprintf (fun m -> problems := m :: !problems) fmt in
   if not o.converged then fail "repair did not converge within %d rounds" o.iterations;
-  (* 1. The repaired trace lints clean for every repairable rule. *)
+  (* 1. The repaired trace lints clean for every repairable rule. This
+     lint is the proof's own, never the fixpoint's last round. *)
   let lr = Lint.run ~model ~rules o.repaired in
   List.iter
     (fun (f : Lint.finding) ->
@@ -315,13 +307,13 @@ let verify_static ?(obs = Obs.disabled) ?(model = Model.X86) ?(rules = Rule.defa
     lr.Lint.findings;
   (* 2. Re-repairing is the identity: the plan over the repaired trace
      is empty (idempotence). *)
-  if plan ~model o.repaired (Lint.run ~model ~rules o.repaired) <> [] then
+  if plan ~model o.repaired lr <> [] then
     fail "repair is not idempotent: the repaired trace still has a non-empty plan";
   (* 3. Engine differential. Repairs must never introduce a new
      Fail-severity diagnostic, and must not increase the engine's own
      writeback perf warnings; when nothing was suppressed inline and
      the perf rules ran, those warnings must be gone entirely. *)
-  let er_orig = Engine.check ~model original in
+  let er_orig = match original_report with Some r -> r | None -> Engine.check ~model original in
   let er = Engine.check ~model o.repaired in
   if not (multiset_subset (fail_key er) (fail_key er_orig)) then
     fail "repair introduced a new engine FAIL diagnostic";
@@ -343,7 +335,7 @@ let verify_static ?(obs = Obs.disabled) ?(model = Model.X86) ?(rules = Rule.defa
   (* 4. The packed fast path agrees with the boxed engine on the
      repaired trace — repairs must not manufacture representation
      disagreements. *)
-  if report_key (Engine.check_packed ~model (Packed.of_events o.repaired)) <> report_key er then
+  if Engine.check_packed ~model (Packed.of_events o.repaired) <> er then
     fail "packed and boxed engine reports differ on the repaired trace";
   if Obs.enabled obs then Obs.add obs verify_ns (Obs.now_ns () - t0);
   List.rev !problems

@@ -80,22 +80,29 @@ val fixpoint :
   ?model:Model.kind ->
   ?rules:Rule.set ->
   ?max_rounds:int ->
+  ?lint:Lint.result ->
   Event.t array ->
   outcome
 (** Iterate plan/apply until the plan is empty (or [max_rounds],
     default {!default_max_rounds}, is hit). With an enabled [obs] the
-    repair counters are updated. *)
+    repair counters are updated. [lint] stands in for round 1's lint
+    pass: the caller guarantees it is [Lint.run] over these same events
+    under the same [model] and [rules]. *)
 
 val verify_static :
   ?obs:Obs.t ->
   ?model:Model.kind ->
   ?rules:Rule.set ->
   original:Event.t array ->
+  ?original_report:Pmtest_core.Report.t ->
   outcome ->
   string list
 (** The engine-side differential proof described above. Returns the
     list of violated obligations — empty means the repair is proven.
-    With an enabled [obs] the time spent is counted. *)
+    With an enabled [obs] the time spent is counted. [original_report]
+    stands in for [Engine.check ~model original], and the caller
+    guarantees it is exactly that; the repaired trace is always linted
+    and checked afresh. *)
 
 val machine_lines : outcome -> string list
 (** One tab-separated line per applied edit:

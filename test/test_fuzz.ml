@@ -193,6 +193,44 @@ let test_crashtest_matches_every_step () =
       Alcotest.(check bool) (Model.kind_name model ^ " contract applies") true (!applied > 200))
     [ Model.X86; Model.Hops; Model.Cxl ]
 
+(* --- One shared analysis per program --------------------------------------- *)
+
+let long_run = match Sys.getenv_opt "QCHECK_LONG" with Some ("1" | "true") -> true | _ -> false
+
+let outcome_string = function
+  | Cross.Agree -> "agree"
+  | Cross.Disagree m -> "disagree: " ^ m
+  | Cross.Skip m -> "skip: " ^ m
+
+(* Every contract over one shared analysis says what it says over an
+   analysis of its own. Walking the pairs forwards and then in reverse,
+   each over a fresh shared analysis, changes which contract forces each
+   field first, so a contract that depends on forcing order, or that
+   mutates a value it shares, gives a different outcome. *)
+let test_shared_analysis_matches_fresh () =
+  let count = if long_run then 2000 else 400 in
+  List.iter
+    (fun model ->
+      let cfg = Campaign.default_cfg model in
+      for seed = 0 to count - 1 do
+        let p = Campaign.program_for_seed cfg seed in
+        let fresh = List.map (fun pair -> (pair, Cross.compare_pair pair p)) Cross.all_pairs in
+        let walk order pairs =
+          let a = Cross.analyse p in
+          List.iter
+            (fun pair ->
+              let shared = Cross.compare_analysis pair a and alone = List.assoc pair fresh in
+              if shared <> alone then
+                Alcotest.failf "%s seed %d, %s walked %s: shared analysis says %S, fresh %S"
+                  (Model.kind_name model) seed (Cross.pair_name pair) order
+                  (outcome_string shared) (outcome_string alone))
+            pairs
+        in
+        walk "forwards" Cross.all_pairs;
+        walk "in reverse" (List.rev Cross.all_pairs)
+      done)
+    [ Model.X86; Model.Hops; Model.Cxl; Model.Eadr ]
+
 (* --- Shrinking ------------------------------------------------------------- *)
 
 let w addr size = Event.make (Event.Op (Model.Write { addr; size }))
@@ -361,6 +399,11 @@ let () =
             test_campaign_no_disagreements;
           Alcotest.test_case "crashtest matches its every-step reference" `Quick
             test_crashtest_matches_every_step;
+        ] );
+      ( "shared",
+        [
+          Alcotest.test_case "shared analysis = fresh analyses" `Quick
+            test_shared_analysis_matches_fresh;
         ] );
       ( "shrink",
         [

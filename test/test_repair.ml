@@ -13,6 +13,10 @@ module Obs = Pmtest_obs.Obs
 module Fs = Pmtest_pmfs.Fs
 module Gen = Pmtest_fuzz.Gen
 module Cross = Pmtest_fuzz.Cross
+module Campaign = Pmtest_fuzz.Campaign
+module Case = Pmtest_bugdb.Case
+module Catalog = Pmtest_bugdb.Catalog
+module Engine = Pmtest_core.Engine
 
 let e kind = Event.make kind
 let w addr size = e (Event.Op (Model.Write { addr; size }))
@@ -247,6 +251,43 @@ let test_random_programs () =
       done)
     [ Model.X86; Model.Hops; Model.Eadr ]
 
+(* --- Inputs the caller already has -------------------------------------------- *)
+
+(* A caller that hands [fixpoint] its round-1 lint, or [verify_static]
+   the original trace's engine report, gets exactly what it would get
+   without them. *)
+let same_with_supplied_inputs what model events =
+  let lint = Lint.run ~model events in
+  let o = Repair.fixpoint ~model events in
+  if Repair.fixpoint ~model ~lint events <> o then
+    Alcotest.failf "%s: fixpoint ~lint differs from fixpoint" what;
+  let plain = Repair.verify_static ~model ~original:events o in
+  let original_report = Engine.check ~model events in
+  Alcotest.(check (list string))
+    (what ^ ": verify_static ~original_report")
+    plain
+    (Repair.verify_static ~model ~original:events ~original_report o)
+
+let test_supplied_inputs_catalog () =
+  List.iter
+    (fun case ->
+      let id = case.Case.id in
+      same_with_supplied_inputs id Model.X86 (Case.trace case);
+      same_with_supplied_inputs (id ^ " clean") Model.X86 (Case.trace_clean case))
+    Catalog.all
+
+let test_supplied_inputs_random () =
+  List.iter
+    (fun model ->
+      let cfg = Campaign.default_cfg model in
+      for seed = 0 to 199 do
+        let p = Campaign.program_for_seed cfg seed in
+        same_with_supplied_inputs
+          (Printf.sprintf "%s seed %d" (Model.kind_name model) seed)
+          model p.Gen.events
+      done)
+    [ Model.X86; Model.Hops; Model.Cxl; Model.Eadr ]
+
 let () =
   Alcotest.run "repair"
     [
@@ -278,4 +319,10 @@ let () =
         ] );
       ( "contract",
         [ Alcotest.test_case "random programs repair and prove" `Quick test_random_programs ] );
+      ( "supplied",
+        [
+          Alcotest.test_case "bug catalog: identical results" `Quick test_supplied_inputs_catalog;
+          Alcotest.test_case "200 programs/model: identical results" `Quick
+            test_supplied_inputs_random;
+        ] );
     ]
