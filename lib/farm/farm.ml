@@ -9,7 +9,7 @@ module Suite = Pmtest_litmus.Suite
 
 (* Seconds on the monotonic clock: heartbeat and steal deadlines must
    not fire because the wall clock stepped. *)
-let now () = Int64.to_float (Monotonic_clock.now ()) /. 1e9
+let now () = float_of_int (Obs.now_ns ()) /. 1e9
 
 module Spec = Spec
 
@@ -21,12 +21,14 @@ type unit_result = {
   findings : (string * string) list;
 }
 
-let run_units (spec : Spec.t) ~lo ~hi =
+let run_units ?(between = ignore) (spec : Spec.t) ~lo ~hi =
   if hi < lo then Error "inverted job range"
   else
     match spec.Spec.kind with
     | Spec.Fuzz ->
-      let stats = Campaign.run_range (Spec.campaign_cfg spec) ~lo ~hi in
+      let stats =
+        Campaign.run_range (Spec.campaign_cfg spec) ~on_program:(fun _ -> between ()) ~lo ~hi
+      in
       let finding f =
         let c = Fuzz_repro.of_finding f in
         (c.Fuzz_repro.name, Fuzz_repro.case_text c)
@@ -41,7 +43,7 @@ let run_units (spec : Spec.t) ~lo ~hi =
       match Spec.crashfs_config spec with
       | Error e -> Error e
       | Ok config -> (
-        match Crashfs.run_range config ~lo ~hi () with
+        match Crashfs.run_range config ~lo ~hi ~progress:(fun _ -> between ()) () with
         | exception Invalid_argument e -> Error e
         | c ->
           let finding f =
@@ -59,7 +61,7 @@ let run_units (spec : Spec.t) ~lo ~hi =
       if lo < 0 || hi > n then
         Error (Printf.sprintf "litmus job [%d, %d) outside the %d-test suite" lo hi n)
       else
-        let outcomes = Litmus.run_suite (Suite.slice ~lo ~hi) in
+        let outcomes = List.map (fun t -> between (); Litmus.run_test t) (Suite.slice ~lo ~hi) in
         let findings =
           List.filter_map
             (fun (o : Litmus.outcome) ->
@@ -194,6 +196,10 @@ module Coordinator = struct
         Sched.seen sched wid ~now ~heartbeat:(kind = Wire.Checkpoint);
         let known job = job >= 0 && job < Sched.jobs sched in
         match kind with
+        (* Echo an idle worker's heartbeat as proof of life; a worker
+           mid-job reads nothing until its job ends. *)
+        | Wire.Checkpoint when Result.map fst (Wire.decode_checkpoint payload) = Ok None ->
+          send c Wire.Checkpoint payload
         (* Informational: liveness is already stamped, and job failures
            come as [Job_refused]. *)
         | Wire.Job_claim | Wire.Checkpoint | Wire.Err -> ()
@@ -340,100 +346,103 @@ module Worker = struct
       log = ignore;
     }
 
-  (* One connection's lifetime. Returns [`Bye] on an orderly campaign
-     end, [`Lost] when the link died and a reconnect should be tried. *)
+  (* Idle heartbeats in a row left unanswered before the link counts as
+     lost (the coordinator echoes each at once).  Times the default 1 s
+     interval, it outlasts the default 5 s [heartbeat_timeout]. *)
+  let max_unanswered = 6
+
+  (* One connection's lifetime, on one thread: a job runs in line and
+     heartbeats between its units, all short (EXPERIMENTS.md).  Returns
+     [`Bye] on an orderly campaign end, [`Lost] when a reconnect should
+     be tried. *)
   let session cfg fd reader ~jobs_done =
-    let m = Mutex.create () in
-    let current = ref None in
-    (* Every write to [fd] goes through [send] under [m]: the heartbeat
-       thread and this session thread share the fd, and [write_exactly]
-       can split a large [Job_result] across several write(2) calls — a
-       [Checkpoint] landing between two of them would corrupt the
-       stream and force a reconnect plus a full job re-run. *)
-    let send kind payload = Mutex.protect m (fun () -> Wire.write_frame fd kind payload) in
-    let send_err msg = ignore (send Wire.Err (Wire.encode_err msg)) in
-    let refuse ~job ~attempt reason =
-      ignore (send Wire.Job_refused (Wire.encode_job_refused ~job ~attempt ~reason))
+    let deadline = float_of_int max_unanswered *. cfg.hb_interval in
+    let last_sent = ref (now ()) and broken = ref false in
+    (* A frame that did not go out whole within [deadline] leaves the
+       stream unusable: nothing more is sent, and the session ends lost
+       once the job at hand is done. *)
+    let send kind payload =
+      if not !broken then begin
+        last_sent := now ();
+        match Wire.write_frame ~timeout:deadline fd kind payload with
+        | Ok () -> ()
+        | Error _ -> broken := true
+      end
     in
-    (* The heartbeat sleeps in select(2) on [wake_r], so the byte the
-       session writes to [wake_w] when it ends stops it at once. *)
-    let wake_r, wake_w = Unix.pipe ~cloexec:true () in
-    let hb =
-      Thread.create
-        (fun () ->
-          let rec loop () =
-            match Unix.select [ wake_r ] [] [] cfg.hb_interval with
-            | exception Unix.Unix_error (EINTR, _, _) -> loop ()
-            | _ :: _, _, _ -> ()
-            | [], _, _ -> (
-              let running, done_n = Mutex.protect m (fun () -> (!current, !jobs_done)) in
-              match send Wire.Checkpoint (Wire.encode_checkpoint ~running ~jobs_done:done_n) with
-              | Ok () -> loop ()
-              | Error _ -> ()  (* link died; the read loop notices too *))
-          in
-          loop ())
-        ()
+    let heartbeat running =
+      send Wire.Checkpoint (Wire.encode_checkpoint ~running ~jobs_done:!jobs_done)
     in
-    let rec loop () =
-      match Wire.read_one reader with
-      | Error Wire.Timeout -> loop ()
-      | Error _ -> `Lost
-      | Ok (Wire.Bye, _) -> `Bye
-      | Ok (Wire.Err, payload) ->
+    let run_job ~job ~attempt ~lo ~hi spec_s =
+      let t0 = now () in
+      let result =
+        match Spec.of_string spec_s with
+        | Error e -> Error ("bad campaign spec: " ^ e)
+        | Ok spec ->
+          send Wire.Job_claim (Wire.encode_job_claim ~job ~attempt);
+          let between () = if now () -. !last_sent >= cfg.hb_interval then heartbeat (Some job) in
+          run_units ~between spec ~lo ~hi
+      in
+      let elapsed_ms = max 0 (int_of_float ((now () -. t0) *. 1000.)) in
+      match result with
+      | Error reason ->
+        (* The refusal names the job, so the coordinator can unassign
+           it: a bare [Err] would leave this worker holding it forever. *)
+        cfg.log (Printf.sprintf "job %d attempt %d refused: %s" job attempt reason);
+        send Wire.Job_refused (Wire.encode_job_refused ~job ~attempt ~reason)
+      | Ok r ->
+        incr jobs_done;
         cfg.log
-          ("coordinator error: "
-          ^ (match Wire.decode_err payload with Ok m -> m | Error e -> Wire.error_to_string e));
-        loop ()
-      | Ok (Wire.Job_offer, payload) -> (
-        match Wire.decode_job_offer payload with
-        | Error e ->
-          (* Corrupt payload under a valid CRC: refuse the one offer,
-             keep the link — this must not kill the worker. *)
-          send_err ("bad job offer: " ^ Wire.error_to_string e);
-          loop ()
-        | Ok (job, attempt, lo, hi, spec_s) -> (
-          match Spec.of_string spec_s with
-          | Error e ->
-            (* The coordinator knows which job to unassign only if the
-               refusal names it — a bare [Err] would leave this worker
-               holding the job forever. *)
-            refuse ~job ~attempt (Printf.sprintf "bad campaign spec: %s" e);
-            loop ()
-          | Ok spec -> (
-            ignore (send Wire.Job_claim (Wire.encode_job_claim ~job ~attempt));
-            Mutex.protect m (fun () -> current := Some job);
-            let t0 = now () in
-            let result = run_units spec ~lo ~hi in
-            let elapsed_ms = max 0 (int_of_float ((now () -. t0) *. 1000.)) in
-            Mutex.protect m (fun () ->
-                current := None;
-                match result with Ok _ -> incr jobs_done | Error _ -> ());
-            match result with
-            | Error e ->
-              cfg.log (Printf.sprintf "job %d attempt %d refused: %s" job attempt e);
-              refuse ~job ~attempt e;
-              loop ()
-            | Ok r -> (
-              cfg.log
-                (Printf.sprintf "job %d attempt %d [%d, %d): %d finding(s), %d ms" job attempt
-                   lo hi (List.length r.findings) elapsed_ms);
-              match
-                send Wire.Job_result
-                  (Wire.encode_job_result ~job ~attempt ~digest:r.digest ~units:r.units
-                     ~elapsed_ms ~findings:r.findings)
-              with
-              | Ok () -> loop ()
-              | Error _ -> `Lost))))
-      | Ok (kind, _) ->
-        send_err (Printf.sprintf "unexpected %s frame" (Wire.kind_name kind));
-        loop ()
+          (Printf.sprintf "job %d attempt %d [%d, %d): %d finding(s), %d ms" job attempt lo hi
+             (List.length r.findings) elapsed_ms);
+        send Wire.Job_result
+          (Wire.encode_job_result ~job ~attempt ~digest:r.digest ~units:r.units ~elapsed_ms
+             ~findings:r.findings)
     in
-    let outcome = loop () in
-    ignore (Unix.write_substring wake_w "x" 0 1);
-    (try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
-    (* Joined before [fd] closes, so no heartbeat lands on a reused fd. *)
-    Thread.join hb;
-    List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) [ fd; wake_r; wake_w ];
+    let frame = function
+      | Wire.Bye, _ -> `Bye
+      | Wire.Checkpoint, _ -> `Continue  (* the echo of an idle heartbeat *)
+      | Wire.Err, payload ->
+        let m = match Wire.decode_err payload with Ok m -> m | Error e -> Wire.error_to_string e in
+        cfg.log ("coordinator error: " ^ m);
+        `Continue
+      | Wire.Job_offer, payload ->
+        (match Wire.decode_job_offer payload with
+        | Ok (job, attempt, lo, hi, spec_s) -> run_job ~job ~attempt ~lo ~hi spec_s
+        (* Corrupt payload under a valid CRC: answer the one offer and
+           keep the link — this must not kill the worker. *)
+        | Error e ->
+          send Wire.Err (Wire.encode_err ("bad job offer: " ^ Wire.error_to_string e)));
+        `Continue
+      | kind, _ ->
+        send Wire.Err (Wire.encode_err (Printf.sprintf "unexpected %s frame" (Wire.kind_name kind)));
+        `Continue
+    in
+    (* Idle: a heartbeat every [hb_interval] since the last frame sent,
+       and between them a read that waits only until the next is due
+       ([read_some] first hands over frames the dial left buffered).
+       Only a complete frame counts as an answer, so a coordinator that
+       trickles bytes is lost like a silent one. *)
+    let rec idle unanswered =
+      let due = !last_sent +. cfg.hb_interval in
+      if !broken then `Lost
+      else if now () >= due then
+        if unanswered >= max_unanswered then `Lost
+        else (heartbeat None; idle (unanswered + 1))
+      else
+        match Wire.read_some ~deadline:(int_of_float (due *. 1e9)) reader with
+        | Error Wire.Timeout | Ok [] -> idle unanswered
+        | Error _ -> `Lost
+        | Ok fs -> batch fs
+    (* The frames of one read, in order.  Once a send has failed the
+       coordinator has dropped this link and requeued what it offered,
+       so the rest of the batch is not run here. *)
+    and batch = function
+      | _ when !broken -> `Lost
+      | [] -> idle 0
+      | f :: fs -> if frame f = `Bye then `Bye else batch fs
+    in
+    let outcome = idle 0 in
+    (try Unix.close fd with Unix.Unix_error _ -> ());
     outcome
 
   let run cfg =

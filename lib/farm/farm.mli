@@ -2,8 +2,8 @@
 
     A {e coordinator} splits one campaign (fuzz, crashfs or litmus)
     into jobs — contiguous seed (or suite-index) ranges — and serves
-    them to {e workers} over the protocol-version-2 farm frame family
-    ({!Pmtest_wire.Wire}): [Worker_hello] handshake, [Job_offer] /
+    them to {e workers} over the version-3 farm frames of
+    {!Pmtest_wire.Wire}: [Worker_hello] handshake, [Job_offer] /
     [Job_claim] / [Job_result] per chunk, [Checkpoint] heartbeats.
 
     Fault tolerance rests on three properties:
@@ -115,11 +115,13 @@ type unit_result = {
   findings : (string * string) list;  (** [(name, reproducer_text)]. *)
 }
 
-val run_units : Spec.t -> lo:int -> hi:int -> (unit_result, string) result
+val run_units :
+  ?between:(unit -> unit) -> Spec.t -> lo:int -> hi:int -> (unit_result, string) result
 (** Execute one job: the campaign chunk for absolute range [\[lo, hi)].
     Pure in [(spec, lo, hi)] — re-running yields a byte-identical
     digest, which is what replay verification and nondeterminism
-    flagging rely on. *)
+    flagging rely on.  [between] runs at every unit boundary: a worker
+    heartbeats there. *)
 
 (** {1 Checkpoints} *)
 
@@ -200,7 +202,10 @@ module Coordinator : sig
       socket opens), or when some job is refused ([Job_refused]) by
       workers three times — a deterministically failing job would
       otherwise bounce forever. A refused job below that cap is simply
-      unassigned and requeued. *)
+      unassigned and requeued.  [Error] too when some job has been
+      requeued three times because every worker holding it was lost:
+      workers heartbeat only between units, so a unit longer than
+      [heartbeat_timeout] gets its worker dropped on every attempt. *)
 end
 
 (** {1 Workers} *)
@@ -212,7 +217,7 @@ module Worker : sig
     attempts : int;  (** Consecutive connect failures before giving up. *)
     base_delay : float;  (** Reconnect backoff start (doubles, jittered). *)
     max_delay : float;
-    hb_interval : float;  (** Heartbeat period, seconds. *)
+    hb_interval : float;  (** Heartbeat period, busy or idle, seconds. *)
     log : string -> unit;  (** Progress lines ([ignore] to silence). *)
   }
 
@@ -226,5 +231,8 @@ module Worker : sig
       run (bad spec, unknown fault) is answered with [Job_refused] so
       the coordinator unassigns it; an undecodable offer payload is
       answered with [Err]. In both cases the connection {e survives} —
-      only framing-level corruption forces a reconnect. *)
+      only framing-level corruption forces a reconnect, and so do six
+      idle heartbeats in a row that the coordinator leaves unanswered,
+      or a frame it does not take within six heartbeat periods.  One
+      thread runs it all: jobs heartbeat between their units. *)
 end

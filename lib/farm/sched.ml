@@ -39,12 +39,19 @@ type jrec = {
   mutable offered_at : float;
   mutable holders : int list;  (* wids holding a live attempt *)
   mutable refusals : int;  (* Job_refused frames seen for this job *)
+  mutable losses : int;  (* times requeued because its only holder was lost *)
 }
 
 (* A job refused this many times (across workers and attempts) is
    treated as deterministically broken: the campaign aborts with the
    worker's reason instead of bouncing the job forever. *)
 let max_refusals = 3
+
+(* Likewise a job requeued this many times because every worker holding
+   it was lost: most likely one of its units outlasts
+   [heartbeat_timeout], since a worker heartbeats only between units, and
+   each new attempt would be dropped the same way. *)
+let max_losses = 3
 
 type wrec = {
   wid : int;
@@ -71,7 +78,7 @@ type t = {
   mutable nondet : int list;
   findings : (string, string) Hashtbl.t;  (* content digest -> name *)
   mutable stopping : bool;  (* [stop_after_results] fired or the campaign aborted *)
-  mutable failed : string option;  (* a job exhausted [max_refusals] *)
+  mutable failed : string option;  (* a job exhausted [max_refusals] or [max_losses] *)
   mutable out : action list;  (* this transition's actions, newest first *)
 }
 
@@ -81,7 +88,10 @@ let create ?stop_after_results ~capacity ~heartbeat_timeout ~steal_after ~obs sp
     Spec.jobs spec
     |> List.map (fun (id, lo, hi) ->
            let state = Pending in
-           { id; lo; hi; attempt = 0; state; offered_at = 0.; holders = []; refusals = 0 })
+           {
+             id; lo; hi; attempt = 0; state; offered_at = 0.; holders = []; refusals = 0;
+             losses = 0;
+           })
     |> Array.of_list
   in
   let findings = Hashtbl.create 16 in
@@ -198,6 +208,16 @@ let lose s w =
         match j.state with
         | Offered when j.holders = [] ->
           j.state <- Pending;
+          j.losses <- j.losses + 1;
+          if j.losses >= max_losses && s.failed = None then begin
+            s.failed <-
+              Some
+                (Printf.sprintf
+                   "job %d lost with its worker %d time(s); does one unit outlast \
+                    heartbeat_timeout (%g s)?"
+                   jid j.losses s.heartbeat_timeout);
+            s.stopping <- true
+          end;
           true
         | Offered | Pending | Jdone _ -> false)
       held

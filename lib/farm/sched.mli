@@ -18,7 +18,11 @@
       every job only it held is requeued with a fresh attempt;
     - the first result for a job wins; a later one with another digest
       flags the job nondeterministic;
-    - the third refusal of one job aborts the campaign. *)
+    - the third refusal of one job aborts the campaign, and so does its
+      third requeue after losing every worker that held it: a worker
+      heartbeats only between units, so a unit longer than
+      [heartbeat_timeout] would otherwise be dropped and re-offered
+      forever. *)
 
 module Obs = Pmtest_obs.Obs
 

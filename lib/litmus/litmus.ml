@@ -312,12 +312,6 @@ let crashtest_leg t =
 let run_test ?sim t =
   { test = t; failures = engine_leg t @ oracle_leg ?sim t @ crashtest_leg t }
 
-let run_suite ?models tests =
-  let keep =
-    match models with None -> fun _ -> true | Some ms -> fun t -> List.mem t.model ms
-  in
-  List.filter keep tests |> List.map (fun t -> run_test t)
-
 (* Name + per-leg failure messages, nothing wall-clock-dependent: farm
    job attempts over the same test slice must digest identically. *)
 let outcomes_digest outcomes =

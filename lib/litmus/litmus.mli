@@ -100,8 +100,6 @@ val run_test : ?sim:(Gen.program -> Oracle.sim) -> t -> outcome
     broken simulations must be caught, which is how the harness itself
     is validated. *)
 
-val run_suite : ?models:Model.kind list -> t list -> outcome list
-
 val outcomes_digest : outcome list -> string
 (** Hex digest over test names, verdicts and per-leg failure messages,
     in order — the farm coordinator compares it across job attempts

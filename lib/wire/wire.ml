@@ -121,20 +121,22 @@ let crc32 s = crc_update 0xffffffff (Bytes.unsafe_of_string s) 0 (String.length 
 
 (* --- Raw fd I/O ---------------------------------------------------------- *)
 
-(* [deadline] (monotonic ns) bounds the whole buffer: each write(2) gets
-   only the time left as its [SO_SNDTIMEO], so a peer that drains a few
-   bytes at a time cannot stretch one frame past it.  A zero
-   [SO_SNDTIMEO] means no timeout, hence the 1 ms floor. *)
+(* A [deadline] (monotonic ns) bounds a whole frame: each read(2) or
+   write(2) gets only the time left as its timeout, so a peer that moves
+   a few bytes at a time cannot stretch the frame past it.  A zero
+   timeout means none, hence the 1 ms floor; a past deadline is EAGAIN. *)
+let arm fd opt = function
+  | None -> ()
+  | Some d ->
+    let left = float_of_int (d - Pmtest_obs.Obs.now_ns ()) /. 1e9 in
+    if left <= 0. then raise (Unix.Unix_error (EAGAIN, "deadline", ""));
+    Unix.setsockopt_float fd opt (Float.max left 1e-3)
+
 let rec write_exactly ?deadline fd buf pos len =
   if len = 0 then Ok ()
   else
     match
-      Option.iter
-        (fun d ->
-          let left = float_of_int (d - Pmtest_obs.Obs.now_ns ()) /. 1e9 in
-          if left <= 0. then raise (Unix.Unix_error (EAGAIN, "write", ""));
-          Unix.setsockopt_float fd SO_SNDTIMEO (Float.max left 1e-3))
-        deadline;
+      arm fd SO_SNDTIMEO deadline;
       Unix.write fd buf pos len
     with
     | n -> write_exactly ?deadline fd buf (pos + n) (len - n)
@@ -167,11 +169,6 @@ let write_frame ?timeout fd kind payload =
   let len = String.length payload in
   if len > max_payload then Error (Corrupt (Printf.sprintf "outgoing payload too large (%d bytes)" len))
   else begin
-    (* One buffer, one write(2) in the common case — but write_exactly
-       loops on partial writes, so a frame larger than the socket buffer
-       is NOT atomic against a concurrent writer on the same fd.
-       Callers that share an fd across threads must serialise their
-       writes with a lock. *)
     let b = Bytes.create (header_len + len) in
     Bytes.set b 0 (Char.chr version);
     Bytes.set b 1 (Char.chr (kind_code kind));
@@ -237,7 +234,7 @@ let parse_one r =
    promised more payload is a torn frame. *)
 let eof_error r = if buffered r >= header_len then Corrupt "frame truncated mid-payload" else Closed
 
-let rec refill r ~need =
+let rec refill ?deadline r ~need =
   if r.pos > 0 then begin
     let n = buffered r in
     Bytes.blit r.buf r.pos r.buf 0 n;
@@ -255,20 +252,23 @@ let rec refill r ~need =
   end;
   (* SO_RCVTIMEO surfaces as EAGAIN/EWOULDBLOCK from read(2): the peer
      went quiet, which is distinct from the peer closing. *)
-  match Unix.read r.rfd r.buf r.lim (Bytes.length r.buf - r.lim) with
+  match
+    arm r.rfd SO_RCVTIMEO deadline;
+    Unix.read r.rfd r.buf r.lim (Bytes.length r.buf - r.lim)
+  with
   | 0 -> Error (eof_error r)
   | n ->
     r.lim <- r.lim + n;
     Ok ()
   | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> Error Timeout
-  | exception Unix.Unix_error (EINTR, _, _) -> refill r ~need
+  | exception Unix.Unix_error (EINTR, _, _) -> refill ?deadline r ~need
   | exception Unix.Unix_error ((ECONNRESET | EPIPE | EBADF), _, _) -> Error (eof_error r)
 
 let set_err r e =
   (match e with Timeout -> () | _ -> r.rerr <- Some e);
   Error e
 
-let rec read_one r =
+let rec read_one ?deadline r =
   match r.rerr with
   | Some e -> Error e
   | None -> (
@@ -276,7 +276,9 @@ let rec read_one r =
     | `Frame f -> Ok f
     | `Fail e -> set_err r e
     | `Need need -> (
-      match refill r ~need with Ok () -> read_one r | Error e -> set_err r e))
+      match refill ?deadline r ~need with
+      | Ok () -> read_one ?deadline r
+      | Error e -> set_err r e))
 
 let rec drain r acc =
   match parse_one r with
@@ -284,7 +286,7 @@ let rec drain r acc =
   | `Need need -> `Need (need, List.rev acc)
   | `Fail e -> `Fail (e, List.rev acc)
 
-let read_some r =
+let read_some ?deadline r =
   match r.rerr with
   | Some e -> Error e
   | None -> (
@@ -299,7 +301,9 @@ let read_some r =
     in
     match drain r [] with
     | `Need (need, []) -> (
-      match refill r ~need with Ok () -> deliver (drain r []) | Error e -> set_err r e)
+      match refill ?deadline r ~need with
+      | Ok () -> deliver (drain r [])
+      | Error e -> set_err r e)
     | d -> deliver d)
 
 let read_error r = r.rerr
@@ -619,8 +623,11 @@ let decode_checkpoint s =
 (* --- Dialing ----------------------------------------------------------------
 
    A pmtestd client and a pmfarm worker open a link the same way: connect,
-   send a hello, read one reply; an [Err] reply is a refusal.  The socket
-   is closed on every failure. *)
+   send a hello, read one reply; an [Err] reply is a refusal.  A listener
+   that never accepts sends no reply, hence its deadline.  The socket is
+   closed on every failure. *)
+
+let hello_timeout = 5.0
 
 let dial ~socket ~hello:(hello_kind, hello) ~reply:(reply_kind, decode_reply) ~refused =
   (* A peer that vanishes mid-write must yield EPIPE, not kill us. *)
@@ -637,7 +644,11 @@ let dial ~socket ~hello:(hello_kind, hello) ~reply:(reply_kind, decode_reply) ~r
         match write_frame fd hello_kind hello with
         | Error e -> Error (error_to_string e)
         | Ok () -> (
-          match read_one r with
+          let deadline = Pmtest_obs.Obs.now_ns () + int_of_float (hello_timeout *. 1e9) in
+          let reply = read_one ~deadline r in
+          Unix.setsockopt_float fd SO_RCVTIMEO 0.;
+          match reply with
+          | Error Timeout -> Error (Printf.sprintf "no reply within %g s" hello_timeout)
           | Error e -> Error (error_to_string e)
           | Ok (kind, payload) when kind = reply_kind -> (
             match decode_reply payload with

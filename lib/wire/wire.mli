@@ -43,7 +43,8 @@
       coordinator unassigns the job and requeues it — or aborts the
       campaign once the same job is refused repeatedly.
     - [Checkpoint] (worker → coordinator): heartbeat — the running job
-      (if any) and jobs completed so far.
+      (if any) and jobs completed so far.  The coordinator echoes an
+      idle one (no running job) back to the worker as proof of life.
 
     Every frame of either family is stamped {!version}; a header
     carrying any other version byte is rejected as [Version_mismatch].
@@ -101,13 +102,11 @@ val header_len : int
 
 (** {1 Frame I/O}
 
-    Blocking, EINTR-safe writes on a connected socket. A frame goes out
-    from a single buffer — usually one [write(2)] — but a frame larger
-    than the socket buffer is completed by looping on partial writes, so
-    concurrent writers on one fd {e can} tear it: serialise shared-fd
-    writes with a lock.  On a socket with [SO_SNDTIMEO] set, a peer that
-    stops reading yields [Error Timeout]; part of the frame may have
-    gone out, so the link is then unusable. *)
+    Blocking, EINTR-safe writes on a connected socket.  A frame larger
+    than the socket buffer takes several [write(2)]s, so writers sharing
+    an fd must not interleave.  A peer that stops reading yields
+    [Error Timeout] once [SO_SNDTIMEO] expires; part of the frame may
+    have gone out, so the link is then unusable. *)
 
 val write_frame : ?timeout:float -> Unix.file_descr -> kind -> string -> (unit, error) result
 (** [timeout] bounds the whole frame, in seconds, however slowly the peer
@@ -121,7 +120,10 @@ val write_frame : ?timeout:float -> Unix.file_descr -> kind -> string -> (unit, 
     it has buffered belong to no other reader.  Framing errors
     ([Closed], [Corrupt _], [Version_mismatch _]) are {e sticky}: frames
     parsed before the error are still returned, and the error is
-    re-reported by every later call.  [Timeout] is transient. *)
+    re-reported by every later call.  [Timeout] is transient: it comes
+    from [SO_RCVTIMEO], or from a [deadline] — an instant on
+    {!Pmtest_obs.Obs.now_ns}'s clock that bounds each [read(2)] by the
+    time left to it (the fd's [SO_RCVTIMEO] is then left set). *)
 
 type reader
 
@@ -129,12 +131,12 @@ val reader : ?buffer:int -> Unix.file_descr -> reader
 (** [reader fd] wraps [fd]; [buffer] (default 64 KiB) is the initial
     buffer size, grown as needed up to one [max_payload] frame. *)
 
-val read_one : reader -> (kind * string, error) result
+val read_one : ?deadline:int -> reader -> (kind * string, error) result
 (** Block until one full frame (or an error) is available.  EOF between
     frames is [Closed]; EOF inside a frame, a CRC mismatch, an unknown
     kind or an oversized length is [Corrupt _]. *)
 
-val read_some : reader -> ((kind * string) list, error) result
+val read_some : ?deadline:int -> reader -> ((kind * string) list, error) result
 (** At most one [read(2)], then {e every} complete frame in the buffer,
     possibly none: the call for an event loop whose [select] just
     reported the fd readable.  A [read(2)] ending mid-frame returns
@@ -232,8 +234,13 @@ val dial :
   (Unix.file_descr * reader * 'a, string) result
 (** Connect to the Unix socket, send [hello], read one reply: a frame of
     the [reply] kind goes to its decoder, an [Err] frame yields
-    ["<refused>: <message>"], anything else is an error.  The socket is
-    closed on every failure.  Ignores [SIGPIPE] process-wide. *)
+    ["<refused>: <message>"], anything else is an error, and so is no
+    reply within {!hello_timeout}: a listener that never accepts cannot
+    hang the caller.  The socket is closed on every failure.  Ignores
+    [SIGPIPE] process-wide. *)
+
+val hello_timeout : float
+(** Seconds {!dial} waits for the reply (5). *)
 
 val retry :
   attempts:int ->

@@ -3,8 +3,9 @@
    crash-resume equality (the checkpoint is the campaign), zero lost
    jobs when a worker dies mid-claim, nondeterminism flagging, a worker
    link that survives corrupt job offers, a silent peer that cannot
-   hang the coordinator, and the scheduler against a reference model
-   in logical time. *)
+   hang the coordinator, a worker that redials a silent coordinator and
+   heartbeats through a job longer than the heartbeat timeout, and the
+   scheduler against a reference model in logical time. *)
 
 module Farm = Pmtest_farm.Farm
 module Wire = Pmtest_wire.Wire
@@ -510,6 +511,178 @@ let test_trickling_peer_is_dropped () =
       Alcotest.(check bool) "its job went to the honest worker" true
         (s.Farm.Coordinator.reassigned >= 1))
 
+(* A hand-rolled coordinator's side of the handshake on a fresh accept;
+   [None] if no worker dialed within [secs]. *)
+let accept_worker listen_fd ~secs =
+  match Unix.select [ listen_fd ] [] [] secs with
+  | [], _, _ -> None
+  | _ ->
+    let fd, _ = Unix.accept ~cloexec:true listen_fd in
+    let r = Wire.reader fd in
+    (match must_read r with
+    | Wire.Worker_hello, _ -> ()
+    | kind, _ -> Alcotest.failf "expected worker hello, got %s" (Wire.kind_name kind));
+    must_write fd Wire.Worker_hello (Wire.encode_worker_hello ~name:"w0");
+    Some (fd, r)
+
+let test_silent_coordinator_is_redialed () =
+  (* The test plays a coordinator that answers the handshake and then
+     says nothing, its socket still open.  The worker's idle heartbeats
+     go unanswered, so it must drop the link and dial again: six 0.1 s
+     heartbeats and one more interval, well inside the 3 s watchdog. *)
+  let socket = next_socket () in
+  let listen_fd = Unix.socket ~cloexec:true PF_UNIX SOCK_STREAM 0 in
+  Unix.bind listen_fd (ADDR_UNIX socket);
+  Unix.listen listen_fd 4;
+  let result = ref None and links = ref [] in
+  let worker =
+    Thread.create
+      (fun () ->
+        result :=
+          Some
+            (Farm.Worker.run
+               { (Farm.Worker.default_cfg ~socket ~name:"patient") with
+                 Farm.Worker.hb_interval = 0.1;
+                 attempts = 2;
+               }))
+      ()
+  in
+  let accept () =
+    match accept_worker listen_fd ~secs:3.0 with
+    | Some (fd, r) ->
+      links := fd :: !links;
+      (fd, r)
+    | None -> Alcotest.fail "no worker dialed within 3 s"
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) (listen_fd :: !links);
+      try Sys.remove socket with Sys_error _ -> ())
+    (fun () ->
+      let _, silent = accept () in
+      let second, _ = accept () in
+      (* The first link holds only the idle heartbeats, then the
+         worker's close. *)
+      let rec heartbeats n =
+        match Wire.read_one silent with
+        | Ok (Wire.Checkpoint, payload) -> (
+          match Wire.decode_checkpoint payload with
+          | Ok (None, _) -> heartbeats (n + 1)
+          | _ -> Alcotest.fail "a heartbeat named a running job")
+        | Ok (kind, _) -> Alcotest.failf "unexpected %s frame" (Wire.kind_name kind)
+        | Error _ -> n
+      in
+      Alcotest.(check int) "six unanswered heartbeats, then a redial" 6 (heartbeats 0);
+      must_write second Wire.Bye "";
+      if not (within 5.0 (fun () -> !result <> None)) then
+        Alcotest.fail "Worker.run still running 5 s after Bye";
+      Thread.join worker;
+      match !result with
+      | Some (Ok 0) -> ()
+      | Some (Ok n) -> Alcotest.failf "worker reported %d jobs, wanted 0" n
+      | Some (Error e) -> Alcotest.failf "worker: %s" e
+      | None -> Alcotest.fail "worker thread died")
+
+let test_long_job_heartbeats_between_units () =
+  (* One crashfs job whose units together outlast the coordinator's
+     0.5 s [heartbeat_timeout]: the worker runs it on its only thread,
+     so the heartbeats it sends between units are all that keeps the
+     coordinator from dropping it and re-offering the job. *)
+  let n = 40 in
+  let spec = Farm.Spec.crashfs ~fs:Crashfs.Pmfs ~model:Model.X86 ~seed:0 ~count:n ~chunk:n () in
+  let calls = ref 0 and t0 = Unix.gettimeofday () in
+  let direct =
+    match Farm.run_units ~between:(fun () -> incr calls) spec ~lo:0 ~hi:n with
+    | Ok r -> r
+    | Error e -> Alcotest.failf "run_units: %s" e
+  in
+  let secs = Unix.gettimeofday () -. t0 in
+  Alcotest.(check int) "between runs once per unit" n !calls;
+  Alcotest.(check bool)
+    (Printf.sprintf "the job (%.2f s) outlasts heartbeat_timeout" secs)
+    true (secs > 0.5);
+  with_dir (fun dir ->
+      let socket = next_socket () in
+      let cfg =
+        {
+          (Farm.Coordinator.default_cfg ~spec ~socket ~dir) with
+          Farm.Coordinator.heartbeat_timeout = 0.5;
+        }
+      in
+      let ((_, result) as coord) = start_coordinator cfg in
+      let w =
+        Thread.create
+          (fun () ->
+            ignore
+              (Farm.Worker.run
+                 { (Farm.Worker.default_cfg ~socket ~name:"steady") with hb_interval = 0.1 }))
+          ()
+      in
+      (* Without those heartbeats every attempt is dropped mid-job and
+         re-offered, and the campaign never ends. *)
+      if not (within (10.0 +. (4. *. secs)) (fun () -> !result <> None)) then
+        Alcotest.fail "the campaign is still running: was the job re-offered forever?";
+      let s = finish_coordinator coord in
+      Thread.join w;
+      Alcotest.(check int) "never reassigned" 0 s.Farm.Coordinator.reassigned;
+      Alcotest.(check int) "never stolen" 0 s.Farm.Coordinator.steals;
+      Alcotest.(check (list (pair int string)))
+        "digest equals run_units" [ (0, direct.Farm.digest) ] s.Farm.Coordinator.digests)
+
+let test_overlong_unit_ends_the_campaign () =
+  (* One nova job with four units (shrinking included) of 0.13-0.35 s
+     on a 2-vCPU host, against a 0.15 s [heartbeat_timeout].  The worker
+     heartbeats only between units, so each attempt is dropped mid-unit
+     and the job re-offered; the campaign must still end, all done or
+     with an error naming the timeout, inside the watchdog. *)
+  let spec =
+    Farm.Spec.crashfs ~fault:"skip-data-persist" ~fs:Crashfs.Nova ~model:Model.X86 ~seed:0
+      ~count:20 ~chunk:20 ()
+  in
+  with_dir (fun dir ->
+      let socket = next_socket () in
+      let cfg =
+        {
+          (Farm.Coordinator.default_cfg ~spec ~socket ~dir) with
+          Farm.Coordinator.heartbeat_timeout = 0.15;
+        }
+      in
+      let t, result = start_coordinator cfg in
+      let worker_done = ref false in
+      let w =
+        Thread.create
+          (fun () ->
+            ignore
+              (Farm.Worker.run
+                 {
+                   (Farm.Worker.default_cfg ~socket ~name:"slow") with
+                   Farm.Worker.hb_interval = 0.05;
+                   attempts = 3;
+                   base_delay = 0.01;
+                   max_delay = 0.05;
+                 });
+            worker_done := true)
+          ()
+      in
+      if not (within 20.0 (fun () -> !result <> None)) then
+        Alcotest.fail "the campaign is still running after 20 s: the job is re-offered forever";
+      Thread.join t;
+      (match !result with
+      | Some (Ok s) ->
+        Alcotest.(check int) "every job done" s.Farm.Coordinator.jobs s.Farm.Coordinator.jobs_done
+      | Some (Error e) ->
+        let names_timeout =
+          let k = "heartbeat_timeout" in
+          let n = String.length k in
+          let rec at i = i + n <= String.length e && (String.sub e i n = k || at (i + 1)) in
+          at 0
+        in
+        Alcotest.(check bool) (Printf.sprintf "the error names the timeout (%s)" e) true names_timeout
+      | None -> Alcotest.fail "coordinator thread died without a result");
+      if not (within 10.0 (fun () -> !worker_done)) then
+        Alcotest.fail "the worker is still running 10 s after the campaign ended";
+      Thread.join w)
+
 let test_duplicate_result_mismatch_flags_nondet () =
   (* Replay verification: a second result for an already-done job whose
      digest disagrees is flagged as nondeterminism, never silently
@@ -808,6 +981,7 @@ type mjob = {
   mutable holders : int list;
   mutable since : float;  (* time of the latest offer *)
   mutable refused : int;
+  mutable lost : int;  (* requeued because its last holder was lost *)
   mutable flagged : bool;  (* a later digest disagreed *)
 }
 
@@ -826,7 +1000,7 @@ let fail fmt = QCheck2.Test.fail_reportf fmt
 let new_model ~cap (resume : Farm.Checkpoint.t option) =
   let js =
     Array.init (List.length (Farm.Spec.jobs model_spec)) (fun _ ->
-        { first = None; top = 0; holders = []; since = 0.; refused = 0; flagged = false })
+        { first = None; top = 0; holders = []; since = 0.; refused = 0; lost = 0; flagged = false })
   in
   Option.iter
     (fun (ck : Farm.Checkpoint.t) ->
@@ -855,7 +1029,10 @@ let lose m w =
     (fun (job, _) ->
       release m w job;
       let j = m.js.(job) in
-      if j.first = None && j.holders = [] then m.requeued <- m.requeued + 1)
+      if j.first = None && j.holders = [] then begin
+        m.requeued <- m.requeued + 1;
+        j.lost <- j.lost + 1
+      end)
     w.held
 
 let apply m acts =
@@ -953,7 +1130,7 @@ let step m ~honest_only = function
         apply m (Sched.lost m.s w.mwid ~now:m.now))
       (nth_of (fun w -> w.alive) m.ws i)
 
-let aborted m = Array.exists (fun j -> j.refused >= 3) m.js
+let aborted m = Array.exists (fun j -> j.refused >= 3 || j.lost >= 3) m.js
 
 (* Honest answers, and a fresh worker whenever none is left, until the
    campaign is over; the clock stands still, so nobody times out. *)
@@ -1005,7 +1182,7 @@ let prop_sched_matches_model =
           if i = split && not (Sched.over m.s) then ck := Some (Sched.checkpoint_of m.s);
           if not (Sched.over m.s) then step m ~honest_only:((not liars) || i >= split) c;
           if aborted m <> (Sched.failed m.s <> None) then
-            fail "abort on the third refusal expected: %b" (aborted m))
+            fail "abort on the third refusal or loss expected: %b" (aborted m))
         cmds;
       if split = List.length cmds && not (Sched.over m.s) then
         ck := Some (Sched.checkpoint_of m.s);
@@ -1076,6 +1253,12 @@ let () =
             test_silent_peer_does_not_hang;
           Alcotest.test_case "trickling peers cannot hold the loop" `Quick
             test_trickling_peer_is_dropped;
+          Alcotest.test_case "a silent coordinator is redialed" `Quick
+            test_silent_coordinator_is_redialed;
+          Alcotest.test_case "long jobs heartbeat between units" `Quick
+            test_long_job_heartbeats_between_units;
+          Alcotest.test_case "a unit past the timeout ends the run" `Quick
+            test_overlong_unit_ends_the_campaign;
         ] );
       ("sched", [ QCheck_alcotest.to_alcotest prop_sched_matches_model ]);
     ]

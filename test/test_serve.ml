@@ -604,6 +604,45 @@ let test_connect_retry_waits_for_daemon () =
       | Ok conn -> Client.close conn
       | Error m -> Alcotest.failf "never connected: %s" m)
 
+let test_connect_gives_up_on_a_listener_that_never_accepts () =
+  (* The kernel completes the connect and queues the hello, but no one
+     ever reads it: only the reply deadline stops [Client.connect] from
+     waiting forever.  A watchdog allows the deadline plus 1 s. *)
+  let socket = next_socket () in
+  let listen_fd = Unix.socket ~cloexec:true PF_UNIX SOCK_STREAM 0 in
+  Unix.bind listen_fd (ADDR_UNIX socket);
+  Unix.listen listen_fd 1;
+  let result = ref None and t0 = Unix.gettimeofday () in
+  let th =
+    Thread.create
+      (fun () ->
+        let r = Client.connect ~socket () in
+        result := Some (r, Unix.gettimeofday () -. t0))
+      ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      (* Closing the listener resets a dial still queued on it. *)
+      Unix.close listen_fd;
+      try Sys.remove socket with Sys_error _ -> ())
+    (fun () ->
+      let deadline = Unix.gettimeofday () +. Wire.hello_timeout +. 1.0 in
+      while !result = None && Unix.gettimeofday () < deadline do
+        Thread.delay 0.02
+      done;
+      match !result with
+      | None -> Alcotest.failf "Client.connect still waiting %.0f s on" (Wire.hello_timeout +. 1.)
+      | Some (Ok c, _) ->
+        Thread.join th;
+        Client.close c;
+        Alcotest.fail "connected to a listener that never accepts"
+      | Some (Error e, secs) ->
+        Thread.join th;
+        Alcotest.(check bool)
+          (Printf.sprintf "gave up at the deadline (%.2f s: %s)" secs e)
+          true
+          (secs >= Wire.hello_timeout -. 0.05))
+
 (* --- The shard dispatcher against its model ------------------------------------ *)
 
 (* In logical time, over 1-3 shards: admission up to [max_sessions],
@@ -1021,6 +1060,8 @@ let () =
             test_connect_retry_gives_up;
           Alcotest.test_case "backoff survives a late daemon" `Quick
             test_connect_retry_waits_for_daemon;
+          Alcotest.test_case "a listener that never accepts" `Quick
+            test_connect_gives_up_on_a_listener_that_never_accepts;
         ] );
       ( "drain",
         [
