@@ -10,9 +10,6 @@ let model_assoc = List.map (fun k -> (Model.kind_name k, k)) Model.all_kinds
 let model_doc =
   Printf.sprintf "Persistency model: %s." (String.concat ", " Model.kind_names)
 
-let model ?(default = Model.X86) ?(doc = model_doc) () =
-  Arg.(value (opt (enum model_assoc) default (info [ "model" ] ~doc)))
-
 let model_opt ~doc = Arg.(value (opt (some (enum model_assoc)) None (info [ "model" ] ~doc)))
 
 (* Model *sets* (the fuzz campaign runs several). *)

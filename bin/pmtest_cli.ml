@@ -10,7 +10,6 @@ module Pmemcheck = Pmtest_baseline.Pmemcheck
 module Lint = Pmtest_lint.Lint
 module Rule = Pmtest_lint.Rule
 module Repair = Pmtest_repair.Repair
-module Sink = Pmtest_trace.Sink
 module Event = Pmtest_trace.Event
 module Obs = Pmtest_obs.Obs
 module Model = Pmtest_model.Model
@@ -22,7 +21,6 @@ module Litmus = Pmtest_litmus.Litmus
 module Suite = Pmtest_litmus.Suite
 module Farm = Pmtest_farm.Farm
 open Pmtest_bugdb
-open Pmtest_workloads
 
 (* --- bugs ------------------------------------------------------------------- *)
 
@@ -73,195 +71,48 @@ let bugs_cmd =
 
 (* --- workload ---------------------------------------------------------------- *)
 
-type tool =
-  | Tool_none
-  | Tool_pmtest
-  | Tool_pmemcheck
-  | Tool_remote of { socket : string; model : Model.kind }
-      (** Trace into a session on a running [pmtestd] ([attach]). *)
-
-(* A tracing session for [tool] — in process or on a running daemon, one
-   [Pmtest] session either way — and the daemon connection to close
-   once it is finished. *)
-let open_session ?(model = Model.X86) ~obs ~workers tool =
-  match tool with
-  | Tool_pmtest -> Ok (Some (Pmtest.init ~model ~workers ~obs (), None))
-  | Tool_remote { socket; model } -> (
-    let on_retry ~attempt ~delay err =
-      Fmt.epr "attach: %s; retry %d in %.0f ms@.%!" err attempt (delay *. 1000.)
-    in
-    match Client.connect_retry ~model ~attempts:5 ~on_retry ~socket () with
-    | Error m -> Error ("cannot attach: " ^ m)
-    | Ok conn -> Ok (Some (Client.Session.make ~obs conn, Some conn)))
-  | Tool_none | Tool_pmemcheck -> Ok None
-
-let finish_session (s, conn) =
-  let r = Pmtest.finish_result s in
-  Option.iter Client.close conn;
-  r
-
-(* Tee: record every event a session sink sees, so [attach --record]
-   can save the trace it just streamed. *)
-let recording = ref None
-
-let record_events () =
-  let buf = Pmtest_util.Vec.create () in
-  let m = Mutex.create () in
-  recording := Some (buf, m);
-  fun () -> Mutex.protect m (fun () -> Pmtest_util.Vec.to_array buf)
-
-let tee_sink thread (sink : Sink.t) =
-  match !recording with
-  | None -> sink
-  | Some (buf, m) ->
-    {
-      Sink.emit =
-        (fun kind loc ->
-          Mutex.protect m (fun () -> Pmtest_util.Vec.push buf (Event.make ~thread ~loc kind));
-          sink.Sink.emit kind loc);
-    }
-
-(* Replay a recorded event stream through a session, chunked into
-   sections of [section] entries, flushing the boundary event's thread —
-   the same chunking for the in-process and the remote session, so an
-   [attach --verify] comparison is over identical section streams. *)
-let replay_session ~section s entries =
-  let sinks = Hashtbl.create 8 in
-  let sink thread =
-    match Hashtbl.find_opt sinks thread with
-    | Some k -> k
-    | None ->
-      let k = tee_sink thread (Pmtest.sink ~thread s) in
-      Hashtbl.replace sinks thread k;
-      k
-  in
-  Array.iteri
-    (fun i (e : Event.t) ->
-      (sink e.Event.thread).Sink.emit e.Event.kind e.Event.loc;
-      if (i + 1) mod section = 0 then Pmtest.send_trace ~thread:e.Event.thread s)
-    entries
-
-(* Shared by [workload], [stat WORKLOAD] and [attach WORKLOAD]: run the
-   named workload and return the tool's report, with [obs] threaded
-   into every session. *)
-let exec_workload ?(local_model = Model.X86) ~obs name tool ops threads workers seed =
-  let finish_report = ref Report.empty in
-  let with_session k =
-    match open_session ~model:local_model ~obs ~workers tool with
-    | Error _ as e -> e
-    | Ok opened -> (
-      match k (Option.map fst opened) with
-      | Error _ as e -> e
-      | Ok () -> (
-        match Option.map finish_session opened with
-        | None -> Ok ()
-        | Some (Ok r) ->
-          finish_report := r;
-          Ok ()
-        | Some (Error m) -> Error ("session failed: " ^ m)))
-  in
-  let send session thread = Option.iter (Pmtest.send_trace ~thread) session in
-  let sink_for session thread =
-    tee_sink thread
-      (match session with Some s -> Pmtest.sink ~thread s | None -> Sink.null)
-  in
-  let run_kv_memcached client =
-    with_session (fun session ->
-        let mc = Memcached.create ~shards:threads ~sink_of:(sink_for session) () in
-        let streams =
-          Memcached.generate_streams ~client ~ops_per_client:(ops / threads) ~keys:4096 ~seed mc
-        in
-        Memcached.run mc ~on_section:(send session) ~streams;
-        Memcached.check_consistent mc)
-  in
-  let run_redis () =
-    match tool with
-    | Tool_pmemcheck ->
-      let pc = Pmemcheck.create ~size:(32 * 1024 * 1024) in
-      let r = Redis.create ~sink:(tee_sink 0 (Pmemcheck.sink pc)) () in
-      Redis.run r (Clients.redis_lru ~ops ~keys:16384 (Rng.create seed));
-      finish_report := Pmemcheck.result pc;
-      Redis.check_consistent r
-    | Tool_pmtest | Tool_remote _ ->
-      with_session (fun session ->
-          let r = Redis.create ~sink:(sink_for session 0) () in
-          let ops_arr = Clients.redis_lru ~ops ~keys:16384 (Rng.create seed) in
-          Array.iteri
-            (fun i op ->
-              Redis.apply r op;
-              if i mod 16 = 0 then send session 0)
-            ops_arr;
-          send session 0;
-          Redis.check_consistent r)
-    | Tool_none ->
-      let r = Redis.create ~annotate:false ~sink:Sink.null () in
-      Redis.run r (Clients.redis_lru ~ops ~keys:16384 (Rng.create seed));
-      Redis.check_consistent r
-  in
-  let run_pmfs client =
-    with_session (fun session ->
-        let fs = Pmtest_pmfs.Fs.mkfs ~inodes:128 ~blocks:1024 ~sink:(sink_for session 0) () in
-        Pmfs_app.run ~on_section:(fun () -> send session 0) fs (client (Rng.create seed));
-        Pmtest_pmfs.Fs.check_consistent fs)
-  in
-  let result =
-    match name with
-    | "memcached-memslap" -> run_kv_memcached (fun ~ops ~keys rng -> Clients.memslap ~ops ~keys rng)
-    | "memcached-ycsb" -> run_kv_memcached (fun ~ops ~keys rng -> Clients.ycsb ~ops ~keys rng)
-    | "redis-lru" -> run_redis ()
-    | "pmfs-filebench" -> run_pmfs (fun rng -> Clients.filebench ~ops ~files:32 rng)
-    | "pmfs-oltp" -> run_pmfs (fun rng -> Clients.oltp ~ops ~tables:4 ~rows_per_table:64 rng)
-    | "vacation" ->
-      with_session (fun session ->
-          let v = Vacation.create ~resources:64 ~sink:(sink_for session 0) () in
-          Vacation.run v ~on_section:(fun () -> send session 0)
-            (Vacation.client ~ops ~customers:256 ~resources:64 (Rng.create seed));
-          Vacation.check_consistent v)
-    | other -> Error (Printf.sprintf "unknown workload %S" other)
-  in
-  match result with Error e -> Error e | Ok () -> Ok !finish_report
-
-let tool_name = function
-  | Tool_none -> "none"
-  | Tool_pmemcheck -> "pmemcheck"
-  | Tool_pmtest -> "pmtest"
-  | Tool_remote _ -> "remote"
-
-let run_workload name tool ops threads workers seed profile =
-  (match tool with
-  | Tool_pmtest | Tool_remote _ -> ()
-  | Tool_none | Tool_pmemcheck ->
-    if profile then
-      Fmt.epr "note: --profile instruments the pmtest pipeline; --tool %s collects nothing@."
-        (tool_name tool));
+let run_workload run tool ops threads workers seed profile =
+  if profile && tool <> `Pmtest then
+    Fmt.epr "note: --profile instruments the pmtest pipeline; --tool %s collects nothing@."
+      (if tool = `None then "none" else "pmemcheck");
   let obs = if profile then Obs.create () else Obs.disabled in
-  match exec_workload ~obs name tool ops threads workers seed with
+  let p = { Source.ops; threads; seed } in
+  let outcome =
+    match tool with
+    | `None -> Result.map (fun () -> None) (run p Source.untraced)
+    | `Pmemcheck when threads > 1 -> Error "--tool pmemcheck shadows one thread; use --threads 1"
+    | `Pmemcheck ->
+      let pc = Pmemcheck.create ~size:(32 * 1024 * 1024) in
+      let io = { Source.sink_of = (fun _ -> Pmemcheck.sink pc); send = ignore } in
+      Result.map (fun () -> Some (Pmemcheck.result pc)) (run p io)
+    | `Pmtest ->
+      Result.map Option.some
+        (Source.check_in ~section:1 p (Source.Workload run) (Pmtest.init ~workers ~obs ()))
+  in
+  match outcome with
   | Error e ->
     Fmt.epr "workload failed: %s@." e;
     1
   | Ok report ->
     Fmt.pr "workload completed; store consistent.@.";
-    (match tool with
-    | Tool_none -> Fmt.pr "(no testing tool attached)@."
-    | Tool_pmtest | Tool_pmemcheck | Tool_remote _ -> Fmt.pr "%a@." Report.pp report);
+    (match report with
+    | None -> Fmt.pr "(no testing tool attached)@."
+    | Some r -> Fmt.pr "%a@." Report.pp r);
     if profile then Fmt.pr "@.%a@." Obs.pp (Obs.snapshot obs);
-    if Report.has_fail report then 1 else 0
+    if Option.fold ~none:false ~some:Report.has_fail report then 1 else 0
 
-let workload_names =
-  [ "memcached-memslap"; "memcached-ycsb"; "redis-lru"; "pmfs-filebench"; "pmfs-oltp"; "vacation" ]
+let workload_arg =
+  Arg.(
+    required
+      (pos 0 (some (enum Source.workloads)) None
+         (info [] ~docv:"WORKLOAD"
+            ~doc:("One of: " ^ String.concat ", " (List.map fst Source.workloads) ^ "."))))
 
 let workload_cmd =
-  let wname =
-    Arg.(
-      required
-        (pos 0 (some (enum (List.map (fun n -> (n, n)) workload_names))) None
-           (info [] ~docv:"WORKLOAD" ~doc:"One of: memcached-memslap, memcached-ycsb, redis-lru, pmfs-filebench, pmfs-oltp, vacation.")))
-  in
   let tool =
     Arg.(
       value
-        (opt (enum [ ("none", Tool_none); ("pmtest", Tool_pmtest); ("pmemcheck", Tool_pmemcheck) ])
-           Tool_pmtest
+        (opt (enum [ ("none", `None); ("pmtest", `Pmtest); ("pmemcheck", `Pmemcheck) ]) `Pmtest
            (info [ "tool" ] ~doc:"Testing tool to attach: none, pmtest or pmemcheck.")))
   in
   let profile =
@@ -271,119 +122,91 @@ let workload_cmd =
   Cmd.v
     (Cmd.info "workload" ~doc:"Run a WHISPER-style workload under a testing tool.")
     Term.(
-      const run_workload $ wname $ tool
+      const run_workload $ workload_arg $ tool
       $ Common_args.ops ()
       $ Common_args.threads
       $ Common_args.workers ()
       $ Common_args.seed ()
       $ profile)
 
+(* --- SOURCE ------------------------------------------------------------------- *)
+
+(* The positional SOURCE, documented as [what] it is for. *)
+let source_pos what =
+  let doc =
+    what
+    ^ ": a workload name, a recorded $(b,.pmt) trace file, or a bug-catalog case id. Model: \
+       $(b,--model), else the file's $(b,model:) header, else x86."
+  in
+  Arg.(pos 0 (some string) None (info [] ~docv:"SOURCE" ~doc))
+
+let model_arg = Common_args.model_opt ~doc:"Persistency model; overrides the SOURCE's own."
+
+(* Resolve SOURCE for subcommand [cmd] and hand it to [k]; a SOURCE
+   that does not resolve exits 2 with the reason. *)
+let with_source cmd ?model name k =
+  match Source.resolve ?model name with
+  | Error e ->
+    Fmt.epr "%s: %s@." cmd e;
+    2
+  | Ok src -> k src
+
+(* As [with_source], with the source's trace entries: a workload is
+   recorded first, under [p]. *)
+let with_entries cmd p ?model name k =
+  with_source cmd ?model name (fun src ->
+      match Source.entries p src.Source.input with
+      | Error e ->
+        Fmt.epr "%s: %s@." cmd e;
+        2
+      | Ok entries -> k src entries)
+
+(* [record]'s defaults, which [repair] shares; check-trace and lint
+   take no workload flags and record a workload with these. *)
+let record_defaults = { Source.ops = 1000; threads = 1; seed = 42 }
+
 (* --- record / check-trace ------------------------------------------------------ *)
 
-(* Every recordable source runs under the x86 model; the two pmfs-*-bug
-   drivers seed the auto-repair differentials with the real PMFS
-   performance bugs (a surplus drain fence each). *)
-let recordable_names =
-  [ "redis-lru"; "pmfs-filebench"; "pmfs-oltp"; "pmfs-fsync-bug"; "pmfs-empty-tx-bug" ]
-
-let record_workload name ops seed =
-  let sink, recorded = Pmtest_trace.Serial.recording_sink () in
-  let result =
-    match name with
-    | "redis-lru" ->
-      let r = Redis.create ~sink () in
-      Redis.run r (Clients.redis_lru ~ops ~keys:16384 (Rng.create seed));
-      Redis.check_consistent r
-    | "pmfs-filebench" ->
-      let fs = Pmtest_pmfs.Fs.mkfs ~inodes:128 ~blocks:1024 ~sink () in
-      Pmfs_app.run fs (Clients.filebench ~ops ~files:32 (Rng.create seed));
-      Pmtest_pmfs.Fs.check_consistent fs
-    | "pmfs-oltp" ->
-      let fs = Pmtest_pmfs.Fs.mkfs ~inodes:128 ~blocks:1024 ~sink () in
-      Pmfs_app.run fs (Clients.oltp ~ops ~tables:4 ~rows_per_table:64 (Rng.create seed));
-      Pmtest_pmfs.Fs.check_consistent fs
-    | "pmfs-fsync-bug" ->
-      (* fsync.c:260 without the deliberate-drain annotation: everything
-         is already durable after the write's commit, so both fsync
-         fences drain nothing. *)
-      let fs = Pmtest_pmfs.Fs.mkfs ~inodes:16 ~blocks:64 ~sink () in
-      Pmtest_pmfs.Fs.set_fault fs (Some Pmtest_pmfs.Fs.Fsync_redundant_fence);
-      Result.bind (Pmtest_pmfs.Fs.create fs "wal") (fun ino ->
-          Result.bind
-            (Pmtest_pmfs.Fs.write fs ~ino ~off:0 (String.make 192 'a'))
-            (fun () ->
-              Pmtest_pmfs.Fs.fsync fs ~ino;
-              Pmtest_pmfs.Fs.fsync fs ~ino;
-              Pmtest_pmfs.Fs.check_consistent fs))
-    | "pmfs-empty-tx-bug" ->
-      (* journal.c:633 without the empty-commit guard: an in-place
-         overwrite journals no metadata, yet commit still fences — right
-         after the data path's own drain at xips.c:208. *)
-      let fs = Pmtest_pmfs.Fs.mkfs ~inodes:16 ~blocks:64 ~sink () in
-      Pmtest_pmfs.Fs.set_fault fs (Some Pmtest_pmfs.Fs.Empty_tx_fence);
-      Result.bind (Pmtest_pmfs.Fs.create fs "table") (fun ino ->
-          Result.bind
-            (Pmtest_pmfs.Fs.write fs ~ino ~off:0 (String.make 128 'a'))
-            (fun () ->
-              Result.bind
-                (Pmtest_pmfs.Fs.write fs ~ino ~off:0 (String.make 128 'b'))
-                (fun () -> Pmtest_pmfs.Fs.check_consistent fs)))
-    | other -> Error (Printf.sprintf "workload %S cannot be recorded" other)
-  in
-  match result with Error e -> Error e | Ok () -> Ok (recorded ())
-
-let run_record name ops seed output =
-  match record_workload name ops seed with
+let run_record run ops seed output =
+  match Source.record run { Source.ops; threads = 1; seed } with
   | Error e ->
     Fmt.epr "record failed: %s@." e;
     1
   | Ok entries ->
     Pmtest_trace.Serial.save_file ~header:[ "model: x86" ] output entries;
     Fmt.pr "recorded %d trace entries (%d PM operations) to %s@." (Array.length entries)
-      (Pmtest_trace.Event.op_count entries) output;
+      (Event.op_count entries) output;
     0
 
 let record_cmd =
-  let wname =
-    Arg.(
-      required
-        (pos 0
-           (some (enum (List.map (fun n -> (n, n)) recordable_names)))
-           None
-           (info [] ~docv:"WORKLOAD"
-              ~doc:
-                "redis-lru, pmfs-filebench, pmfs-oltp, or one of the seeded PMFS performance \
-                 bugs: pmfs-fsync-bug, pmfs-empty-tx-bug.")))
-  in
   let output = Arg.(value (opt string "trace.pmt" (info [ "o"; "output" ] ~doc:"Output file."))) in
   Cmd.v
-    (Cmd.info "record" ~doc:"Run an annotated workload and save its trace to a file.")
+    (Cmd.info "record"
+       ~doc:"Run an annotated workload under the x86 model and save its trace to a file.")
     Term.(
-      const run_record $ wname $ Common_args.ops ~default:1000 () $ Common_args.seed () $ output)
+      const run_record $ workload_arg
+      $ Common_args.ops ~default:record_defaults.ops ()
+      $ Common_args.seed ~default:record_defaults.seed ()
+      $ output)
 
-let run_check_trace file model profile =
-  match Pmtest_trace.Serial.load_file file with
-  | Error e ->
-    Fmt.epr "cannot load %s: %s@." file e;
-    2
-  | Ok entries ->
-    let obs = if profile then Obs.create () else Obs.disabled in
-    (* The whole file is one section through the synchronous path. *)
-    let report =
-      Obs.sync_section obs ~seq:0 ~entries:(Array.length entries) (fun () ->
-          Engine.check ~obs ~model entries)
-    in
-    Fmt.pr "%a@." Report.pp_summary report;
-    if profile then Fmt.pr "@.%a@." Obs.pp (Obs.snapshot obs);
-    if Report.has_fail report then 1 else 0
+let run_check_trace source model profile =
+  with_entries "check-trace" record_defaults ?model source (fun src entries ->
+      let obs = if profile then Obs.create () else Obs.disabled in
+      (* The whole trace is one section through the synchronous path. *)
+      let report =
+        Obs.sync_section obs ~seq:0 ~entries:(Array.length entries) (fun () ->
+            Engine.check ~obs ~model:src.Source.model entries)
+      in
+      Fmt.pr "%a@." Report.pp_summary report;
+      if profile then Fmt.pr "@.%a@." Obs.pp (Obs.snapshot obs);
+      if Report.has_fail report then 1 else 0)
 
 let check_trace_cmd =
-  let file = Arg.(required (pos 0 (some file) None (info [] ~docv:"TRACE"))) in
+  let source = Arg.required (source_pos "What to check") in
   Cmd.v
-    (Cmd.info "check-trace" ~doc:"Check a previously recorded trace file offline.")
+    (Cmd.info "check-trace" ~doc:"Check a recorded trace offline with the dynamic engine.")
     Term.(
-      const run_check_trace $ file
-      $ Common_args.model ()
+      const run_check_trace $ source $ model_arg
       $ Common_args.profile ~doc:"Print a pipeline profile of the checking pass.")
 
 (* --- lint -------------------------------------------------------------------- *)
@@ -413,34 +236,33 @@ let run_lint_bugdb rules =
     Catalog.all;
   0
 
-let run_lint file bugdb model rules_spec machine verbose =
-  if rules_spec = "help" then begin
+(* [--rules help] lists the rules and needs no SOURCE; a bad spec exits 2. *)
+let with_rules spec k =
+  if spec = "help" then begin
     print_endline (Rule.help ());
     0
   end
   else
-  match Rule.of_spec rules_spec with
-  | Error e ->
-    Fmt.epr "--rules: %s@." e;
-    2
-  | Ok rules -> (
-    if bugdb then run_lint_bugdb rules
-    else
-      match file with
+    match Rule.of_spec spec with
+    | Error e ->
+      Fmt.epr "--rules: %s@." e;
+      2
+    | Ok rules -> k rules
+
+let run_lint source bugdb model rules_spec machine verbose =
+  with_rules rules_spec (fun rules ->
+      match source with
+      | _ when bugdb -> run_lint_bugdb rules
       | None ->
-        Fmt.epr "a TRACE file is required (or use --bugdb)@.";
+        Fmt.epr "a SOURCE is required (or use --bugdb)@.";
         2
-      | Some file -> (
-        match Pmtest_trace.Serial.load_file file with
-        | Error e ->
-          Fmt.epr "cannot load %s: %s@." file e;
-          2
-        | Ok entries ->
-          let result = Lint.run ~model ~rules entries in
-          if machine then List.iter print_endline (Lint.machine_lines result)
-          else if verbose then Fmt.pr "%a@." Lint.pp result
-          else Fmt.pr "%a@." Report.pp_summary (Lint.report_of result);
-          if Lint.has_fail result then 1 else 0))
+      | Some source ->
+        with_entries "lint" record_defaults ?model source (fun src entries ->
+            let result = Lint.run ~model:src.Source.model ~rules entries in
+            if machine then List.iter print_endline (Lint.machine_lines result)
+            else if verbose then Fmt.pr "%a@." Lint.pp result
+            else Fmt.pr "%a@." Report.pp_summary (Lint.report_of result);
+            if Lint.has_fail result then 1 else 0))
 
 let rules_arg =
   Arg.(
@@ -453,146 +275,83 @@ let rules_arg =
                $(b,help) to list every rule with its description.")))
 
 let lint_cmd =
-  let file = Arg.(value (pos 0 (some file) None (info [] ~docv:"TRACE"))) in
+  let source = Arg.value (source_pos "What to lint") in
   let bugdb =
     Arg.(
       value
         (flag
            (info [ "bugdb" ]
               ~doc:
-                "Instead of a trace file, lint every bug-catalog case from its raw op stream \
+                "Instead of a SOURCE, lint every bug-catalog case from its raw op stream \
                  (checkers stripped) and tabulate which rules fire.")))
   in
-  let rules = rules_arg in
   Cmd.v
     (Cmd.info "lint"
        ~doc:
          "Statically lint a recorded trace: no checkers needed, fix-it suggestions included.")
     Term.(
-      const run_lint $ file $ bugdb
-      $ Common_args.model ()
-      $ rules
+      const run_lint $ source $ bugdb $ model_arg $ rules_arg
       $ Common_args.machine ~doc:"Machine-readable output: one tab-separated finding per line."
       $ Common_args.verbose ~doc:"Print every finding with its fix-it.")
 
 (* --- repair ------------------------------------------------------------------- *)
 
-let model_name = Model.kind_name
-
-let header_model headers =
-  List.find_map
-    (fun h ->
-      match String.index_opt h ':' with
-      | Some i when String.trim (String.sub h 0 i) = "model" ->
-        Model.kind_of_string (String.trim (String.sub h (i + 1) (String.length h - i - 1)))
-      | _ -> None)
-    headers
-
-(* SOURCE resolves like [stat]: a recordable workload (run live, then
-   repaired from its recorded trace), an existing trace file, or a
-   bug-catalog case id. *)
-let resolve_repair_source source model_opt ops seed =
-  if List.mem source recordable_names then
-    match record_workload source ops seed with
-    | Error e -> Error e
-    | Ok entries -> Ok (entries, Option.value model_opt ~default:Model.X86, false)
-  else if Sys.file_exists source then
-    match Pmtest_trace.Serial.load_file_with_header source with
-    | Error e -> Error (Printf.sprintf "cannot load %s: %s" source e)
-    | Ok (headers, entries) ->
-      let model =
-        match model_opt with
-        | Some m -> m
-        | None -> Option.value (header_model headers) ~default:Model.X86
-      in
-      Ok (entries, model, true)
-  else
-    match List.find_opt (fun c -> c.Case.id = source) Catalog.all with
-    | Some case -> Ok (Case.trace case, Option.value model_opt ~default:Model.X86, false)
-    | None ->
-      Error
-        (Printf.sprintf
-           "%S is neither a recordable workload, an existing trace file nor a bug-catalog case \
-            id"
-           source)
-
-let run_repair source model_opt rules_spec ops seed max_rounds diff machine verify in_place
-    output profile =
-  if rules_spec = "help" then begin
-    print_endline (Rule.help ());
-    0
-  end
-  else
-    match Rule.of_spec rules_spec with
-    | Error e ->
-      Fmt.epr "--rules: %s@." e;
-      2
-    | Ok rules -> (
-      match
-        match source with
-        | None -> Error "a SOURCE is required (or use --rules help)"
-        | Some source -> resolve_repair_source source model_opt ops seed
-      with
-      | Error e ->
-        Fmt.epr "repair: %s@." e;
+let run_repair source model rules_spec ops seed max_rounds diff machine verify in_place output
+    profile =
+  with_rules rules_spec (fun rules ->
+      match source with
+      | None ->
+        Fmt.epr "repair: a SOURCE is required (or use --rules help)@.";
         2
-      | Ok (_, _, false) when in_place ->
-        Fmt.epr "repair: --in-place needs SOURCE to be a trace file@.";
-        2
-      | Ok (entries, model, _is_file) ->
-        let obs = if profile then Obs.create () else Obs.disabled in
-        let o = Repair.fixpoint ~obs ~model ~rules ~max_rounds entries in
-        if machine then List.iter print_endline (Repair.machine_lines o)
-        else begin
-          Fmt.pr "%a@." Repair.pp_outcome o;
-          if diff && Repair.edits_applied o > 0 then
-            Fmt.pr "@.%a@."
-              (fun ppf () -> Repair.pp_diff ppf ~original:entries ~repaired:o.Repair.repaired)
-              ()
-        end;
-        let problems =
-          if not verify then []
-          else begin
-            let ps = Repair.verify_static ~obs ~model ~rules ~original:entries o in
-            List.iter (fun p -> Fmt.epr "verify: %s@." p) ps;
-            if ps = [] && not machine then
-              Fmt.pr
-                "verify: repair proven (repaired trace lints clean, plan is idempotent, engine \
-                 differential holds)@.";
-            ps
-          end
-        in
-        let dest =
-          match output with Some p -> Some p | None when in_place -> source | None -> None
-        in
-        (match dest with
-        | None -> ()
-        | Some path ->
-          Pmtest_trace.Serial.save_file
-            ~header:[ "model: " ^ model_name model ]
-            path o.Repair.repaired;
-          if not machine then
-            Fmt.pr "wrote repaired trace (%d entries) to %s@."
-              (Array.length o.Repair.repaired)
-              path);
-        if profile then Fmt.pr "@.%a@." Obs.pp (Obs.snapshot obs);
-        if (not o.Repair.converged) || problems <> [] then 1 else 0)
+      | Some source ->
+        with_entries "repair" { Source.ops; threads = 1; seed } ?model source
+          (fun src entries ->
+            if in_place && not src.Source.file then begin
+              Fmt.epr "repair: --in-place needs SOURCE to be a trace file@.";
+              2
+            end
+            else begin
+              let model = src.Source.model in
+              let obs = if profile then Obs.create () else Obs.disabled in
+              let o = Repair.fixpoint ~obs ~model ~rules ~max_rounds entries in
+              if machine then List.iter print_endline (Repair.machine_lines o)
+              else begin
+                Fmt.pr "%a@." Repair.pp_outcome o;
+                if diff && Repair.edits_applied o > 0 then
+                  Fmt.pr "@.%a@."
+                    (fun ppf () ->
+                      Repair.pp_diff ppf ~original:entries ~repaired:o.Repair.repaired)
+                    ()
+              end;
+              let problems =
+                if not verify then []
+                else begin
+                  let ps = Repair.verify_static ~obs ~model ~rules ~original:entries o in
+                  List.iter (fun p -> Fmt.epr "verify: %s@." p) ps;
+                  if ps = [] && not machine then
+                    Fmt.pr
+                      "verify: repair proven (repaired trace lints clean, plan is idempotent, \
+                       engine differential holds)@.";
+                  ps
+                end
+              in
+              let dest = if output = None && in_place then Some source else output in
+              Option.iter
+                (fun path ->
+                  Pmtest_trace.Serial.save_file
+                    ~header:[ "model: " ^ Model.kind_name model ]
+                    path o.Repair.repaired;
+                  if not machine then
+                    Fmt.pr "wrote repaired trace (%d entries) to %s@."
+                      (Array.length o.Repair.repaired)
+                      path)
+                dest;
+              if profile then Fmt.pr "@.%a@." Obs.pp (Obs.snapshot obs);
+              if (not o.Repair.converged) || problems <> [] then 1 else 0
+            end))
 
 let repair_cmd =
-  let source =
-    Arg.(
-      value
-        (pos 0 (some string) None
-           (info [] ~docv:"SOURCE"
-              ~doc:
-                "What to repair: a recordable workload name (run live, repaired from its \
-                 recorded trace), a recorded $(b,.pmt) trace file, or a bug-catalog case id.")))
-  in
-  let model =
-    Common_args.model_opt
-      ~doc:
-        "Persistency model (default: the file's $(b,model:) header, else x86)."
-  in
+  let source = Arg.value (source_pos "What to repair") in
   let max_rounds =
     Arg.(
       value
@@ -637,9 +396,9 @@ let repair_cmd =
           ones, iterate to a fixed point, and optionally prove the result against the dynamic \
           engine.")
     Term.(
-      const run_repair $ source $ model $ rules_arg
-      $ Common_args.ops ~doc:"Operations (workload sources)." ~default:1000 ()
-      $ Common_args.seed ()
+      const run_repair $ source $ model_arg $ rules_arg
+      $ Common_args.ops ~doc:"Operations (workload sources)." ~default:record_defaults.ops ()
+      $ Common_args.seed ~default:record_defaults.seed ()
       $ max_rounds $ diff
       $ Common_args.machine
           ~doc:"Machine-readable output: one tab-separated edit per line (round, index, rule, fixit)."
@@ -700,7 +459,7 @@ let run_fuzz_campaign models count seed max_ops corpus progress profile failures
   List.iter
     (fun model ->
       let spec = Farm.Spec.fuzz ?max_ops ~model ~seed ~count ~chunk:1 () in
-      Fmt.pr "@.== %s: %d program(s), base seed %d ==@." (model_name model) count seed;
+      Fmt.pr "@.== %s: %d program(s), base seed %d ==@." (Model.kind_name model) count seed;
       let on_program i =
         if progress && i > 0 && i mod 1000 = 0 then Fmt.pr "  ... %d@.%!" i
       in
@@ -714,7 +473,7 @@ let run_fuzz_campaign models count seed max_ops corpus progress profile failures
           let case = Repro.of_finding f in
           let shrunk = case.Repro.program in
           Fmt.pr "@.-- disagreement: model %s, seed %d, pair %s --@.%s@.@.serial trace:@.%s@.OCaml repro:@.%s@."
-            (model_name model) f.Campaign.found_seed
+            (Model.kind_name model) f.Campaign.found_seed
             (Cross.pair_name f.Campaign.pair)
             f.Campaign.detail (Repro.serial_text shrunk) (Repro.ocaml_snippet shrunk);
           Option.iter
@@ -999,84 +758,39 @@ let litmus_cmd =
 
 (* --- stat -------------------------------------------------------------------- *)
 
-(* Replay a recorded trace through a live session, chunked into sections,
-   so the whole pipeline — dispatch, worker pool, in-order merge — is
-   exercised and profiled, not just the engine. *)
-let replay_trace ~obs ~model ~workers ~section entries =
-  let session = Pmtest.init ~model ~workers ~obs () in
-  let threads = Hashtbl.create 8 in
-  Array.iter (fun (e : Event.t) -> Hashtbl.replace threads e.Event.thread ()) entries;
-  Hashtbl.iter (fun th () -> if th <> 0 then Pmtest.thread_init session ~thread:th) threads;
-  Array.iteri
-    (fun i (e : Event.t) ->
-      Pmtest.emit ~thread:e.Event.thread ~loc:e.Event.loc session e.Event.kind;
-      if (i + 1) mod section = 0 then Pmtest.send_trace ~thread:e.Event.thread session)
-    entries;
-  Pmtest.finish session
-
-let run_stat source model_opt workers section ops threads seed machine json_out =
-  let section = max 1 section in
+(* A trace is replayed through a live session in sections, so the whole
+   pipeline — dispatch, worker pool, in-order merge — is exercised and
+   profiled, not just the engine. *)
+let run_stat source model workers section ops threads seed machine json_out =
   let obs = Obs.create () in
-  let outcome =
-    if List.mem source workload_names then
-      exec_workload ~obs source Tool_pmtest ops threads workers seed
-    else if Sys.file_exists source then
-      match Pmtest_trace.Serial.load_file_with_header source with
-      | Error e -> Error (Printf.sprintf "cannot load %s: %s" source e)
-      | Ok (headers, entries) ->
-        let model =
-          match model_opt with
-          | Some m -> m
-          | None -> Option.value (header_model headers) ~default:Model.X86
-        in
-        Ok (replay_trace ~obs ~model ~workers ~section entries)
-    else
-      match List.find_opt (fun c -> c.Case.id = source) Catalog.all with
-      | Some case ->
-        let model = Option.value model_opt ~default:Model.X86 in
-        Ok (replay_trace ~obs ~model ~workers ~section (Case.trace case))
-      | None ->
-        Error
-          (Printf.sprintf
-             "%S is neither a workload, an existing trace file nor a bug-catalog case id" source)
-  in
-  match outcome with
-  | Error e ->
-    Fmt.epr "stat: %s@." e;
-    2
-  | Ok report ->
-    let snap = Obs.snapshot obs in
-    (match json_out with
-    | None -> ()
-    | Some path ->
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () -> output_string oc (Obs.to_jsonl snap));
-      Fmt.epr "wrote JSON-lines profile to %s@." path);
-    if machine then print_string (Obs.to_tsv snap)
-    else begin
-      Fmt.pr "%a@.@." Report.pp_summary report;
-      Fmt.pr "%a@." Obs.pp snap
-    end;
-    0
+  with_source "stat" ?model source (fun src ->
+      match
+        Source.check_in ~section { Source.ops; threads; seed } src.Source.input
+          (Pmtest.init ~model:src.Source.model ~workers ~obs ())
+      with
+      | Error e ->
+        Fmt.epr "stat: %s@." e;
+        2
+      | Ok report ->
+        let snap = Obs.snapshot obs in
+        Option.iter
+          (fun path ->
+            Files.write_atomic path (fun oc -> output_string oc (Obs.to_jsonl snap));
+            Fmt.epr "wrote JSON-lines profile to %s@." path)
+          json_out;
+        if machine then print_string (Obs.to_tsv snap)
+        else begin
+          Fmt.pr "%a@.@." Report.pp_summary report;
+          Fmt.pr "%a@." Obs.pp snap
+        end;
+        0)
 
 let stat_cmd =
   let source =
-    Arg.(
-      required
-        (pos 0 (some string) None
-           (info [] ~docv:"SOURCE"
-              ~doc:
-                "What to profile: a workload name (run live under the pmtest tool), a recorded \
-                 $(b,.pmt) trace file, or a bug-catalog case id (both replayed through a live \
-                 session).")))
-  in
-  let model =
-    Common_args.model_opt
-      ~doc:
-        "Persistency model for replayed traces (default: the file's $(b,model:) header, else \
-         x86)."
+    Arg.required
+      (source_pos
+         "What to profile (a workload runs live under the pmtest tool, a trace is replayed \
+          through a live session)")
   in
   let machine =
     Common_args.machine
@@ -1090,7 +804,7 @@ let stat_cmd =
          "Profile the checking pipeline: counters, per-worker utilization, queue and reorder \
           high-water marks, check and end-to-end latency histograms.")
     Term.(
-      const run_stat $ source $ model
+      const run_stat $ source $ model_arg
       $ Common_args.workers ()
       $ Common_args.section ()
       $ Common_args.ops ~doc:"Operations (workload sources)." ()
@@ -1182,103 +896,66 @@ let serve_cmd =
       $ Common_args.workers ~default:2 ~doc:"Checking worker domains (per shard)." ()
       $ max_sessions $ max_inflight $ idle_timeout $ policy $ profile)
 
-let run_attach source socket model_opt section ops threads seed record verify profile =
-  let section = max 1 section in
+let run_attach source socket model section ops threads seed record verify profile =
   let obs = if profile then Obs.create () else Obs.disabled in
-  let recorded = Option.map (fun path -> (path, record_events ())) record in
-  let is_workload = List.mem source workload_names in
-  (* Model: --model wins, else a trace file's [model:] header, else x86. *)
-  let model =
-    match model_opt with
-    | Some m -> m
-    | None when (not is_workload) && Sys.file_exists source -> (
-      match Pmtest_trace.Serial.load_file_with_header source with
-      | Ok (headers, _) -> Option.value (header_model headers) ~default:Model.X86
-      | Error _ -> Model.X86)
-    | None -> Model.X86
-  in
-  let run_under tool =
-    if is_workload then exec_workload ~local_model:model ~obs source tool ops threads 1 seed
-    else
-      let entries =
-        if Sys.file_exists source then
-          match Pmtest_trace.Serial.load_file_with_header source with
-          | Error e -> Error (Printf.sprintf "cannot load %s: %s" source e)
-          | Ok (_, entries) -> Ok entries
-        else
-          match List.find_opt (fun c -> c.Case.id = source) Catalog.all with
-          | Some case -> Ok (Case.trace case)
-          | None ->
-            Error
-              (Printf.sprintf
-                 "%S is neither a workload, an existing trace file nor a bug-catalog case id"
-                 source)
+  let p = { Source.ops; threads; seed } in
+  with_source "attach" ?model source (fun src ->
+      let model = src.Source.model in
+      (* Only the remote run is recorded: the file holds exactly the
+         stream the daemon saw, once. *)
+      let tap, take =
+        match record with None -> (Fun.id, fun () -> [||]) | Some _ -> Source.recorder ()
       in
-      match entries with
-      | Error _ as e -> e
-      | Ok entries -> (
-        match open_session ~model ~obs ~workers:1 tool with
-        | Error _ as e -> e
-        | Ok None -> Error "no tracing session"
-        | Ok (Some ((s, _) as opened)) ->
-          replay_session ~section s entries;
-          finish_session opened)
-  in
-  match run_under (Tool_remote { socket; model }) with
-  | Error e ->
-    Fmt.epr "attach: %s@." e;
-    2
-  | Ok remote_report ->
-    (* Stop teeing before any verify re-run: the file must hold exactly
-       the stream the daemon saw, once. *)
-    (match recorded with
-    | None -> ()
-    | Some (path, take) ->
-      recording := None;
-      let entries = take () in
-      Pmtest_trace.Serial.save_file
-        ~header:[ "model: " ^ model_name model ]
-        path entries;
-      Fmt.pr "recorded %d trace entries to %s@." (Array.length entries) path);
-    recording := None;
-    Fmt.pr "%a@." Report.pp remote_report;
-    if profile then Fmt.pr "@.%a@." Obs.pp (Obs.snapshot obs);
-    let rc = if Report.has_fail remote_report then 1 else 0 in
-    if not verify then rc
-    else begin
-      match run_under Tool_pmtest with
+      let on_retry ~attempt ~delay err =
+        Fmt.epr "attach: %s; retry %d in %.0f ms@.%!" err attempt (delay *. 1000.)
+      in
+      let remote =
+        match Client.connect_retry ~model ~attempts:5 ~on_retry ~socket () with
+        | Error m -> Error ("cannot attach: " ^ m)
+        | Ok conn ->
+          Fun.protect
+            ~finally:(fun () -> Client.close conn)
+            (fun () ->
+              Source.check_in ~tap ~section p src.Source.input (Client.Session.make ~obs conn))
+      in
+      match remote with
       | Error e ->
-        Fmt.epr "attach --verify: in-process run failed: %s@." e;
+        Fmt.epr "attach: %s@." e;
         2
-      | Ok local_report ->
-        let render r = Fmt.str "%a" Report.pp r in
-        if render remote_report = render local_report then begin
-          Fmt.pr "verify: remote and in-process reports are identical@.";
-          rc
-        end
-        else begin
-          Fmt.epr "verify: reports DIFFER@.-- remote --@.%s@.-- in-process --@.%s@."
-            (render remote_report) (render local_report);
-          1
-        end
-    end
+      | Ok remote_report -> (
+        Option.iter
+          (fun path ->
+            let entries = take () in
+            Pmtest_trace.Serial.save_file
+              ~header:[ "model: " ^ Model.kind_name model ]
+              path entries;
+            Fmt.pr "recorded %d trace entries to %s@." (Array.length entries) path)
+          record;
+        Fmt.pr "%a@." Report.pp remote_report;
+        if profile then Fmt.pr "@.%a@." Obs.pp (Obs.snapshot obs);
+        let rc = if Report.has_fail remote_report then 1 else 0 in
+        if not verify then rc
+        else
+          match
+            Source.check_in ~section p src.Source.input (Pmtest.init ~model ~workers:1 ~obs ())
+          with
+          | Error e ->
+            Fmt.epr "attach --verify: in-process run failed: %s@." e;
+            2
+          | Ok local_report ->
+            let render r = Fmt.str "%a" Report.pp r in
+            if render remote_report = render local_report then begin
+              Fmt.pr "verify: remote and in-process reports are identical@.";
+              rc
+            end
+            else begin
+              Fmt.epr "verify: reports DIFFER@.-- remote --@.%s@.-- in-process --@.%s@."
+                (render remote_report) (render local_report);
+              1
+            end))
 
 let attach_cmd =
-  let source =
-    Arg.(
-      required
-        (pos 0 (some string) None
-           (info [] ~docv:"SOURCE"
-              ~doc:
-                "What to run against the daemon: a workload name, a recorded $(b,.pmt) trace \
-                 file, or a bug-catalog case id.")))
-  in
-  let model =
-    Common_args.model_opt
-      ~doc:
-        "Persistency model for the remote session (default: the file's $(b,model:) header, \
-         else x86)."
-  in
+  let source = Arg.required (source_pos "What to run against the daemon") in
   let record =
     Arg.(
       value
@@ -1306,7 +983,7 @@ let attach_cmd =
     Term.(
       const run_attach $ source
       $ Common_args.socket ()
-      $ model
+      $ model_arg
       $ Common_args.section ()
       $ Common_args.ops ~doc:"Operations (workload sources)." ()
       $ Common_args.threads
@@ -1315,11 +992,8 @@ let attach_cmd =
 
 (* --- farm -------------------------------------------------------------------- *)
 
-(* A flag the campaign kind has no use for is refused in
-   [Spec.of_string]'s words, not dropped. *)
-(* [model] and [seed] are [None] unless given: a litmus campaign runs
-   the fixed suite, so only an explicit flag can disagree with it. *)
-(* [model] and [seed] are [None] unless given on the command line: a
+(* A flag the campaign kind has no use for is refused, not dropped.
+   [model] and [seed] are [None] unless given on the command line: a
    litmus campaign runs the fixed suite, so it refuses either flag. *)
 let farm_spec campaign model fs fault seed count chunk max_ops =
   let kind = match campaign with `Fuzz -> "fuzz" | `Crashfs -> "crashfs" | `Litmus -> "litmus" in
@@ -1342,7 +1016,7 @@ let farm_spec campaign model fs fault seed count chunk max_ops =
       (Farm.Spec.crashfs ?max_ops ?fault ~fs ~model:model_or_x86 ~seed:seed_or_0 ~count ~chunk
          ())
 
-let run_farm_serve resume socket dir campaign model fs fault seed count chunk max_ops capacity
+let run_farm_serve resume socket dir campaign model fs fault seed count chunk max_ops
     heartbeat_timeout steal_after stop_after profile =
   (* On resume the checkpoint is the source of truth for the campaign:
      reading the spec back from disk means `farm resume --dir D` needs no
@@ -1373,7 +1047,6 @@ let run_farm_serve resume socket dir campaign model fs fault seed count chunk ma
     {
       (Farm.Coordinator.default_cfg ~spec ~socket ~dir) with
       Farm.Coordinator.resume;
-      capacity;
       heartbeat_timeout;
       steal_after;
       stop_after_results = stop_after;
@@ -1482,9 +1155,6 @@ let farm_campaign_args =
 
 let farm_serve_term ~resume =
   let campaign, fs, fault, count, chunk, max_ops = farm_campaign_args in
-  let capacity =
-    Arg.(value (opt int 1 (info [ "capacity" ] ~doc:"Jobs in flight per worker.")))
-  in
   let heartbeat_timeout =
     Arg.(
       value
@@ -1522,7 +1192,7 @@ let farm_serve_term ~resume =
         value
           (opt (some int) None
              (info [ "seed" ] ~doc:"Base campaign seed (default 0; not for litmus).")))
-    $ count $ chunk $ max_ops $ capacity $ heartbeat_timeout $ steal_after $ stop_after
+    $ count $ chunk $ max_ops $ heartbeat_timeout $ steal_after $ stop_after
     $ Common_args.profile ~doc:"Print farm counters (offers, steals, reassignments) on exit.")
 
 let farm_cmd =

@@ -92,7 +92,6 @@ module Coordinator = struct
     triage_dir : string;
     checkpoint : string;
     resume : bool;
-    capacity : int;
     heartbeat_timeout : float;
     steal_after : float;
     stop_after_results : int option;
@@ -106,7 +105,6 @@ module Coordinator = struct
       triage_dir = Filename.concat dir "triage";
       checkpoint = Filename.concat dir "checkpoint";
       resume = false;
-      capacity = 1;
       heartbeat_timeout = 5.0;
       steal_after = 2.0;
       stop_after_results = None;
@@ -293,11 +291,10 @@ module Coordinator = struct
   let run ?(ready = fun () -> ()) cfg =
     let ( let* ) = Result.bind in
     (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-    let* () = if cfg.capacity < 1 then Error "Coordinator.run: capacity < 1" else Ok () in
     let* () = Result.map_error (( ^ ) "invalid campaign spec: ") (Spec.validate cfg.spec) in
     let* resume = load_resume cfg in
     let sched =
-      Sched.create ?stop_after_results:cfg.stop_after_results ~capacity:cfg.capacity
+      Sched.create ?stop_after_results:cfg.stop_after_results
         ~heartbeat_timeout:cfg.heartbeat_timeout ~steal_after:cfg.steal_after ~obs:cfg.obs
         cfg.spec resume
     in

@@ -14,7 +14,7 @@
       result digest. A digest mismatch between two attempts of one job
       is flagged as nondeterminism, never silently resolved.
     - {e Loss is recovery.} A worker that disconnects, times out its
-      heartbeat, or is SIGKILLed simply returns its in-flight jobs to
+      heartbeat, or is SIGKILLed simply returns its in-flight job to
       the pending queue (attempt + 1). Stolen duplicates of slow jobs
       land on idle workers; whichever attempt reports first wins and
       the loser's digest is compared.
@@ -158,7 +158,6 @@ module Coordinator : sig
     triage_dir : string;  (** Deduplicated reproducer store. *)
     checkpoint : string;  (** Checkpoint file path. *)
     resume : bool;  (** Load [checkpoint] and skip completed jobs. *)
-    capacity : int;  (** Jobs in flight per worker. *)
     heartbeat_timeout : float;
         (** Seconds without any frame from a worker before its jobs are
             reassigned. Also the deadline for a new connection's
@@ -177,7 +176,7 @@ module Coordinator : sig
 
   val default_cfg : spec:Spec.t -> socket:string -> dir:string -> cfg
   (** [triage_dir = dir/triage], [checkpoint = dir/checkpoint], no
-      resume, capacity 1, 5 s heartbeat timeout, 2 s steal threshold. *)
+      resume, 5 s heartbeat timeout, 2 s steal threshold. *)
 
   type summary = {
     jobs : int;

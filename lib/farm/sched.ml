@@ -56,13 +56,12 @@ let max_losses = 3
 type wrec = {
   wid : int;
   mutable last_seen : float;
-  mutable running : int list;
+  mutable running : int option;  (* one job at a time *)
   mutable lost : bool;
 }
 
 type t = {
   spec : Spec.t;
-  capacity : int;
   heartbeat_timeout : float;
   steal_after : float;
   stop_after_results : int option;
@@ -82,7 +81,7 @@ type t = {
   mutable out : action list;  (* this transition's actions, newest first *)
 }
 
-let create ?stop_after_results ~capacity ~heartbeat_timeout ~steal_after ~obs spec
+let create ?stop_after_results ~heartbeat_timeout ~steal_after ~obs spec
     (resume : Checkpoint.t option) =
   let jobs =
     Spec.jobs spec
@@ -116,7 +115,6 @@ let create ?stop_after_results ~capacity ~heartbeat_timeout ~steal_after ~obs sp
   Obs.add obs Count.jobs_total (Array.length jobs);
   {
     spec;
-    capacity;
     heartbeat_timeout;
     steal_after;
     stop_after_results;
@@ -156,14 +154,14 @@ let flush s =
 let live s wid =
   match Hashtbl.find_opt s.workers wid with Some w when not w.lost -> Some w | _ -> None
 
-let has_room s w = (not w.lost) && List.length w.running < s.capacity
+let has_room w = (not w.lost) && w.running = None
 
 let offer s w j ~now ~steal =
   j.attempt <- j.attempt + 1;
   j.state <- Offered;
   j.offered_at <- now;
   j.holders <- w.wid :: j.holders;
-  w.running <- j.id :: w.running;
+  w.running <- Some j.id;
   Obs.add s.obs Count.offers 1;
   if steal then begin
     Obs.add s.obs Count.steals 1;
@@ -172,34 +170,35 @@ let offer s w j ~now ~steal =
   else if j.attempt > 1 then Obs.add s.obs Count.retries 1;
   emit s (Offer { wid = w.wid; job = j.id; attempt = j.attempt; lo = j.lo; hi = j.hi })
 
-(* Least-loaded first (ties to the older worker), each filled to
-   capacity before the next. *)
+let idle s =
+  Hashtbl.fold (fun _ w acc -> if has_room w then w :: acc else acc) s.workers []
+  |> List.sort (fun a b -> compare a.wid b.wid)
+
+(* One pending job to each idle worker, the older worker first. *)
 let assign s ~now =
   if not (over s) then
-    Hashtbl.fold (fun _ w acc -> if has_room s w then w :: acc else acc) s.workers []
-    |> List.sort (fun a b ->
-           compare (List.length a.running, a.wid) (List.length b.running, b.wid))
-    |> List.iter (fun w ->
-           let rec fill () =
-             match s.pending with
-             | jid :: rest when has_room s w ->
-               s.pending <- rest;
-               (match s.jobs.(jid).state with
-               | Jdone _ -> ()
-               | Pending | Offered -> offer s w s.jobs.(jid) ~now ~steal:false);
-               fill ()
-             | _ -> ()
-           in
-           fill ())
+    List.iter
+      (fun w ->
+        let rec next () =
+          match s.pending with
+          | jid :: rest -> (
+            s.pending <- rest;
+            match s.jobs.(jid).state with
+            | Jdone _ -> next ()
+            | Pending | Offered -> offer s w s.jobs.(jid) ~now ~steal:false)
+          | [] -> ()
+        in
+        next ())
+      (idle s)
 
 let release w j =
-  w.running <- List.filter (fun jid -> jid <> j.id) w.running;
+  if w.running = Some j.id then w.running <- None;
   j.holders <- List.filter (fun h -> h <> w.wid) j.holders
 
 let lose s w =
   w.lost <- true;
   Obs.add s.obs Count.workers_lost 1;
-  let held = w.running in
+  let held = Option.to_list w.running in
   let requeued =
     List.filter
       (fun jid ->
@@ -256,7 +255,7 @@ let start s =
 let join s ~now =
   let wid = s.next_wid in
   s.next_wid <- wid + 1;
-  Hashtbl.replace s.workers wid { wid; last_seen = now; running = []; lost = false };
+  Hashtbl.replace s.workers wid { wid; last_seen = now; running = None; lost = false };
   Obs.add s.obs Count.workers_joined 1;
   assign s ~now;
   (wid, flush s)
@@ -327,10 +326,6 @@ let refusal s wid ~now ~job ~reason =
         end)
 
 let lost s wid ~now = on_live s wid ~now (lose s)
-
-let idle s =
-  Hashtbl.fold (fun _ w acc -> if has_room s w then w :: acc else acc) s.workers []
-  |> List.sort (fun a b -> compare a.wid b.wid)
 
 (* The job [w] would steal: the oldest in flight that it does not
    already hold.  It becomes stealable [steal_after] after its latest

@@ -8,9 +8,8 @@
     [select] loop; tests drive it in logical time.
 
     Scheduling rules:
-    - a pending job goes to the least-loaded live worker below
-      [capacity] (ties to the lower worker id), which is filled before
-      the next one;
+    - a worker runs one job at a time: a pending job goes to a live
+      worker holding none (ties to the lower worker id);
     - a duplicate attempt of a job in flight longer than [steal_after]
       goes to an idle worker that does not hold it, only while nothing
       is pending;
@@ -40,7 +39,6 @@ type action =
 
 val create :
   ?stop_after_results:int ->
-  capacity:int ->
   heartbeat_timeout:float ->
   steal_after:float ->
   obs:Obs.t ->

@@ -11,9 +11,19 @@ let write_atomic path write =
   in
   match
     let oc = open_out tmp in
-    Fun.protect ~finally:(fun () -> close_out oc) (fun () -> write oc)
+    Fun.protect
+      ~finally:(fun () -> close_out oc)
+      (fun () ->
+        write oc;
+        flush oc;
+        Unix.fsync (Unix.descr_of_out_channel oc))
   with
-  | () -> Sys.rename tmp path
+  | () ->
+    Sys.rename tmp path;
+    (* The rename lives in the directory: sync it too, or a crash can
+       bring back the old [path]. *)
+    let dir = Unix.openfile (Filename.dirname path) [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 in
+    Fun.protect ~finally:(fun () -> Unix.close dir) (fun () -> Unix.fsync dir)
   | exception e ->
     (try Sys.remove tmp with Sys_error _ -> ());
     raise e

@@ -6,11 +6,12 @@ val mkdir_p : string -> unit
 
 val write_atomic : string -> (out_channel -> unit) -> unit
 (** [write_atomic path write] runs [write] on a fresh temp file beside
-    [path], then renames it over [path]. A crash mid-write leaves at
-    worst a stray [<name>.XXXXXX.tmp] sibling, never a torn [path]. The
-    temp name is unique, so concurrent saves of one name never share it.
-    If [write] raises, the temp file is removed and the exception
-    re-raised. No [fsync]: the rename is atomic, not durable. *)
+    [path], [fsync]s it, renames it over [path] and [fsync]s the
+    directory, so a returned save survives a crash. A crash mid-write
+    leaves at worst a stray [<name>.XXXXXX.tmp] sibling, never a torn
+    [path]. The temp name is unique, so concurrent saves of one name
+    never share it. If [write] or the file's [fsync] raises, the temp
+    file is removed and the exception re-raised. *)
 
 val corpus_files : string -> string list
 (** Paths of the [*.pmt] files in [dir], sorted by name; subdirectories

@@ -987,7 +987,6 @@ type mjob = {
 
 type model = {
   s : Sched.t;
-  cap : int;
   mutable now : float;
   mutable ws : mworker list;  (* join order *)
   js : mjob array;
@@ -997,7 +996,7 @@ type model = {
 
 let fail fmt = QCheck2.Test.fail_reportf fmt
 
-let new_model ~cap (resume : Farm.Checkpoint.t option) =
+let new_model (resume : Farm.Checkpoint.t option) =
   let js =
     Array.init (List.length (Farm.Spec.jobs model_spec)) (fun _ ->
         { first = None; top = 0; holders = []; since = 0.; refused = 0; lost = 0; flagged = false })
@@ -1011,10 +1010,10 @@ let new_model ~cap (resume : Farm.Checkpoint.t option) =
         ck.done_jobs)
     resume;
   let s =
-    Sched.create ~capacity:cap ~heartbeat_timeout:model_heartbeat ~steal_after:model_steal
+    Sched.create ~heartbeat_timeout:model_heartbeat ~steal_after:model_steal
       ~obs:Obs.disabled model_spec resume
   in
-  { s; cap; now = 0.; ws = []; js; stored = Hashtbl.create 8; requeued = 0 }
+  { s; now = 0.; ws = []; js; stored = Hashtbl.create 8; requeued = 0 }
 
 let pending m =
   Array.exists (fun j -> j.first = None && j.holders = []) m.js
@@ -1041,7 +1040,7 @@ let apply m acts =
       | Sched.Offer { wid; job; attempt; _ } ->
         let w = List.find (fun w -> w.mwid = wid) m.ws and j = m.js.(job) in
         if not w.alive then fail "job %d offered to lost worker %d" job wid;
-        if List.length w.held >= m.cap then fail "worker %d offered past capacity" wid;
+        if w.held <> [] then fail "worker %d offered a second job" wid;
         if List.mem_assoc job w.held then fail "worker %d offered job %d it holds" wid job;
         if j.first <> None then fail "finished job %d offered" job;
         if attempt <= j.top then fail "job %d attempt %d after attempt %d" job attempt j.top;
@@ -1068,7 +1067,7 @@ let apply m acts =
   if
     (not (Sched.over m.s))
     && pending m
-    && List.exists (fun w -> w.alive && List.length w.held < m.cap) m.ws
+    && List.exists (fun w -> w.alive && w.held = []) m.ws
   then fail "a job is pending while a worker has room"
 
 (* Any frame from [w] proves it alive; only a [Checkpoint] frame is a
@@ -1154,8 +1153,8 @@ let finding_digests m =
 
 let prop_sched_matches_model =
   QCheck2.Test.make ~name:"scheduler agrees with its model" ~count:1000 ~long_factor:100
-    ~print:(fun (cap, liars, cmds, split) ->
-      Printf.sprintf "capacity %d, %s, checkpoint after %d: %s" cap
+    ~print:(fun (liars, cmds, split) ->
+      Printf.sprintf "%s, checkpoint after %d: %s"
         (if liars then "forged results" else "honest")
         split
         (String.concat "; " (List.map cmd_to_string cmds)))
@@ -1171,10 +1170,10 @@ let prop_sched_matches_model =
             (1, map (fun i -> Lose i) small_nat);
           ]
       in
-      triple (int_range 1 3) bool (list_size (int_range 0 60) cmd) >>= fun (cap, liars, cmds) ->
-      map (fun split -> (cap, liars, cmds, split)) (int_range 0 (List.length cmds)))
-    (fun (cap, liars, cmds, split) ->
-      let m = new_model ~cap None in
+      pair bool (list_size (int_range 0 60) cmd) >>= fun (liars, cmds) ->
+      map (fun split -> (liars, cmds, split)) (int_range 0 (List.length cmds)))
+    (fun (liars, cmds, split) ->
+      let m = new_model None in
       apply m (Sched.start m.s);
       let ck = ref None in
       List.iteri
@@ -1205,7 +1204,7 @@ let prop_sched_matches_model =
           fail "%d jobs reassigned, the model requeued %d" sum.Sched.reassigned m.requeued;
         Option.iter
           (fun ck ->
-            let m2 = new_model ~cap (Some ck) in
+            let m2 = new_model (Some ck) in
             apply m2 (Sched.start m2.s);
             complete m2;
             let sum2 = Sched.summary m2.s in
