@@ -161,6 +161,34 @@ let with_entries cmd p ?model name k =
         2
       | Ok entries -> k src entries)
 
+(* --- Saves --------------------------------------------------------------------- *)
+
+exception Cannot_save of string
+
+(* Every file a command writes goes through [save]: a write that fails
+   (a missing directory, a full disk, a failed fsync) ends the command
+   through [saving] with exit 2, naming the file. *)
+let save path write =
+  match write () with
+  | v -> v
+  | exception Sys_error e -> raise (Cannot_save (Printf.sprintf "cannot save %s: %s" path e))
+  | exception Unix.Unix_error (err, _, _) ->
+    raise (Cannot_save (Printf.sprintf "cannot save %s: %s" path (Unix.error_message err)))
+
+let saving cmd run =
+  match run () with
+  | rc -> rc
+  | exception Cannot_save e ->
+    Fmt.epr "%s: %s@." cmd e;
+    2
+
+(* A trace file, headed by the model that judges it. *)
+let save_trace model path entries =
+  save path (fun () ->
+      Pmtest_trace.Serial.save_file
+        ~header:{ Files.banner = None; fields = [ ("model", Model.kind_name model) ] }
+        path entries)
+
 (* [record]'s defaults, which [repair] shares; check-trace and lint
    take no workload flags and record a workload with these. *)
 let record_defaults = { Source.ops = 1000; threads = 1; seed = 42 }
@@ -173,7 +201,8 @@ let run_record run ops seed output =
     Fmt.epr "record failed: %s@." e;
     1
   | Ok entries ->
-    Pmtest_trace.Serial.save_file ~header:[ "model: x86" ] output entries;
+    saving "record" @@ fun () ->
+    save_trace Model.X86 output entries;
     Fmt.pr "recorded %d trace entries (%d PM operations) to %s@." (Array.length entries)
       (Event.op_count entries) output;
     0
@@ -336,11 +365,10 @@ let run_repair source model rules_spec ops seed max_rounds diff machine verify i
                 end
               in
               let dest = if output = None && in_place then Some source else output in
+              saving "repair" @@ fun () ->
               Option.iter
                 (fun path ->
-                  Pmtest_trace.Serial.save_file
-                    ~header:[ "model: " ^ Model.kind_name model ]
-                    path o.Repair.repaired;
+                  save_trace model path o.Repair.repaired;
                   if not machine then
                     Fmt.pr "wrote repaired trace (%d entries) to %s@."
                       (Array.length o.Repair.repaired)
@@ -477,12 +505,14 @@ let run_fuzz_campaign models count seed max_ops corpus progress profile failures
             (Cross.pair_name f.Campaign.pair)
             f.Campaign.detail (Repro.serial_text shrunk) (Repro.ocaml_snippet shrunk);
           Option.iter
-            (fun dir -> Fmt.pr "saved regression case to %s@." (Repro.save ~dir case))
+            (fun dir ->
+              Fmt.pr "saved regression case to %s@." (save dir (fun () -> Repro.save ~dir case)))
             corpus)
         stats.Campaign.findings)
     models
 
 let run_fuzz models count seed max_ops mutate corpus progress profile =
+  saving "fuzz" @@ fun () ->
   let failures = ref 0 in
   (match corpus with None -> () | Some dir -> replay_corpus dir failures);
   if mutate then run_fuzz_mutate failures
@@ -565,6 +595,7 @@ let replay_crashfs_corpus dir fses failures =
         cases)
 
 let run_crashfs fses model count seed max_ops fault corpus progress =
+  saving "crashfs" @@ fun () ->
   let failures = ref 0 in
   (match corpus with None -> () | Some dir -> replay_crashfs_corpus dir fses failures);
   List.iter
@@ -589,7 +620,9 @@ let run_crashfs fses model count seed max_ops fault corpus progress =
             incr failures;
             Option.iter
               (fun dir ->
-                let path = Crashfs.Repro.save ~dir (Crashfs.Repro.of_finding config f) in
+                let path =
+                  save dir (fun () -> Crashfs.Repro.save ~dir (Crashfs.Repro.of_finding config f))
+                in
                 Fmt.pr "saved crashfs case to %s@." path)
               corpus)
           c.Crashfs.findings)
@@ -773,9 +806,11 @@ let run_stat source model workers section ops threads seed machine json_out =
         2
       | Ok report ->
         let snap = Obs.snapshot obs in
+        saving "stat" @@ fun () ->
         Option.iter
           (fun path ->
-            Files.write_atomic path (fun oc -> output_string oc (Obs.to_jsonl snap));
+            save path (fun () ->
+                Files.write_atomic path (fun oc -> output_string oc (Obs.to_jsonl snap)));
             Fmt.epr "wrote JSON-lines profile to %s@." path)
           json_out;
         if machine then print_string (Obs.to_tsv snap)
@@ -923,12 +958,11 @@ let run_attach source socket model section ops threads seed record verify profil
         Fmt.epr "attach: %s@." e;
         2
       | Ok remote_report -> (
+        saving "attach" @@ fun () ->
         Option.iter
           (fun path ->
             let entries = take () in
-            Pmtest_trace.Serial.save_file
-              ~header:[ "model: " ^ Model.kind_name model ]
-              path entries;
+            save_trace model path entries;
             Fmt.pr "recorded %d trace entries to %s@." (Array.length entries) path)
           record;
         Fmt.pr "%a@." Report.pp remote_report;

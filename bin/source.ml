@@ -129,19 +129,20 @@ let resolve ?model name =
   let judge header = Option.value ~default:Model.X86 (if model = None then header else model) in
   match List.assoc_opt name workloads with
   | Some run -> Ok { input = Workload run; model = judge None; file = false }
-  | None when Sys.file_exists name -> (
-    match Serial.load_file_with_header name with
-    | exception Sys_error e | Error e -> Error (Printf.sprintf "cannot load %s: %s" name e)
-    | Ok (headers, entries) ->
-      let header =
-        List.find_map
-          (fun h ->
-            match Files.header_field h with
-            | Some ("model", v) -> Model.kind_of_string v
-            | _ -> None)
-          headers
-      in
-      Ok { input = Trace entries; model = judge header; file = true })
+  | None when Sys.file_exists name ->
+    let header_model (h : Files.header) =
+      match List.assoc_opt "model" h.Files.fields with
+      | None -> Ok None
+      | Some v -> (
+        match Model.kind_of_string v with
+        | Some m -> Ok (Some m)
+        | None -> Error (Printf.sprintf "unknown model %S in its 'model:' header" v))
+    in
+    Result.map_error (Printf.sprintf "cannot load %s: %s" name)
+      (let* t = Files.read_text name in
+       let* header = header_model t.Files.header in
+       let* entries = Serial.entries_of_body t.Files.body in
+       Ok { input = Trace entries; model = judge header; file = true })
   | None -> (
     match List.find_opt (fun c -> c.Case.id = name) Catalog.all with
     | Some case -> Ok { input = Trace (Case.trace case); model = judge None; file = false }

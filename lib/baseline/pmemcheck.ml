@@ -34,8 +34,6 @@ let create ~size =
     last_store_loc = Loc.none;
   }
 
-let bytes_tracked t = Bytes.length t.shadow
-
 let diag t kind loc fmt =
   Format.kasprintf (fun message -> Vec.push t.diags { Report.kind; loc; message }) fmt
 

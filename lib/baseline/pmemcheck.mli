@@ -36,8 +36,6 @@ val result : t -> Report.t
 (** Finalize: sweep the shadow for bytes still not persisted and return
     all diagnostics. *)
 
-val bytes_tracked : t -> int
-
 val unpersisted_ranges : t -> (int * int) list
 (** Maximal runs [(addr, size)] of bytes that are not guaranteed durable
     at this point (still dirty, or flushed with no fence yet) — the byte

@@ -36,16 +36,6 @@ let replay m entries =
 
 let fresh_machine ~size = Machine.create ~track_versions:true ~size ()
 
-let crash_images_at ~size ~at ?(limit = 65536) entries =
-  let m = fresh_machine ~size in
-  let upto = min (at + 1) (Array.length entries) in
-  for i = 0 to upto - 1 do
-    match entries.(i).Event.kind with Event.Op op -> replay_op m op | _ -> ()
-  done;
-  let images = ref [] in
-  let exhaustive = Machine.iter_crash_states ~limit m (fun img -> images := Bytes.copy img :: !images) in
-  (List.rev !images, exhaustive)
-
 let is_crash_point ~every_op (e : Event.t) =
   match e.Event.kind with
   | Event.Op op -> every_op || Model.is_fence op
@@ -160,11 +150,3 @@ let live_outcome l =
     first_violation = l.l_first;
     exhaustive = l.l_exhaustive;
   }
-
-let sample_crash_image ~size ~at rng entries =
-  let m = fresh_machine ~size in
-  let upto = min (at + 1) (Array.length entries) in
-  for i = 0 to upto - 1 do
-    match entries.(i).Event.kind with Event.Op op -> replay_op m op | _ -> ()
-  done;
-  Machine.sample_crash_state m rng

@@ -13,7 +13,6 @@
       validated against exhaustive enumeration on small traces;
     - the cost comparison for the scaling benchmark (`bench yat`). *)
 
-open Pmtest_util
 open Pmtest_trace
 module Machine = Pmtest_pmem.Machine
 
@@ -67,16 +66,7 @@ val run :
     [limit_per_point] durable images per crash point (default 65536) and
     applying [check] to each. *)
 
-val crash_images_at : size:int -> at:int -> ?limit:int -> Event.t array -> bytes list * bool
-(** Durable images reachable if the crash happens right after entry index
-    [at] (counting all entries, non-ops skipped during replay); returns
-    the images and whether enumeration was exhaustive. Used directly by
-    the oracle property tests. *)
-
 val estimated_states : size:int -> Event.t array -> float
 (** Product, over all crash points of the trace, of the number of durable
     images — the size of Yat's search space (computed without
     enumerating). *)
-
-val sample_crash_image : size:int -> at:int -> Rng.t -> Event.t array -> bytes
-(** One random reachable durable image after entry index [at]. *)

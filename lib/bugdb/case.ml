@@ -25,10 +25,6 @@ let category_name = function
   | Completion -> "completion"
   | Perf_log -> "performance (log)"
 
-let is_low_level = function
-  | Ordering | Writeback | Perf_writeback -> true
-  | Backup | Completion | Perf_log -> false
-
 type outcome = { case : t; detected : bool; clean : bool; report : Report.t }
 
 let execute case =

@@ -38,7 +38,6 @@ type t = {
 }
 
 val category_name : category -> string
-val is_low_level : category -> bool
 
 type outcome = {
   case : t;

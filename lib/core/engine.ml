@@ -646,5 +646,3 @@ let check_with_snapshot ?(model = Model.X86) entries =
   let r = (report_of st, { timestamp = st.now; ranges = ranges_of st }) in
   release st;
   r
-
-let shadow_cardinality_of snap = List.length snap.ranges

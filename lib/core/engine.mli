@@ -70,4 +70,3 @@ val check_with_snapshot : ?model:Model.kind -> Event.t array -> Report.t * snaps
 (** Like {!check} but also returns the shadow-memory state after the last
     entry — the persist-interval table of the paper's Fig. 7. *)
 
-val shadow_cardinality_of : snapshot -> int

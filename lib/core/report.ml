@@ -38,7 +38,6 @@ let merge a b =
 
 let is_clean t = t.diagnostics = []
 let has_fail t = List.exists (fun d -> kind_severity d.kind = Fail) t.diagnostics
-let has_warn t = List.exists (fun d -> kind_severity d.kind = Warn) t.diagnostics
 let fails t = List.filter (fun d -> kind_severity d.kind = Fail) t.diagnostics
 let warns t = List.filter (fun d -> kind_severity d.kind = Warn) t.diagnostics
 let count kind t = List.length (List.filter (fun d -> d.kind = kind) t.diagnostics)

@@ -50,7 +50,6 @@ val merge : t -> t -> t
 
 val is_clean : t -> bool
 val has_fail : t -> bool
-val has_warn : t -> bool
 val fails : t -> diagnostic list
 val warns : t -> diagnostic list
 val count : kind -> t -> int

@@ -230,7 +230,6 @@ let create ?(workers = 1) ?(model = Model.X86) ?(obs = Obs.disabled) ?shard ?are
   t.domains <- Array.mapi (fun idx w -> Domain.spawn (fun () -> worker_loop t idx w)) pool;
   t
 
-let worker_count t = Array.length t.workers
 let model t = t.model
 let obs t = t.obs
 

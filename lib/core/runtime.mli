@@ -37,7 +37,6 @@ val create :
     recycled to; the daemon passes each shard's own pool so arenas cycle
     shard-locally. *)
 
-val worker_count : t -> int
 val model : t -> Model.kind
 val obs : t -> Pmtest_obs.Obs.t
 

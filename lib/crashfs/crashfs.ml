@@ -831,85 +831,82 @@ module Repro = struct
       ops = finding.f_shrunk;
     }
 
-  let to_text c =
-    let b = Buffer.create 256 in
-    Buffer.add_string b "# pmtest-crashfs-case v1\n";
-    Printf.bprintf b "# name: %s\n" c.name;
-    Printf.bprintf b "# fs: %s\n" (fs_kind_name c.fs);
-    Printf.bprintf b "# model: %s\n" (Model.kind_name c.model);
-    Printf.bprintf b "# seed: %d\n" c.seed;
-    Option.iter (fun f -> Printf.bprintf b "# fault: %s\n" f) c.fault;
-    Printf.bprintf b "# check: %s\n" (if c.expect_failure then "fails" else "survives");
-    Array.iter (fun op -> Printf.bprintf b "%s\n" (Workload.op_to_string op)) c.ops;
-    Buffer.contents b
+  let banner = "pmtest-crashfs-case v1"
 
-  let of_text ~name text =
-    let lines = String.split_on_char '\n' text in
-    match lines with
-    | first :: rest when String.trim first = "# pmtest-crashfs-case v1" ->
-      let name = ref name in
-      let fs = ref None in
-      let model = ref Model.X86 in
-      let seed = ref 0 in
-      let fault = ref None in
-      let check = ref None in
-      let ops = ref [] in
-      let err = ref None in
-      List.iter
-        (fun line ->
-          if !err = None then
-            let line = String.trim line in
-            if line = "" then ()
-            else if String.length line >= 2 && String.sub line 0 2 = "# " then begin
-              match Files.header_field (String.sub line 2 (String.length line - 2)) with
-              | None -> ()
-              | Some (key, value) -> (
-                match key with
-                | "name" -> name := value
-                | "fs" -> (
-                  match fs_kind_of_string value with
-                  | Some k -> fs := Some k
-                  | None -> err := Some (Printf.sprintf "unknown fs %S" value))
-                | "model" -> (
-                  match Model.kind_of_string value with
-                  | Some m -> model := m
-                  | None -> err := Some (Printf.sprintf "unknown model %S" value))
-                | "seed" -> (
-                  match int_of_string_opt value with
-                  | Some s -> seed := s
-                  | None -> err := Some (Printf.sprintf "bad seed %S" value))
-                | "fault" -> fault := Some value
-                | "check" -> (
-                  match value with
-                  | "fails" -> check := Some true
-                  | "survives" -> check := Some false
-                  | _ -> err := Some (Printf.sprintf "unknown check %S" value))
-                | _ -> ())
-            end
-            else
-              match Workload.op_of_string line with
-              | Ok op -> ops := op :: !ops
-              | Error e -> err := Some e)
-        rest;
-      (match (!err, !fs, !check) with
-      | Some e, _, _ -> Error e
-      | None, None, _ -> Error "missing `# fs:` header"
-      | None, _, None -> Error "missing `# check:` header"
-      | None, Some fs, Some expect_failure ->
-        let c =
-          {
-            name = !name;
-            fs;
-            model = !model;
-            seed = !seed;
-            fault = !fault;
-            expect_failure;
-            ops = Array.of_list (List.rev !ops);
-          }
-        in
+  let to_text c =
+    let fields =
+      [
+        ("name", c.name);
+        ("fs", fs_kind_name c.fs);
+        ("model", Model.kind_name c.model);
+        ("seed", string_of_int c.seed);
+      ]
+      @ Option.to_list (Option.map (fun f -> ("fault", f)) c.fault)
+      @ [ ("check", if c.expect_failure then "fails" else "survives") ]
+    in
+    Files.render
+      { Files.banner = Some banner; fields }
+      (Seq.map Workload.op_to_string (Array.to_seq c.ops))
+
+  (* Fields fill a case whose [fs] and [expect_failure] are still unset. *)
+  let add_field acc (key, value) =
+    match acc with
+    | Error _ -> acc
+    | Ok (c, fs, check) -> (
+      match key with
+      | "name" -> Ok ({ c with name = value }, fs, check)
+      | "fs" -> (
+        match fs_kind_of_string value with
+        | Some k -> Ok (c, Some k, check)
+        | None -> Error (Printf.sprintf "unknown fs %S" value))
+      | "model" -> (
+        match Model.kind_of_string value with
+        | Some model -> Ok ({ c with model }, fs, check)
+        | None -> Error (Printf.sprintf "unknown model %S" value))
+      | "seed" -> (
+        match int_of_string_opt value with
+        | Some seed -> Ok ({ c with seed }, fs, check)
+        | None -> Error (Printf.sprintf "bad seed %S" value))
+      | "fault" -> Ok ({ c with fault = Some value }, fs, check)
+      | "check" -> (
+        match value with
+        | "fails" -> Ok (c, fs, Some true)
+        | "survives" -> Ok (c, fs, Some false)
+        | _ -> Error (Printf.sprintf "unknown check %S" value))
+      | _ -> acc)
+
+  let of_parsed ~name (t : Files.text) =
+    let blank =
+      {
+        name;
+        fs = Pmfs;
+        model = Model.X86;
+        seed = 0;
+        fault = None;
+        expect_failure = false;
+        ops = [||];
+      }
+    in
+    let rec ops acc = function
+      | [] -> Ok (Array.of_list (List.rev acc))
+      | (_, line) :: rest -> (
+        match Workload.op_of_string (String.trim line) with
+        | Ok op -> ops (op :: acc) rest
+        | Error _ as e -> e)
+    in
+    if t.Files.header.Files.banner <> Some banner then Error "not a pmtest-crashfs-case file"
+    else
+      let fields = List.fold_left add_field (Ok (blank, None, None)) t.Files.header.Files.fields in
+      match (fields, ops [] t.Files.body) with
+      | (Error e, _) | (_, Error e) -> Error e
+      | Ok (_, None, _), _ -> Error "missing `# fs:` header"
+      | Ok (_, _, None), _ -> Error "missing `# check:` header"
+      | Ok (c, Some fs, Some expect_failure), Ok ops ->
+        let c = { c with fs; expect_failure; ops } in
         (* Validate the fault name eagerly. *)
-        Result.map (fun _ -> c) (make_config ?fault:c.fault fs c.model))
-    | _ -> Error "not a pmtest-crashfs-case file"
+        Result.map (fun _ -> c) (make_config ?fault:c.fault fs c.model)
+
+  let of_text ~name text = of_parsed ~name (Files.parse_text text)
 
   let save ~dir c =
     Files.mkdir_p dir;
@@ -919,9 +916,9 @@ module Repro = struct
 
   let load_dir dir =
     Files.load_corpus dir (fun path ->
-        let text = In_channel.with_open_text path In_channel.input_all in
-        of_text ~name:(Filename.chop_suffix (Filename.basename path) ".pmt") text
-        |> Result.map_error (Printf.sprintf "%s: %s" path))
+        Result.bind (Files.read_text path) (fun t ->
+            of_parsed ~name:(Filename.chop_suffix (Filename.basename path) ".pmt") t
+            |> Result.map_error (Printf.sprintf "%s: %s" path)))
 
   let replay c =
     let config = config_of_case c in

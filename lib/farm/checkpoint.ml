@@ -2,9 +2,11 @@
    triage store share: a SIGKILL mid-write leaves a stray [.tmp], never a
    torn file a resume would trip over. *)
 
+module Files = Pmtest_util.Files
+
 let write_atomic path text =
-  Pmtest_util.Files.mkdir_p (Filename.dirname path);
-  Pmtest_util.Files.write_atomic path (fun oc -> output_string oc text)
+  Files.mkdir_p (Filename.dirname path);
+  Files.write_atomic path (fun oc -> output_string oc text)
 
 type done_job = { job : int; attempt : int; units : int; digest : string }
 
@@ -18,37 +20,24 @@ type t = {
 
 let magic = "pmfarm-checkpoint v1"
 
+(* No header: the magic is the first body line, then one [key rest]
+   line per record. *)
 let to_text t =
-  let b = Buffer.create 256 in
-  Printf.bprintf b "%s\n" magic;
-  Printf.bprintf b "spec %s\n" (Spec.to_string t.spec);
-  Printf.bprintf b "jobs %d\n" t.jobs;
-  List.iter
-    (fun d -> Printf.bprintf b "done %d %d %d %s\n" d.job d.attempt d.units d.digest)
-    t.done_jobs;
-  List.iter (fun (dg, name) -> Printf.bprintf b "finding %s %s\n" dg name) t.findings;
-  List.iter (fun j -> Printf.bprintf b "nondet %d\n" j) t.nondet;
-  Buffer.contents b
+  let line = Printf.sprintf in
+  Files.render Files.no_header
+    (List.to_seq
+       ([ magic; line "spec %s" (Spec.to_string t.spec); line "jobs %d" t.jobs ]
+       @ List.map (fun d -> line "done %d %d %d %s" d.job d.attempt d.units d.digest) t.done_jobs
+       @ List.map (fun (dg, name) -> line "finding %s %s" dg name) t.findings
+       @ List.map (line "nondet %d") t.nondet))
 
 let save ~path t = write_atomic path (to_text t)
 
 let load path =
-  match
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        let lines = ref [] in
-        (try
-           while true do
-             lines := input_line ic :: !lines
-           done
-         with End_of_file -> ());
-        List.rev !lines)
-  with
-  | exception Sys_error e -> Error e
-  | [] -> Error (path ^ ": empty checkpoint")
-  | first :: rest when String.trim first = magic ->
+  match Result.map (fun t -> List.map snd t.Files.body) (Files.read_text path) with
+  | Error e -> Error e
+  | Ok [] -> Error (path ^ ": empty checkpoint")
+  | Ok (first :: rest) when String.trim first = magic ->
     let spec = ref None in
     let jobs = ref (-1) in
     let done_jobs = ref [] in
@@ -58,7 +47,7 @@ let load path =
     let fail fmt = Printf.ksprintf (fun m -> if !err = None then err := Some m) fmt in
     List.iter
       (fun line ->
-        if String.trim line <> "" && !err = None then
+        if !err = None then
           match String.index_opt line ' ' with
           | None -> fail "malformed checkpoint line %S" line
           | Some i -> (
@@ -108,7 +97,7 @@ let load path =
             findings = List.sort compare !findings;
             nondet = List.sort compare !nondet;
           })
-  | first :: _ -> Error (Printf.sprintf "%s: not a pmfarm checkpoint (%S)" path first)
+  | Ok (first :: _) -> Error (Printf.sprintf "%s: not a pmfarm checkpoint (%S)" path first)
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>campaign: %s@,jobs: %d/%d done@,findings: %d@,nondet: %s@]"

@@ -6,6 +6,7 @@ module Fuzz_repro = Pmtest_fuzz.Repro
 module Crashfs = Pmtest_crashfs.Crashfs
 module Litmus = Pmtest_litmus.Litmus
 module Suite = Pmtest_litmus.Suite
+module Files = Pmtest_util.Files
 
 (* Seconds on the monotonic clock: heartbeat and steal deadlines must
    not fire because the wall clock stepped. *)
@@ -66,16 +67,13 @@ let run_units ?(between = ignore) (spec : Spec.t) ~lo ~hi =
           List.filter_map
             (fun (o : Litmus.outcome) ->
               if Litmus.passed o then None
-              else begin
-                let b = Buffer.create 128 in
-                Printf.bprintf b "# pmfarm-litmus-failure v1\n# test: %s\n"
-                  o.Litmus.test.Litmus.name;
-                List.iter
-                  (fun (f : Litmus.failure) ->
-                    Printf.bprintf b "%s: %s\n" f.Litmus.leg f.Litmus.message)
-                  o.Litmus.failures;
-                Some (o.Litmus.test.Litmus.name, Buffer.contents b)
-              end)
+              else
+                let name = o.Litmus.test.Litmus.name in
+                let header =
+                  { Files.banner = Some "pmfarm-litmus-failure v1"; fields = [ ("test", name) ] }
+                in
+                let failure (f : Litmus.failure) = f.Litmus.leg ^ ": " ^ f.Litmus.message in
+                Some (name, Files.render header (Seq.map failure (List.to_seq o.Litmus.failures))))
             outcomes
         in
         Ok { digest = Litmus.outcomes_digest outcomes; units = hi - lo; findings }

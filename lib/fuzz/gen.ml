@@ -267,9 +267,6 @@ let oracle_eligible (p : program) =
       | Event.Tx _ | Event.Control _ -> false)
     p.events
 
-let has_control (p : program) =
-  Array.exists (fun (e : Event.t) -> match e.Event.kind with Event.Control _ -> true | _ -> false) p.events
-
 let has_exclusion (p : program) =
   Array.exists
     (fun (e : Event.t) ->
@@ -281,9 +278,6 @@ let has_lint_control (p : program) =
     (fun (e : Event.t) ->
       match e.Event.kind with Event.Control (Event.Lint_off _ | Event.Lint_on _) -> true | _ -> false)
     p.events
-
-let has_tx (p : program) =
-  Array.exists (fun (e : Event.t) -> match e.Event.kind with Event.Tx _ -> true | _ -> false) p.events
 
 let pp_event ppf (e : Event.t) =
   match e.Event.kind with

@@ -69,10 +69,8 @@ val oracle_eligible : program -> bool
 
 (** {1 Introspection used by contract gating and printing} *)
 
-val has_control : program -> bool
 val has_exclusion : program -> bool
 val has_lint_control : program -> bool
-val has_tx : program -> bool
 
 val pp_program : Format.formatter -> program -> unit
 (** Compact one-line rendering ([w0x40+8;f0x40+8;s;cp0x40+8;…]) for

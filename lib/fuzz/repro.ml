@@ -1,5 +1,6 @@
 open Pmtest_model
 open Pmtest_trace
+module Files = Pmtest_util.Files
 module Report = Pmtest_core.Report
 module Engine = Pmtest_core.Engine
 module Naive_engine = Pmtest_baseline.Naive_engine
@@ -8,7 +9,12 @@ module Lint = Pmtest_lint.Lint
 
 type tool = Engine | Naive | Lint | Pmemcheck
 type check = Agree of Cross.pair | Flag of { tool : tool; kind : Report.kind }
-type case = { name : string; program : Gen.program; checks : check list }
+type case = {
+  name : string;
+  program : Gen.program;
+  checks : check list;
+  notes : (string * string) list;
+}
 
 let tool_name = function
   | Engine -> "engine"
@@ -44,14 +50,7 @@ let all_kinds =
 
 let kind_of_name name = List.find_opt (fun k -> Report.kind_string k = name) all_kinds
 
-let serial_text (p : Gen.program) =
-  let buf = Buffer.create 256 in
-  Array.iter
-    (fun e ->
-      Buffer.add_string buf (Serial.entry_to_line e);
-      Buffer.add_char buf '\n')
-    p.Gen.events;
-  Buffer.contents buf
+let serial_text (p : Gen.program) = Files.render Files.no_header (Serial.lines p.Gen.events)
 
 let snippet_kind buf (e : Event.t) =
   let p fmt = Printf.bprintf buf fmt in
@@ -118,25 +117,27 @@ let tool_report tool (p : Gen.program) =
     Array.iter (fun (e : Event.t) -> sink.Sink.emit e.Event.kind e.Event.loc) p.Gen.events;
     Pmemcheck.result pc
 
-let check_to_header = function
-  | Agree pair -> Printf.sprintf "check: agree %s" (Cross.pair_name pair)
+let check_field = function
+  | Agree pair -> ("check", "agree " ^ Cross.pair_name pair)
   | Flag { tool; kind } ->
-    Printf.sprintf "check: flag %s %s" (tool_name tool) (Report.kind_string kind)
+    ("check", Printf.sprintf "flag %s %s" (tool_name tool) (Report.kind_string kind))
+
+let banner = "pmtest-fuzz-case v1"
 
 let header_of_case c =
-  [
-    "pmtest-fuzz-case v1";
-    Printf.sprintf "name: %s" c.name;
-    Printf.sprintf "model: %s" (Model.kind_name c.program.Gen.model);
-    Printf.sprintf "pm_size: %d" c.program.Gen.pm_size;
-  ]
-  @ List.map check_to_header c.checks
+  {
+    Files.banner = Some banner;
+    fields =
+      [
+        ("name", c.name);
+        ("model", Model.kind_name c.program.Gen.model);
+        ("pm_size", string_of_int c.program.Gen.pm_size);
+      ]
+      @ List.map check_field c.checks
+      @ c.notes;
+  }
 
-let case_text c =
-  let buf = Buffer.create 512 in
-  List.iter (fun h -> Printf.bprintf buf "# %s\n" h) (header_of_case c);
-  Buffer.add_string buf (serial_text c.program);
-  Buffer.contents buf
+let case_text c = Files.render (header_of_case c) (Serial.lines c.program.Gen.events)
 
 (* Identity of a reproducer is its event array (plus the model those
    events are judged under) — not its name, which carries a seed that
@@ -145,44 +146,51 @@ let case_digest c =
   Digest.to_hex
     (Digest.string (Model.kind_name c.program.Gen.model ^ "\n" ^ serial_text c.program))
 
-let parse_header_line acc line =
+let ( let* ) = Result.bind
+
+let known_keys = [ "name"; "model"; "pm_size"; "check" ]
+
+let add_field acc (key, value) =
   match acc with
   | Error _ as e -> e
   | Ok (name, model, pm_size, checks) -> (
-    match Pmtest_util.Files.header_field line with
-    | None -> acc (* free-form comment, e.g. the version banner *)
-    | Some (key, value) -> (
-      match key with
-      | "name" -> Ok (Some value, model, pm_size, checks)
-      | "model" -> (
-        match Model.kind_of_string value with
-        | Some m -> Ok (name, Some m, pm_size, checks)
-        | None -> Error (Printf.sprintf "unknown model %S" value))
-      | "pm_size" -> (
-        match int_of_string_opt value with
-        | Some n when n > 0 -> Ok (name, model, Some n, checks)
-        | _ -> Error (Printf.sprintf "bad pm_size %S" value))
-      | "check" -> (
-        match String.split_on_char ' ' value with
-        | [ "agree"; pair ] -> (
-          match pair_of_name pair with
-          | Some p -> Ok (name, model, pm_size, Agree p :: checks)
-          | None -> Error (Printf.sprintf "unknown pair %S" pair))
-        | [ "flag"; tool; kind ] -> (
-          match (tool_of_name tool, kind_of_name kind) with
-          | Some t, Some k -> Ok (name, model, pm_size, Flag { tool = t; kind = k } :: checks)
-          | None, _ -> Error (Printf.sprintf "unknown tool %S" tool)
-          | _, None -> Error (Printf.sprintf "unknown diagnostic kind %S" kind))
-        | _ -> Error (Printf.sprintf "malformed check %S" value))
-      | _ -> acc))
+    match key with
+    | "name" -> Ok (Some value, model, pm_size, checks)
+    | "model" -> (
+      match Model.kind_of_string value with
+      | Some m -> Ok (name, Some m, pm_size, checks)
+      | None -> Error (Printf.sprintf "unknown model %S" value))
+    | "pm_size" -> (
+      match int_of_string_opt value with
+      | Some n when n > 0 -> Ok (name, model, Some n, checks)
+      | _ -> Error (Printf.sprintf "bad pm_size %S" value))
+    | "check" -> (
+      match String.split_on_char ' ' value with
+      | [ "agree"; pair ] -> (
+        match pair_of_name pair with
+        | Some p -> Ok (name, model, pm_size, Agree p :: checks)
+        | None -> Error (Printf.sprintf "unknown pair %S" pair))
+      | [ "flag"; tool; kind ] -> (
+        match (tool_of_name tool, kind_of_name kind) with
+        | Some t, Some k -> Ok (name, model, pm_size, Flag { tool = t; kind = k } :: checks)
+        | None, _ -> Error (Printf.sprintf "unknown tool %S" tool)
+        | _, None -> Error (Printf.sprintf "unknown diagnostic kind %S" kind))
+      | _ -> Error (Printf.sprintf "malformed check %S" value))
+    | _ -> acc)
 
 let load_file path =
-  match Serial.load_file_with_header path with
-  | Error e -> Error (Printf.sprintf "%s: %s" path e)
-  | Ok (header, events) -> (
-    match List.fold_left parse_header_line (Ok (None, None, None, [])) header with
+  let decode { Files.header; body } =
+    let* events = Serial.entries_of_body body in
+    let* fields = List.fold_left add_field (Ok (None, None, None, [])) header.Files.fields in
+    let notes = List.filter (fun (k, _) -> not (List.mem k known_keys)) header.Files.fields in
+    Ok (fields, notes, events)
+  in
+  match Files.read_text path with
+  | Error _ as e -> e
+  | Ok t -> (
+    match decode t with
     | Error e -> Error (Printf.sprintf "%s: %s" path e)
-    | Ok (name, model, pm_size, checks) ->
+    | Ok ((name, model, pm_size, checks), notes, events) ->
       let name =
         match name with
         | Some n -> n
@@ -211,9 +219,10 @@ let load_file path =
             name;
             program = { Gen.model; pm_size; events };
             checks = List.rev checks;
+            notes;
           }))
 
-let load_dir dir = Pmtest_util.Files.load_corpus dir load_file
+let load_dir dir = Files.load_corpus dir load_file
 
 (* Dedupe bookkeeping for [save]: digest -> path, one table per corpus
    directory, built by scanning the directory once per process and kept
@@ -234,12 +243,12 @@ let index_for dir =
         match load_file path with
         | Ok c -> Hashtbl.replace idx (case_digest c) path
         | Error _ -> ())
-      (Pmtest_util.Files.corpus_files dir);
+      (Files.corpus_files dir);
     Hashtbl.replace digest_index dir idx;
     idx
 
 let save ~dir c =
-  Pmtest_util.Files.mkdir_p dir;
+  Files.mkdir_p dir;
   let idx = index_for dir in
   let digest = case_digest c in
   match Hashtbl.find_opt idx digest with
@@ -256,7 +265,7 @@ let of_finding (f : Campaign.finding) =
     Printf.sprintf "%s-seed%d-%s" (Model.kind_name program.Gen.model) f.Campaign.found_seed
       (String.map (fun c -> if c = '/' then '-' else c) (Cross.pair_name f.Campaign.pair))
   in
-  { name; program; checks = [ Agree f.Campaign.pair ] }
+  { name; program; checks = [ Agree f.Campaign.pair ]; notes = [] }
 
 let run_check c = function
   | Agree pair -> (

@@ -32,7 +32,15 @@ type check =
   | Agree of Cross.pair
   | Flag of { tool : tool; kind : Report.kind }
 
-type case = { name : string; program : Gen.program; checks : check list }
+type case = {
+  name : string;
+  program : Gen.program;
+  checks : check list;
+  notes : (string * string) list;
+      (** Header fields this format does not read, such as free-text
+          comments, in file order: written after the case's own, so a
+          loaded case writes back unchanged. *)
+}
 
 val tool_name : tool -> string
 val tool_of_name : string -> tool option

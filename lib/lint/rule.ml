@@ -124,9 +124,6 @@ let of_spec spec =
           | Some r -> Ok (if add then enable s r else disable s r))))
     (Ok base) tokens
 
-let pp_set ppf s =
-  Format.fprintf ppf "{%s}" (String.concat "," (List.map id (to_list s)))
-
 let help () =
   String.concat "\n"
     (List.map

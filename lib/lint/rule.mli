@@ -79,8 +79,6 @@ val of_spec : string -> (set, string) result
     one that starts with [+]/[-] modifies the default set. An unknown
     token yields an error that lists every valid rule id. *)
 
-val pp_set : Format.formatter -> set -> unit
-
 val help : unit -> string
 (** One line per rule ([id], {!doc}, default flag) — the body of the
     CLI's [--rules help] listing. *)

@@ -19,14 +19,6 @@ let kind_of_string = function
   | "cxl" | "CXL" | "Cxl" -> Some Cxl
   | _ -> None
 
-let kind_of_string_err s =
-  match kind_of_string s with
-  | Some k -> Ok k
-  | None ->
-    Error
-      (Printf.sprintf "unknown persistency model %S (valid models: %s)" s
-         (String.concat ", " kind_names))
-
 let valid_op kind op =
   match (kind, op) with
   | _, Write _ -> true
@@ -46,10 +38,6 @@ let valid_op kind op =
 let is_fence = function
   | Sfence | Ofence | Dfence | Gpf -> true
   | Write _ | Clwb _ -> false
-
-let op_range = function
-  | Write { addr; size } | Clwb { addr; size } -> Some (addr, size)
-  | Sfence | Ofence | Dfence | Gpf -> None
 
 let pp_op ppf = function
   | Write { addr; size } -> Format.fprintf ppf "write(0x%x,%d)" addr size

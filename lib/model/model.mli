@@ -44,10 +44,6 @@ val kind_names : string list
 
 val kind_of_string : string -> kind option
 
-val kind_of_string_err : string -> (kind, string) result
-(** Like {!kind_of_string} but the error names the accepted values,
-    mirroring the lint/repair [--rules] UX. *)
-
 val valid_op : kind -> op -> bool
 (** Whether the operation belongs to the model's ISA: [Write] is valid
     everywhere; [Clwb]/[Sfence] only under X86 and eADR (legacy);
@@ -55,9 +51,6 @@ val valid_op : kind -> op -> bool
 
 val is_fence : op -> bool
 (** [Sfence], [Ofence], [Dfence] and [Gpf] advance the global timestamp. *)
-
-val op_range : op -> (int * int) option
-(** [(addr, size)] for range-carrying operations. *)
 
 val pp_op : Format.formatter -> op -> unit
 

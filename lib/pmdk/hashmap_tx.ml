@@ -10,7 +10,6 @@ let entry_size = 32
 
 let pool t = t.pool
 let root_off t = t.root
-let bucket_count t = t.nbuckets
 
 let hash t key =
   (* Int64.to_int truncates to 63 bits, so mask AFTER the conversion to

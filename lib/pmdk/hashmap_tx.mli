@@ -15,7 +15,6 @@ val create : ?buckets:int -> Pool.t -> t
 val open_ : Pool.t -> root:int -> t
 val root_off : t -> int
 val pool : t -> Pool.t
-val bucket_count : t -> int
 
 val insert : ?bug:bug -> t -> key:int64 -> value:bytes -> unit
 val lookup : t -> key:int64 -> bytes option

@@ -66,7 +66,6 @@ let hw_drain t ~line =
   | Pmtest_model.Model.Eadr -> ()
 let recovered_entries t = t.recovered
 let heap_start _ = heap_base
-let heap_used t = t.heap_top - heap_base
 
 (* Raw accesses: pool-internal bookkeeping, not transaction-tracked. *)
 let raw_store_i64 t ~line ~off v = Instr.store_i64 t.instr ~line ~addr:off v

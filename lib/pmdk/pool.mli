@@ -143,4 +143,3 @@ type fault =
 
 val set_fault : t -> fault option -> unit
 val heap_start : t -> int
-val heap_used : t -> int

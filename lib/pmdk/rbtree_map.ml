@@ -402,10 +402,6 @@ let iter t f =
   in
   go (tree_root t)
 
-let black_height t =
-  let rec go n = if n = t.nil then 0 else go (left t n) + if color t n = black then 1 else 0 in
-  go (tree_root t)
-
 let check_consistent t =
   let errors = ref [] in
   let err fmt = Format.kasprintf (fun s -> errors := s :: !errors) fmt in

@@ -25,8 +25,6 @@ val cardinal : t -> int
 val iter : t -> (int64 -> bytes -> unit) -> unit
 (** In increasing key order. *)
 
-val black_height : t -> int
-
 val check_consistent : t -> (unit, string) result
 (** BST order, no red node with a red child, equal black height on all
     paths, parent pointers coherent, count matches. *)

@@ -16,7 +16,6 @@ let set_u8 m off v =
   Machine.store m ~addr:off (Bytes.make 1 (Char.chr (v land 0xff)))
 
 let get_bytes m off len = Machine.load m ~addr:off ~len
-let set_bytes m off b = Machine.store m ~addr:off b
 
 let get_string m off len =
   let b = get_bytes m off len in

@@ -18,7 +18,6 @@ val get_u8 : Machine.t -> int -> int
 val set_u8 : Machine.t -> int -> int -> unit
 
 val get_bytes : Machine.t -> int -> int -> bytes
-val set_bytes : Machine.t -> int -> bytes -> unit
 
 val get_string : Machine.t -> int -> int -> string
 (** [get_string m off len] reads [len] bytes and trims trailing NULs. *)

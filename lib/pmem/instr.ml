@@ -6,7 +6,6 @@ type t = { machine : Machine.t; sink : Sink.t; file : string }
 let make ~machine ~sink ~file = { machine; sink; file }
 let machine t = t.machine
 let sink t = t.sink
-let with_sink t sink = { t with sink }
 let loc t line = Loc.make ~file:t.file ~line
 
 let emit_write t ~line ~addr ~size = Sink.write t.sink ~loc:(loc t line) ~addr ~size ()

@@ -15,9 +15,6 @@ val make : machine:Machine.t -> sink:Sink.t -> file:string -> t
 val machine : t -> Machine.t
 val sink : t -> Sink.t
 
-val with_sink : t -> Sink.t -> t
-(** Same machine and file, different destination for the trace. *)
-
 val loc : t -> int -> Loc.t
 (** Location in the registered source file. *)
 

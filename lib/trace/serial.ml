@@ -76,71 +76,27 @@ let entry_of_line line =
     | _ -> Error (Printf.sprintf "bad thread/line fields in %S" line))
   | _ -> Error (Printf.sprintf "too few fields in %S" line)
 
-let write_channel ?(header = []) oc entries =
-  List.iter
-    (fun h ->
-      output_string oc "# ";
-      output_string oc (String.map (fun c -> if c = '\n' then ' ' else c) h);
-      output_char oc '\n')
-    header;
-  Array.iter
-    (fun e ->
-      output_string oc (entry_to_line e);
-      output_char oc '\n')
-    entries
+let lines entries = Seq.map entry_to_line (Array.to_seq entries)
 
-let is_comment line = String.length line > 0 && line.[0] = '#'
-
-let read_channel ic =
+let entries_of_body body =
   let entries = Vec.create () in
-  let rec go lineno =
-    match input_line ic with
-    | exception End_of_file -> Ok (Vec.to_array entries)
-    | "" -> go (lineno + 1)
-    | line when is_comment line -> go (lineno + 1)
-    | line -> (
+  let rec go = function
+    | [] -> Ok (Vec.to_array entries)
+    | (lineno, line) :: rest -> (
       match entry_of_line line with
       | Ok e ->
         Vec.push entries e;
-        go (lineno + 1)
+        go rest
       | Error msg -> Error (Printf.sprintf "line %d: %s" lineno msg))
   in
-  go 1
+  go body
 
 (* A crash (or a SIGKILLed [attach --record]) mid-write never leaves a
    truncated [.pmt] that a later corpus replay would trip over. *)
-let save_file ?header path entries =
-  Files.write_atomic path (fun oc -> write_channel ?header oc entries)
+let save_file ?(header = Files.no_header) path entries =
+  Files.write_atomic path (fun oc -> Files.output_text oc header (lines entries))
 
-let load_file path =
-  let ic = open_in path in
-  Fun.protect ~finally:(fun () -> close_in ic) (fun () -> read_channel ic)
-
-let strip_comment_prefix line =
-  let body = String.sub line 1 (String.length line - 1) in
-  if String.length body > 0 && body.[0] = ' ' then String.sub body 1 (String.length body - 1)
-  else body
-
-let load_file_with_header path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let header = Vec.create () in
-      let rec skim () =
-        match input_line ic with
-        | exception End_of_file -> ()
-        | line when is_comment line ->
-          Vec.push header (strip_comment_prefix line);
-          skim ()
-        | _ -> ()
-      in
-      (* First pass collects the leading comment block only. *)
-      skim ();
-      seek_in ic 0;
-      match read_channel ic with
-      | Ok entries -> Ok (Vec.to_list header, entries)
-      | Error e -> Error e)
+let load_file path = Result.bind (Files.read_text path) (fun t -> entries_of_body t.Files.body)
 
 let recording_sink () =
   let buf = Vec.create () in

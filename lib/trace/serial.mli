@@ -8,39 +8,40 @@
     <kind>\t<thread>\t<file>\t<line>\t<args...>
     v}
 
-    with kinds [w]rite, [f]lush (clwb), [s]fence, [o]fence, [d]fence,
+    with kinds [w]rite, [f]lush (clwb), [s]fence, [o]fence, [d]fence, [g]pf,
     [cp] (isPersist), [co] (isOrderedBefore), [tb]/[tc]/[ta] (TX begin /
     commit / abort), [tA] (TX_ADD), [ts]/[te] (TX checker start / end),
     [xe]/[xi] (exclude / include), [lo]/[li] (lint off / on). Numeric
     fields are decimal. Tabs in file names are replaced by spaces when
     writing.
 
-    Lines starting with [#] are comments and are skipped on read; a
-    leading block of [# key: value] comments is the {e header} the fuzz
-    corpus uses to carry case metadata alongside the trace. *)
+    A file is in the {!Pmtest_util.Files} text shape: an optional
+    header of [# key: value] lines (a recorded trace carries
+    [# model: <name>], the persistency model that judges it; fuzz cases
+    add a banner and their metadata, see [Pmtest_fuzz.Repro]), then one
+    entry per body line. Blank lines and [#] lines after the header are
+    skipped. *)
 
 val entry_to_line : Event.t -> string
 val entry_of_line : string -> (Event.t, string) result
 (** Fails on an unknown kind, a malformed field, or a range whose size is
     not positive. *)
 
-val write_channel : ?header:string list -> out_channel -> Event.t array -> unit
-(** [header] lines are written first, each prefixed with ["# "]. *)
+val lines : Event.t array -> string Seq.t
+(** {!entry_to_line} of each entry, in order: a file's body. *)
 
-val read_channel : in_channel -> (Event.t array, string) result
-(** Fails with a message naming the first malformed line. Comment lines
-    ([#]-prefixed) and blank lines are skipped. *)
+val entries_of_body : (int * string) list -> (Event.t array, string) result
+(** Decode the numbered body lines of a {!Pmtest_util.Files.text}; fails
+    with a message naming the first malformed line's number. *)
 
-val save_file : ?header:string list -> string -> Event.t array -> unit
-(** Atomic: writes to a temporary file in the same directory and renames
-    it over [path], so a crash mid-write never leaves a half-written
-    trace behind. *)
+val save_file : ?header:Pmtest_util.Files.header -> string -> Event.t array -> unit
+(** [header] (none by default), then the entries. Atomic: writes to a
+    temporary file in the same directory and renames it over [path], so
+    a crash mid-write never leaves a half-written trace behind. *)
 
 val load_file : string -> (Event.t array, string) result
-
-val load_file_with_header : string -> (string list * Event.t array, string) result
-(** Like {!load_file} but also returns the leading comment block, with
-    the ["# "] prefixes stripped — the corpus-case metadata. *)
+(** The entries of a trace file, its header ignored; an unreadable file
+    is an [Error] too. *)
 
 val recording_sink : unit -> Sink.t * (unit -> Event.t array)
 (** A sink that accumulates everything it sees; the closure returns (and

@@ -5,7 +5,6 @@ type t = { emit : Event.kind -> Loc.t -> unit }
 
 let null = { emit = (fun _ _ -> ()) }
 
-let tee a b = { emit = (fun k loc -> a.emit k loc; b.emit k loc) }
 
 let observed obs t =
   (* Disabled observability must not cost an extra closure on the

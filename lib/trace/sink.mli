@@ -17,10 +17,6 @@ val null : t
 (** Discards everything; its [emit] is a constant-time no-op so the
     "original program" timings are not polluted by tracking cost. *)
 
-val tee : t -> t -> t
-(** Sends every entry to both sinks (used by the overhead-breakdown
-    experiment to trace and count simultaneously). *)
-
 val counting : unit -> t * (unit -> int)
 (** A sink that just counts entries; returns the sink and a reader. *)
 

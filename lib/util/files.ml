@@ -48,9 +48,63 @@ let load_corpus dir load =
   in
   match corpus_files dir with exception Sys_error e -> Error e | files -> go [] files
 
-let header_field line =
+type header = { banner : string option; fields : (string * string) list }
+type text = { header : header; body : (int * string) list }
+
+let no_header = { banner = None; fields = [] }
+
+(* --- Writer ----------------------------------------------------------------- *)
+
+let emit add { banner; fields } body =
+  let comment s =
+    add "# ";
+    add (String.map (fun c -> if c = '\n' then ' ' else c) s);
+    add "\n"
+  in
+  Option.iter comment banner;
+  List.iter (fun (key, value) -> comment (if key = "" then value else key ^ ": " ^ value)) fields;
+  Seq.iter
+    (fun line ->
+      add line;
+      add "\n")
+    body
+
+let output_text oc header body = emit (output_string oc) header body
+
+let render header body =
+  let b = Buffer.create 256 in
+  emit (Buffer.add_string b) header body;
+  Buffer.contents b
+
+(* --- Reader ----------------------------------------------------------------- *)
+
+(* A header line with its [#] and one following space removed, split at
+   its first colon; free text (no colon) has the key [""]. *)
+let header_line line =
+  let n = String.length line in
+  let from = if n > 1 && line.[1] = ' ' then 2 else 1 in
+  let line = String.sub line from (n - from) in
   match String.index_opt line ':' with
-  | None -> None
+  | None -> ("", String.trim line)
   | Some i ->
     let value = String.sub line (i + 1) (String.length line - i - 1) in
-    Some (String.trim (String.sub line 0 i), String.trim value)
+    (String.trim (String.sub line 0 i), String.trim value)
+
+let parse_text s =
+  let rec go lineno banner fields body = function
+    | [] -> { header = { banner; fields = List.rev fields }; body = List.rev body }
+    | line :: rest when String.trim line = "" -> go (lineno + 1) banner fields body rest
+    | line :: rest when line.[0] <> '#' ->
+      go (lineno + 1) banner fields ((lineno, line) :: body) rest
+    | _ :: rest when body <> [] -> go (lineno + 1) banner fields body rest
+    | line :: rest -> (
+      match header_line line with
+      | "", free when banner = None && fields = [] -> go (lineno + 1) (Some free) fields body rest
+      | field -> go (lineno + 1) banner (field :: fields) body rest)
+  in
+  go 1 None [] [] (String.split_on_char '\n' s)
+
+let read_text path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | s -> Ok (parse_text s)
+  | exception Sys_error e -> Error e

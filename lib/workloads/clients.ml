@@ -78,12 +78,3 @@ let oltp ?(row_size = 64) ~ops ~tables ~rows_per_table rng =
     end
   done;
   Array.of_list (List.rev !out)
-
-let kv_op_name = function Get _ -> "get" | Set _ -> "set"
-
-let fs_op_name = function
-  | Create _ -> "create"
-  | Write _ -> "write"
-  | Read _ -> "read"
-  | Delete _ -> "delete"
-  | Fsync _ -> "fsync"

@@ -32,5 +32,3 @@ val redis_lru : ?value_size:int -> ops:int -> keys:int -> Rng.t -> kv_op array
 val filebench : ?io_size:int -> ops:int -> files:int -> Rng.t -> fs_op array
 val oltp : ?row_size:int -> ops:int -> tables:int -> rows_per_table:int -> Rng.t -> fs_op array
 
-val kv_op_name : kv_op -> string
-val fs_op_name : fs_op -> string

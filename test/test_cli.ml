@@ -35,11 +35,21 @@ let header_model_judges cmd ~rc () =
   Alcotest.(check int) "exit code under x86" 1 (fst x86);
   Alcotest.(check bool) "--model x86 overrides the header" true (snd x86 <> snd plain)
 
-let missing_source_exits_2 () =
+(* A SOURCE that cannot be judged exits 2, whichever command reads it. *)
+let bad_source_exits_2 source () =
   List.iter
-    (fun cmd ->
-      Alcotest.(check int) (cmd ^ " on a missing file") 2 (fst (run [ cmd; "no-such-trace.pmt" ])))
+    (fun cmd -> Alcotest.(check int) (cmd ^ " " ^ source) 2 (fst (run [ cmd; source ])))
     [ "check-trace"; "lint"; "stat"; "repair" ]
+
+(* A trace whose header names a model we do not have. *)
+let unknown_model_trace () =
+  let path = Filename.temp_file "pmtest_cli" ".pmt" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc "# model: x68\ns\t0\t-\t0\n");
+  path
+
+let failed_save_exits_2 () =
+  Alcotest.(check int) "record -o in a missing directory" 2
+    (fst (run [ "record"; "redis-lru"; "--ops"; "10"; "-o"; "/nonexistent/x.pmt" ]))
 
 let () =
   Alcotest.run "cli"
@@ -50,5 +60,13 @@ let () =
             (header_model_judges "check-trace" ~rc:1);
           Alcotest.test_case "lint honours the header" `Quick (header_model_judges "lint" ~rc:0);
         ] );
-      ("source", [ Alcotest.test_case "a missing SOURCE exits 2" `Quick missing_source_exits_2 ]);
+      ( "source",
+        [
+          Alcotest.test_case "a missing SOURCE exits 2" `Quick
+            (bad_source_exits_2 "no-such-trace.pmt");
+          Alcotest.test_case "an unknown model header exits 2" `Quick (fun () ->
+              let path = unknown_model_trace () in
+              Fun.protect ~finally:(fun () -> Sys.remove path) (bad_source_exits_2 path));
+        ] );
+      ("save", [ Alcotest.test_case "a failed save exits 2" `Quick failed_save_exits_2 ]);
     ]

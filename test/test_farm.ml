@@ -13,6 +13,9 @@ module Model = Pmtest_model.Model
 module Crashfs = Pmtest_crashfs.Crashfs
 module Obs = Pmtest_obs.Obs
 
+(* Seconds on the monotonic clock, for test deadlines. *)
+let now () = float_of_int (Obs.now_ns ()) /. 1e9
+
 let next_id =
   let n = ref 0 in
   fun () ->
@@ -87,9 +90,9 @@ let finish_coordinator (t, result) =
 (* Poll [ready] for up to [secs] seconds: a test of something that used
    to hang fails on its own clock instead of hanging the suite. *)
 let within secs ready =
-  let deadline = Unix.gettimeofday () +. secs in
+  let deadline = now () +. secs in
   let rec go () =
-    ready () || (Unix.gettimeofday () < deadline && (Thread.delay 0.005; go ()))
+    ready () || (now () < deadline && (Thread.delay 0.005; go ()))
   in
   go ()
 
@@ -480,9 +483,9 @@ let test_trickling_peer_is_dropped () =
       let trickle =
         Thread.create
           (fun () ->
-            let buf = Bytes.create 8 and until = Unix.gettimeofday () +. 8.0 in
+            let buf = Bytes.create 8 and until = now () +. 8.0 in
             Unix.setsockopt_float fd SO_RCVTIMEO (timeout /. 3.);
-            while (not (Atomic.get stop)) && Unix.gettimeofday () < until do
+            while (not (Atomic.get stop)) && now () < until do
               (try ignore (Unix.read fd buf 0 8) with Unix.Unix_error _ -> ());
               Thread.delay (timeout /. 3.)
             done;
@@ -590,13 +593,13 @@ let test_long_job_heartbeats_between_units () =
      coordinator from dropping it and re-offering the job. *)
   let n = 40 in
   let spec = Farm.Spec.crashfs ~fs:Crashfs.Pmfs ~model:Model.X86 ~seed:0 ~count:n ~chunk:n () in
-  let calls = ref 0 and t0 = Unix.gettimeofday () in
+  let calls = ref 0 and t0 = now () in
   let direct =
     match Farm.run_units ~between:(fun () -> incr calls) spec ~lo:0 ~hi:n with
     | Ok r -> r
     | Error e -> Alcotest.failf "run_units: %s" e
   in
-  let secs = Unix.gettimeofday () -. t0 in
+  let secs = now () -. t0 in
   Alcotest.(check int) "between runs once per unit" n !calls;
   Alcotest.(check bool)
     (Printf.sprintf "the job (%.2f s) outlasts heartbeat_timeout" secs)

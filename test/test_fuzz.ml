@@ -329,6 +329,7 @@ let test_corpus_round_trip () =
       Repro.name = "tmp-round-trip";
       program = p;
       checks = [ Repro.Agree Cross.Engine_vs_naive; Repro.Agree Cross.Engine_vs_lint ];
+      notes = [];
     }
   in
   let dir = Filename.concat (Filename.get_temp_dir_name ()) "pmtest-fuzz-corpus-test" in
@@ -349,7 +350,9 @@ let test_corpus_save_dedupes_by_digest () =
      must return the existing reproducer instead of minting a sibling:
      corpus identity is the (model, trace) digest, not the filename. *)
   let p = Gen.generate (Gen.default_cfg Model.X86) (Rng.create 11) in
-  let case name = { Repro.name; program = p; checks = [ Repro.Agree Cross.Engine_vs_naive ] } in
+  let case name =
+    { Repro.name; program = p; checks = [ Repro.Agree Cross.Engine_vs_naive ]; notes = [] }
+  in
   let dir =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "pmtest-fuzz-dedupe-test-%d" (Unix.getpid ()))

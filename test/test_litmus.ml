@@ -93,11 +93,15 @@ let roundtrip_verdict (t : Litmus.t) =
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
       Serial.save_file
-        ~header:[ "litmus round-trip"; "model: " ^ Model.kind_name t.Litmus.model ]
+        ~header:
+          {
+            Pmtest_util.Files.banner = Some "litmus round-trip";
+            fields = [ ("model", Model.kind_name t.Litmus.model) ];
+          }
         path t.Litmus.events;
-      match Serial.load_file_with_header path with
+      match Serial.load_file path with
       | Error e -> Alcotest.failf "%s: reload failed: %s" t.Litmus.name e
-      | Ok (_, events) ->
+      | Ok events ->
         Alcotest.(check int)
           (t.Litmus.name ^ " event count survives")
           (Array.length t.Litmus.events) (Array.length events);

@@ -175,6 +175,52 @@ let prop_line_round_trip =
         && Pmtest_util.Loc.equal e'.Event.loc e.Event.loc
       | Error _ -> false)
 
+(* --- The checked-in corpus ------------------------------------------------------- *)
+
+module Files = Pmtest_util.Files
+module Repro = Pmtest_fuzz.Repro
+module Crashfs = Pmtest_crashfs.Crashfs
+
+(* dune runs tests from _build/default/test; the corpus is a sibling. *)
+let checked_in dir =
+  let built = Filename.concat ".." dir in
+  if Sys.file_exists built then built else dir
+
+let ok = function Ok v -> v | Error e -> Alcotest.fail e
+let file_text path = In_channel.with_open_bin path In_channel.input_all
+
+(* Every checked-in .pmt loads through the one reader, and writing the
+   loaded value back gives the file's bytes. *)
+let test_corpus_writes_back () =
+  let same path text = Alcotest.(check string) path (file_text path) text in
+  let fuzz = checked_in "fuzz/corpus" and crashfs = checked_in "fuzz/corpus/crashfs" in
+  let files dir =
+    let fs = Files.corpus_files dir in
+    Alcotest.(check bool) (dir ^ " has files") true (fs <> []);
+    fs
+  in
+  List.iter2 (fun path c -> same path (Repro.case_text c)) (files fuzz) (ok (Repro.load_dir fuzz));
+  List.iter2
+    (fun path c -> same path (Crashfs.Repro.to_text c))
+    (files crashfs) (ok (Crashfs.Repro.load_dir crashfs));
+  List.iter
+    (fun path ->
+      let header = (ok (Files.read_text path)).Files.header in
+      let tmp = Filename.temp_file "pmtest" ".pmt" in
+      Serial.save_file ~header tmp (ok (Serial.load_file path));
+      let text = file_text tmp in
+      Sys.remove tmp;
+      same path text)
+    (files (checked_in "traces"))
+
+(* Blank and comment lines still count, so an error names the file's own
+   line number. *)
+let test_errors_name_the_file_line () =
+  let body = (Files.parse_text "# model: x86\n\ns\t0\t-\t0\n# note\nzz\t0\t-\t0\n").Files.body in
+  match Serial.entries_of_body body with
+  | Ok _ -> Alcotest.fail "accepted an unknown entry kind"
+  | Error e -> Alcotest.(check string) "line number" "line 5" (String.sub e 0 6)
+
 let () =
   Alcotest.run "serial"
     [
@@ -186,4 +232,9 @@ let () =
           Alcotest.test_case "offline check equals online" `Quick test_offline_check_equals_online;
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest prop_line_round_trip ]);
+      ( "corpus",
+        [
+          Alcotest.test_case "every checked-in .pmt writes back" `Quick test_corpus_writes_back;
+          Alcotest.test_case "errors name the file's line" `Quick test_errors_name_the_file_line;
+        ] );
     ]

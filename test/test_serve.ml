@@ -16,6 +16,9 @@ module Client = Pmtest_client.Client
 module Case = Pmtest_bugdb.Case
 module Catalog = Pmtest_bugdb.Catalog
 
+(* Seconds on the monotonic clock, for test deadlines. *)
+let now () = float_of_int (Obs.now_ns ()) /. 1e9
+
 let next_socket =
   let n = ref 0 in
   fun () ->
@@ -341,10 +344,10 @@ let test_idle_timeout_counts_frames () =
       (* One byte of a section frame every 0.1 s: bytes keep coming, a
          complete frame never does. *)
       let bytes = Bytes.cat (section_header ()) (Bytes.make 64 '\x00') in
-      let t0 = Unix.gettimeofday () in
+      let t0 = now () in
       let rec trickle i =
         if Server.active_sessions t > 0 then begin
-          if Unix.gettimeofday () -. t0 > 1.0 then
+          if now () -. t0 > 1.0 then
             Alcotest.fail "a byte trickle kept the session past its idle timeout";
           (try ignore (Unix.write fd bytes i 1) with Unix.Unix_error _ -> ());
           Thread.delay 0.1;
@@ -386,8 +389,8 @@ let test_unread_report_cannot_hang_stop () =
   wait_for (fun () -> Obs.find (Obs.snapshot obs) "serve_frames_in" = Some 12);
   let stopped = Atomic.make false in
   ignore (Thread.create (fun () -> Server.stop t; Atomic.set stopped true) ());
-  let t0 = Unix.gettimeofday () in
-  while (not (Atomic.get stopped)) && Unix.gettimeofday () -. t0 < 5.0 do
+  let t0 = now () in
+  while (not (Atomic.get stopped)) && now () -. t0 < 5.0 do
     Thread.delay 0.02
   done;
   Unix.close fd;
@@ -612,12 +615,12 @@ let test_connect_gives_up_on_a_listener_that_never_accepts () =
   let listen_fd = Unix.socket ~cloexec:true PF_UNIX SOCK_STREAM 0 in
   Unix.bind listen_fd (ADDR_UNIX socket);
   Unix.listen listen_fd 1;
-  let result = ref None and t0 = Unix.gettimeofday () in
+  let result = ref None and t0 = now () in
   let th =
     Thread.create
       (fun () ->
         let r = Client.connect ~socket () in
-        result := Some (r, Unix.gettimeofday () -. t0))
+        result := Some (r, now () -. t0))
       ()
   in
   Fun.protect
@@ -626,8 +629,8 @@ let test_connect_gives_up_on_a_listener_that_never_accepts () =
       Unix.close listen_fd;
       try Sys.remove socket with Sys_error _ -> ())
     (fun () ->
-      let deadline = Unix.gettimeofday () +. Wire.hello_timeout +. 1.0 in
-      while !result = None && Unix.gettimeofday () < deadline do
+      let deadline = now () +. Wire.hello_timeout +. 1.0 in
+      while !result = None && now () < deadline do
         Thread.delay 0.02
       done;
       match !result with
