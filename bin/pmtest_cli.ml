@@ -596,6 +596,7 @@ let replay_crashfs_corpus dir fses failures =
 
 let run_crashfs fses model count seed max_ops fault corpus progress =
   saving "crashfs" @@ fun () ->
+  let model = Option.value model ~default:Model.X86 in
   let failures = ref 0 in
   (match corpus with None -> () | Some dir -> replay_crashfs_corpus dir fses failures);
   List.iter
@@ -651,15 +652,10 @@ let crashfs_cmd =
            (info [ "fs" ] ~doc:"File system(s) to explore: pmfs, nova or both.")))
   in
   let model =
-    Arg.(
-      value
-        (opt
-           (enum [ ("x86", Model.X86); ("hops", Model.Hops); ("eadr", Model.Eadr) ])
-           Model.X86
-           (info [ "model" ]
-              ~doc:
-                "Persistency model for crash-image enumeration: x86, hops or eadr (cxl \
-                 programs are gpf-based and covered by the crashtest suite).")))
+    Common_args.model_opt
+      ~doc:
+        "Persistency model for crash-image enumeration (default x86); cxl is refused, its \
+         gpf-based programs are covered by the crashtest suite."
   in
   let count = Arg.(value (opt int 100 (info [ "count" ] ~doc:"Workloads per file system."))) in
   let seed = Common_args.seed ~default:0 ~doc:"Base seed; run $(i,i) uses seed+$(i,i)." () in
@@ -880,9 +876,9 @@ let serve_cmd =
         (opt int Server.default_config.Server.shards
            (info [ "shards" ]
               ~doc:
-                "Independent execution shards; each owns its worker domains, arena freelist \
-                 and session loop, and shard 0 pins each new session to the least-loaded \
-                 shard.")))
+                "Checking shards; each owns its worker domains and arena freelist.  One \
+                 session loop serves every shard and pins each new session to the \
+                 least-loaded one.")))
   in
   let max_sessions =
     Arg.(

@@ -94,9 +94,15 @@ let fault_name config =
         List.find_opt (fun (_, b') -> b' = b) nova_bugs |> Option.map fst)
 
 let make_config ?max_ops ?fault fs model =
-  let config = { (default_config fs) with model } in
-  let config = match max_ops with None -> config | Some m -> { config with max_ops = m } in
-  match fault with None -> Ok config | Some f -> with_fault config f
+  match (model : Model.kind) with
+  | Model.Cxl ->
+    Error
+      "crashfs takes model x86, hops or eadr: the PM file systems use flush/fence \
+       primitives (gpf-based crash enumeration is covered by the crashtest CXL tests)"
+  | Model.X86 | Model.Hops | Model.Eadr -> (
+    let config = { (default_config fs) with model } in
+    let config = match max_ops with None -> config | Some m -> { config with max_ops = m } in
+    match fault with None -> Ok config | Some f -> with_fault config f)
 
 (* --- Stats ------------------------------------------------------------------ *)
 

@@ -65,8 +65,9 @@ val fault_name : config -> string option
 val make_config :
   ?max_ops:int -> ?fault:string -> fs_kind -> Pmtest_model.Model.kind -> (config, string) result
 (** {!default_config} under [model], with [max_ops] and the seeded fault
-    (by canonical name, as {!with_fault}) when given. Every campaign
-    config — CLI, farm job, corpus case — is built here. *)
+    (by canonical name, as {!with_fault}) when given; [Error] for
+    {!Pmtest_model.Model.Cxl}, which {!run_ops} cannot run. Every
+    campaign config — CLI, farm job, corpus case — is built here. *)
 
 (** {1 Single-run harness} *)
 

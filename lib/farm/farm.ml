@@ -221,16 +221,9 @@ module Coordinator = struct
       | Ok frames ->
         List.iter (fun f -> if not (c.closed || Sched.over sched) then frame c f) frames
     in
-    let accept () =
-      match Unix.accept ~cloexec:true listen_fd with
-      | exception Unix.Unix_error _ -> ()  (* the peer gave up, or out of fds *)
-      | fd, _ ->
-        (* Blocking, whatever it inherited from the listening fd: a full
-           socket buffer must wait out the frame's deadline, not fail at
-           once. *)
-        (try Unix.clear_nonblock fd with Unix.Unix_error _ -> ());
-        Hashtbl.replace conns fd
-          { fd; reader = Wire.reader fd; opened = now (); wid = None; closed = false }
+    let adopt fd =
+      Hashtbl.replace conns fd
+        { fd; reader = Wire.reader fd; opened = now (); wid = None; closed = false }
     in
     let handshake_expiry c = c.opened +. cfg.heartbeat_timeout in
     let rec loop () =
@@ -251,7 +244,7 @@ module Coordinator = struct
         (* Accept last, so no fd closed while serving this batch is
            reused by a new connection before the batch is done. *)
         List.iter (fun fd -> Option.iter service (Hashtbl.find_opt conns fd)) ready;
-        if List.mem listen_fd ready then accept ();
+        if List.mem listen_fd ready then Option.iter adopt (Wire.accept listen_fd);
         let now = now () in
         Hashtbl.fold
           (fun _ c acc -> if c.wid = None && now > handshake_expiry c then c :: acc else acc)
@@ -297,17 +290,10 @@ module Coordinator = struct
         cfg.spec resume
     in
     Pmtest_util.Files.mkdir_p cfg.triage_dir;
-    if Sys.file_exists cfg.socket then (try Unix.unlink cfg.socket with Unix.Unix_error _ -> ());
-    let listen_fd = Unix.socket ~cloexec:true PF_UNIX SOCK_STREAM 0 in
-    match
-      Unix.bind listen_fd (ADDR_UNIX cfg.socket);
-      Unix.listen listen_fd 64;
-      Unix.set_nonblock listen_fd
-    with
+    match Wire.listen cfg.socket with
     | exception Unix.Unix_error (e, _, _) ->
-      (try Unix.close listen_fd with Unix.Unix_error _ -> ());
       Error (Printf.sprintf "cannot listen on %s: %s" cfg.socket (Unix.error_message e))
-    | () ->
+    | listen_fd ->
       ready ();
       Fun.protect
         ~finally:(fun () ->

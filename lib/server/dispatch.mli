@@ -1,11 +1,14 @@
-(** One [pmtestd] shard's sessions, as a state machine with no I/O.
+(** Every [pmtestd] session, whatever its shard, as a state machine with
+    no I/O.
 
     For each session it owns the phase (handshake or live), the sections
     in flight, the frames received but not yet acted on, and the idle
     clock. It reads no socket and no clock: every transition takes the
     current time as [~now] and returns the {!action}s the caller must
-    carry out, in order. {!Server} drives one per shard from a [select]
-    loop; tests drive it in logical time.
+    carry out, in order. {!Server} drives one from its [select] loop;
+    tests drive it in logical time.  Completions of different sessions
+    may interleave in any order; each session's arrive in dispatch
+    order.
 
     Rules:
     - frames take effect in arrival order; frames after a [Get_result]

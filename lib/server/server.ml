@@ -26,22 +26,17 @@ let default_config =
     policy = Wire.Block;
   }
 
-(* One shard: a whole private copy of the daemon's hot state, run by one
-   [select] loop on the shard's own domain.  Sessions pinned to different
-   shards share no mutex: each shard owns its runtime (worker domains +
-   merge lock) and its arena freelist.  What crosses shards or domains is
-   lock-free: the pin counts, the daemon's live count, the hand-over of
-   accepted fds, and the completions the workers report. *)
+(* One shard: the private copy of the checking path a session is pinned
+   to.  Each shard owns its runtime (worker domains + merge lock) and its
+   arena freelist, so sessions on different shards share no checking
+   mutex.  One [select] loop on one domain serves every shard's sessions;
+   what crosses domains is lock-free: the pin and live counts read by
+   monitors, and the completions the workers report. *)
 type shard = {
   idx : int;
   rt : Runtime.t;
   arena_pool : Packed.pool;
   pins : int Atomic.t;  (* connections pinned here, admitted or not *)
-  inbox : (int * Unix.file_descr) list Atomic.t;  (* from shard 0's accept; newest first *)
-  checked : (int * Report.t) list Atomic.t;  (* (session, report); newest first *)
-  wanted : int Atomic.t;  (* completions until the loop can move: wake it at the last *)
-  wake_r : Unix.file_descr;
-  wake_w : Unix.file_descr;
 }
 
 type t = {
@@ -49,15 +44,19 @@ type t = {
   obs : Obs.t;
   listen : Unix.file_descr;
   shards : shard array;
-  mutable domains : unit Domain.t array;
+  mutable domain : unit Domain.t option;
   live : int Atomic.t;  (* admitted sessions, against [max_sessions] *)
   stopping : bool Atomic.t;
-  mutable next_sid : int;  (* shard 0's loop only *)
+  checked : (int * Report.t) list Atomic.t;  (* (session, report); newest first *)
+  wanted : int Atomic.t;  (* completions until the loop can move: wake it at the last *)
+  wake_r : Unix.file_descr;
+  wake_w : Unix.file_descr;
 }
 
 (* The loop's half of a session; {!Dispatch} holds the rest. *)
 type session = {
   fd : Unix.file_descr;
+  sh : shard;  (* pinned for life *)
   reader : Wire.reader;
   mutable model : Model.kind option;  (* [Some] once admitted *)
   mutable prelude : Event.t array;
@@ -117,45 +116,29 @@ let rec push a x =
   if not (Atomic.compare_and_set a l (x :: l)) then push a x
 
 (* [wake_w] is non-blocking: a full pipe already guarantees a wakeup. *)
-let wake sh = try ignore (Unix.write_substring sh.wake_w "x" 0 1) with Unix.Unix_error _ -> ()
+let wake t = try ignore (Unix.write_substring t.wake_w "x" 0 1) with Unix.Unix_error _ -> ()
 
-(* Admission is one CAS on the live count, whichever shard asks. *)
-let rec admit t () =
+(* Only the loop admits, so the live count needs no CAS. *)
+let admit t () =
   let n = Atomic.get t.live in
   if n >= t.cfg.max_sessions then Some (Printf.sprintf "session limit reached (%d active)" n)
-  else if Atomic.compare_and_set t.live n (n + 1) then begin
+  else begin
+    Atomic.set t.live (n + 1);
     if Obs.enabled t.obs then Obs.max t.obs sessions_hwm (n + 1);
     None
   end
-  else admit t ()
-
-(* Shard 0 pins each connection to the least-loaded shard (ties to the
-   lowest index) and hands it over; a session never migrates, so its
-   completions fire in dispatch order on one merge loop. *)
-let accept t =
-  match Unix.accept ~cloexec:true t.listen with
-  | exception Unix.Unix_error _ -> ()  (* the peer gave up, or out of fds *)
-  | fd, _ ->
-    (* Blocking, whatever it inherited from the listening fd: a full
-       socket buffer must wait out the write deadline, not fail at once. *)
-    (try Unix.clear_nonblock fd with Unix.Unix_error _ -> ());
-    let sh = t.shards.(Dispatch.least_loaded (sessions_per_shard t)) in
-    Atomic.incr sh.pins;
-    push sh.inbox (t.next_sid, fd);
-    t.next_sid <- t.next_sid + 1;
-    wake sh
 
 let corrupt t msg =
   count t.obs frames_corrupt;
   Dispatch.Bad msg
 
-let frame t sh (kind, payload) =
+let frame t c (kind, payload) =
   count_frame t.obs frames_in frame_bytes_in payload;
   (* A frame with a valid CRC can still carry garbage (hostile or buggy
      client); the checked decoder turns that into a session error instead
      of an exception inside a checking worker. *)
   let decode wrap =
-    match Packed.decode_wire ~obs:t.obs ~pool:sh.arena_pool payload with
+    match Packed.decode_wire ~obs:t.obs ~pool:c.sh.arena_pool payload with
     | Ok p -> wrap p
     | Error e ->
       corrupt t
@@ -180,15 +163,17 @@ let wire_error t = function
   | Wire.Corrupt m -> [ corrupt t ("corrupt frame: " ^ m) ]
   | Wire.Version_mismatch v -> [ corrupt t (Printf.sprintf "unsupported protocol version %d" v) ]
 
-(* A shard domain's main: one [select] over the wake pipe, the readable
-   sessions and (shard 0) the listener, sleeping until the next idle
-   deadline.  The dispatcher decides; this loop only does the I/O. *)
-let run_shard t sh =
+(* The daemon's one loop: one [select] over the wake pipe, the listener
+   and every shard's readable sessions, sleeping until the next idle
+   deadline or rest.  The dispatcher decides; this loop only does the
+   I/O. *)
+let run t =
   let d =
     Dispatch.create ~max_inflight:t.cfg.max_inflight ~policy:t.cfg.policy
       ~idle_timeout:t.cfg.idle_timeout ~admit:(admit t)
   in
   let conns = Hashtbl.create 16 (* sid -> session *) in
+  let next_sid = ref 1 in
   let timeout = if t.cfg.idle_timeout > 0. then Some t.cfg.idle_timeout else None in
   let rec apply acts = List.iter act acts
   and act = function
@@ -197,31 +182,30 @@ let run_shard t sh =
           c.model <- Some model;
           if Obs.enabled t.obs then begin
             Obs.add t.obs sessions_opened 1;
-            Obs.shard_session t.obs ~shard:sh.idx
+            Obs.shard_session t.obs ~shard:c.sh.idx
           end;
           send sid c Wire.Hello_ack
             (Wire.encode_hello_ack ~session:sid ~max_inflight:t.cfg.max_inflight
                ~policy:t.cfg.policy))
     | Dispatch.Set_prelude (sid, arena) ->
-      with_conn sid (fun c -> c.prelude <- Packed.to_events arena);
-      Packed.free ~pool:sh.arena_pool arena
-    | Dispatch.Check { sid; section; depth } -> (
-      match Hashtbl.find_opt conns sid with
-      | None -> Packed.free ~pool:sh.arena_pool section
-      | Some c ->
-        c.streak <- c.streak + 1;
-        if Obs.enabled t.obs then Obs.max t.obs inflight_hwm depth;
-        let t0 = Obs.now_ns () in
-        Runtime.send_packed_cb ?model:c.model ~prelude:c.prelude sh.rt section (fun r ->
-            (* Fires in dispatch order under the shard runtime's merge
-               lock, and the loop merges in push order: each session's
-               aggregate stays byte-identical to a dedicated synchronous
-               run over the same section stream. *)
-            push sh.checked (sid, r);
-            if Atomic.fetch_and_add sh.wanted (-1) = 1 then wake sh;
-            if Obs.enabled t.obs then Obs.record t.obs section_latency (Obs.now_ns () - t0)))
-    | Dispatch.Shed (_, section) ->
-      Packed.free ~pool:sh.arena_pool section;
+      with_conn sid (fun c ->
+          c.prelude <- Packed.to_events arena;
+          Packed.free ~pool:c.sh.arena_pool arena)
+    | Dispatch.Check { sid; section; depth } ->
+      with_conn sid (fun c ->
+          c.streak <- c.streak + 1;
+          if Obs.enabled t.obs then Obs.max t.obs inflight_hwm depth;
+          let t0 = Obs.now_ns () in
+          Runtime.send_packed_cb ?model:c.model ~prelude:c.prelude c.sh.rt section (fun r ->
+              (* Fires in dispatch order under the shard runtime's merge
+                 lock, and the loop merges in push order: each session's
+                 aggregate stays byte-identical to a dedicated synchronous
+                 run over the same section stream. *)
+              push t.checked (sid, r);
+              if Atomic.fetch_and_add t.wanted (-1) = 1 then wake t;
+              if Obs.enabled t.obs then Obs.record t.obs section_latency (Obs.now_ns () - t0)))
+    | Dispatch.Shed (sid, section) ->
+      with_conn sid (fun c -> Packed.free ~pool:c.sh.arena_pool section);
       count t.obs sections_shed
     | Dispatch.Reply sid ->
       with_conn sid (fun c ->
@@ -232,11 +216,13 @@ let run_shard t sh =
           Option.iter (fun m -> send sid c Wire.Err (Wire.encode_err m)) msg;
           Hashtbl.remove conns sid;
           close_quiet c.fd;
-          Atomic.decr sh.pins;
+          Atomic.decr c.sh.pins;
           if c.model <> None then begin
             Atomic.decr t.live;
             count t.obs sessions_closed
           end)
+  (* No session: a failed write closed it earlier in this batch.  An
+     arena the action carried is left to the GC. *)
   and with_conn sid f = Option.iter f (Hashtbl.find_opt conns sid)
   (* A write fails on a dead peer, or after [idle_timeout] on one that
      stopped reading; either way the session is over. *)
@@ -250,7 +236,7 @@ let run_shard t sh =
     let fs =
       match Wire.read_some c.reader with
       | Ok frames ->
-        List.map (frame t sh) frames
+        List.map (frame t c) frames
         @ Option.fold ~none:[] ~some:(wire_error t) (Wire.read_error c.reader)
       | Error e -> wire_error t e
       | exception Unix.Unix_error _ -> [ Dispatch.Bye ]
@@ -258,10 +244,18 @@ let run_shard t sh =
     apply (Dispatch.frames d sid ~now fs);
     if c.streak >= streaming then c.rest <- now +. rest_s
   in
-  let adopt (sid, fd) =
+  (* Pin each connection to the least-loaded shard (ties to the lowest
+     index); a session never migrates, so its completions fire in
+     dispatch order on one merge loop. *)
+  let adopt fd =
+    let sh = t.shards.(Dispatch.least_loaded (sessions_per_shard t)) in
+    Atomic.incr sh.pins;
+    let sid = !next_sid in
+    incr next_sid;
     Hashtbl.replace conns sid
       {
         fd;
+        sh;
         reader = Wire.reader fd;
         model = None;
         prelude = [||];
@@ -277,11 +271,10 @@ let run_shard t sh =
       (fun (sid, r) ->
         with_conn sid (fun c -> c.aggregate <- Report.merge c.aggregate r);
         apply (Dispatch.completed d sid ~now))
-      (List.rev (Atomic.exchange sh.checked []))
+      (List.rev (Atomic.exchange t.checked []))
   in
   let buf = Bytes.create 64 in
   let rec loop draining =
-    List.iter adopt (List.rev (Atomic.exchange sh.inbox []));
     merge ();
     let stopping = Atomic.get t.stopping in
     if stopping && not draining then apply (Dispatch.stop d);
@@ -290,7 +283,7 @@ let run_shard t sh =
       (* Armed before the last look at [checked]: a completion pushed
          after that look counts down from here, and the last one needed
          wakes us. *)
-      Atomic.set sh.wanted (Dispatch.needed d);
+      Atomic.set t.wanted (Dispatch.needed d);
       let now = now () in
       let reading, wake_at =
         Hashtbl.fold
@@ -302,24 +295,24 @@ let run_shard t sh =
           ([], Option.value (Dispatch.next_deadline d) ~default:infinity)
       in
       let timeout =
-        if Atomic.get sh.checked <> [] then 0.
+        if Atomic.get t.checked <> [] then 0.
         else if wake_at = infinity then -1.
         else Float.max 0. (wake_at -. now)
       in
-      let fds = sh.wake_r :: List.map fst reading in
-      let fds = if sh.idx = 0 && not stopping then t.listen :: fds else fds in
+      let fds = t.wake_r :: List.map fst reading in
+      let fds = if stopping then fds else t.listen :: fds in
       let ready =
         match Unix.select fds [] [] timeout with
         | r, _, _ -> r
         | exception Unix.Unix_error (EINTR, _, _) -> []
       in
-      if List.mem sh.wake_r ready then ignore (Unix.read sh.wake_r buf 0 (Bytes.length buf));
+      if List.mem t.wake_r ready then ignore (Unix.read t.wake_r buf 0 (Bytes.length buf));
       List.iter
         (fun fd -> Option.iter (fun sid -> with_conn sid (service sid)) (List.assoc_opt fd reading))
         ready;
       (* Accept last, so no fd closed while serving this batch is reused
          by a new connection before the batch is done. *)
-      if sh.idx = 0 && List.mem t.listen ready then accept t;
+      if List.mem t.listen ready then Option.iter adopt (Wire.accept t.listen);
       loop stopping
     end
   in
@@ -334,64 +327,45 @@ let start ?(obs = Obs.disabled) cfg =
      deterministic shed test uses it). *)
   let floor = if cfg.policy = Wire.Block then 1 else 0 in
   let cfg = { cfg with shards = max 1 cfg.shards; max_inflight = max floor cfg.max_inflight } in
-  if Sys.file_exists cfg.socket then Unix.unlink cfg.socket;
-  let listen = Unix.socket ~cloexec:true PF_UNIX SOCK_STREAM 0 in
-  (try
-     Unix.bind listen (ADDR_UNIX cfg.socket);
-     Unix.listen listen 64;
-     (* A connection reset between select and accept must not block. *)
-     Unix.set_nonblock listen
-   with e ->
-     close_quiet listen;
-     raise e);
+  let listen = Wire.listen cfg.socket in
   let mk_shard idx =
     let arena_pool = Packed.create_pool () in
-    let wake_r, wake_w = Unix.pipe ~cloexec:true () in
-    Unix.set_nonblock wake_w;
     {
       idx;
       rt = Runtime.create ~workers:cfg.workers ~obs ~shard:idx ~arena_pool ();
       arena_pool;
       pins = Atomic.make 0;
-      inbox = Atomic.make [];
-      checked = Atomic.make [];
-      wanted = Atomic.make 0;
-      wake_r;
-      wake_w;
     }
   in
+  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+  Unix.set_nonblock wake_w;
   let t =
     {
       cfg;
       obs;
       listen;
       shards = Array.init cfg.shards mk_shard;
-      domains = [||];
+      domain = None;
       live = Atomic.make 0;
       stopping = Atomic.make false;
-      next_sid = 1;
+      checked = Atomic.make [];
+      wanted = Atomic.make 0;
+      wake_r;
+      wake_w;
     }
   in
-  t.domains <- Array.map (fun sh -> Domain.spawn (fun () -> run_shard t sh)) t.shards;
+  t.domain <- Some (Domain.spawn (fun () -> run t));
   t
 
 let config t = t.cfg
 
 let stop t =
   if not (Atomic.exchange t.stopping true) then begin
-    Array.iter wake t.shards;
-    Array.iter Domain.join t.domains;
-    Array.iter
-      (fun sh ->
-        (* Handed over after its shard's loop had ended. *)
-        List.iter
-          (fun (_, fd) ->
-            Atomic.decr sh.pins;
-            close_quiet fd)
-          (Atomic.exchange sh.inbox []);
-        ignore (Runtime.shutdown sh.rt);
-        List.iter close_quiet [ sh.wake_r; sh.wake_w ])
-      t.shards;
-    close_quiet t.listen;
+    wake t;
+    Option.iter Domain.join t.domain;
+    (* Sections of sessions that hung up may still be checking, and their
+       callbacks wake the loop: shut the runtimes down before the pipe. *)
+    Array.iter (fun sh -> ignore (Runtime.shutdown sh.rt)) t.shards;
+    List.iter close_quiet [ t.wake_r; t.wake_w; t.listen ];
     try Unix.unlink t.cfg.socket with Unix.Unix_error _ | Sys_error _ -> ()
   end

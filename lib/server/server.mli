@@ -1,17 +1,17 @@
 (** [pmtestd]: a multi-client checking service over the packed wire
     format.
 
-    One daemon owns a Unix domain socket and [shards] independent
-    execution shards.  Each shard is a whole private copy of the hot
-    path: its own {!Pmtest_core.Runtime} (worker domains + merge lock),
-    its own packed-arena freelist, and its own domain running one
-    [select] loop over its sessions — two sessions pinned to different
-    shards share {e no} mutex.  Shard 0's loop also accepts and pins
-    each connection to the least-loaded shard; a session never migrates,
-    so its completion callbacks fire in dispatch order on one merge loop
-    and its aggregate report stays byte-identical to a dedicated
-    in-process run over the same sections.  {!Dispatch} decides what
-    each frame, completion and deadline does; the loop does the I/O.
+    One daemon owns a Unix domain socket, [shards] checking shards and
+    one domain running one [select] loop over every session.  A shard is
+    a private copy of the checking path: its own
+    {!Pmtest_core.Runtime} (worker domains + merge lock) and its own
+    packed-arena freelist, so two sessions pinned to different shards
+    share {e no} checking mutex.  The loop accepts each connection and
+    pins it to the least-loaded shard; a session never migrates, so its
+    completion callbacks fire in dispatch order on one merge loop and
+    its aggregate report stays byte-identical to a dedicated in-process
+    run over the same sections.  {!Dispatch} decides what each frame,
+    completion and deadline does; the loop does the I/O.
 
     Each accepted connection is a {e session}: it declares a persistency
     model in its [Hello], then streams packed trace sections
@@ -31,13 +31,14 @@
       ([Block]: the daemon stops reading their socket) or trimmed
       ([Shed]: further sections are dropped and counted);
     - {!stop} drains: nothing new is admitted or read, every pending
-      result is answered, then every shard exits. *)
+      result is answered, then the loop exits and every shard's
+      workers drain. *)
 
 module Wire = Pmtest_wire.Wire
 
 type config = {
   socket : string;  (** Path of the Unix domain socket to bind. *)
-  shards : int;  (** Independent execution shards (clamped up to 1). *)
+  shards : int;  (** Checking shards (clamped up to 1). *)
   workers : int;  (** Checking domains {e per shard}. *)
   max_sessions : int;  (** Concurrent sessions, whole daemon; excess get [Err]. *)
   max_inflight : int;  (** Unchecked sections per session. *)
@@ -52,8 +53,10 @@ val default_config : config
 type t
 
 val start : ?obs:Pmtest_obs.Obs.t -> config -> t
-(** Bind, listen and return immediately; each shard runs its loop on its
-    own domain.  A stale socket file at [cfg.socket] is replaced.
+(** Bind, listen and return immediately; the loop runs on a domain of
+    its own, beside each shard's worker domains.  A stale socket file at
+    [cfg.socket] is replaced; a socket that cannot be bound raises
+    [Unix.Unix_error].
     [Block] clamps [max_inflight] up to 1 (zero would deadlock); [Shed]
     keeps it, so [max_inflight = 0] + [Shed] drops every section — the
     deterministic shed configuration tests use. *)
@@ -62,7 +65,7 @@ val stop : t -> unit
 (** Graceful drain, idempotent: stop accepting and reading, answer every
     pending result once its sections are checked (a client that does not
     read it holds this up for at most [idle_timeout]), close every
-    session, join the shard domains, drain every shard's worker pool and
+    session, join the loop's domain, drain every shard's worker pool and
     unlink the socket. *)
 
 val config : t -> config

@@ -680,3 +680,31 @@ let retry ~attempts ~base_delay ~max_delay ?(on_retry = fun ~attempt:_ ~delay:_ 
       go (n + 1) (Float.min max_delay (delay *. 2.0))
   in
   go 0 base_delay
+
+(* --- Listening -----------------------------------------------------------------
+
+   pmtestd and the pmfarm coordinator each serve one [select] loop over a
+   listening Unix socket. *)
+
+let listen path =
+  (try Unix.unlink path with Unix.Unix_error _ -> ());
+  let fd = Unix.socket ~cloexec:true PF_UNIX SOCK_STREAM 0 in
+  try
+    Unix.bind fd (ADDR_UNIX path);
+    Unix.listen fd 64;
+    (* A connection reset between select and accept must not block. *)
+    Unix.set_nonblock fd;
+    fd
+  with Unix.Unix_error _ as e ->
+    (try Unix.close fd with Unix.Unix_error _ -> ());
+    raise e
+
+let accept fd =
+  match Unix.accept ~cloexec:true fd with
+  | exception Unix.Unix_error _ -> None  (* the peer gave up, or out of fds *)
+  | conn, _ ->
+    (* Blocking, whatever it inherited from the listening fd: a full
+       socket buffer must wait out the frame's deadline, not fail at
+       once. *)
+    (try Unix.clear_nonblock conn with Unix.Unix_error _ -> ());
+    Some conn

@@ -254,3 +254,17 @@ val retry :
     that failed together do not retry in lockstep; [on_retry] sees the
     upcoming delay and the error.  The last error gains
     ["(after N attempt(s))"]. *)
+
+(** {1 Listening}
+
+    How pmtestd and the pmfarm coordinator open their socket. *)
+
+val listen : string -> Unix.file_descr
+(** A non-blocking Unix stream socket bound at the path and listening
+    (backlog 64).  A stale file at the path is unlinked first.  On a
+    [Unix_error] the socket is closed and the error re-raised. *)
+
+val accept : Unix.file_descr -> Unix.file_descr option
+(** The next connection, close-on-exec and blocking whatever the
+    listener is; [None] when the peer gave up before it was taken (or
+    the process is out of fds). *)

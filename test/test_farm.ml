@@ -149,6 +149,7 @@ let test_spec_rejects_garbage () =
       "crashfs model=x86 fs=extfour seed=0 count=1 chunk=1";
       "fuzz model=x86 seed=-3 count=1 chunk=1";
       "crashfs model=x86 fs=pmfs fault=no-such-fault seed=0 count=1 chunk=1";
+      "crashfs model=cxl seed=0 count=2 chunk=1";
       "fuzz model=x86 fault=skip-journal-flush seed=0 count=1 chunk=1";
       "fuzz model=x86 fs=nova seed=0 count=1 chunk=1";
       "litmus model=x86 fs=pmfs seed=0 count=25 chunk=5";
@@ -928,6 +929,7 @@ let test_invalid_specs_rejected_before_serving () =
           Farm.Spec.fuzz ~model:Model.X86 ~seed:(-7) ~count:5 ~chunk:5 ();
           Farm.Spec.crashfs ~fault:"no-such-fault" ~fs:Crashfs.Pmfs ~model:Model.X86 ~seed:0
             ~count:5 ~chunk:5 ();
+          Farm.Spec.crashfs ~fs:Crashfs.Pmfs ~model:Model.Cxl ~seed:0 ~count:2 ~chunk:1 ();
           { (Farm.Spec.litmus ~chunk:5 ()) with Farm.Spec.seed = 1 };
           { (Farm.Spec.litmus ~chunk:5 ()) with Farm.Spec.count = 30 };
           { (Farm.Spec.litmus ~chunk:5 ()) with Farm.Spec.max_ops = Some 3 };

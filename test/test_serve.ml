@@ -2,7 +2,7 @@
    catalog, robustness against clients dying mid-frame and garbage
    sections, admission control, both backpressure policies, idle
    timeouts, a drain no client can hold up, SIGTERM drain of the real CLI
-   daemon, and the shard dispatcher against a model in logical time. *)
+   daemon, and the session dispatcher against a model in logical time. *)
 
 open Pmtest_model
 open Pmtest_trace
@@ -516,6 +516,23 @@ let test_mid_frame_kill_on_nonzero_shard () =
           (render (local_report ~model:Model.X86 (trace case)))
           (render (remote_report ~socket ~model:Model.X86 (trace case))))
 
+let test_stop_closes_a_pinned_handshake () =
+  (* A connection pinned to shard 1 that has sent no [Hello] when [stop]
+     runs: the drain closes it and releases its pin. *)
+  with_server
+    ~cfg:{ Server.default_config with Server.shards = 2; workers = 1 }
+    (fun socket t ->
+      let admitted, _ = connect_raw socket in
+      let fd = Unix.socket ~cloexec:true PF_UNIX SOCK_STREAM 0 in
+      Unix.connect fd (ADDR_UNIX socket);
+      Unix.setsockopt_float fd SO_RCVTIMEO 10.0;
+      wait_for (fun () -> Server.sessions_per_shard t = [| 1; 1 |]);
+      Server.stop t;
+      Alcotest.(check (array int)) "every pin released" [| 0; 0 |] (Server.sessions_per_shard t);
+      Alcotest.(check int) "no session live" 0 (Server.active_sessions t);
+      Alcotest.(check int) "the handshake reads EOF" 0 (Unix.read fd (Bytes.create 1) 0 1);
+      List.iter Unix.close [ fd; admitted ])
+
 (* --- SIGTERM drain of the real daemon ----------------------------------------- *)
 
 let cli_exe = "../bin/pmtest_cli.exe"
@@ -646,11 +663,12 @@ let test_connect_gives_up_on_a_listener_that_never_accepts () =
           true
           (secs >= Wire.hello_timeout -. 0.05))
 
-(* --- The shard dispatcher against its model ------------------------------------ *)
+(* --- The session dispatcher against its model ---------------------------------- *)
 
-(* In logical time, over 1-3 shards: admission up to [max_sessions],
-   least-loaded pinning, both policies, [Get_result] ordering, the idle
-   and handshake deadlines, and drain on [stop].  Section payloads are
+(* In logical time, one dispatcher over sessions pinned to 1-3 shards:
+   admission up to [max_sessions], least-loaded pinning, per-shard
+   completion order, both policies, [Get_result] ordering, the idle and
+   handshake deadlines, and drain on [stop].  Section payloads are
    unique ints, so every action can be matched against the oldest frame
    its session has not yet had acted on. *)
 
@@ -663,7 +681,7 @@ type cmd =
   | Feed of int * bool * spec list  (* [i]th readable session; hello first? *)
   | Partial of int  (* a read that ended mid-frame *)
   | Complete of int  (* the oldest section in flight on shard [i] *)
-  | Advance of int  (* tenths of a second, then a tick on every shard *)
+  | Advance of int  (* tenths of a second, then a tick *)
   | Hangup of int
   | Stop
 
@@ -700,7 +718,7 @@ type msession = {
 }
 
 type dmodel = {
-  mutable ds : int Dispatch.t array;
+  mutable d : int Dispatch.t option;
   policy : Wire.policy;
   bound : int;  (* max_inflight *)
   max_sessions : int;
@@ -721,7 +739,7 @@ let fail fmt = QCheck2.Test.fail_reportf fmt
 let new_dmodel ~shards ~policy ~bound ~max_sessions ~idle =
   let m =
     {
-      ds = [||];
+      d = None;
       policy;
       bound;
       max_sessions;
@@ -746,10 +764,10 @@ let new_dmodel ~shards ~policy ~bound ~max_sessions ~idle =
     end
     else Some "full"
   in
-  m.ds <-
-    Array.init shards (fun _ ->
-        Dispatch.create ~max_inflight:bound ~policy ~idle_timeout:idle ~admit);
+  m.d <- Some (Dispatch.create ~max_inflight:bound ~policy ~idle_timeout:idle ~admit);
   m
+
+let dispatch m = Option.get m.d
 
 let waiting m s =
   Queue.is_empty s.expect && not (m.policy = Wire.Block && s.inflight >= m.bound)
@@ -820,44 +838,45 @@ let act m a =
     if s.admitted then m.live <- m.live - 1
 
 let check_invariants m =
+  let d = dispatch m in
   if m.admit_said <> None then fail "an admission answer was not acted on";
   if m.live > m.max_sessions then fail "%d sessions live past the limit" m.live;
+  let here = List.filter (fun s -> s.open_) m.ss in
+  if Dispatch.sessions d <> List.length here then fail "session count";
   Array.iteri
-    (fun k d ->
-      let here = List.filter (fun s -> s.open_ && s.shard = k) m.ss in
-      if Dispatch.sessions d <> List.length here then fail "shard %d session count" k;
-      if m.pins.(k) <> List.length here then fail "shard %d pin count" k;
-      let needs =
-        List.filter_map
-          (fun s ->
-            if waiting m s then None
-            else if Queue.peek_opt s.expect = Some M_res then Some s.inflight
-            else Some (s.inflight - (m.bound / 2)))
-          here
-      in
-      let fewest = match needs with [] -> 0 | n :: ns -> List.fold_left min n ns in
-      if Dispatch.needed d <> fewest then
-        fail "shard %d needs %d completions" k (Dispatch.needed d);
-      let dl =
-        List.fold_left
-          (fun d s ->
-            if m.idle > 0. && waiting m s then
-              Some (Float.min (s.since +. m.idle) (Option.value d ~default:infinity))
-            else d)
-          None here
-      in
-      if Dispatch.next_deadline d <> dl then fail "shard %d next deadline" k;
-      List.iter
-        (fun s ->
-          if Dispatch.readable d s.sid <> ((not m.stopping) && waiting m s) then
-            fail "session %d readable disagrees" s.sid;
-          (match Queue.peek_opt s.expect with
-          | None -> if m.stopping then fail "drained session %d left open" s.sid
-          | Some (M_sec _) when m.policy = Wire.Block && s.inflight >= m.bound -> ()
-          | Some M_res when s.inflight > 0 -> ()
-          | Some _ -> fail "session %d holds a frame it could act on" s.sid))
-        here)
-    m.ds
+    (fun k n ->
+      if n <> List.length (List.filter (fun s -> s.shard = k) here) then
+        fail "shard %d pin count" k)
+    m.pins;
+  let needs =
+    List.filter_map
+      (fun s ->
+        if waiting m s then None
+        else if Queue.peek_opt s.expect = Some M_res then Some s.inflight
+        else Some (s.inflight - (m.bound / 2)))
+      here
+  in
+  let fewest = match needs with [] -> 0 | n :: ns -> List.fold_left min n ns in
+  if Dispatch.needed d <> fewest then fail "%d completions needed" (Dispatch.needed d);
+  let dl =
+    List.fold_left
+      (fun d s ->
+        if m.idle > 0. && waiting m s then
+          Some (Float.min (s.since +. m.idle) (Option.value d ~default:infinity))
+        else d)
+      None here
+  in
+  if Dispatch.next_deadline d <> dl then fail "next deadline";
+  List.iter
+    (fun s ->
+      if Dispatch.readable d s.sid <> ((not m.stopping) && waiting m s) then
+        fail "session %d readable disagrees" s.sid;
+      match Queue.peek_opt s.expect with
+      | None -> if m.stopping then fail "drained session %d left open" s.sid
+      | Some (M_sec _) when m.policy = Wire.Block && s.inflight >= m.bound -> ()
+      | Some M_res when s.inflight > 0 -> ()
+      | Some _ -> fail "session %d holds a frame it could act on" s.sid)
+    here
 
 let apply m acts = List.iter (act m) acts
 
@@ -873,13 +892,13 @@ let complete m k =
       if not (waiting m s) then s.since <- m.now;
       s.inflight <- s.inflight - 1
     end;
-    apply m (Dispatch.completed m.ds.(s.shard) sid ~now:m.now)
+    apply m (Dispatch.completed (dispatch m) sid ~now:m.now)
   end
 
 let stop m =
   if not m.stopping then begin
     m.stopping <- true;
-    Array.iter (fun d -> apply m (Dispatch.stop d)) m.ds
+    apply m (Dispatch.stop (dispatch m))
   end
 
 let dstep m = function
@@ -904,7 +923,7 @@ let dstep m = function
     m.next <- m.next + 1;
     m.pins.(k) <- m.pins.(k) + 1;
     m.ss <- m.ss @ [ s ];
-    apply m (Dispatch.connect m.ds.(k) s.sid ~now:m.now)
+    apply m (Dispatch.connect (dispatch m) s.sid ~now:m.now)
   | Feed (i, hello, specs) ->
     Option.iter
       (fun s ->
@@ -929,16 +948,16 @@ let dstep m = function
             specs
         in
         if frames <> [] then s.since <- m.now;
-        apply m (Dispatch.frames m.ds.(s.shard) s.sid ~now:m.now frames))
-      (nth_of (fun s -> s.open_ && Dispatch.readable m.ds.(s.shard) s.sid) m.ss i)
+        apply m (Dispatch.frames (dispatch m) s.sid ~now:m.now frames))
+      (nth_of (fun s -> s.open_ && Dispatch.readable (dispatch m) s.sid) m.ss i)
   | Partial i ->
     Option.iter
-      (fun s -> apply m (Dispatch.frames m.ds.(s.shard) s.sid ~now:m.now []))
-      (nth_of (fun s -> s.open_ && Dispatch.readable m.ds.(s.shard) s.sid) m.ss i)
+      (fun s -> apply m (Dispatch.frames (dispatch m) s.sid ~now:m.now []))
+      (nth_of (fun s -> s.open_ && Dispatch.readable (dispatch m) s.sid) m.ss i)
   | Complete k -> complete m k
   | Advance tenths ->
     m.now <- m.now +. (float_of_int tenths /. 10.);
-    Array.iter (fun d -> apply m (Dispatch.tick d ~now:m.now)) m.ds;
+    apply m (Dispatch.tick (dispatch m) ~now:m.now);
     List.iter
       (fun s -> if s.open_ && expired m s then fail "session %d outlived its deadline" s.sid)
       m.ss
@@ -946,7 +965,7 @@ let dstep m = function
     Option.iter
       (fun s ->
         m.hanging <- Some s.sid;
-        apply m (Dispatch.hangup m.ds.(s.shard) s.sid);
+        apply m (Dispatch.hangup (dispatch m) s.sid);
         m.hanging <- None;
         if s.open_ then fail "session %d survived its hangup" s.sid)
       (nth_of (fun s -> s.open_) m.ss i)
@@ -1056,6 +1075,8 @@ let () =
             test_session_churn_across_shards;
           Alcotest.test_case "mid-frame kill on a non-zero shard" `Quick
             test_mid_frame_kill_on_nonzero_shard;
+          Alcotest.test_case "stop closes a handshake pinned to shard 1" `Quick
+            test_stop_closes_a_pinned_handshake;
         ] );
       ( "reconnect",
         [

@@ -1,6 +1,7 @@
 (* The framed wire protocol: CRC-32 golden values, frame round trips
-   over a real socketpair, torn/corrupt/alien-version frames, and the
-   payload codecs (hello, hello_ack, report, err). *)
+   over a real socketpair, torn/corrupt/alien-version frames, the
+   payload codecs (hello, hello_ack, report, err), and the listening
+   socket both daemons serve from. *)
 
 open Pmtest_model
 module Wire = Pmtest_wire.Wire
@@ -497,6 +498,40 @@ let test_codec_rejects_garbage () =
       ("report", Result.map ignore (Wire.decode_report "\x81"));
     ]
 
+(* --- Listening --------------------------------------------------------------- *)
+
+let test_listen_and_accept () =
+  let path =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "pmtest-wire-listen-%d.sock" (Unix.getpid ()))
+  in
+  Out_channel.with_open_bin path (fun oc -> output_string oc "stale");
+  let l = Wire.listen path in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close l;
+      try Unix.unlink path with Unix.Unix_error _ -> ())
+    (fun () ->
+      Alcotest.(check bool) "a non-blocking listener: nothing to accept" true
+        (Wire.accept l = None);
+      let c = Unix.socket ~cloexec:true PF_UNIX SOCK_STREAM 0 in
+      Unix.connect c (ADDR_UNIX path);
+      match Wire.accept l with
+      | None -> Alcotest.fail "the pending connection was not accepted"
+      | Some s ->
+        (match Wire.write_frame c Wire.Bye "" with
+        | Ok () -> ()
+        | Error e -> Alcotest.fail (Wire.error_to_string e));
+        (match Wire.read_one (Wire.reader s) with
+        | Ok (kind, _) -> Alcotest.(check bool) "a frame crosses" true (kind = Wire.Bye)
+        | Error e -> Alcotest.fail (Wire.error_to_string e));
+        List.iter Unix.close [ s; c ]);
+  match Wire.listen (Filename.concat path "no-such-dir.sock") with
+  | exception Unix.Unix_error _ -> ()
+  | fd ->
+    Unix.close fd;
+    Alcotest.fail "listened under a path that is not a directory"
+
 let () =
   Alcotest.run "wire"
     [
@@ -536,6 +571,11 @@ let () =
           Alcotest.test_case "report" `Quick test_report_round_trip;
           Alcotest.test_case "err" `Quick test_err_round_trip;
           Alcotest.test_case "garbage rejected" `Quick test_codec_rejects_garbage;
+        ] );
+      ( "listen",
+        [
+          Alcotest.test_case "stale file replaced, accept, bad path" `Quick
+            test_listen_and_accept;
         ] );
       ( "farm",
         [
