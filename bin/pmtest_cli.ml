@@ -609,7 +609,7 @@ let run_crashfs fses model count seed max_ops fault corpus progress =
       | Ok config ->
         Fmt.pr "@.== crashfs %s, model %s%s: %d run(s), base seed %d ==@."
           (Crashfs.fs_kind_name fs) (Model.kind_name model)
-          (match Crashfs.fault_name config with
+          (match config.Crashfs.fault with
           | Some f -> Printf.sprintf ", fault %s" f
           | None -> "")
           count seed;
@@ -1083,12 +1083,16 @@ let run_farm_serve resume socket dir campaign model fs fault seed count chunk ma
       obs;
     }
   in
-  Fmt.pr "pmfarm: %s %s on %s (%d job(s), state in %s)@.%!"
-    (if resume then "resuming" else "coordinating")
-    (Farm.Spec.to_string spec) socket
-    (List.length (Farm.Spec.jobs spec))
-    dir;
-  match Farm.Coordinator.run cfg with
+  (* The banner waits for [ready]: a spec the coordinator refuses never
+     claims a campaign. *)
+  let ready () =
+    Fmt.pr "pmfarm: %s %s on %s (%d job(s), state in %s)@.%!"
+      (if resume then "resuming" else "coordinating")
+      (Farm.Spec.to_string spec) socket
+      (List.length (Farm.Spec.jobs spec))
+      dir
+  in
+  match Farm.Coordinator.run ~ready cfg with
   | Error e ->
     Fmt.epr "pmfarm: %s@." e;
     2

@@ -6,6 +6,8 @@ module Event = Pmtest_trace.Event
 module Fs = Pmtest_pmfs.Fs
 module Nova = Pmtest_nova.Nova
 module Crashtest = Pmtest_crashtest.Crashtest
+module Names = Map.Make (String)
+module Pages = Map.Make (Int)
 
 type fs_kind = Pmfs | Nova
 
@@ -20,89 +22,18 @@ type config = {
   fs : fs_kind;
   model : Model.kind;
   max_ops : int;
-  samples_per_boundary : int;
-  exhaustive_limit : int;
-  max_failures : int;
-  pmfs_fault : Fs.fault option;
-  nova_bug : Nova.bug option;
+  fault : string option;
   boundary_filter : (int -> bool) option;
 }
 
-let default_config fs =
-  {
-    fs;
-    model = Model.X86;
-    max_ops = 10;
-    samples_per_boundary = 12;
-    exhaustive_limit = 96;
-    max_failures = 4;
-    pmfs_fault = None;
-    nova_bug = None;
-    boundary_filter = None;
-  }
+let default_config fs = { fs; model = Model.X86; max_ops = 10; fault = None; boundary_filter = None }
 
-let pmfs_faults =
-  [
-    ("journal-double-flush", Fs.Journal_double_flush);
-    ("data-double-flush", Fs.Data_double_flush);
-    ("flush-unmapped", Fs.Flush_unmapped);
-    ("skip-journal-flush", Fs.Skip_journal_flush);
-    ("skip-commit-fence", Fs.Skip_commit_fence);
-    ("fsync-redundant-fence", Fs.Fsync_redundant_fence);
-    ("empty-tx-fence", Fs.Empty_tx_fence);
-    ("alloc-no-zero", Fs.Alloc_no_zero);
-  ]
-
-let nova_bugs =
-  [
-    ("skip-data-persist", Nova.Skip_data_persist);
-    ("skip-entry-persist", Nova.Skip_entry_persist);
-    ("skip-tail-persist", Nova.Skip_tail_persist);
-    ("valid-before-init", Nova.Valid_before_init);
-  ]
-
-let fault_names = function
-  | Pmfs -> List.map fst pmfs_faults
-  | Nova -> List.map fst nova_bugs
-
-let with_fault config name =
-  if name = "none" then Ok { config with pmfs_fault = None; nova_bug = None }
-  else
-    match config.fs with
-    | Pmfs -> (
-      match List.assoc_opt name pmfs_faults with
-      | Some f -> Ok { config with pmfs_fault = Some f }
-      | None ->
-        Error
-          (Printf.sprintf "unknown pmfs fault %S (expected one of: %s)" name
-             (String.concat ", " (fault_names Pmfs))))
-    | Nova -> (
-      match List.assoc_opt name nova_bugs with
-      | Some b -> Ok { config with nova_bug = Some b }
-      | None ->
-        Error
-          (Printf.sprintf "unknown nova bug %S (expected one of: %s)" name
-             (String.concat ", " (fault_names Nova))))
-
-let fault_name config =
-  match config.fs with
-  | Pmfs ->
-    Option.bind config.pmfs_fault (fun f ->
-        List.find_opt (fun (_, f') -> f' = f) pmfs_faults |> Option.map fst)
-  | Nova ->
-    Option.bind config.nova_bug (fun b ->
-        List.find_opt (fun (_, b') -> b' = b) nova_bugs |> Option.map fst)
-
-let make_config ?max_ops ?fault fs model =
-  match (model : Model.kind) with
-  | Model.Cxl ->
-    Error
-      "crashfs takes model x86, hops or eadr: the PM file systems use flush/fence \
-       primitives (gpf-based crash enumeration is covered by the crashtest CXL tests)"
-  | Model.X86 | Model.Hops | Model.Eadr -> (
-    let config = { (default_config fs) with model } in
-    let config = match max_ops with None -> config | Some m -> { config with max_ops = m } in
-    match fault with None -> Ok config | Some f -> with_fault config f)
+(* Past [exhaustive_limit] images a boundary is sampled
+   [samples_per_boundary] times; a run stops after [max_failures]
+   failures, and a campaign shrinks at most that many findings. *)
+let samples_per_boundary = 12
+let exhaustive_limit = 96
+let max_failures = 4
 
 (* --- Stats ------------------------------------------------------------------ *)
 
@@ -147,87 +78,81 @@ let pruned_ratio st =
   let total = st.avoided +. float_of_int st.recoveries in
   if total <= 0. then 0. else st.avoided /. total
 
-(* --- Drivers ---------------------------------------------------------------- *)
+(* --- What each file system supplies ---------------------------------------- *)
 
-(* One driver per file system: apply an op to the live instance (updating
-   the committed-state spec on success), check the live volatile view
-   against the spec, and remount-and-check one crash image against the
-   spec with the in-flight op's allowed outcomes. *)
-type driver = {
-  d_machine : Machine.t;
-  d_apply : Workload.op -> (unit, string) result;
-  d_live_check : unit -> (unit, string) result;
-  d_check_image : pending:Workload.op option -> bytes -> (unit, string) result;
+(* Everything the one driver below needs from a file system. ['fs] is a
+   live or recovered instance; ['c] is the committed-state model of one
+   file's contents. The committed state of a run is a [Names] map from
+   file name to ['c]. *)
+type ('fs, 'c) impl = {
+  faults : string list;  (** Canonical names of the seeded faults. *)
+  fault_noun : string;  (** How [with_fault] names one in an error. *)
+  workload : max_ops:int -> Workload.cfg;
+  mkfs : config -> Sink.t -> 'fs;  (** Geometry and the seeded fault. *)
+  machine : 'fs -> Machine.t;
+  lookup : 'fs -> string -> int option;
+  readdir : 'fs -> (string * int) list;
+  create : 'fs -> string -> (unit, string) result;
+  write : 'fs -> ino:int -> off:int -> len:int -> char -> (unit, string) result;
+  unlink : 'fs -> string -> (unit, string) result;
+  fsync : 'fs -> ino:int -> unit;
+  empty : 'c;
+  write_contents : 'c -> off:int -> len:int -> char -> 'c option;
+      (** [None] when the file system refuses the write. *)
+  file_exact : 'fs -> name:string -> ino:int -> 'c -> (unit, string) result;
+  file_inflight :
+    'fs -> name:string -> ino:int -> old:'c -> nw:'c -> off:int -> len:int -> (unit, string) result;
+      (** The contents a crash may leave while the write [off]/[len]
+          that turns [old] into [nw] is in flight. *)
+  recover : Machine.t -> ('fs, string) result;  (** fsck plus mount. *)
 }
 
-let sorted_names fold_tbl = List.sort compare fold_tbl
+type any_impl = Impl : ('fs, 'c) impl -> any_impl
 
-let names_mismatch ~what got want =
-  Error
-    (Printf.sprintf "%s: directory lists [%s], committed state expects [%s]" what
-       (String.concat " " got) (String.concat " " want))
+(* [config.fault] resolved against a file system's fault table. *)
+let seeded table config =
+  Option.map
+    (fun name ->
+      match List.assoc_opt name table with
+      | Some f -> f
+      | None -> invalid_arg ("Crashfs.run_ops: unknown fault " ^ name))
+    config.fault
 
-(* -- PMFS -- *)
+let read_failed name e = Error (Printf.sprintf "file %s: read failed: %s" name e)
+
+(* -- PMFS: a file is its bytes (holes read back as zeros). -- *)
+
+let pmfs_faults =
+  [
+    ("journal-double-flush", Fs.Journal_double_flush);
+    ("data-double-flush", Fs.Data_double_flush);
+    ("flush-unmapped", Fs.Flush_unmapped);
+    ("skip-journal-flush", Fs.Skip_journal_flush);
+    ("skip-commit-fence", Fs.Skip_commit_fence);
+    ("fsync-redundant-fence", Fs.Fsync_redundant_fence);
+    ("empty-tx-fence", Fs.Empty_tx_fence);
+    ("alloc-no-zero", Fs.Alloc_no_zero);
+  ]
 
 let pmfs_max_bytes = 12 * Fs.block_size
 
-(* The committed-state model: file name -> contents (length = size; holes
-   are the zero bytes PMFS reads back). *)
-let pmfs_spec_write old ~off ~len fill =
-  let osz = Bytes.length old in
-  let nsz = max osz (off + len) in
-  let nb = Bytes.make nsz '\000' in
-  Bytes.blit old 0 nb 0 osz;
-  Bytes.fill nb off len fill;
-  nb
-
-(* Pure spec-level application; [None] when the op would fail (then the
-   only acceptable post-crash state is the unchanged spec). *)
-let pmfs_spec_apply spec op =
-  let copy () = Hashtbl.copy spec in
-  match (op : Workload.op) with
-  | Create n ->
-    if Hashtbl.mem spec n then None
-    else begin
-      let s = copy () in
-      Hashtbl.replace s n Bytes.empty;
-      Some s
-    end
-  | Write { name; off; len; fill } -> (
-    match Hashtbl.find_opt spec name with
-    | Some old when off + len <= pmfs_max_bytes ->
-      let s = copy () in
-      Hashtbl.replace s name (pmfs_spec_write old ~off ~len fill);
-      Some s
-    | _ -> None)
-  | Unlink n ->
-    if Hashtbl.mem spec n then begin
-      let s = copy () in
-      Hashtbl.remove s n;
-      Some s
-    end
-    else None
-  | Fsync _ | Readdir -> None
-
-let spec_names spec = sorted_names (Hashtbl.fold (fun k _ acc -> k :: acc) spec [])
-
 let pmfs_file_exact fs2 ~name ~ino want =
   let size = Fs.file_size fs2 ~ino in
-  if size <> Bytes.length want then
-    Error (Printf.sprintf "file %s: size %d, committed state expects %d" name size (Bytes.length want))
+  if size <> String.length want then
+    Error (Printf.sprintf "file %s: size %d, committed state expects %d" name size (String.length want))
   else if size = 0 then Ok ()
   else
     match Fs.read fs2 ~ino ~off:0 ~len:size with
-    | Error e -> Error (Printf.sprintf "file %s: read failed: %s" name e)
+    | Error e -> read_failed name e
     | Ok got ->
-      if got = Bytes.to_string want then Ok ()
+      if got = want then Ok ()
       else Error (Printf.sprintf "file %s: contents differ from committed state" name)
 
 (* The in-flight XIP write window: metadata (size, allocations) rolls
    back atomically with the journal, but data goes in place — bytes in
    the written range may be old or new, torn at any granularity. *)
 let pmfs_file_inflight fs2 ~name ~ino ~old ~nw ~off ~len =
-  let osz = Bytes.length old and nsz = Bytes.length nw in
+  let osz = String.length old and nsz = String.length nw in
   let size = Fs.file_size fs2 ~ino in
   if size = nsz && nsz <> osz then pmfs_file_exact fs2 ~name ~ino nw
   else if size <> osz then
@@ -236,349 +161,261 @@ let pmfs_file_inflight fs2 ~name ~ino ~old ~nw ~off ~len =
   else if osz = 0 then Ok ()
   else
     match Fs.read fs2 ~ino ~off:0 ~len:osz with
-    | Error e -> Error (Printf.sprintf "file %s: read failed: %s" name e)
+    | Error e -> read_failed name e
     | Ok got ->
-      let bad = ref None in
-      String.iteri
-        (fun i c ->
-          if !bad = None then
-            let in_range = i >= off && i < off + len in
-            let okc =
-              if in_range then c = Bytes.get old i || c = Bytes.get nw i
-              else c = Bytes.get old i
-            in
-            if not okc then bad := Some i)
-        got;
-      (match !bad with
-      | None -> Ok ()
-      | Some i ->
-        Error
-          (Printf.sprintf "file %s: byte %d is neither the old nor the in-flight value" name i))
+      let allowed i c = c = old.[i] || (i >= off && i < off + len && c = nw.[i]) in
+      let rec first i =
+        if i = String.length got then Ok ()
+        else if allowed i got.[i] then first (i + 1)
+        else
+          Error (Printf.sprintf "file %s: byte %d is neither the old nor the in-flight value" name i)
+      in
+      first 0
 
-let pmfs_check_spec spec ~pending fs2 =
-  let want_before = spec_names spec in
-  let got = sorted_names (List.map fst (Fs.readdir fs2)) in
-  let after = Option.bind pending (pmfs_spec_apply spec) in
-  let check_with base ~relax =
-    let rec go = function
-      | [] -> Ok ()
-      | name :: rest -> (
-        match Fs.lookup fs2 name with
-        | None -> Error (Printf.sprintf "file %s: lookup failed after recovery" name)
-        | Some ino -> (
-          let want = Hashtbl.find base name in
-          let res =
-            match relax with
-            | Some (rn, old, nw, off, len) when rn = name ->
-              pmfs_file_inflight fs2 ~name ~ino ~old ~nw ~off ~len
-            | _ -> pmfs_file_exact fs2 ~name ~ino want
-          in
-          match res with Ok () -> go rest | Error _ as e -> e))
-    in
-    go (spec_names base)
-  in
-  if got = want_before then begin
-    let relax =
-      match pending with
-      | Some (Workload.Write { name; off; len; fill }) -> (
-        match Hashtbl.find_opt spec name with
-        | Some old when off + len <= pmfs_max_bytes ->
-          Some (name, old, pmfs_spec_write old ~off ~len fill, off, len)
-        | _ -> None)
-      | _ -> None
-    in
-    check_with spec ~relax
-  end
-  else
-    match after with
-    | Some sa when spec_names sa = got -> check_with sa ~relax:None
-    | _ -> names_mismatch ~what:"recovery" got want_before
-
-let pmfs_driver config sink =
-  let max_ops = config.max_ops in
-  let fs =
-    Fs.mkfs ~track_versions:true ~inodes:8
-      ~blocks:((4 * max_ops) + 8)
-      ~journal_entries:24 ~sink ()
-  in
-  Fs.set_fault fs config.pmfs_fault;
-  let spec : (string, Bytes.t) Hashtbl.t = Hashtbl.create 8 in
-  let apply (op : Workload.op) =
-    match op with
-    | Create n -> (
-      match Fs.create fs n with
-      | Ok _ ->
-        Hashtbl.replace spec n Bytes.empty;
-        Ok ()
-      | Error e -> Error e)
-    | Write { name; off; len; fill } -> (
-      match Fs.lookup fs name with
-      | None -> Error "no such file"
-      | Some ino -> (
-        match Fs.write fs ~ino ~off (String.make len fill) with
-        | Ok () ->
-          let old = Option.value ~default:Bytes.empty (Hashtbl.find_opt spec name) in
-          Hashtbl.replace spec name (pmfs_spec_write old ~off ~len fill);
-          Ok ()
-        | Error e -> Error e))
-    | Unlink n -> (
-      match Fs.unlink fs n with
-      | Ok () ->
-        Hashtbl.remove spec n;
-        Ok ()
-      | Error e -> Error e)
-    | Fsync n -> (
-      match Fs.lookup fs n with
-      | None -> Error "no such file"
-      | Some ino ->
-        Fs.fsync fs ~ino;
-        Ok ())
-    | Readdir ->
-      ignore (Fs.readdir fs);
-      Ok ()
-  in
-  let live_check () =
-    let got = sorted_names (List.map fst (Fs.readdir fs)) in
-    let want = spec_names spec in
-    if got = want then Ok () else names_mismatch ~what:"live view" got want
-  in
-  let check_image ~pending img =
-    match
-      let machine = Machine.of_image img in
-      match Fsck.pmfs_journal machine with
-      | Error _ as e -> e
-      | Ok () -> (
-        let fs2 = Fs.mount ~machine ~sink:Sink.null in
-        match Fsck.pmfs fs2 with
-        | Error _ as e -> e
-        | Ok () -> pmfs_check_spec spec ~pending fs2)
-    with
-    | r -> r
-    | exception e -> Error ("recovery raised " ^ Printexc.to_string e)
-  in
+let pmfs =
   {
-    d_machine = Fs.machine fs;
-    d_apply = apply;
-    d_live_check = live_check;
-    d_check_image = check_image;
+    faults = List.map fst pmfs_faults;
+    fault_noun = "pmfs fault";
+    workload = Workload.pmfs_cfg;
+    mkfs =
+      (fun config sink ->
+        let fs =
+          Fs.mkfs ~track_versions:true ~inodes:8
+            ~blocks:((4 * config.max_ops) + 8)
+            ~journal_entries:24 ~sink ()
+        in
+        Fs.set_fault fs (seeded pmfs_faults config);
+        fs);
+    machine = Fs.machine;
+    lookup = Fs.lookup;
+    readdir = Fs.readdir;
+    create = (fun fs n -> Result.map ignore (Fs.create fs n));
+    write = (fun fs ~ino ~off ~len fill -> Fs.write fs ~ino ~off (String.make len fill));
+    unlink = Fs.unlink;
+    fsync = Fs.fsync;
+    empty = "";
+    write_contents =
+      (fun old ~off ~len fill ->
+        if off + len > pmfs_max_bytes then None
+        else begin
+          let nb = Bytes.make (max (String.length old) (off + len)) '\000' in
+          Bytes.blit_string old 0 nb 0 (String.length old);
+          Bytes.fill nb off len fill;
+          Some (Bytes.to_string nb)
+        end);
+    file_exact = pmfs_file_exact;
+    file_inflight = pmfs_file_inflight;
+    recover =
+      (fun machine ->
+        Result.bind (Fsck.pmfs_journal machine) (fun () ->
+            let fs = Fs.mount ~machine ~sink:Sink.null in
+            Result.map (fun () -> fs) (Fsck.pmfs fs)));
   }
 
-(* -- NOVA -- *)
+(* -- NOVA: a file is its pages, by page offset. -- *)
 
-(* The committed-state model: file name -> page offset -> page contents. *)
-let nova_blank_page () = String.make Nova.page_size '\000'
+let nova_bugs =
+  [
+    ("skip-data-persist", Nova.Skip_data_persist);
+    ("skip-entry-persist", Nova.Skip_entry_persist);
+    ("skip-tail-persist", Nova.Skip_tail_persist);
+    ("valid-before-init", Nova.Valid_before_init);
+  ]
 
-let nova_spec_write pages ~pgoff ~len fill =
-  let old = Option.value ~default:(nova_blank_page ()) (Hashtbl.find_opt pages pgoff) in
-  let len = min len Nova.page_size in
-  let nb = Bytes.of_string old in
-  Bytes.fill nb 0 len fill;
-  Bytes.to_string nb
+let nova_blank_page = String.make Nova.page_size '\000'
+let nova_page pages pgoff = Option.value ~default:nova_blank_page (Pages.find_opt pgoff pages)
 
-let nova_spec_apply spec op =
-  let copy () =
-    let s = Hashtbl.create 8 in
-    Hashtbl.iter (fun k v -> Hashtbl.replace s k (Hashtbl.copy v)) spec;
-    s
-  in
-  match (op : Workload.op) with
-  | Create n ->
-    if Hashtbl.mem spec n then None
-    else begin
-      let s = copy () in
-      Hashtbl.replace s n (Hashtbl.create 4);
-      Some s
-    end
-  | Write { name; off = pgoff; len; fill } -> (
-    match Hashtbl.find_opt spec name with
-    | None -> None
-    | Some pages ->
-      let s = copy () in
-      let pages' = Hashtbl.find s name in
-      Hashtbl.replace pages' pgoff (nova_spec_write pages ~pgoff ~len fill);
-      Some s)
-  | Unlink n ->
-    if Hashtbl.mem spec n then begin
-      let s = copy () in
-      Hashtbl.remove s n;
-      Some s
-    end
-    else None
-  | Fsync _ | Readdir -> None
+(* Every page of [pages] reads back as committed, in page order. *)
+let nova_pages_match fs2 ~name ~ino pages =
+  Pages.fold
+    (fun pgoff want acc ->
+      Result.bind acc (fun () ->
+          match Nova.read fs2 ~ino ~pgoff with
+          | Error e -> read_failed name e
+          | Ok got ->
+            if got = want then Ok ()
+            else Error (Printf.sprintf "file %s: page %d differs from committed state" name pgoff)))
+    pages (Ok ())
 
 let nova_file_exact fs2 ~name ~ino pages =
-  let pgoffs = sorted_names (Hashtbl.fold (fun k _ acc -> k :: acc) pages []) in
-  let rec go = function
-    | [] ->
+  Result.bind (nova_pages_match fs2 ~name ~ino pages) (fun () ->
       let n = Nova.file_pages fs2 ~ino in
-      if n <> Hashtbl.length pages then
+      if n <> Pages.cardinal pages then
         Error
           (Printf.sprintf "file %s: %d committed pages on media, committed state expects %d" name n
-             (Hashtbl.length pages))
-      else Ok ()
-    | pgoff :: rest -> (
-      match Nova.read fs2 ~ino ~pgoff with
-      | Error e -> Error (Printf.sprintf "file %s: read failed: %s" name e)
-      | Ok got ->
-        if got = Hashtbl.find pages pgoff then go rest
-        else Error (Printf.sprintf "file %s: page %d differs from committed state" name pgoff))
-  in
-  go pgoffs
+             (Pages.cardinal pages))
+      else Ok ())
 
 (* In-flight NOVA write: the log commit is atomic, so the target page is
    wholly old or wholly new; every other page is untouched. *)
-let nova_file_inflight fs2 ~name ~ino ~pages ~pgoff ~nw =
-  let old = Option.value ~default:(nova_blank_page ()) (Hashtbl.find_opt pages pgoff) in
-  let fresh = not (Hashtbl.mem pages pgoff) in
+let nova_file_inflight fs2 ~name ~ino ~old ~nw ~off:pgoff ~len:_ =
   match Nova.read fs2 ~ino ~pgoff with
-  | Error e -> Error (Printf.sprintf "file %s: read failed: %s" name e)
-  | Ok got ->
-    if got <> old && got <> nw then
-      Error
-        (Printf.sprintf "file %s: page %d is neither the old nor the in-flight contents" name pgoff)
-    else begin
-      let others = Hashtbl.copy pages in
-      Hashtbl.remove others pgoff;
-      let rec go = function
-        | [] ->
-          let n = Nova.file_pages fs2 ~ino in
-          let before = Hashtbl.length pages in
-          let after = if fresh then before + 1 else before in
-          if n <> before && n <> after then
-            Error
-              (Printf.sprintf "file %s: %d committed pages on media, in-flight write allows %d or %d"
-                 name n before after)
-          else Ok ()
-        | p :: rest -> (
-          match Nova.read fs2 ~ino ~pgoff:p with
-          | Error e -> Error (Printf.sprintf "file %s: read failed: %s" name e)
-          | Ok got' ->
-            if got' = Hashtbl.find others p then go rest
-            else Error (Printf.sprintf "file %s: page %d differs from committed state" name p))
-      in
-      go (sorted_names (Hashtbl.fold (fun k _ acc -> k :: acc) others []))
-    end
+  | Error e -> read_failed name e
+  | Ok got when got <> nova_page old pgoff && got <> nova_page nw pgoff ->
+    Error
+      (Printf.sprintf "file %s: page %d is neither the old nor the in-flight contents" name pgoff)
+  | Ok _ ->
+    Result.bind (nova_pages_match fs2 ~name ~ino (Pages.remove pgoff old)) (fun () ->
+        let n = Nova.file_pages fs2 ~ino in
+        let before = Pages.cardinal old and after = Pages.cardinal nw in
+        if n <> before && n <> after then
+          Error
+            (Printf.sprintf "file %s: %d committed pages on media, in-flight write allows %d or %d"
+               name n before after)
+        else Ok ())
 
-let nova_check_spec spec ~pending fs2 =
-  let want_before = spec_names spec in
-  let got = sorted_names (List.map fst (Nova.readdir fs2)) in
-  let after = Option.bind pending (nova_spec_apply spec) in
-  let check_with base ~relax =
-    let rec go = function
-      | [] -> Ok ()
-      | name :: rest -> (
-        match Nova.lookup fs2 name with
-        | None -> Error (Printf.sprintf "file %s: lookup failed after recovery" name)
-        | Some ino -> (
-          let pages = Hashtbl.find base name in
-          let res =
-            match relax with
-            | Some (rn, pgoff, nw) when rn = name ->
-              nova_file_inflight fs2 ~name ~ino ~pages ~pgoff ~nw
-            | _ -> nova_file_exact fs2 ~name ~ino pages
-          in
-          match res with Ok () -> go rest | Error _ as e -> e))
-    in
-    go (spec_names base)
-  in
-  if got = want_before then begin
-    let relax =
-      match pending with
-      | Some (Workload.Write { name; off = pgoff; len; fill }) -> (
-        match Hashtbl.find_opt spec name with
-        | Some pages -> Some (name, pgoff, nova_spec_write pages ~pgoff ~len fill)
-        | None -> None)
-      | _ -> None
-    in
-    check_with spec ~relax
-  end
-  else
-    match after with
-    | Some sa when spec_names sa = got -> check_with sa ~relax:None
-    | _ -> names_mismatch ~what:"recovery" got want_before
-
-let nova_driver config sink =
-  (* Geometry: 8 inodes (name pool is 6 wide), data sized so every write
-     of the run gets a fresh CoW page without ever hitting the allocator
-     limit (an allocation failure would commit a partial op). *)
-  let inodes = 8 in
-  let log_area = 64 + (inodes * 64) + (inodes * 64 * 64) in
-  let data_off = (log_area + Nova.page_size - 1) / Nova.page_size * Nova.page_size in
-  let size = data_off + (Nova.page_size * (config.max_ops + 8)) in
-  let fs = Nova.mkfs ~track_versions:true ~inodes ~size ~sink () in
-  Nova.set_bug fs config.nova_bug;
-  let spec : (string, (int, string) Hashtbl.t) Hashtbl.t = Hashtbl.create 8 in
-  let apply (op : Workload.op) =
-    match op with
-    | Create n -> (
-      match Nova.create fs n with
-      | Ok _ ->
-        Hashtbl.replace spec n (Hashtbl.create 4);
-        Ok ()
-      | Error e -> Error e)
-    | Write { name; off = pgoff; len; fill } -> (
-      match Nova.lookup fs name with
-      | None -> Error "no such file"
-      | Some ino -> (
-        let len = min len Nova.page_size in
-        match Nova.write fs ~ino ~pgoff (String.make len fill) with
-        | Ok () ->
-          let pages = Hashtbl.find spec name in
-          Hashtbl.replace pages pgoff (nova_spec_write pages ~pgoff ~len fill);
-          Ok ()
-        | Error e -> Error e))
-    | Unlink n -> (
-      match Nova.unlink fs n with
-      | Ok () ->
-        Hashtbl.remove spec n;
-        Ok ()
-      | Error e -> Error e)
-    | Fsync n -> if Nova.lookup fs n = None then Error "no such file" else Ok ()
-    | Readdir ->
-      ignore (Nova.readdir fs);
-      Ok ()
-  in
-  let live_check () =
-    let got = sorted_names (List.map fst (Nova.readdir fs)) in
-    let want = spec_names spec in
-    if got = want then Ok () else names_mismatch ~what:"live view" got want
-  in
-  let check_image ~pending img =
-    match
-      let machine = Machine.of_image img in
-      let fs2 = Nova.mount ~machine ~sink:Sink.null in
-      match Fsck.nova fs2 with
-      | Error _ as e -> e
-      | Ok () -> nova_check_spec spec ~pending fs2
-    with
-    | r -> r
-    | exception e -> Error ("recovery raised " ^ Printexc.to_string e)
-  in
+let nova =
   {
-    d_machine = Nova.machine fs;
-    d_apply = apply;
-    d_live_check = live_check;
-    d_check_image = check_image;
+    faults = List.map fst nova_bugs;
+    fault_noun = "nova bug";
+    workload = Workload.nova_cfg;
+    mkfs =
+      (fun config sink ->
+        (* 8 inodes (the name pool is 6 wide), data sized so every write
+           of the run gets a fresh CoW page without ever hitting the
+           allocator limit (an allocation failure would commit a
+           partial op). *)
+        let inodes = 8 in
+        let log_area = 64 + (inodes * 64) + (inodes * 64 * 64) in
+        let data_off = (log_area + Nova.page_size - 1) / Nova.page_size * Nova.page_size in
+        let size = data_off + (Nova.page_size * (config.max_ops + 8)) in
+        let fs = Nova.mkfs ~track_versions:true ~inodes ~size ~sink () in
+        Nova.set_bug fs (seeded nova_bugs config);
+        fs);
+    machine = Nova.machine;
+    lookup = Nova.lookup;
+    readdir = Nova.readdir;
+    create = (fun fs n -> Result.map ignore (Nova.create fs n));
+    write =
+      (fun fs ~ino ~off ~len fill ->
+        Nova.write fs ~ino ~pgoff:off (String.make (min len Nova.page_size) fill));
+    unlink = Nova.unlink;
+    fsync = (fun _ ~ino:_ -> ());
+    empty = Pages.empty;
+    write_contents =
+      (fun pages ~off:pgoff ~len fill ->
+        let nb = Bytes.of_string (nova_page pages pgoff) in
+        Bytes.fill nb 0 (min len Nova.page_size) fill;
+        Some (Pages.add pgoff (Bytes.to_string nb) pages));
+    file_exact = nova_file_exact;
+    file_inflight = nova_file_inflight;
+    recover =
+      (fun machine ->
+        let fs = Nova.mount ~machine ~sink:Sink.null in
+        Result.map (fun () -> fs) (Fsck.nova fs));
   }
 
-(* --- The harness ------------------------------------------------------------ *)
+let impl_of = function Pmfs -> Impl pmfs | Nova -> Impl nova
 
-let run_ops config ~seed ops =
-  (match config.model with
+(* --- Configs ---------------------------------------------------------------- *)
+
+let fault_names fs = match impl_of fs with Impl i -> i.faults
+
+let with_fault config name =
+  match impl_of config.fs with
+  | Impl i ->
+    if name = "none" then Ok { config with fault = None }
+    else if List.mem name i.faults then Ok { config with fault = Some name }
+    else
+      Error
+        (Printf.sprintf "unknown %s %S (expected one of: %s)" i.fault_noun name
+           (String.concat ", " i.faults))
+
+let make_config ?max_ops ?fault fs model =
+  match (model : Model.kind) with
   | Model.Cxl ->
-    invalid_arg
-      "Crashfs.run_ops: the PM file systems use flush/fence primitives; gpf-based crash \
-       enumeration is covered by the crashtest CXL tests"
-  | Model.X86 | Model.Hops | Model.Eadr -> ());
-  if config.samples_per_boundary <= 0 || config.exhaustive_limit <= 0 then
-    invalid_arg "Crashfs.run_ops: sampling knobs must be positive";
+    Error
+      "crashfs takes model x86, hops or eadr: the PM file systems use flush/fence \
+       primitives (gpf-based crash enumeration is covered by the crashtest CXL tests)"
+  | Model.X86 | Model.Hops | Model.Eadr -> (
+    let config = { (default_config fs) with model } in
+    let config = match max_ops with None -> config | Some m -> { config with max_ops = m } in
+    match fault with None -> Ok config | Some f -> with_fault config f)
+
+(* --- The committed-state oracle --------------------------------------------- *)
+
+(* The spec after [op]; [None] when the op would fail, which leaves the
+   spec as it was. Both a live op that returned [Ok] and the op in
+   flight at a crash advance the spec through here. *)
+let spec_apply i spec (op : Workload.op) =
+  match op with
+  | Create n -> if Names.mem n spec then None else Some (Names.add n i.empty spec)
+  | Write { name; off; len; fill } ->
+    Option.bind (Names.find_opt name spec) (fun old ->
+        Option.map (fun c -> Names.add name c spec) (i.write_contents old ~off ~len fill))
+  | Unlink n -> if Names.mem n spec then Some (Names.remove n spec) else None
+  | Fsync _ | Readdir -> None
+
+let advance i spec op = Option.value ~default:spec (spec_apply i spec op)
+
+let spec_names spec = List.map fst (Names.bindings spec)
+let sorted_names listing = List.sort compare (List.map fst listing)
+
+let names_mismatch ~what got want =
+  Printf.sprintf "%s: directory lists [%s], committed state expects [%s]" what
+    (String.concat " " got) (String.concat " " want)
+
+(* A recovered instance holds either the spec or the spec after the
+   pending op. Every file must be exact, except that with the directory
+   unchanged the pending write's file gets the in-flight check. *)
+let check_spec i spec ~pending fs2 =
+  let got = sorted_names (i.readdir fs2) in
+  let after = Option.bind pending (spec_apply i spec) in
+  let check base ~inflight =
+    Names.fold
+      (fun name want acc ->
+        Result.bind acc (fun () ->
+            match i.lookup fs2 name with
+            | None -> Error (Printf.sprintf "file %s: lookup failed after recovery" name)
+            | Some ino -> (
+              match inflight with
+              | Some (rn, nw, off, len) when rn = name ->
+                i.file_inflight fs2 ~name ~ino ~old:want ~nw ~off ~len
+              | _ -> i.file_exact fs2 ~name ~ino want)))
+      base (Ok ())
+  in
+  if got = spec_names spec then
+    let inflight =
+      match (pending, after) with
+      | Some (Workload.Write { name; off; len; _ }), Some sa ->
+        Some (name, Names.find name sa, off, len)
+      | _ -> None
+    in
+    check spec ~inflight
+  else
+    match after with
+    | Some sa when spec_names sa = got -> check sa ~inflight:None
+    | _ -> Error (names_mismatch ~what:"recovery" got (spec_names spec))
+
+let judge i spec ~pending img =
+  match Result.bind (i.recover (Machine.of_image img)) (check_spec i spec ~pending) with
+  | r -> r
+  | exception e -> Error ("recovery raised " ^ Printexc.to_string e)
+
+let check_image config ~committed ~pending img =
+  match impl_of config.fs with
+  | Impl i -> judge i (List.fold_left (advance i) Names.empty committed) ~pending img
+
+(* --- The driver ------------------------------------------------------------- *)
+
+let run_with i config ~seed ops =
   let rng = Rng.create (seed lxor 0x5F3C_9A17) in
   let target = ref Sink.null in
   let sink = { Sink.emit = (fun kind loc -> !target.Sink.emit kind loc) } in
-  let driver =
-    match config.fs with Pmfs -> pmfs_driver config sink | Nova -> nova_driver config sink
+  let fs = i.mkfs config sink in
+  let machine = i.machine fs in
+  let spec = ref Names.empty in
+  let apply (op : Workload.op) =
+    let on_file n k = match i.lookup fs n with None -> Error "no such file" | Some ino -> k ino in
+    match op with
+    | Create n -> i.create fs n
+    | Write { name; off; len; fill } -> on_file name (fun ino -> i.write fs ~ino ~off ~len fill)
+    | Unlink n -> i.unlink fs n
+    | Fsync n -> on_file n (fun ino -> Ok (i.fsync fs ~ino))
+    | Readdir ->
+      ignore (i.readdir fs);
+      Ok ()
   in
-  let machine = driver.d_machine in
   let seen : (string, unit) Hashtbl.t = Hashtbl.create 256 in
   let cur_op = ref (-1) in
   let pending : Workload.op option ref = ref None in
@@ -592,7 +429,7 @@ let run_ops config ~seed ops =
   let failures = ref [] in
   let nfailures = ref 0 in
   let record f =
-    if !nfailures < config.max_failures then begin
+    if !nfailures < max_failures then begin
       failures := f :: !failures;
       incr nfailures
     end
@@ -604,13 +441,13 @@ let run_ops config ~seed ops =
     else begin
       Hashtbl.add seen digest ();
       incr recoveries;
-      match driver.d_check_image ~pending:!pending (Bytes.copy img) with
+      match judge i !spec ~pending:!pending (Bytes.copy img) with
       | Ok () -> ()
       | Error message -> record { op_index = !cur_op; boundary = idx; message }
     end
   in
   let boundary () =
-    if !nfailures < config.max_failures then begin
+    if !nfailures < max_failures then begin
       let idx = !boundaries in
       incr boundaries;
       if !writes_since = 0 then
@@ -633,8 +470,8 @@ let run_ops config ~seed ops =
           | Model.Eadr -> f (Machine.volatile_image machine)
           | Model.X86 | Model.Hops ->
             ignore
-              (Crashtest.explore ~limit:config.exhaustive_limit
-                 ~samples:config.samples_per_boundary machine rng f)
+              (Crashtest.explore ~limit:exhaustive_limit ~samples:samples_per_boundary machine rng
+                 f)
           | Model.Cxl -> assert false);
           last_images := float_of_int !count
         end
@@ -653,21 +490,23 @@ let run_ops config ~seed ops =
   let ops_run = ref 0 in
   let applied = ref 0 in
   Array.iteri
-    (fun i op ->
-      if !nfailures < config.max_failures then begin
+    (fun idx op ->
+      if !nfailures < max_failures then begin
         incr ops_run;
-        cur_op := i;
+        cur_op := idx;
         pending := Some op;
-        (match driver.d_apply op with
+        (match apply op with
         | Ok () -> (
           incr applied;
+          spec := advance i !spec op;
           pending := None;
-          match driver.d_live_check () with
-          | Ok () -> ()
-          | Error message -> record { op_index = i; boundary = -1; message })
+          let got = sorted_names (i.readdir fs) and want = spec_names !spec in
+          if got <> want then
+            record
+              { op_index = idx; boundary = -1; message = names_mismatch ~what:"live view" got want })
         | Error _ -> ()
         | exception e ->
-          record { op_index = i; boundary = -1; message = "apply raised " ^ Printexc.to_string e });
+          record { op_index = idx; boundary = -1; message = "apply raised " ^ Printexc.to_string e });
         pending := None
       end)
     ops;
@@ -677,7 +516,7 @@ let run_ops config ~seed ops =
   boundary ();
   (* Clean shutdown must recover to exactly the committed state. *)
   Machine.persist_all machine;
-  (match driver.d_check_image ~pending:None (Machine.media_image machine) with
+  (match judge i !spec ~pending:None (Machine.media_image machine) with
   | Ok () -> ()
   | Error message -> record { op_index = -1; boundary = !boundaries; message });
   {
@@ -691,13 +530,18 @@ let run_ops config ~seed ops =
     failures = List.rev !failures;
   }
 
+let run_ops config ~seed ops =
+  (match config.model with
+  | Model.Cxl ->
+    invalid_arg
+      "Crashfs.run_ops: the PM file systems use flush/fence primitives; gpf-based crash \
+       enumeration is covered by the crashtest CXL tests"
+  | Model.X86 | Model.Hops | Model.Eadr -> ());
+  match impl_of config.fs with Impl i -> run_with i config ~seed ops
+
 let gen_ops config ~seed =
-  let cfg =
-    match config.fs with
-    | Pmfs -> Workload.pmfs_cfg ~max_ops:config.max_ops
-    | Nova -> Workload.nova_cfg ~max_ops:config.max_ops
-  in
-  Workload.generate cfg (Rng.create seed)
+  match impl_of config.fs with
+  | Impl i -> Workload.generate (i.workload ~max_ops:config.max_ops) (Rng.create seed)
 
 (* --- Shrinking -------------------------------------------------------------- *)
 
@@ -758,7 +602,7 @@ let run_campaign config ~count ~seed ?(progress = fun _ -> ()) () =
     let st = run_ops config ~seed:run_seed ops in
     total := add_stats !total st;
     (match st.failures with
-    | f :: _ when List.length !findings < config.max_failures ->
+    | f :: _ when List.length !findings < max_failures ->
       let shrunk = shrink config ~seed:run_seed ops in
       findings := { f_seed = run_seed; f_ops = ops; f_shrunk = shrunk; f_failure = f } :: !findings
     | _ -> ());
@@ -824,7 +668,7 @@ module Repro = struct
     | Error e -> invalid_arg ("Crashfs.Repro.config_of_case: " ^ e)
 
   let of_finding (config : config) finding =
-    let fault = fault_name config in
+    let fault = config.fault in
     {
       name =
         Printf.sprintf "%s-%s-seed%d" (fs_kind_name config.fs)

@@ -1,15 +1,23 @@
 (** Systematic crash-state exploration for the PM file systems.
 
-    The harness drives a seeded syscall workload ({!Workload}) against a
+    One driver runs a seeded syscall workload ({!Workload}) against a
     live {!Pmtest_pmfs.Fs} or {!Pmtest_nova.Nova} instance on a
     version-tracked {!Pmtest_pmem.Machine}, snapshots the reachable
     durable images at every persist boundary (each [clwb]/fence the file
     system issues), remounts every {e distinct} image and runs recovery
-    plus fsck-style invariants ({!Fsck}) and a committed-operation
-    oracle: operations completed before the crash must be intact,
-    in-flight operations must be atomic (PMFS metadata) or absent/whole
-    (NOVA log commits), with PMFS's documented torn-data window for the
-    in-flight XIP write.
+    plus fsck-style invariants ({!Fsck}) and a committed-state oracle
+    ({!check_image}): operations completed before the crash must be
+    intact, and the one in flight must be atomic (PMFS metadata) or
+    absent/whole (NOVA log commits), with PMFS's documented torn-data
+    window for the in-flight XIP write.
+
+    The committed state is one immutable map from file name to
+    contents, advanced by one pure transition both after a live op
+    returns [Ok] and for the op in flight at a crash. What differs per
+    file system is a small internal record: mkfs geometry and the seeded
+    fault, the op primitives, the file-contents model and how a write
+    changes it, the exact and in-flight file checks, and recovery (fsck
+    plus mount).
 
     State-space bounding, in the spirit of the HOPS epoch enumerator in
     [lib/fuzz/oracle.ml]: two boundaries with no intervening store are
@@ -20,11 +28,9 @@
     pure function of the image. Yat-style enumeration at every store,
     by contrast, is the product over dirty lines of the store versions
     each line could have persisted. Each explored boundary goes through
-    {!Pmtest_crashtest.Crashtest.explore}: enumerated within
-    [exhaustive_limit], sampled beyond it. *)
-
-module Fs = Pmtest_pmfs.Fs
-module Nova = Pmtest_nova.Nova
+    {!Pmtest_crashtest.Crashtest.explore}: up to 96 images are
+    enumerated, beyond that 12 are sampled. A run stops after four
+    failures. *)
 
 type fs_kind = Pmfs | Nova
 
@@ -40,12 +46,10 @@ type config = {
           the persistence domain). [Cxl] is rejected — the file systems
           are written against flush/fence primitives; [Gpf]-based
           programs are covered by the crashtest litmus/CXL tests. *)
-  max_ops : int;
-  samples_per_boundary : int;  (** Sampled images when past the limit. *)
-  exhaustive_limit : int;  (** Enumerate exhaustively up to this count. *)
-  max_failures : int;
-  pmfs_fault : Fs.fault option;
-  nova_bug : Nova.bug option;
+  max_ops : int;  (** Operations per generated workload. *)
+  fault : string option;
+      (** The seeded fault, by canonical name ({!fault_names}); [None]
+          runs the stock file system. *)
   boundary_filter : (int -> bool) option;
       (** Testing hook: boundaries where this returns [false] are marked
           explored but nothing is enumerated — a deliberately broken
@@ -59,8 +63,6 @@ val fault_names : fs_kind -> string list
 
 val with_fault : config -> string -> (config, string) result
 (** Set the seeded fault by canonical name (["none"] clears it). *)
-
-val fault_name : config -> string option
 
 val make_config :
   ?max_ops:int -> ?fault:string -> fs_kind -> Pmtest_model.Model.kind -> (config, string) result
@@ -97,7 +99,20 @@ val pruned_ratio : stats -> float
 val run_ops : config -> seed:int -> Workload.op array -> stats
 (** Run one workload under crash exploration. [seed] drives the sampler
     (and nothing else), so runs are deterministic. Raises
-    [Invalid_argument] for a {!Pmtest_model.Model.Cxl} config. *)
+    [Invalid_argument] for a {!Pmtest_model.Model.Cxl} config or a
+    [fault] the file system does not have. *)
+
+val check_image :
+  config ->
+  committed:Workload.op list ->
+  pending:Workload.op option ->
+  bytes ->
+  (unit, string) result
+(** The check {!run_ops} makes of every distinct crash image: recover
+    the image (fsck plus mount), then compare it with the committed
+    state that [committed] leaves (ops that would fail leave it as it
+    was), allowing the outcomes of the [pending] op. Only [config.fs]
+    is read. *)
 
 val gen_ops : config -> seed:int -> Workload.op array
 (** The workload a campaign run with this seed executes. *)
@@ -123,12 +138,12 @@ val run_campaign :
   config -> count:int -> seed:int -> ?progress:(int -> unit) -> unit -> campaign
 (** [count] independent runs; run [i] generates its workload from
     [seed + i] and explores with the same seed. Failing runs are shrunk
-    (the first {!config.max_failures} of them). *)
+    (the first four of them). *)
 
 val run_range : config -> lo:int -> hi:int -> ?progress:(int -> unit) -> unit -> campaign
 (** One campaign chunk: runs for absolute seeds [\[lo, hi)]. Raises
-    [Invalid_argument] when [hi < lo]. Note [config.max_failures] caps
-    shrinking {e per chunk}, so chunked campaigns may shrink more
+    [Invalid_argument] when [hi < lo]. Note the cap of four shrunk
+    findings applies {e per chunk}, so chunked campaigns may shrink more
     findings than one monolithic run — each chunk is still individually
     deterministic, which is what farm replay verification needs. *)
 

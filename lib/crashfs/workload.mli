@@ -5,9 +5,9 @@
     the same seed yields the same operation stream, which makes crashfs
     campaigns and their shrunk reproducers replayable byte-for-byte.
 
-    Operations are file-system neutral: the crashfs drivers interpret
-    [Write.off] as a byte offset (PMFS) or a page offset (NOVA), so one
-    serial format covers both file systems. *)
+    Operations are file-system neutral: crashfs reads [Write.off] as a
+    byte offset (PMFS) or a page offset (NOVA), so one serial format
+    covers both file systems. *)
 
 open Pmtest_util
 

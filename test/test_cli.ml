@@ -51,6 +51,19 @@ let failed_save_exits_2 () =
   Alcotest.(check int) "record -o in a missing directory" 2
     (fst (run [ "record"; "redis-lru"; "--ops"; "10"; "-o"; "/nonexistent/x.pmt" ]))
 
+(* A campaign the coordinator refuses exits 2 before it claims to be
+   coordinating anything: no banner on stdout. *)
+let refused_campaign_prints_no_banner () =
+  let scratch = Filename.concat (Filename.get_temp_dir_name ()) "pmtest_cli_farm" in
+  let got =
+    run
+      [
+        "farm"; "serve"; "--campaign"; "crashfs"; "--model"; "cxl"; "--count"; "2"; "--chunk"; "1";
+        "--socket"; scratch ^ ".sock"; "--dir"; scratch;
+      ]
+  in
+  Alcotest.check outcome "exit 2, nothing on stdout" (2, "") got
+
 let () =
   Alcotest.run "cli"
     [
@@ -69,4 +82,9 @@ let () =
               Fun.protect ~finally:(fun () -> Sys.remove path) (bad_source_exits_2 path));
         ] );
       ("save", [ Alcotest.test_case "a failed save exits 2" `Quick failed_save_exits_2 ]);
+      ( "farm",
+        [
+          Alcotest.test_case "a refused campaign prints no banner" `Quick
+            refused_campaign_prints_no_banner;
+        ] );
     ]

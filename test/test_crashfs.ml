@@ -113,6 +113,80 @@ let test_golden_nova_shared_page () =
   let fs2 = Nova.mount ~machine:(Machine.of_image (Machine.media_image m)) ~sink:Sink.null in
   expect_err "shared by inodes" (Fsck.nova fs2)
 
+(* --- The committed-state oracle ----------------------------------------------- *)
+
+(* No seeded fault reaches most of the oracle's rejections, so these
+   hand-edit a clean image: the edit runs on the live instance after the
+   committed ops, and the clean-shutdown image is judged as a crash
+   image with [pending] in flight. *)
+
+let image_of machine =
+  Machine.persist_all machine;
+  Machine.media_image machine
+
+let pmfs_committed =
+  [ Workload.Create "a"; Workload.Write { name = "a"; off = 0; len = 700; fill = 'x' } ]
+
+let pmfs_image edit =
+  let fs = Fs.mkfs ~inodes:8 ~blocks:32 ~sink:Sink.null () in
+  let a = ok (Fs.create fs "a") in
+  ok (Fs.write fs ~ino:a ~off:0 (String.make 700 'x'));
+  edit (fun ~off data -> ok (Fs.write fs ~ino:a ~off data));
+  image_of (Fs.machine fs)
+
+let pmfs_check ~pending edit =
+  Crashfs.check_image (Crashfs.default_config Crashfs.Pmfs) ~committed:pmfs_committed ~pending
+    (pmfs_image edit)
+
+let pmfs_write ~off ~len fill = Some (Workload.Write { name = "a"; off; len; fill })
+
+let test_oracle_pmfs_torn_write () =
+  let pending = pmfs_write ~off:0 ~len:100 'y' in
+  ok (pmfs_check ~pending:None ignore);
+  ok (pmfs_check ~pending ignore);
+  (* A byte inside the in-flight write may be old or new. *)
+  ok (pmfs_check ~pending (fun write -> write ~off:5 "y"));
+  (* One outside it must be the committed byte. *)
+  let flipped write = write ~off:200 "z" in
+  expect_err "file a: byte 200 is neither the old nor the in-flight value"
+    (pmfs_check ~pending flipped);
+  expect_err "file a: contents differ from committed state" (pmfs_check ~pending:None flipped)
+
+let test_oracle_pmfs_size () =
+  (* Size rolls back with the journal: old (700) or new (800), never
+     in between. *)
+  expect_err "file a: size 750, in-flight write allows only 700 or 800"
+    (pmfs_check ~pending:(pmfs_write ~off:0 ~len:800 'y') (fun write ->
+         write ~off:700 (String.make 50 'x')))
+
+let nova_committed =
+  [ Workload.Create "a"; Workload.Write { name = "a"; off = 0; len = 256; fill = 'x' } ]
+
+let nova_check ~pending edit =
+  let fs = Nova.mkfs ~track_versions:true ~sink:Sink.null () in
+  let a = ok (Nova.create fs "a") in
+  ok (Nova.write fs ~ino:a ~pgoff:0 (String.make 256 'x'));
+  edit (fun ~pgoff data -> ok (Nova.write fs ~ino:a ~pgoff data));
+  Crashfs.check_image (Crashfs.default_config Crashfs.Nova) ~committed:nova_committed ~pending
+    (image_of (Nova.machine fs))
+
+let nova_write ~pgoff ~len fill = Some (Workload.Write { name = "a"; off = pgoff; len; fill })
+
+let test_oracle_nova_torn_page () =
+  let pending = nova_write ~pgoff:0 ~len:256 'y' in
+  ok (nova_check ~pending ignore);
+  ok (nova_check ~pending (fun write -> write ~pgoff:0 (String.make 256 'y')));
+  (* The log commit is atomic: a page half old and half new is torn. *)
+  expect_err "file a: page 0 is neither the old nor the in-flight contents"
+    (nova_check ~pending (fun write -> write ~pgoff:0 "yyyy"));
+  (* A fresh page may appear with the in-flight write, but no more. *)
+  let pending = nova_write ~pgoff:1 ~len:4 'y' in
+  ok (nova_check ~pending (fun write -> write ~pgoff:1 "yyyy"));
+  expect_err "file a: 3 committed pages on media, in-flight write allows 1 or 2"
+    (nova_check ~pending (fun write ->
+         write ~pgoff:1 "yyyy";
+         write ~pgoff:2 "zzzz"))
+
 (* --- The enumerator catches the seeded faults --------------------------------- *)
 
 let pmfs_bug_ops = [| Workload.Create "b" |]
@@ -359,6 +433,12 @@ let () =
           Alcotest.test_case "torn journal" `Quick test_golden_torn_journal;
           Alcotest.test_case "block beyond file size" `Quick test_golden_block_beyond_size;
           Alcotest.test_case "nova shared data page" `Quick test_golden_nova_shared_page;
+        ] );
+      ( "oracle",
+        [
+          Alcotest.test_case "pmfs torn in-flight write" `Quick test_oracle_pmfs_torn_write;
+          Alcotest.test_case "pmfs in-flight size" `Quick test_oracle_pmfs_size;
+          Alcotest.test_case "nova torn page" `Quick test_oracle_nova_torn_page;
         ] );
       ( "enumerator",
         [

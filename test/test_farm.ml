@@ -178,32 +178,44 @@ let test_run_units_deterministic () =
 (* Pinned digests, one row per campaign kind: two runs of the same code
    always agree, so only fixed values catch a change to what a job
    derives from its spec (config, generator, shrinker, digest text).
-   The faulty crashfs rows have findings, so both shrinkers run. *)
+   Each job runs [seed, seed + count). Every seeded crashfs fault has a
+   row, at a seed range with findings where the fault has any (the
+   five PMFS performance faults have none), so both shrinkers and the
+   oracle's failure messages are pinned; the clean rows cover x86,
+   hops and eadr. *)
 let test_run_units_golden () =
-  let crashfs ?fault fs ~count =
-    Farm.Spec.crashfs ?fault ~fs ~model:Model.X86 ~seed:0 ~count ~chunk:count ()
+  let crashfs ?fault ?(model = Model.X86) ?(seed = 0) ?(count = 4) fs =
+    Farm.Spec.crashfs ?fault ~fs ~model ~seed ~count ~chunk:count ()
   in
   List.iter
-    (fun (spec, hi, want) ->
-      let what = Printf.sprintf "%s [0, %d)" (Farm.Spec.to_string spec) hi in
-      match Farm.run_units spec ~lo:0 ~hi with
+    (fun (spec, want) ->
+      let lo = spec.Farm.Spec.seed in
+      let hi = lo + spec.Farm.Spec.count in
+      let what = Printf.sprintf "%s [%d, %d)" (Farm.Spec.to_string spec) lo hi in
+      match Farm.run_units spec ~lo ~hi with
       | Error e -> Alcotest.failf "%s: %s" what e
       | Ok r -> Alcotest.(check string) what want r.Farm.digest)
     [
       ( Farm.Spec.fuzz ~max_ops:16 ~model:Model.X86 ~seed:0 ~count:48 ~chunk:48 (),
-        48,
         "8fba58ff78152701f6106705095539ea" );
       ( Farm.Spec.fuzz ~model:Model.Hops ~seed:0 ~count:24 ~chunk:24 (),
-        24,
         "4f479fa80e6ea67db7f88bc1d4656d53" );
-      ( crashfs ~fault:"skip-journal-flush" Crashfs.Pmfs ~count:4,
-        4,
-        "d19c23481aa84760262dfa6f2e1de11f" );
-      ( crashfs ~fault:"skip-tail-persist" Crashfs.Nova ~count:4,
-        4,
-        "531b08c435704b0110c00b8e26120f5c" );
-      (crashfs Crashfs.Pmfs ~count:8, 8, "f55e41197f8f9b85b372fe2a6a80f067");
-      (Farm.Spec.litmus ~chunk:25 (), 25, "92b7e506a6d92c820236558198a6aa91");
+      (crashfs ~fault:"journal-double-flush" Crashfs.Pmfs, "6b047552967b410e11d0ff03f647e650");
+      (crashfs ~fault:"data-double-flush" Crashfs.Pmfs, "e2b014a923f940b05689659b262803f8");
+      (crashfs ~fault:"flush-unmapped" Crashfs.Pmfs, "f0cbc7881f4b3515c2a4c28f9c248137");
+      (crashfs ~fault:"skip-journal-flush" Crashfs.Pmfs, "d19c23481aa84760262dfa6f2e1de11f");
+      (crashfs ~fault:"skip-commit-fence" Crashfs.Pmfs, "ac98e14d90b581d706c02c77270e0ede");
+      (crashfs ~fault:"fsync-redundant-fence" Crashfs.Pmfs, "f0cbc7881f4b3515c2a4c28f9c248137");
+      (crashfs ~fault:"empty-tx-fence" Crashfs.Pmfs, "f0cbc7881f4b3515c2a4c28f9c248137");
+      (crashfs ~fault:"alloc-no-zero" ~seed:76 Crashfs.Pmfs, "ceed626112cac3d8341e221fe8655c59");
+      (crashfs ~fault:"skip-data-persist" Crashfs.Nova, "c66548e916451b8760e72ab3d71cd562");
+      (crashfs ~fault:"skip-entry-persist" Crashfs.Nova, "d1200feb6f3e25b83b99ce7423ce2365");
+      (crashfs ~fault:"skip-tail-persist" Crashfs.Nova, "531b08c435704b0110c00b8e26120f5c");
+      (crashfs ~fault:"valid-before-init" Crashfs.Nova, "73f93e3bb033f585330f34a036792c1d");
+      (crashfs ~count:8 Crashfs.Pmfs, "f55e41197f8f9b85b372fe2a6a80f067");
+      (crashfs ~model:Model.Hops Crashfs.Pmfs, "f0cbc7881f4b3515c2a4c28f9c248137");
+      (crashfs ~model:Model.Eadr Crashfs.Nova, "a8bafce85d42c9d72e0bd86b77399a67");
+      (Farm.Spec.litmus ~chunk:25 (), "92b7e506a6d92c820236558198a6aa91");
     ]
 
 (* --- Checkpoints ------------------------------------------------------------- *)
